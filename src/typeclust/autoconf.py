@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import UnivariateSpline
 
 from .dissimilarity import DissimilarityMatrix
 from .errors import EmptyAnalysisError, NoKneeError
@@ -65,14 +64,16 @@ def round_ln(n: int) -> int:
 
 
 def knn_dissimilarities(matrix: DissimilarityMatrix, k: int) -> np.ndarray:
-    """Per value, the k-th smallest dissimilarity to any other value."""
+    """Per value, the k-th smallest dissimilarity to any other value.
+
+    Reads the matrix's nearest-neighbor table, which holds at least the
+    round(ln n) ranks the ECDFs use, so every rank a run needs comes from
+    one partition of the matrix.
+    """
     n = matrix.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    rows = matrix.d.copy()
-    np.fill_diagonal(rows, np.inf)
-    rows.sort(axis=1)
-    return rows[:, k - 1]
+    return matrix.nearest(max(k, round_ln(n)))[:, k - 1].copy()  # round_ln(n) <= n - 1
 
 
 def ecdf(samples, k: int = 1) -> EcdfCurve:
@@ -92,6 +93,8 @@ def smooth_spline(curve: EcdfCurve, s: float = DEFAULT_SMOOTHING) -> SmoothCurve
     the result is clamped to [0, 1] and made monotone non-decreasing.
     A degenerate x-range returns the step curve unchanged, flagged.
     """
+    from scipy.interpolate import UnivariateSpline  # slow import; only fits need it
+
     xs, ys = curve.xs, curve.ys
     if xs[-1] == xs[0]:
         return SmoothCurve(xs.copy(), ys.copy(), degenerate=True)

@@ -2,7 +2,8 @@
 
 Point i is a core point iff at least min_samples matrix entries of row i
 (the point itself included) are <= epsilon. Clusters are the connected
-components of core points under the closed epsilon-ball, with non-core
+components of the graph of core points joined by closed epsilon-balls
+(Schubert et al., DBSCAN Revisited, Revisited, TODS 2017), with non-core
 points attached to the lowest-index core that reaches them; everything
 else is noise. Cluster ids follow the lowest member index, which makes
 labels stable for a fixed input order.
@@ -10,7 +11,6 @@ labels stable for a fixed input order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +31,7 @@ class ClusterStats:
 class Cluster:
     id: int
     members: list[int]  # SegmentValue indices, ascending
-    stats: ClusterStats | None = None
+    stats: ClusterStats | None = None  # None until ensure_stats measures it
 
 
 @dataclass
@@ -58,14 +58,30 @@ def cluster_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats
     )
 
 
+def ensure_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats:
+    """The cluster's stats, measured on first use and kept on the cluster."""
+    if cluster.stats is None:
+        cluster.stats = cluster_stats(matrix, cluster)
+    return cluster.stats
+
+
+def _ordered_clusters(member_sets: list[list[int]]) -> list[Cluster]:
+    ordered = sorted((sorted(m) for m in member_sets), key=lambda m: m[0])
+    return [Cluster(cid, members) for cid, members in enumerate(ordered)]
+
+
 def normalize_clusters(matrix: DissimilarityMatrix, member_sets: list[list[int]], noise: list[int],
                        params: AutoConfig | None = None,
-                       core_points: frozenset[int] = frozenset()) -> Clustering:
-    """Sort members, order clusters by lowest member, and recompute stats."""
-    ordered = sorted((sorted(m) for m in member_sets), key=lambda m: m[0])
-    clusters = [Cluster(cid, members) for cid, members in enumerate(ordered)]
+                       core_points: frozenset[int] = frozenset(),
+                       known: dict[tuple[int, ...], ClusterStats] | None = None) -> Clustering:
+    """Sort members, order clusters by lowest member, and fill in stats.
+
+    Stats of a member set found in ``known`` are reused; the rest are measured.
+    """
+    clusters = _ordered_clusters(member_sets)
+    known = known or {}
     for cluster in clusters:
-        cluster.stats = cluster_stats(matrix, cluster)
+        cluster.stats = known.get(tuple(cluster.members)) or cluster_stats(matrix, cluster)
     return Clustering(clusters, sorted(noise), params, core_points)
 
 
@@ -82,36 +98,31 @@ def dbscan(
     if not 1 <= min_samples <= n:
         raise ValueError(f"min_samples must be in [1, {n}], got {min_samples}")
 
+    from scipy.sparse import csr_matrix  # slow import; only clustering needs it
+    from scipy.sparse.csgraph import connected_components
+
     neighborhood = matrix.d <= epsilon
-    core = neighborhood.sum(axis=1) >= min_samples
-    labels = np.full(n, -1, dtype=np.int64)
-
-    next_label = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] != -1:
-            continue
-        labels[seed] = next_label
-        frontier = deque([seed])
-        while frontier:
-            point = frontier.popleft()
-            for neighbor in np.flatnonzero(neighborhood[point]):
-                if core[neighbor] and labels[neighbor] == -1:
-                    labels[neighbor] = next_label
-                    frontier.append(neighbor)
-        next_label += 1
-
+    core = np.count_nonzero(neighborhood, axis=1) >= min_samples
     core_indices = np.flatnonzero(core)
-    for point in np.flatnonzero(~core):
-        reachable = core_indices[neighborhood[point, core_indices]]
-        if reachable.size:
-            labels[point] = labels[reachable[0]]  # lowest core index wins
+    labels = np.full(n, -1, dtype=np.int64)
+    count = 0
+    if core_indices.size:
+        to_core = neighborhood.compress(core, axis=1)
+        graph = csr_matrix(to_core.compress(core, axis=0))
+        count, components = connected_components(graph, directed=False)
+        labels[core_indices] = components
+        border = np.flatnonzero(~core)
+        reach = to_core.compress(~core, axis=0)
+        reached = reach.any(axis=1)
+        # argmax finds the first True: the lowest-index core within epsilon
+        labels[border[reached]] = components[reach[reached].argmax(axis=1)]
 
-    member_sets = [list(np.flatnonzero(labels == label)) for label in range(next_label)]
-    noise = [int(i) for i in np.flatnonzero(labels == -1)]
-    return normalize_clusters(
-        matrix,
-        [[int(i) for i in members] for members in member_sets],
-        noise,
+    order = np.argsort(labels, kind="stable")  # noise (-1) first, ascending within a label
+    noise, *member_sets = np.split(order, np.searchsorted(labels[order], np.arange(count)))
+    # stats are left to ensure_stats: a re-trim may discard this clustering
+    return Clustering(
+        _ordered_clusters([m.tolist() for m in member_sets]),
+        noise.tolist(),
         params,
-        frozenset(int(i) for i in core_indices),
+        frozenset(core_indices.tolist()),
     )

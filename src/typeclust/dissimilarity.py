@@ -10,7 +10,7 @@ identical.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +36,33 @@ class DissimilarityMatrix:
 
     values: list[SegmentValue]
     d: np.ndarray
+    _nearest: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.values)
+
+    def nearest(self, k: int) -> np.ndarray:
+        """The k smallest off-diagonal dissimilarities of every row, ascending.
+
+        One partition per row chunk computes them; the table is kept, so a
+        request no wider than an earlier one is a read-only slice of it.
+        """
+        n = self.n
+        if not 1 <= k <= n - 1:
+            raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+        if self._nearest is None or self._nearest.shape[1] < k:
+            table = np.empty((n, k), dtype=np.float64)
+            rows = max(1, _CHUNK_CELLS // n)
+            for lo in range(0, n, rows):
+                hi = min(lo + rows, n)
+                chunk = self.d[lo:hi].copy()
+                chunk[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+                chunk.partition(k - 1, axis=1)
+                table[lo:hi] = np.sort(chunk[:, :k], axis=1)
+            table.flags.writeable = False
+            self._nearest = table
+        return self._nearest[:, :k]
 
 
 def unique_values(segments: list[Segment]) -> list[SegmentValue]:
@@ -100,9 +123,11 @@ def canberra_dissimilarity(u, v) -> float:
 
 def _term_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """canberra_equal for every row pair of two equal-width matrices."""
-    num = np.abs(a[:, None, :] - b[None, :, :])
+    terms = a[:, None, :] - b[None, :, :]
+    np.abs(terms, out=terms)
     den = a[:, None, :] + b[None, :, :]
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    np.maximum(den, 1.0, out=den)  # den is 0 only where both bytes are, and then terms is 0
+    terms /= den
     return terms.sum(axis=2) / a.shape[1]
 
 
@@ -114,8 +139,12 @@ def _chunk_rows(total: int, width: int, other: int) -> list[tuple[int, int]]:
 def build_matrix(values: list[SegmentValue], threads: int = 1) -> DissimilarityMatrix:
     """Fill the full symmetric dissimilarity matrix over unique values.
 
-    Work is partitioned by value length; chunks write disjoint cells, so any
-    thread count produces bit-identical results.
+    Work is partitioned by value length. Each symmetric pair is computed
+    once: a chunk of rows covers the columns of every longer value and, for
+    its own length, the columns from its first row onward, then writes the
+    mirror cells too. |a-b|/(a+b) is exactly symmetric, so the result is
+    exactly symmetric; chunks write disjoint cells, so any thread count
+    produces bit-identical results.
     """
     n = len(values)
     if n < 2:
@@ -137,13 +166,14 @@ def build_matrix(values: list[SegmentValue], threads: int = 1) -> DissimilarityM
         for big in lengths[li:]:
             idx_b = np.array(by_length[big])
             for lo, hi in _chunk_rows(len(idx_a), m, len(idx_b)):
-                tasks.append((m, big, idx_a[lo:hi], idx_b, arrays[m][lo:hi], arrays[big]))
+                first = lo if m == big else 0  # the lower triangle is the mirror
+                tasks.append((m, big, idx_a[lo:hi], idx_b[first:],
+                              arrays[m][lo:hi], arrays[big][first:]))
 
     def fill(task) -> None:
         m, big, rows_idx, cols_idx, rows_arr, cols_arr = task
         if m == big:
             block = _term_block(rows_arr, cols_arr)
-            d[np.ix_(rows_idx, cols_idx)] = block  # mirror cells come from the peer chunk
         else:
             best = None
             for offset in range(big - m + 1):
@@ -152,8 +182,8 @@ def build_matrix(values: list[SegmentValue], threads: int = 1) -> DissimilarityM
             ratio = m / big
             block = (m * best + (big - m) * (1.0 - ratio * (1.0 - best))) / big
             np.clip(block, 0.0, 1.0, out=block)
-            d[np.ix_(rows_idx, cols_idx)] = block
-            d[np.ix_(cols_idx, rows_idx)] = block.T
+        d[np.ix_(rows_idx, cols_idx)] = block
+        d[np.ix_(cols_idx, rows_idx)] = block.T
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

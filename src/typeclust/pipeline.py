@@ -43,6 +43,10 @@ class PipelineConfig:
     threads: int = 1
     seed: int = 0  # reserved for fixture generation; the pipeline itself is deterministic
 
+    def __post_init__(self) -> None:
+        if self.limit is not None and self.limit < 1:
+            raise ValueError(f"--limit must be at least 1 message, got {self.limit}")
+
 
 @dataclass
 class PipelineResult:
@@ -138,6 +142,8 @@ def run(config: PipelineConfig) -> PipelineResult:
         if config.refine:
             result = rf.merge_pass(matrix, result, config.thresholds)
             result = rf.split_pass(matrix, result, config.thresholds)
+        for cluster in result.clusters:  # the report needs every cluster's stats
+            cl.ensure_stats(matrix, cluster)
     with _stage("evaluate"):
         metrics = None
         if config.evaluate and analyzable and all(

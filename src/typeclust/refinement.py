@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .clustering import Cluster, Clustering, cluster_stats, normalize_clusters
+from .clustering import Cluster, Clustering, ensure_stats, normalize_clusters
 from .dissimilarity import DissimilarityMatrix
 
 
@@ -61,12 +61,6 @@ def eps_density(
     return float(np.median(inside))
 
 
-def _stats(matrix: DissimilarityMatrix, cluster: Cluster):
-    if cluster.stats is None:
-        cluster.stats = cluster_stats(matrix, cluster)
-    return cluster.stats
-
-
 def condition1(
     matrix: DissimilarityMatrix,
     c_i: Cluster,
@@ -78,7 +72,7 @@ def condition1(
     The density radius is half the extent of the cluster with fewer values
     (ties use the first cluster). Undefined densities fail the condition.
     """
-    stats_i, stats_j = _stats(matrix, c_i), _stats(matrix, c_j)
+    stats_i, stats_j = ensure_stats(matrix, c_i), ensure_stats(matrix, c_j)
     link = link_segments(matrix, c_i, c_j)
     if not link.d_link < max(stats_i.mean_pairwise, stats_j.mean_pairwise):
         return False
@@ -100,7 +94,7 @@ def condition2(
     """Somewhat-close clusters whose whole-cluster densities are similar."""
     if len(c_i.members) < 2 or len(c_j.members) < 2:
         return False
-    stats_i, stats_j = _stats(matrix, c_i), _stats(matrix, c_j)
+    stats_i, stats_j = ensure_stats(matrix, c_i), ensure_stats(matrix, c_j)
     if stats_i.mean_pairwise == 0.0 or stats_j.mean_pairwise == 0.0:
         return False
     link = link_segments(matrix, c_i, c_j)
@@ -121,24 +115,34 @@ def merge_pass(
 
     Pairs are scanned in ascending id order; after each merge the clusters
     are renumbered and the scan restarts, so the result is deterministic.
+    A pair's verdict depends only on its two member sets, so it is kept
+    and each restart evaluates only the pairs with the merged cluster.
     """
     clusters = [Cluster(c.id, list(c.members), c.stats) for c in clustering.clusters]
+    verdicts: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
     while True:
+        keys = [tuple(c.members) for c in clusters]
         hit = None
-        for c_i, c_j in combinations(clusters, 2):
-            if condition1(matrix, c_i, c_j, thresholds) or condition2(
-                matrix, c_i, c_j, thresholds
-            ):
-                hit = (c_i, c_j)
+        for a, b in combinations(range(len(clusters)), 2):
+            pair = (keys[a], keys[b])
+            verdict = verdicts.get(pair)
+            if verdict is None:
+                c_i, c_j = clusters[a], clusters[b]
+                verdict = condition1(matrix, c_i, c_j, thresholds) or condition2(
+                    matrix, c_i, c_j, thresholds
+                )
+                verdicts[pair] = verdict
+            if verdict:
+                hit = (a, b)
                 break
         if hit is None:
             break
-        c_i, c_j = hit
-        merged = sorted(c_i.members + c_j.members)
-        member_sets = [c.members for c in clusters if c is not c_i and c is not c_j]
-        member_sets.append(merged)
+        a, b = hit
+        member_sets = [c.members for i, c in enumerate(clusters) if i not in hit]
+        member_sets.append(sorted(clusters[a].members + clusters[b].members))
+        known = {key: c.stats for key, c in zip(keys, clusters) if c.stats is not None}
         clusters = normalize_clusters(
-            matrix, member_sets, clustering.noise, clustering.params
+            matrix, member_sets, clustering.noise, clustering.params, known=known
         ).clusters
     return Clustering(clusters, list(clustering.noise), clustering.params, clustering.core_points)
 
@@ -172,8 +176,9 @@ def split_pass(
                 member_sets.append(high)
                 continue
         member_sets.append(list(cluster.members))
+    known = {tuple(c.members): c.stats for c in clustering.clusters if c.stats is not None}
     return normalize_clusters(
-        matrix, member_sets, clustering.noise, clustering.params, clustering.core_points
+        matrix, member_sets, clustering.noise, clustering.params, clustering.core_points, known
     )
 
 

@@ -95,6 +95,10 @@ def segment_heuristic(messages: list[Message]) -> Segmentation:
     return Segmentation(segments, HEURISTIC_NAME, {m.id for m in messages})
 
 
+def _is_field(obj) -> bool:
+    return isinstance(obj, dict) and "len" in obj and isinstance(obj.get("type"), (str, type(None)))
+
+
 def import_segmentation(messages: list[Message], path: str | Path) -> Segmentation:
     """Load a segmentation from its JSON interchange format.
 
@@ -113,9 +117,17 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
 
     segments: list[Segment] = []
     covered: set[int] = set()
-    for entry in doc["messages"]:
+    for position, entry in enumerate(doc["messages"]):
+        if not isinstance(entry, dict):
+            raise InconsistentGroundTruthError(
+                f"{path}: messages[{position}] is {type(entry).__name__}, expected an object"
+            )
         if "payload" in entry:
             key = entry["payload"]
+            if not isinstance(key, str):
+                raise InconsistentGroundTruthError(
+                    f"{path}: messages[{position}] payload must be a hex string, got {key!r}"
+                )
             try:
                 payload = bytes.fromhex(key)
             except ValueError:
@@ -125,7 +137,11 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
                 raise MissingMessageError(f"no message with payload {key}")
         elif "index" in entry:
             index = entry["index"]
-            if not isinstance(index, int) or not 0 <= index < len(messages):
+            if not isinstance(index, int) or isinstance(index, bool):
+                raise InconsistentGroundTruthError(
+                    f"{path}: messages[{position}] index must be an integer, got {index!r}"
+                )
+            if not 0 <= index < len(messages):
                 raise MissingMessageError(f"no message with index {index!r}")
             message = messages[index]
         else:
@@ -136,13 +152,13 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
             )
 
         fields = entry.get("fields")
-        if not isinstance(fields, list) or any("len" not in f for f in fields):
+        if not isinstance(fields, list) or not all(_is_field(f) for f in fields):
             raise InconsistentGroundTruthError(
                 f"message {message.id}: entry needs a 'fields' list of "
                 "{'len': int, 'type': str|null} objects"
             )
-        lengths = [f["len"] for f in entry["fields"]]
-        if any(not isinstance(l, int) or l < 1 for l in lengths):
+        lengths = [f["len"] for f in fields]
+        if any(not isinstance(l, int) or isinstance(l, bool) or l < 1 for l in lengths):
             raise InconsistentGroundTruthError(
                 f"message {message.id}: field lengths must be positive integers, got {lengths}"
             )
@@ -152,7 +168,7 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
                 f"payload has {len(message.payload)} bytes"
             )
         offset = 0
-        for field_def in entry["fields"]:
+        for field_def in fields:
             length = field_def["len"]
             segments.append(
                 Segment(

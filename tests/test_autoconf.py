@@ -50,6 +50,35 @@ class TestKnn:
             expected = [sorted(d[i][j] for j in range(10) if j != i)[k - 1] for i in range(10)]
             assert knn_dissimilarities(matrix, k).tolist() == expected
 
+    def test_every_rank_with_ties_matches_row_sort_oracle(self, rng):
+        n = 11
+        d = rng.choice([0.1, 0.2, 0.3, 0.7], size=(n, n))  # many tied distances
+        d = np.triu(d, 1)
+        d = d + d.T
+        oracle = [sorted(d[i][j] for j in range(n) if j != i) for i in range(n)]
+        for order in (range(1, n), range(n - 1, 0, -1)):
+            matrix = make_matrix(d)  # fresh table: narrow first, then wide first
+            for k in order:
+                expected = [row[k - 1] for row in oracle]
+                assert knn_dissimilarities(matrix, k).tolist() == expected
+
+    def test_table_chunks_do_not_change_ranks(self, rng, monkeypatch):
+        from typeclust import dissimilarity
+
+        d = symmetric_random(13, rng)
+        whole = make_matrix(d).nearest(12).copy()
+        monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 20)
+        assert np.array_equal(make_matrix(d).nearest(12), whole)
+
+    def test_select_epsilon_partitions_the_matrix_once(self, rng):
+        matrix = make_matrix(two_blob_matrix(sizes=(20, 20), isolated=10))
+        select_epsilon(matrix)
+        table = matrix.nearest(1).base
+        assert table.shape == (matrix.n, round_ln(matrix.n))
+        for k in range(1, round_ln(matrix.n) + 1):
+            knn_dissimilarities(matrix, k)
+            assert matrix.nearest(k).base is table
+
     def test_k_out_of_range(self):
         matrix = make_matrix([[0.0, 0.1], [0.1, 0.0]])
         with pytest.raises(ValueError):

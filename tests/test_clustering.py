@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_matrix, symmetric_random, cluster_of
 from oracles import cluster_stats_reference, naive_dbscan
@@ -111,6 +113,80 @@ class TestDbscan:
             [m for c in clustering.clusters for m in c.members] + clustering.noise
         )
         assert everything == list(range(25))
+
+
+LEVELS = (0.1, 0.2, 0.3, 0.5, 0.9)  # few levels: ties, and distances exactly at epsilon
+
+
+@st.composite
+def tied_matrices(draw):
+    n = draw(st.integers(2, 14))
+    cells = draw(st.lists(st.sampled_from(LEVELS), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, k=1)] = cells
+    d = d + d.T
+    return d, draw(st.sampled_from(LEVELS)), draw(st.integers(1, n))
+
+
+@st.composite
+def bridged_cliques(draw):
+    """Cliques of cores plus border points at exactly epsilon from cores of
+    several cliques, in a shuffled order; returns (d, epsilon, min_samples)."""
+    size = draw(st.integers(3, 6))  # clique size, and min_samples
+    cliques = draw(st.integers(2, 4))
+    borders = draw(st.integers(1, 4))
+    cores, n = size * cliques, size * cliques + borders
+    d = np.full((n, n), 0.9)
+    for start in range(0, cores, size):
+        d[start : start + size, start : start + size] = 0.1
+    for border in range(cores, n):
+        # at most size - 2 links keep the border point below min_samples
+        links = draw(st.lists(st.integers(0, n - 1), max_size=size - 2, unique=True))
+        for other in links:
+            d[border, other] = d[other, border] = draw(st.sampled_from((0.2, 0.3)))
+    np.fill_diagonal(d, 0.0)
+    order = np.array(draw(st.permutations(range(n))))
+    return d[np.ix_(order, order)], 0.2, size
+
+
+class TestDbscanProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(bridged_cliques())
+    def test_matches_naive_reference_on_shared_borders(self, case):
+        d, epsilon, min_samples = case
+        assert partition_of(dbscan(make_matrix(d), epsilon, min_samples)) == naive_dbscan(
+            d, epsilon, min_samples
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_matrices())
+    def test_matches_naive_reference_on_tied_distances(self, case):
+        d, epsilon, min_samples = case
+        assert partition_of(dbscan(make_matrix(d), epsilon, min_samples)) == naive_dbscan(
+            d, epsilon, min_samples
+        )
+
+    def test_border_reachable_from_three_clusters(self):
+        # three 5-cliques of cores; 15 lies exactly at epsilon from cores
+        # 14, 9 and 4, is no core itself, and must join the cluster of core 4
+        d = np.full((16, 16), 0.9)
+        for start in (0, 5, 10):
+            d[start : start + 5, start : start + 5] = 0.1
+        for core in (14, 9, 4):
+            d[core, 15] = d[15, core] = 0.2
+        np.fill_diagonal(d, 0.0)
+        clustering = dbscan(make_matrix(d), epsilon=0.2, min_samples=5)
+        assert [c.members for c in clustering.clusters] == [
+            [0, 1, 2, 3, 4, 15], list(range(5, 10)), list(range(10, 15))
+        ]
+        assert partition_of(clustering) == naive_dbscan(d, 0.2, 5)
+
+    def test_stats_are_left_for_first_use(self):
+        d = np.full((4, 4), 0.05)
+        np.fill_diagonal(d, 0.0)
+        clustering = dbscan(make_matrix(d), epsilon=0.1, min_samples=2)
+        assert [c.stats for c in clustering.clusters] == [None]
 
 
 class TestClusterStats:

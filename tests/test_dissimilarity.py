@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_matrix
 from oracles import canberra_reference
+from typeclust import dissimilarity
 from typeclust.dissimilarity import (
     build_matrix,
     canberra_dissimilarity,
@@ -169,6 +170,35 @@ class TestBuildMatrix:
         sequential = build_matrix(values, threads=1)
         parallel = build_matrix(values, threads=8)
         assert np.array_equal(sequential.d, parallel.d)
+
+    def test_multi_chunk_groups_match_oracle_at_any_thread_count(self, rng, monkeypatch):
+        # several values per length, so each length group spans many chunks
+        contents = set()
+        while len(contents) < 36:
+            length = int(rng.integers(2, 6))
+            contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
+        contents = sorted(contents, key=lambda c: (c[0], len(c)))  # interleave lengths
+        values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(contents)]
+        default = build_matrix(values).d
+        monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 24)
+        builds = [build_matrix(values, threads=t).d for t in (1, 2, 8)]
+        for d in builds:
+            assert np.array_equal(d, builds[0])
+            assert np.array_equal(d, default)
+            assert np.array_equal(d, d.T)
+        for i, a in enumerate(contents):
+            for j, b in enumerate(contents):
+                expected = 0.0 if i == j else canberra_reference(a, b)
+                assert builds[0][i, j] == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_bytes_in_both_values_count_as_equal(self):
+        contents = [b"\x00\x00\x05", b"\x00\x07\x05", b"\x00\x00\x00"]
+        values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(contents)]
+        d = build_matrix(values).d
+        for i, a in enumerate(contents):
+            for j, b in enumerate(contents):
+                expected = 0.0 if i == j else canberra_reference(a, b)
+                assert d[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_single_value_rejected(self):
         with pytest.raises(EmptyAnalysisError):

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +101,25 @@ class TestRun:
         assert meta["ln_rounding"] == "natural-log-round-half-away-from-zero"
         assert meta["occurrence_counting"] == "segments-in-deduplicated-trace"
         assert meta["min_samples"] == result.autoconfig.min_samples
+
+    def test_limit_below_one_rejected(self, tmp_path):
+        for limit in (0, -1):
+            with pytest.raises(ValueError, match="--limit"):
+                pl.PipelineConfig(input="trace.hex", limit=limit)
+
+    def test_stats_measured_once_per_member_set(self, tmp_path, monkeypatch):
+        measured = Counter()
+        original = pl.cl.cluster_stats
+
+        def counting(matrix, cluster):
+            measured[tuple(cluster.members)] += 1
+            return original(matrix, cluster)
+
+        monkeypatch.setattr(pl.cl, "cluster_stats", counting)
+        trace, truth = overclassified_fixture(tmp_path)
+        result = pl.run(analyze_config(trace, truth))
+        assert max(measured.values()) == 1
+        assert set(measured) >= {tuple(c.members) for c in result.clustering.clusters}
 
     def test_retrim_iteration_cap(self, tmp_path, monkeypatch):
         # a re-trim that keeps finding smaller knees stops after 3 iterations
@@ -195,6 +219,26 @@ class TestCli:
         code = self.run_cli("analyze", "--input", str(tmp_path / "nope.hex"), "--format", "hex")
         assert code == 1
         capsys.readouterr()
+
+    def test_limit_below_one_exit_code(self, tmp_path, capsys):
+        trace, _ = two_type_fixture(tmp_path)
+        for limit in ("0", "-1"):
+            code = self.run_cli("analyze", "--input", str(trace), "--format", "hex",
+                                "--limit", limit)
+            assert code == 1
+            assert "--limit" in capsys.readouterr().err
+
+    def test_cli_import_loads_no_scipy(self):
+        src = Path(pl.__file__).resolve().parents[1]
+        probe = (
+            "import sys, typeclust.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.interpolate', 'scipy.sparse'))))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_dump_matrix_and_ecdf(self, tmp_path):
         trace, truth = two_type_fixture(tmp_path)

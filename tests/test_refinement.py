@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -278,6 +280,73 @@ class TestMergePass:
         clustering = clusters_from(matrix, [[0, 1, 2, 3], [4, 5, 6]], noise=[7, 8, 9])
         merged = merge_pass(matrix, clustering, THRESHOLDS)
         assert merged.noise == [7, 8, 9]
+
+
+def restart_scan_reference(matrix, member_sets):
+    """merge_pass from its definition: every merge restarts the full pair scan."""
+    sets = [sorted(m) for m in member_sets]
+    while True:
+        clusters = [Cluster(cid, m) for cid, m in enumerate(sorted(sets, key=lambda m: m[0]))]
+        for c_i, c_j in combinations(clusters, 2):
+            if condition1(matrix, c_i, c_j, THRESHOLDS) or condition2(
+                matrix, c_i, c_j, THRESHOLDS
+            ):
+                sets = [c.members for c in clusters if c is not c_i and c is not c_j]
+                sets.append(sorted(c_i.members + c_j.members))
+                break
+        else:
+            return [c.members for c in clusters]
+
+
+def fragmented_blobs(seed: int):
+    """Blobs of different densities, each cut into several random clusters."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(10, 21, size=3)
+    n = int(sizes.sum())
+    d = rng.uniform(0.5, 0.9, size=(n, n))
+    member_sets, start = [], 0
+    for size, (low, high) in zip(sizes, [(0.005, 0.065), (0.02, 0.08), (0.1, 0.3)]):
+        block = slice(start, start + size)
+        d[block, block] = rng.uniform(low, high, size=(size, size))
+        members = rng.permutation(np.arange(start, start + size))
+        cuts = sorted(rng.choice(np.arange(1, size), size=3, replace=False).tolist())
+        member_sets += [part.tolist() for part in np.split(members, cuts)]
+        start += size
+    d = np.triu(d, 1)
+    return d + d.T, member_sets
+
+
+class TestMergePassEquivalence:
+    def test_matches_restart_scan_reference(self):
+        merges = 0
+        for seed in range(12):
+            d, member_sets = fragmented_blobs(seed)
+            matrix = make_matrix(d)
+            merged = merge_pass(matrix, clusters_from(matrix, member_sets), THRESHOLDS)
+            expected = restart_scan_reference(matrix, member_sets)
+            assert [c.members for c in merged.clusters] == expected, seed
+            for cluster in merged.clusters:
+                assert cluster.stats == cluster_stats(matrix, Cluster(0, cluster.members))
+            merges += len(member_sets) - len(expected)
+        assert merges >= 20  # the scenarios exercise repeated merges
+
+    def test_stats_measured_once_per_member_set(self, monkeypatch):
+        from typeclust import clustering
+
+        measured = Counter()
+        original = clustering.cluster_stats
+
+        def counting(matrix, cluster):
+            measured[tuple(cluster.members)] += 1
+            return original(matrix, cluster)
+
+        monkeypatch.setattr(clustering, "cluster_stats", counting)
+        d, member_sets = fragmented_blobs(1)
+        matrix = make_matrix(d)
+        merged = merge_pass(matrix, clusters_from(matrix, member_sets), THRESHOLDS)
+        split_pass(matrix, merged, THRESHOLDS)
+        assert len(merged.clusters) < len(member_sets)
+        assert max(measured.values()) == 1
 
 
 class TestSplitPass:

@@ -80,6 +80,39 @@ class TestImportSegmentation:
         with pytest.raises(MissingMessageError):
             import_segmentation(messages, path)
 
+    @pytest.mark.parametrize("entry", [3, "010203", None, ["index", 0]])
+    def test_non_object_message_entry_rejected(self, tmp_path, entry):
+        messages = messages_from([b"\x01\x02\x03"])
+        path = self.write(tmp_path, {"messages": [entry]})
+        with pytest.raises(InconsistentGroundTruthError, match=r"messages\[0\]"):
+            import_segmentation(messages, path)
+
+    @pytest.mark.parametrize("field", [3, "len", None, [3, "x"], {"len": 3, "type": 7}])
+    def test_non_object_field_rejected(self, tmp_path, field):
+        messages = messages_from([b"\x01\x02\x03"])
+        path = self.write(tmp_path, {"messages": [{"payload": "010203", "fields": [field]}]})
+        with pytest.raises(InconsistentGroundTruthError, match="message 0"):
+            import_segmentation(messages, path)
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1"])
+    def test_non_integer_index_rejected(self, tmp_path, index):
+        messages = messages_from([b"\x01\x02", b"\x03\x04"])
+        path = self.write(tmp_path, {"messages": [{"index": index, "fields": [{"len": 2}]}]})
+        with pytest.raises(InconsistentGroundTruthError, match="index"):
+            import_segmentation(messages, path)
+
+    def test_boolean_field_length_rejected(self, tmp_path):
+        messages = messages_from([b"\x01"])
+        path = self.write(tmp_path, {"messages": [{"index": 0, "fields": [{"len": True}]}]})
+        with pytest.raises(InconsistentGroundTruthError, match="positive integers"):
+            import_segmentation(messages, path)
+
+    def test_non_string_payload_rejected(self, tmp_path):
+        messages = messages_from([b"\x01\x02"])
+        path = self.write(tmp_path, {"messages": [{"payload": 258, "fields": [{"len": 2}]}]})
+        with pytest.raises(InconsistentGroundTruthError, match="hex string"):
+            import_segmentation(messages, path)
+
     def test_round_trip_export_import(self, tmp_path):
         messages = messages_from([b"\x00\x01\x02\x03", b"abcdef"])
         original = segment_heuristic(messages)
