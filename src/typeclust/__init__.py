@@ -53,13 +53,11 @@ from .evaluation import (
 from .pipeline import PipelineConfig, PipelineResult, run
 from .refinement import (
     LinkPair,
-    RefinementThresholds,
     condition1,
     condition2,
     eps_density,
     link_segments,
     merge_pass,
-    refine,
     split_pass,
 )
 from .report import AnalysisReport, emit_report, render_table

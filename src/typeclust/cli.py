@@ -8,12 +8,9 @@ import logging
 import sys
 
 from . import autoconf as ac
-from . import dissimilarity as dm
 from . import pipeline as pl
-from . import refinement as rf
-from . import segmentation as sg
 from .errors import AnalysisError, EmptyAnalysisError, PipelineStageError
-from .report import AnalysisReport, render_table
+from .report import read_report, render_table
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -97,7 +94,6 @@ def _config_from_args(args: argparse.Namespace) -> pl.PipelineConfig:
         kneedle_sensitivity=getattr(args, "kneedle_s", ac.DEFAULT_SENSITIVITY),
         spline_smoothing=getattr(args, "spline_s", ac.DEFAULT_SMOOTHING),
         epsilon_shift=getattr(args, "epsilon_shift", 0.0),
-        thresholds=rf.RefinementThresholds(),
         dump_matrix=getattr(args, "dump_matrix", None),
         dump_ecdf=getattr(args, "dump_ecdf", None),
         out_json=getattr(args, "out_json", None),
@@ -113,10 +109,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 
 def _run_evaluate(args: argparse.Namespace) -> int:
-    with open(args.report, "r", encoding="utf-8") as handle:
-        report = AnalysisReport.from_json(handle.read())
     config = _config_from_args(args)
-    metrics = pl.evaluate_report(report, config, args.truth)
+    metrics = pl.evaluate_report(read_report(args.report), config, args.truth)
     rounded = pl.round_metrics(metrics)
     if args.out_json:
         with open(args.out_json, "w", encoding="utf-8") as handle:
@@ -131,19 +125,8 @@ def _run_evaluate(args: argparse.Namespace) -> int:
 
 
 def _run_ecdf(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    _, messages = pl.prepare_messages(config)
-    segmentation = pl.build_segmentation(config, messages)
-    analyzable = sg.filter_analyzable(segmentation)
-    values = dm.unique_values(analyzable) if analyzable else []
-    if len(values) < ac.MIN_ANALYSIS_VALUES:
-        raise EmptyAnalysisError(
-            f"need at least {ac.MIN_ANALYSIS_VALUES} unique multi-byte segment "
-            f"values, got {len(values)}"
-        )
-    matrix = dm.build_matrix(values)
-    pl.write_ecdf_csv(matrix, args.spline_s, args.out)
-    sys.stdout.write(f"wrote ECDF diagnostics for n={matrix.n} values to {args.out}\n")
+    n = pl.run_ecdf(_config_from_args(args), args.out)
+    sys.stdout.write(f"wrote ECDF diagnostics for n={n} values to {args.out}\n")
     return EXIT_OK
 
 

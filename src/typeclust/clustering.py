@@ -11,11 +11,10 @@ labels stable for a fixed input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autoconf import AutoConfig
 from .dissimilarity import DissimilarityMatrix
 
 
@@ -24,7 +23,6 @@ class ClusterStats:
     mean_pairwise: float
     minmed: float
     d_max: float
-    singleton: bool = False
 
 
 @dataclass
@@ -38,15 +36,13 @@ class Cluster:
 class Clustering:
     clusters: list[Cluster]
     noise: list[int]
-    params: AutoConfig | None = None
-    core_points: frozenset[int] = field(default_factory=frozenset)
 
 
 def cluster_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats:
     """Pairwise mean, nearest-neighbor median (minmed) and extent of a cluster."""
     members = cluster.members
     if len(members) < 2:
-        return ClusterStats(0.0, 0.0, 0.0, singleton=True)
+        return ClusterStats(0.0, 0.0, 0.0)
     sub = matrix.d[np.ix_(members, members)]
     pairs = sub[np.triu_indices(len(members), k=1)]
     np.fill_diagonal(sub, np.inf)
@@ -71,8 +67,6 @@ def _ordered_clusters(member_sets: list[list[int]]) -> list[Cluster]:
 
 
 def normalize_clusters(matrix: DissimilarityMatrix, member_sets: list[list[int]], noise: list[int],
-                       params: AutoConfig | None = None,
-                       core_points: frozenset[int] = frozenset(),
                        known: dict[tuple[int, ...], ClusterStats] | None = None) -> Clustering:
     """Sort members, order clusters by lowest member, and fill in stats.
 
@@ -82,15 +76,10 @@ def normalize_clusters(matrix: DissimilarityMatrix, member_sets: list[list[int]]
     known = known or {}
     for cluster in clusters:
         cluster.stats = known.get(tuple(cluster.members)) or cluster_stats(matrix, cluster)
-    return Clustering(clusters, sorted(noise), params, core_points)
+    return Clustering(clusters, sorted(noise))
 
 
-def dbscan(
-    matrix: DissimilarityMatrix,
-    epsilon: float,
-    min_samples: int,
-    params: AutoConfig | None = None,
-) -> Clustering:
+def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clustering:
     """Cluster the matrix values with DBSCAN on the closed epsilon-ball."""
     n = matrix.n
     if epsilon <= 0:
@@ -120,9 +109,4 @@ def dbscan(
     order = np.argsort(labels, kind="stable")  # noise (-1) first, ascending within a label
     noise, *member_sets = np.split(order, np.searchsorted(labels[order], np.arange(count)))
     # stats are left to ensure_stats: a re-trim may discard this clustering
-    return Clustering(
-        _ordered_clusters([m.tolist() for m in member_sets]),
-        noise.tolist(),
-        params,
-        frozenset(core_indices.tolist()),
-    )
+    return Clustering(_ordered_clusters([m.tolist() for m in member_sets]), noise.tolist())

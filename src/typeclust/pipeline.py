@@ -4,9 +4,9 @@ for a fixed input and configuration."""
 
 from __future__ import annotations
 
-import logging
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import autoconf as ac
@@ -19,8 +19,6 @@ from . import traceio as tio
 from .errors import AnalysisError, EmptyAnalysisError, PipelineStageError
 from .report import AnalysisReport, emit_report, sig6
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass
 class PipelineConfig:
@@ -31,21 +29,26 @@ class PipelineConfig:
     segmenter: str = "heuristic"  # "heuristic" | "import"
     segments_path: str | None = None
     refine: bool = True
-    evaluate: bool = True
     kneedle_sensitivity: float = ac.DEFAULT_SENSITIVITY
     spline_smoothing: float = ac.DEFAULT_SMOOTHING
     epsilon_shift: float = 0.0
-    thresholds: rf.RefinementThresholds = field(default_factory=rf.RefinementThresholds)
     dump_matrix: str | None = None
     dump_ecdf: str | None = None
     out_json: str | None = None
     out_table: str | None = None
     threads: int = 1
-    seed: int = 0  # reserved for fixture generation; the pipeline itself is deterministic
 
     def __post_init__(self) -> None:
         if self.limit is not None and self.limit < 1:
             raise ValueError(f"--limit must be at least 1 message, got {self.limit}")
+        if self.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {self.threads}")
+        for flag, value in (("--kneedle-s", self.kneedle_sensitivity),
+                            ("--spline-s", self.spline_smoothing)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{flag} must be a finite number >= 0, got {value}")
+        if not math.isfinite(self.epsilon_shift):
+            raise ValueError(f"--epsilon-shift must be a finite number, got {self.epsilon_shift}")
 
 
 @dataclass
@@ -71,17 +74,14 @@ def _stage(name: str):
         raise PipelineStageError(name, exc) from exc
 
 
-def load_trace(config: PipelineConfig) -> tio.RawTrace:
-    if config.format == "pcap":
-        return tio.load_pcap(config.input, tio.ProtocolFilter.parse(config.filter))
-    if config.format == "hex":
-        return tio.load_hexlines(config.input)
-    raise ValueError(f"unknown input format {config.format!r}")
-
-
 def prepare_messages(config: PipelineConfig) -> tuple[tio.RawTrace, list[tio.Message]]:
     """Load, de-duplicate, and truncate; the limit applies after dedup."""
-    trace = load_trace(config)
+    if config.format == "pcap":
+        trace = tio.load_pcap(config.input, tio.ProtocolFilter.parse(config.filter))
+    elif config.format == "hex":
+        trace = tio.load_hexlines(config.input)
+    else:
+        raise ValueError(f"unknown input format {config.format!r}")
     messages = tio.deduplicate(trace)
     if config.limit is not None:
         messages = messages[: config.limit]
@@ -100,14 +100,29 @@ def build_segmentation(
     raise ValueError(f"unknown segmenter {config.segmenter!r}")
 
 
-def run(config: PipelineConfig) -> PipelineResult:
-    """Execute the full pipeline and assemble the analysis report."""
+def _load_values(
+    config: PipelineConfig, truth_path: str | None = None
+) -> tuple[tio.RawTrace, list[tio.Message], sg.Segmentation, list[sg.Segment],
+           list[dm.SegmentValue]]:
+    """The load, segment and values stages that every command shares.
+
+    With ``truth_path`` the analyzable segments carry ground-truth types:
+    the truth itself when the analysis imported it, else labels by byte
+    overlap with it.
+    """
     with _stage("load"):
         trace, messages = prepare_messages(config)
     with _stage("segment"):
-        segmentation = build_segmentation(config, messages)
+        truth = None if truth_path is None else sg.import_segmentation(messages, truth_path)
+        if truth is not None and config.segmenter == "import" and (
+            config.segments_path is None or str(config.segments_path) == str(truth_path)
+        ):
+            segmentation = truth
+        else:
+            segmentation = build_segmentation(config, messages)
         analyzable = sg.filter_analyzable(segmentation)
-        excluded = len(segmentation.segments) - len(analyzable)
+        if truth is not None and segmentation is not truth:
+            analyzable = ev.label_segments_by_overlap(analyzable, truth)
     with _stage("values"):
         values = dm.unique_values(analyzable) if analyzable else []
         if len(values) < ac.MIN_ANALYSIS_VALUES:
@@ -115,6 +130,12 @@ def run(config: PipelineConfig) -> PipelineResult:
                 f"need at least {ac.MIN_ANALYSIS_VALUES} unique multi-byte segment "
                 f"values, got {len(values)}"
             )
+    return trace, messages, segmentation, analyzable, values
+
+
+def run(config: PipelineConfig) -> PipelineResult:
+    """Execute the full pipeline and assemble the analysis report."""
+    trace, messages, segmentation, analyzable, values = _load_values(config)
     with _stage("matrix"):
         matrix = dm.build_matrix(values, threads=config.threads)
         if config.dump_matrix:
@@ -129,7 +150,7 @@ def run(config: PipelineConfig) -> PipelineResult:
         if config.dump_ecdf:
             write_ecdf_csv(matrix, config.spline_smoothing, config.dump_ecdf)
     with _stage("cluster"):
-        result = cl.dbscan(matrix, auto.epsilon, auto.min_samples, auto)
+        result = cl.dbscan(matrix, auto.epsilon, auto.min_samples)
         for _ in range(ac.MAX_RETRIMS):
             updated = ac.retrim_epsilon(matrix, auto, result, config.epsilon_shift)
             if updated is auto:
@@ -137,25 +158,34 @@ def run(config: PipelineConfig) -> PipelineResult:
             auto = updated
             if not updated.retrimmed or updated.retrim_failed:
                 break
-            result = cl.dbscan(matrix, auto.epsilon, auto.min_samples, auto)
+            result = cl.dbscan(matrix, auto.epsilon, auto.min_samples)
     with _stage("refine"):
         if config.refine:
-            result = rf.merge_pass(matrix, result, config.thresholds)
-            result = rf.split_pass(matrix, result, config.thresholds)
+            result = rf.merge_pass(matrix, result)
+            result = rf.split_pass(matrix, result)
         for cluster in result.clusters:  # the report needs every cluster's stats
             cl.ensure_stats(matrix, cluster)
     with _stage("evaluate"):
         metrics = None
-        if config.evaluate and analyzable and all(
-            s.truth_type is not None for s in analyzable
-        ):
+        if all(s.truth_type is not None for s in analyzable):
             metrics = ev.evaluate_clustering(messages, values, result)
     with _stage("report"):
+        excluded = len(segmentation.segments) - len(analyzable)
         report = build_report(
             config, trace, messages, segmentation, excluded, values, auto, result, metrics
         )
         emit_report(report, config.out_json, config.out_table)
     return PipelineResult(report, messages, segmentation, values, matrix, auto, result)
+
+
+def run_ecdf(config: PipelineConfig, path: str) -> int:
+    """Write the k-NN ECDF diagnostics of the trace's values; returns their number."""
+    *_, values = _load_values(config)
+    with _stage("matrix"):
+        matrix = dm.build_matrix(values, threads=config.threads)
+    with _stage("autoconf"):
+        write_ecdf_csv(matrix, config.spline_smoothing, path)
+    return matrix.n
 
 
 def write_ecdf_csv(matrix: dm.DissimilarityMatrix, smoothing: float, path: str) -> None:
@@ -207,7 +237,6 @@ def build_report(
         "segmenter": segmentation.segmenter_name,
         "segments": len(segmentation.segments),
         "excluded_one_byte_segments": excluded_one_byte,
-        "excluded_one_byte_bytes": excluded_one_byte,
         "unique_values": len(values),
         "total_bytes": sum(len(m.payload) for m in messages),
         "epsilon": sig6(auto.epsilon),
@@ -223,13 +252,12 @@ def build_report(
         "epsilon_shift": sig6(config.epsilon_shift),
         "refined": config.refine,
         "thresholds": {
-            "eps_rho_threshold": sig6(config.thresholds.eps_rho_threshold),
-            "neighbor_density_threshold": sig6(config.thresholds.neighbor_density_threshold),
-            "split_percentile": sig6(config.thresholds.split_percentile),
+            "eps_rho_threshold": sig6(rf.EPS_RHO_THRESHOLD),
+            "neighbor_density_threshold": sig6(rf.NEIGHBOR_DENSITY_THRESHOLD),
+            "split_percentile": sig6(rf.SPLIT_PERCENTILE),
         },
         "ln_rounding": "natural-log-round-half-away-from-zero",
         "occurrence_counting": "segments-in-deduplicated-trace",
-        "seed": config.seed,
     }
     clusters = [
         {
@@ -260,23 +288,9 @@ def evaluate_report(
     segmenter was the import of that truth, by byte overlap otherwise), and
     the report's clusters are mapped back onto unique values by hex content.
     """
-    with _stage("load"):
-        _, messages = prepare_messages(config)
-    with _stage("segment"):
-        truth = sg.import_segmentation(messages, truth_path)
-        if config.segmenter == "import" and (
-            config.segments_path is None or str(config.segments_path) == str(truth_path)
-        ):
-            segmentation = truth
-        else:
-            segmentation = build_segmentation(config, messages)
-        analyzable = sg.filter_analyzable(segmentation)
-        if segmentation is not truth:
-            analyzable = ev.label_segments_by_overlap(analyzable, truth)
-    with _stage("values"):
-        values = dm.unique_values(analyzable)
-        index_by_hex = {value.bytes.hex(): i for i, value in enumerate(values)}
+    _, messages, _, _, values = _load_values(config, truth_path)
     with _stage("evaluate"):
+        index_by_hex = {value.bytes.hex(): i for i, value in enumerate(values)}
         member_sets = []
         assigned: set[int] = set()
         for cluster in report.clusters:

@@ -20,18 +20,13 @@ import numpy as np
 from .clustering import Cluster, Clustering, ensure_stats, normalize_clusters
 from .dissimilarity import DissimilarityMatrix
 
-
-@dataclass(frozen=True)
-class RefinementThresholds:
-    eps_rho_threshold: float = 0.01
-    neighbor_density_threshold: float = 0.002
-    split_percentile: float = 95.0
+EPS_RHO_THRESHOLD = 0.01  # condition 1: |rho_i - rho_j| must stay below this
+NEIGHBOR_DENSITY_THRESHOLD = 0.002  # condition 2: |minmed_i - minmed_j| must stay below this
+SPLIT_PERCENTILE = 95.0  # split when the percent rank below the pivot exceeds this
 
 
 @dataclass(frozen=True)
 class LinkPair:
-    i: int
-    j: int
     s_link_ij: int  # member of cluster i closest to cluster j
     s_link_ji: int
     d_link: float
@@ -44,7 +39,7 @@ def link_segments(matrix: DissimilarityMatrix, c_i: Cluster, c_j: Cluster) -> Li
     block = matrix.d[np.ix_(rows, cols)]
     flat = int(np.argmin(block))  # first minimum in row-major order
     a, b = divmod(flat, cols.size)
-    return LinkPair(c_i.id, c_j.id, int(rows[a]), int(cols[b]), float(block[a, b]))
+    return LinkPair(int(rows[a]), int(cols[b]), float(block[a, b]))
 
 
 def eps_density(
@@ -62,18 +57,15 @@ def eps_density(
 
 
 def condition1(
-    matrix: DissimilarityMatrix,
-    c_i: Cluster,
-    c_j: Cluster,
-    thresholds: RefinementThresholds = RefinementThresholds(),
+    matrix: DissimilarityMatrix, c_i: Cluster, c_j: Cluster, link: LinkPair
 ) -> bool:
     """Very close clusters with similar local density around the link segments.
 
     The density radius is half the extent of the cluster with fewer values
     (ties use the first cluster). Undefined densities fail the condition.
+    ``link`` is the pair's :func:`link_segments`, shared with condition 2.
     """
     stats_i, stats_j = ensure_stats(matrix, c_i), ensure_stats(matrix, c_j)
-    link = link_segments(matrix, c_i, c_j)
     if not link.d_link < max(stats_i.mean_pairwise, stats_j.mean_pairwise):
         return False
     smaller = stats_i if len(c_i.members) <= len(c_j.members) else stats_j
@@ -82,14 +74,11 @@ def condition1(
     rho_j = eps_density(matrix, c_j, link.s_link_ji, eps)
     if rho_i is None or rho_j is None:
         return False
-    return abs(rho_i - rho_j) < thresholds.eps_rho_threshold
+    return abs(rho_i - rho_j) < EPS_RHO_THRESHOLD
 
 
 def condition2(
-    matrix: DissimilarityMatrix,
-    c_i: Cluster,
-    c_j: Cluster,
-    thresholds: RefinementThresholds = RefinementThresholds(),
+    matrix: DissimilarityMatrix, c_i: Cluster, c_j: Cluster, link: LinkPair
 ) -> bool:
     """Somewhat-close clusters whose whole-cluster densities are similar."""
     if len(c_i.members) < 2 or len(c_j.members) < 2:
@@ -97,20 +86,15 @@ def condition2(
     stats_i, stats_j = ensure_stats(matrix, c_i), ensure_stats(matrix, c_j)
     if stats_i.mean_pairwise == 0.0 or stats_j.mean_pairwise == 0.0:
         return False
-    link = link_segments(matrix, c_i, c_j)
     bound = (
         stats_i.minmed / stats_i.mean_pairwise + stats_j.minmed / stats_j.mean_pairwise
     ) / 2.0
     if not link.d_link < bound:
         return False
-    return abs(stats_i.minmed - stats_j.minmed) < thresholds.neighbor_density_threshold
+    return abs(stats_i.minmed - stats_j.minmed) < NEIGHBOR_DENSITY_THRESHOLD
 
 
-def merge_pass(
-    matrix: DissimilarityMatrix,
-    clustering: Clustering,
-    thresholds: RefinementThresholds = RefinementThresholds(),
-) -> Clustering:
+def merge_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clustering:
     """Merge qualifying cluster pairs until a fixpoint is reached.
 
     Pairs are scanned in ascending id order; after each merge the clusters
@@ -128,8 +112,9 @@ def merge_pass(
             verdict = verdicts.get(pair)
             if verdict is None:
                 c_i, c_j = clusters[a], clusters[b]
-                verdict = condition1(matrix, c_i, c_j, thresholds) or condition2(
-                    matrix, c_i, c_j, thresholds
+                link = link_segments(matrix, c_i, c_j)
+                verdict = condition1(matrix, c_i, c_j, link) or condition2(
+                    matrix, c_i, c_j, link
                 )
                 verdicts[pair] = verdict
             if verdict:
@@ -141,17 +126,11 @@ def merge_pass(
         member_sets = [c.members for i, c in enumerate(clusters) if i not in hit]
         member_sets.append(sorted(clusters[a].members + clusters[b].members))
         known = {key: c.stats for key, c in zip(keys, clusters) if c.stats is not None}
-        clusters = normalize_clusters(
-            matrix, member_sets, clustering.noise, clustering.params, known=known
-        ).clusters
-    return Clustering(clusters, list(clustering.noise), clustering.params, clustering.core_points)
+        clusters = normalize_clusters(matrix, member_sets, clustering.noise, known).clusters
+    return Clustering(clusters, list(clustering.noise))
 
 
-def split_pass(
-    matrix: DissimilarityMatrix,
-    clustering: Clustering,
-    thresholds: RefinementThresholds = RefinementThresholds(),
-) -> Clustering:
+def split_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clustering:
     """Split clusters with extremely polarized value occurrence counts.
 
     Occurrences count segments (duplicates included); with F = ln of the
@@ -168,7 +147,7 @@ def split_pass(
         pivot = math.log(segment_count) if segment_count > 0 else 0.0
         percent_rank = 100.0 * float((counts < pivot).sum()) / counts.size
         spread = float(counts.std())
-        if percent_rank > thresholds.split_percentile and spread > pivot:
+        if percent_rank > SPLIT_PERCENTILE and spread > pivot:
             low = [m for m, c in zip(cluster.members, counts) if c <= pivot]
             high = [m for m, c in zip(cluster.members, counts) if c > pivot]
             if low and high:
@@ -177,15 +156,4 @@ def split_pass(
                 continue
         member_sets.append(list(cluster.members))
     known = {tuple(c.members): c.stats for c in clustering.clusters if c.stats is not None}
-    return normalize_clusters(
-        matrix, member_sets, clustering.noise, clustering.params, clustering.core_points, known
-    )
-
-
-def refine(
-    matrix: DissimilarityMatrix,
-    clustering: Clustering,
-    thresholds: RefinementThresholds = RefinementThresholds(),
-) -> Clustering:
-    """Full refinement: merge to fixpoint, then one split pass."""
-    return split_pass(matrix, merge_pass(matrix, clustering, thresholds), thresholds)
+    return normalize_clusters(matrix, member_sets, clustering.noise, known)

@@ -7,12 +7,14 @@ report is built, so emitted files are byte-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .errors import AnalysisError
 from .evaluation import Metrics
 
 TABLE_COLUMNS = ("protocol", "messages", "fields", "epsilon", "P", "R", "F")
+_METRIC_KEYS = {f.name for f in fields(Metrics)}
 
 
 def sig6(x: float) -> float:
@@ -37,7 +39,23 @@ class AnalysisReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AnalysisReport":
+        """Rebuild a report; ValueError if ``doc`` does not have a report's shape."""
+        if not (
+            isinstance(doc, dict)
+            and isinstance(doc.get("metadata"), dict)
+            and isinstance(doc.get("noise"), list)
+            and isinstance(doc.get("clusters"), list)
+            and all(
+                isinstance(c, dict)
+                and isinstance(c.get("values"), list)
+                and all(isinstance(v, str) for v in c["values"])
+                for c in doc["clusters"]
+            )
+        ):
+            raise ValueError("expected an object with metadata, clusters of hex values, and noise")
         metrics = doc.get("metrics")
+        if metrics is not None and not (isinstance(metrics, dict) and set(metrics) == _METRIC_KEYS):
+            raise ValueError(f"metrics must be null or an object with keys {sorted(_METRIC_KEYS)}")
         return cls(
             metadata=doc["metadata"],
             clusters=doc["clusters"],
@@ -51,6 +69,14 @@ class AnalysisReport:
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         return cls.from_dict(json.loads(text))
+
+
+def read_report(path: str | Path) -> AnalysisReport:
+    """Load a JSON report written by ``analyze``; anything else is an AnalysisError."""
+    try:
+        return AnalysisReport.from_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:  # not UTF-8, not JSON, or not shaped like a report
+        raise AnalysisError(f"{path}: not an analysis report ({err})") from None
 
 
 def render_table(report: AnalysisReport) -> str:

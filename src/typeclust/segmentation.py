@@ -7,7 +7,7 @@ segments are sorted by offset, non-overlapping, and gap-free.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InconsistentGroundTruthError, MissingMessageError
@@ -35,7 +35,6 @@ class Segment:
 class Segmentation:
     segments: list[Segment]
     segmenter_name: str
-    covers_messages: set[int] = field(default_factory=set)
 
 
 def texture_class(byte: int) -> int:
@@ -92,7 +91,7 @@ def segment_heuristic(messages: list[Message]) -> Segmentation:
             segments.append(
                 Segment(message.id, start, end - start, message.payload[start:end])
             )
-    return Segmentation(segments, HEURISTIC_NAME, {m.id for m in messages})
+    return Segmentation(segments, HEURISTIC_NAME)
 
 
 def _is_field(obj) -> bool:
@@ -107,12 +106,17 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
     payload length.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except ValueError as err:  # not UTF-8, or not JSON
+            raise InconsistentGroundTruthError(f"{path}: not a JSON document ({err})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("messages"), list):
         raise InconsistentGroundTruthError(
             f"{path}: expected an object with a 'messages' list"
         )
     name = doc.get("segmenter", "imported")
+    if not isinstance(name, str):
+        raise InconsistentGroundTruthError(f"{path}: segmenter must be a string, got {name!r}")
     by_payload = {m.payload: m for m in messages}
 
     segments: list[Segment] = []
@@ -183,7 +187,7 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
         covered.add(message.id)
 
     segments.sort(key=lambda s: (s.message_id, s.offset))
-    return Segmentation(segments, name, covered)
+    return Segmentation(segments, name)
 
 
 def export_segmentation(segmentation: Segmentation, messages: list[Message]) -> dict:

@@ -169,11 +169,14 @@ def load_hexlines(path: str | Path) -> RawTrace:
     timestamp is the 1-based line number.
     """
     records: list[tuple[float, bytes]] = []
-    with open(path, "r", encoding="ascii") as handle:
+    # undecodable bytes pass as lone surrogates, so they are reported by line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
+            if not text.isascii():
+                raise HexParseError("non-ASCII byte", lineno)
             if len(text) % 2 != 0:
                 raise HexParseError(f"odd number of hex digits ({len(text)})", lineno)
             try:

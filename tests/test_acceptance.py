@@ -25,7 +25,7 @@ from typeclust.cli import main as cli_main
 from typeclust.clustering import Cluster, Clustering, dbscan, normalize_clusters
 from typeclust.dissimilarity import build_matrix, unique_values
 from typeclust.evaluation import evaluate_clustering, f_beta, value_labels
-from typeclust.refinement import RefinementThresholds, merge_pass, split_pass
+from typeclust.refinement import merge_pass, split_pass
 from typeclust.segmentation import filter_analyzable, import_segmentation
 from typeclust.traceio import ProtocolFilter, deduplicate, load_pcap
 
@@ -157,7 +157,7 @@ def test_criterion_5_refinement_behavior():
         blob = blob + blob.T
         matrix = make_matrix(blob)
         pre_split = normalize_clusters(matrix, [list(range(8)), list(range(8, 16))], [])
-        merged = merge_pass(matrix, pre_split, RefinementThresholds())
+        merged = merge_pass(matrix, pre_split)
         assert [c.members for c in merged.clusters] == [list(range(16))]
 
         # split: 95 unique values plus one value occurring 100 times splits
@@ -169,7 +169,7 @@ def test_criterion_5_refinement_behavior():
             member_counts=counts,
         )
         single = normalize_clusters(values_matrix, [list(range(96))], [])
-        split = split_pass(values_matrix, single, RefinementThresholds())
+        split = split_pass(values_matrix, single)
         pivot = math.log(sum(counts))
         low_side = [i for i, c in enumerate(counts) if c <= pivot]
         high_side = [i for i, c in enumerate(counts) if c > pivot]
@@ -190,7 +190,7 @@ def test_criterion_6_real_trace_ntp():
         matrix = build_matrix(values)
         config = select_epsilon(matrix)
         assert abs(config.epsilon - 0.121) <= 0.03
-        clustering = dbscan(matrix, config.epsilon, config.min_samples, config)
+        clustering = dbscan(matrix, config.epsilon, config.min_samples)
         metrics = evaluate_clustering(messages, values, clustering)
         assert metrics.precision >= 0.98
         assert metrics.recall >= 0.90

@@ -186,7 +186,7 @@ class TestSelectEpsilon:
         config = select_epsilon(matrix)
         assert 0.05 < config.epsilon < 0.8
         assert not config.fallback
-        clustering = dbscan(matrix, config.epsilon, config.min_samples, config)
+        clustering = dbscan(matrix, config.epsilon, config.min_samples)
         assert sorted(len(c.members) for c in clustering.clusters) == [12, 12]
         assert len(clustering.noise) == 6
 
@@ -244,23 +244,23 @@ class TestRetrim:
         matrix = make_matrix(d)
         previous = AutoConfig(chosen_k=2, epsilon=0.1, min_samples=2, knee_x=0.1,
                               smoothing=0.1, sensitivity=1.0)
-        clustering = dbscan(matrix, 0.1, 2, previous)
+        clustering = dbscan(matrix, 0.1, 2)
         assert max(len(c.members) for c in clustering.clusters) == 10  # 50 % <= 60 %
         assert retrim_epsilon(matrix, previous, clustering) is previous
 
     def test_giant_cluster_triggers_smaller_epsilon(self):
         matrix, previous = self._giant_cluster_fixture()
-        clustering = dbscan(matrix, previous.epsilon, previous.min_samples, previous)
+        clustering = dbscan(matrix, previous.epsilon, previous.min_samples)
         assert [len(c.members) for c in clustering.clusters] == [28]  # 100 % in one cluster
         updated = retrim_epsilon(matrix, previous, clustering)
         assert updated.retrimmed
         assert updated.epsilon < previous.epsilon
-        reclustered = dbscan(matrix, updated.epsilon, updated.min_samples, updated)
+        reclustered = dbscan(matrix, updated.epsilon, updated.min_samples)
         assert max(len(c.members) for c in reclustered.clusters) < 28
 
     def test_tiny_trimmed_sample_keeps_epsilon_flagged(self):
         matrix, previous = self._giant_cluster_fixture()
-        clustering = dbscan(matrix, previous.epsilon, previous.min_samples, previous)
+        clustering = dbscan(matrix, previous.epsilon, previous.min_samples)
         low = AutoConfig(chosen_k=2, epsilon=0.5, min_samples=previous.min_samples,
                          knee_x=0.01, smoothing=0.1, sensitivity=1.0)
         updated = retrim_epsilon(matrix, low, clustering)
@@ -278,7 +278,7 @@ class TestRetrim:
         matrix = make_matrix(d, member_counts=[50, 50, 50, 1, 1, 1, 1, 1])
         previous = AutoConfig(chosen_k=2, epsilon=0.05, min_samples=2, knee_x=0.05,
                               smoothing=0.1, sensitivity=1.0)
-        clustering = dbscan(matrix, 0.05, 2, previous)
+        clustering = dbscan(matrix, 0.05, 2)
         assert sorted(len(c.members) for c in clustering.clusters) == [3, 5]
         # 150 of 155 instances sit in the 3-value cluster -> retrim is attempted
         updated = retrim_epsilon(matrix, previous, clustering)
@@ -291,7 +291,7 @@ class TestRetrim:
         matrix = make_matrix(d)
         previous = AutoConfig(chosen_k=2, epsilon=0.5, min_samples=2, knee_x=0.5,
                               smoothing=0.1, sensitivity=1.0)
-        clustering = dbscan(matrix, 0.5, 2, previous)
+        clustering = dbscan(matrix, 0.5, 2)
         assert [len(c.members) for c in clustering.clusters] == [10]
         updated = retrim_epsilon(matrix, previous, clustering)
         assert updated.retrim_failed

@@ -204,7 +204,7 @@ class TestLabelByOverlap:
         assert [s.truth_type for s in labeled] == ["head", "tail", "head"]
 
     def test_uncovered_message_raises(self):
-        truth = Segmentation([], "gt", set())
+        truth = Segmentation([], "gt")
         with pytest.raises(EvaluationUnavailableError):
             label_segments_by_overlap([Segment(0, 0, 2, b"ab")], truth)
 

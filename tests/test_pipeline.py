@@ -107,6 +107,20 @@ class TestRun:
             with pytest.raises(ValueError, match="--limit"):
                 pl.PipelineConfig(input="trace.hex", limit=limit)
 
+    @pytest.mark.parametrize("field, value, flag", [
+        ("threads", 0, "--threads"),
+        ("threads", -3, "--threads"),
+        ("kneedle_sensitivity", float("nan"), "--kneedle-s"),
+        ("kneedle_sensitivity", -0.5, "--kneedle-s"),
+        ("spline_smoothing", -1.0, "--spline-s"),
+        ("spline_smoothing", float("inf"), "--spline-s"),
+        ("epsilon_shift", float("nan"), "--epsilon-shift"),
+        ("epsilon_shift", float("-inf"), "--epsilon-shift"),
+    ])
+    def test_bad_numeric_option_rejected(self, field, value, flag):
+        with pytest.raises(ValueError, match=flag):
+            pl.PipelineConfig(input="trace.hex", **{field: value})
+
     def test_stats_measured_once_per_member_set(self, tmp_path, monkeypatch):
         measured = Counter()
         original = pl.cl.cluster_stats
@@ -227,6 +241,46 @@ class TestCli:
                                 "--limit", limit)
             assert code == 1
             assert "--limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("analyze", "--threads", "0"),
+        ("analyze", "--threads", "-3"),
+        ("analyze", "--kneedle-s", "nan"),
+        ("analyze", "--spline-s", "-1"),
+        ("analyze", "--epsilon-shift", "inf"),
+        ("ecdf", "--spline-s", "nan"),
+    ])
+    def test_bad_numeric_option_exit_code(self, tmp_path, capsys, command, option, value):
+        trace, _ = two_type_fixture(tmp_path)
+        out = ["--out", str(tmp_path / "ecdf.csv")] if command == "ecdf" else []
+        code = self.run_cli(command, "--input", str(trace), "--format", "hex",
+                            option, value, *out)
+        assert code == 1
+        assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        "not json",
+        "[1, 2]",
+        '{"clusters": []}',
+        '{"metadata": {}, "clusters": [{"values": [1]}], "noise": []}',
+        '{"metadata": {}, "clusters": [], "noise": [], "metrics": {"tp": 1}}',
+    ])
+    def test_evaluate_rejects_a_file_that_is_not_a_report(self, tmp_path, capsys, content):
+        trace, truth = two_type_fixture(tmp_path)
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(content)
+        code = self.run_cli("evaluate", "--report", str(bogus), "--input", str(trace),
+                            "--format", "hex", "--truth", str(truth))
+        assert code == 1
+        assert "bogus.json: not an analysis report" in capsys.readouterr().err
+
+    def test_ecdf_errors_name_their_stage(self, tmp_path, capsys):
+        path = tmp_path / "tiny.hex"
+        path.write_text("aabb\nccdd\n")
+        code = self.run_cli("ecdf", "--input", str(path), "--format", "hex",
+                            "--out", str(tmp_path / "ecdf.csv"))
+        assert code == 2
+        assert "error in stage values" in capsys.readouterr().err
 
     def test_cli_import_loads_no_scipy(self):
         src = Path(pl.__file__).resolve().parents[1]

@@ -13,7 +13,8 @@ from conftest import make_matrix, symmetric_random
 from oracles import percent_rank_reference, population_std_reference
 from typeclust.clustering import Cluster, cluster_stats, normalize_clusters
 from typeclust.refinement import (
-    RefinementThresholds,
+    EPS_RHO_THRESHOLD,
+    NEIGHBOR_DENSITY_THRESHOLD,
     condition1,
     condition2,
     eps_density,
@@ -21,8 +22,6 @@ from typeclust.refinement import (
     merge_pass,
     split_pass,
 )
-
-THRESHOLDS = RefinementThresholds()
 
 
 def clusters_from(matrix, member_sets, noise=()):
@@ -120,7 +119,8 @@ class TestMergeConditions:
 
     def test_split_uniform_blob_satisfies_condition1(self):
         matrix, clustering = self.split_blob()
-        assert condition1(matrix, clustering.clusters[0], clustering.clusters[1], THRESHOLDS)
+        c_i, c_j = clustering.clusters
+        assert condition1(matrix, c_i, c_j, link_segments(matrix, c_i, c_j))
 
     def test_far_apart_blobs_fail_condition1(self):
         d = np.full((12, 12), 0.9)
@@ -129,8 +129,10 @@ class TestMergeConditions:
         np.fill_diagonal(d, 0.0)
         matrix = make_matrix(d)
         clustering = clusters_from(matrix, [list(range(6)), list(range(6, 12))])
-        assert not condition1(matrix, clustering.clusters[0], clustering.clusters[1], THRESHOLDS)
-        assert not condition2(matrix, clustering.clusters[0], clustering.clusters[1], THRESHOLDS)
+        c_i, c_j = clustering.clusters
+        link = link_segments(matrix, c_i, c_j)
+        assert not condition1(matrix, c_i, c_j, link)
+        assert not condition2(matrix, c_i, c_j, link)
 
     def test_asymmetric_link_densities_fail_condition1(self):
         # clusters close enough for the distance term, but the local
@@ -157,8 +159,8 @@ class TestMergeConditions:
         rho_i = eps_density(matrix, c_i, link.s_link_ij, eps)
         rho_j = eps_density(matrix, c_j, link.s_link_ji, eps)
         assert rho_i is not None and rho_j is not None
-        assert abs(rho_i - rho_j) >= THRESHOLDS.eps_rho_threshold
-        assert not condition1(matrix, c_i, c_j, THRESHOLDS)
+        assert abs(rho_i - rho_j) >= EPS_RHO_THRESHOLD
+        assert not condition1(matrix, c_i, c_j, link)
 
     def test_translated_blob_copies_satisfy_condition2(self):
         # two clusters with identical internal geometry and a tiny gap
@@ -175,7 +177,7 @@ class TestMergeConditions:
         clustering = clusters_from(matrix, [list(range(6)), list(range(6, 12))])
         c_i, c_j = clustering.clusters
         # minmed identical by construction, link far below the normalized bound
-        assert condition2(matrix, c_i, c_j, THRESHOLDS)
+        assert condition2(matrix, c_i, c_j, link_segments(matrix, c_i, c_j))
 
     def test_minmed_difference_above_threshold_fails_condition2(self):
         d = np.zeros((8, 8))
@@ -189,7 +191,7 @@ class TestMergeConditions:
         clustering = clusters_from(matrix, [list(range(4)), list(range(4, 8))])
         c_i, c_j = clustering.clusters
         # |0.02 - 0.03| = 0.01 > 0.002
-        assert not condition2(matrix, c_i, c_j, THRESHOLDS)
+        assert not condition2(matrix, c_i, c_j, link_segments(matrix, c_i, c_j))
 
     def test_conditions_match_direct_formula_oracle(self, rng):
         for _ in range(100):
@@ -199,8 +201,9 @@ class TestMergeConditions:
             right = sorted(set(range(12)) - set(left))
             clustering = clusters_from(matrix, [left, right])
             c_i, c_j = clustering.clusters
-            got1 = condition1(matrix, c_i, c_j, THRESHOLDS)
-            got2 = condition2(matrix, c_i, c_j, THRESHOLDS)
+            link = link_segments(matrix, c_i, c_j)
+            got1 = condition1(matrix, c_i, c_j, link)
+            got2 = condition2(matrix, c_i, c_j, link)
 
             # straight-from-the-formula evaluation
             best = min((d[a][b], a, b) for a in c_i.members for b in c_j.members)
@@ -224,7 +227,7 @@ class TestMergeConditions:
                 d_link < max(stats_i.mean_pairwise, stats_j.mean_pairwise)
                 and rho_i is not None
                 and rho_j is not None
-                and abs(rho_i - rho_j) < THRESHOLDS.eps_rho_threshold
+                and abs(rho_i - rho_j) < EPS_RHO_THRESHOLD
             )
             bound = (
                 stats_i.minmed / stats_i.mean_pairwise
@@ -233,7 +236,7 @@ class TestMergeConditions:
             want2 = (
                 d_link < bound
                 and abs(stats_i.minmed - stats_j.minmed)
-                < THRESHOLDS.neighbor_density_threshold
+                < NEIGHBOR_DENSITY_THRESHOLD
             )
             assert got1 == want1
             assert got2 == want2
@@ -247,14 +250,14 @@ class TestMergePass:
         np.fill_diagonal(d, 0.0)
         matrix = make_matrix(d)
         clustering = clusters_from(matrix, [list(range(4)), list(range(4, 8))])
-        merged = merge_pass(matrix, clustering, THRESHOLDS)
+        merged = merge_pass(matrix, clustering)
         assert [c.members for c in merged.clusters] == [c.members for c in clustering.clusters]
 
     def test_split_blob_is_unified(self):
         d = uniform_blob_matrix(16)
         matrix = make_matrix(d)
         clustering = clusters_from(matrix, [list(range(8)), list(range(8, 16))])
-        merged = merge_pass(matrix, clustering, THRESHOLDS)
+        merged = merge_pass(matrix, clustering)
         assert [c.members for c in merged.clusters] == [list(range(16))]
 
     def test_three_way_chain_merges_transitively(self):
@@ -263,22 +266,22 @@ class TestMergePass:
         clustering = clusters_from(
             matrix, [list(range(6)), list(range(6, 12)), list(range(12, 18))]
         )
-        merged = merge_pass(matrix, clustering, THRESHOLDS)
+        merged = merge_pass(matrix, clustering)
         assert [c.members for c in merged.clusters] == [list(range(18))]
 
     def test_idempotent_at_fixpoint(self):
         d = uniform_blob_matrix(16)
         matrix = make_matrix(d)
         clustering = clusters_from(matrix, [list(range(8)), list(range(8, 16))])
-        once = merge_pass(matrix, clustering, THRESHOLDS)
-        twice = merge_pass(matrix, once, THRESHOLDS)
+        once = merge_pass(matrix, clustering)
+        twice = merge_pass(matrix, once)
         assert [c.members for c in twice.clusters] == [c.members for c in once.clusters]
 
     def test_noise_untouched(self):
         d = uniform_blob_matrix(10)
         matrix = make_matrix(d)
         clustering = clusters_from(matrix, [[0, 1, 2, 3], [4, 5, 6]], noise=[7, 8, 9])
-        merged = merge_pass(matrix, clustering, THRESHOLDS)
+        merged = merge_pass(matrix, clustering)
         assert merged.noise == [7, 8, 9]
 
 
@@ -288,9 +291,8 @@ def restart_scan_reference(matrix, member_sets):
     while True:
         clusters = [Cluster(cid, m) for cid, m in enumerate(sorted(sets, key=lambda m: m[0]))]
         for c_i, c_j in combinations(clusters, 2):
-            if condition1(matrix, c_i, c_j, THRESHOLDS) or condition2(
-                matrix, c_i, c_j, THRESHOLDS
-            ):
+            link = link_segments(matrix, c_i, c_j)
+            if condition1(matrix, c_i, c_j, link) or condition2(matrix, c_i, c_j, link):
                 sets = [c.members for c in clusters if c is not c_i and c is not c_j]
                 sets.append(sorted(c_i.members + c_j.members))
                 break
@@ -322,7 +324,7 @@ class TestMergePassEquivalence:
         for seed in range(12):
             d, member_sets = fragmented_blobs(seed)
             matrix = make_matrix(d)
-            merged = merge_pass(matrix, clusters_from(matrix, member_sets), THRESHOLDS)
+            merged = merge_pass(matrix, clusters_from(matrix, member_sets))
             expected = restart_scan_reference(matrix, member_sets)
             assert [c.members for c in merged.clusters] == expected, seed
             for cluster in merged.clusters:
@@ -331,22 +333,30 @@ class TestMergePassEquivalence:
         assert merges >= 20  # the scenarios exercise repeated merges
 
     def test_stats_measured_once_per_member_set(self, monkeypatch):
-        from typeclust import clustering
+        from typeclust import clustering, refinement
 
-        measured = Counter()
+        measured, linked = Counter(), Counter()
         original = clustering.cluster_stats
+        original_link = refinement.link_segments
 
         def counting(matrix, cluster):
             measured[tuple(cluster.members)] += 1
             return original(matrix, cluster)
 
+        def counting_link(matrix, c_i, c_j):
+            linked[tuple(c_i.members), tuple(c_j.members)] += 1
+            return original_link(matrix, c_i, c_j)
+
         monkeypatch.setattr(clustering, "cluster_stats", counting)
+        monkeypatch.setattr(refinement, "link_segments", counting_link)
         d, member_sets = fragmented_blobs(1)
         matrix = make_matrix(d)
-        merged = merge_pass(matrix, clusters_from(matrix, member_sets), THRESHOLDS)
-        split_pass(matrix, merged, THRESHOLDS)
+        merged = merge_pass(matrix, clusters_from(matrix, member_sets))
+        split_pass(matrix, merged)
         assert len(merged.clusters) < len(member_sets)
         assert max(measured.values()) == 1
+        # every evaluated pair builds its link pair once, for both conditions
+        assert len(linked) > len(member_sets) and max(linked.values()) == 1
 
 
 class TestSplitPass:
@@ -354,7 +364,7 @@ class TestSplitPass:
         d = uniform_blob_matrix(10)
         matrix = make_matrix(d)  # every value occurs once: sigma = 0
         clustering = clusters_from(matrix, [list(range(10))])
-        result = split_pass(matrix, clustering, THRESHOLDS)
+        result = split_pass(matrix, clustering)
         assert [c.members for c in result.clusters] == [list(range(10))]
 
     def test_frequent_value_splits_at_pivot(self):
@@ -369,7 +379,7 @@ class TestSplitPass:
         assert percent_rank_reference(counts, pivot) > 95
         assert population_std_reference(counts) > pivot
 
-        result = split_pass(matrix, clustering, THRESHOLDS)
+        result = split_pass(matrix, clustering)
         assert sorted(len(c.members) for c in result.clusters) == [1, 95]
         small = next(c for c in result.clusters if len(c.members) == 1)
         assert small.members == [95]  # the frequent value sits alone
@@ -385,7 +395,7 @@ class TestSplitPass:
         assert percent_rank_reference(counts, pivot) == 95.0
         assert population_std_reference(counts) > pivot
         clustering = clusters_from(matrix, [list(range(20))])
-        result = split_pass(matrix, clustering, THRESHOLDS)
+        result = split_pass(matrix, clustering)
         assert [len(c.members) for c in result.clusters] == [20]
 
     def test_membership_preserved_across_split(self, rng):
@@ -393,7 +403,7 @@ class TestSplitPass:
         d = symmetric_random(40, rng)
         matrix = make_matrix(d, member_counts=counts)
         clustering = clusters_from(matrix, [list(range(40))])
-        result = split_pass(matrix, clustering, THRESHOLDS)
+        result = split_pass(matrix, clustering)
         union = sorted(m for c in result.clusters for m in c.members)
         assert union == list(range(40))
 
@@ -404,7 +414,7 @@ class TestSplitPass:
             d = symmetric_random(n, rng)
             matrix = make_matrix(d, member_counts=counts)
             clustering = clusters_from(matrix, [list(range(n))])
-            result = split_pass(matrix, clustering, THRESHOLDS)
+            result = split_pass(matrix, clustering)
 
             pivot = math.log(sum(counts))
             should_split = (
@@ -420,7 +430,7 @@ def test_merge_terminates_and_decreases_cluster_count(rng):
     d = uniform_blob_matrix(20, seed=21)
     matrix = make_matrix(d)
     clustering = clusters_from(matrix, [[i, i + 1] for i in range(0, 20, 2)])
-    merged = merge_pass(matrix, clustering, THRESHOLDS)
+    merged = merge_pass(matrix, clustering)
     assert len(merged.clusters) <= len(clustering.clusters)
     everything = sorted(m for c in merged.clusters for m in c.members)
     assert everything == list(range(20))

@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import heuristic_boundaries_reference
-from typeclust.errors import InconsistentGroundTruthError, MissingMessageError
+from typeclust.errors import AnalysisError, InconsistentGroundTruthError, MissingMessageError
 from typeclust.segmentation import (
     HEURISTIC_NAME,
     Segment,
@@ -45,7 +47,7 @@ class TestImportSegmentation:
             (0, 1, "flag"),
             (1, 2, "id"),
         ]
-        assert seg.covers_messages == {0}
+        assert {s.message_id for s in seg.segments} == {0}
         assert all(s.bytes == messages[0].payload[s.offset : s.offset + s.length] for s in seg.segments)
 
     def test_import_by_index(self, tmp_path):
@@ -113,6 +115,19 @@ class TestImportSegmentation:
         with pytest.raises(InconsistentGroundTruthError, match="hex string"):
             import_segmentation(messages, path)
 
+    @pytest.mark.parametrize("content", [b"{messages: []}", b"", b'{"messages": [\xff]}'])
+    def test_undecodable_file_names_path(self, tmp_path, content):
+        path = tmp_path / "gt.json"
+        path.write_bytes(content)
+        with pytest.raises(InconsistentGroundTruthError, match="gt.json: not a JSON document"):
+            import_segmentation(messages_from([b"\x01\x02"]), path)
+
+    @pytest.mark.parametrize("name", [7, None, ["heuristic"], {"name": "x"}])
+    def test_non_string_segmenter_rejected(self, tmp_path, name):
+        path = self.write(tmp_path, {"segmenter": name, "messages": []})
+        with pytest.raises(InconsistentGroundTruthError, match="segmenter must be a string"):
+            import_segmentation(messages_from([b"\x01\x02"]), path)
+
     def test_round_trip_export_import(self, tmp_path):
         messages = messages_from([b"\x00\x01\x02\x03", b"abcdef"])
         original = segment_heuristic(messages)
@@ -120,7 +135,7 @@ class TestImportSegmentation:
         save_segmentation(original, messages, path)
         reloaded = import_segmentation(messages, path)
         assert reloaded.segments == original.segments
-        assert reloaded.covers_messages == original.covers_messages
+        assert {s.message_id for s in reloaded.segments} == {0, 1}
         assert reloaded.segmenter_name == original.segmenter_name
 
     def test_null_type_stays_none(self, tmp_path):
@@ -130,6 +145,41 @@ class TestImportSegmentation:
         )
         seg = import_segmentation(messages, path)
         assert seg.segments[0].truth_type is None
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+FUZZ_PAYLOADS = [b"\x01\x02\x03", b"abcd", b"\x00"]
+# Documents near the interchange format, with arbitrary JSON in every slot.
+FIELD = JSON | st.fixed_dictionaries(
+    {}, optional={"len": JSON | st.integers(0, 5), "type": JSON | st.just(None)})
+ENTRY = JSON | st.fixed_dictionaries({}, optional={
+    "payload": JSON | st.sampled_from([p.hex() for p in FUZZ_PAYLOADS] + ["0g", "0"]),
+    "index": JSON | st.integers(-1, 3),
+    "fields": JSON | st.lists(FIELD, max_size=4),
+})
+SEGMENTATION_DOCS = JSON | st.fixed_dictionaries(
+    {"messages": JSON | st.lists(ENTRY, max_size=4)}, optional={"segmenter": JSON})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=SEGMENTATION_DOCS)
+def test_arbitrary_json_raises_only_analysis_errors(tmp_path, doc):
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(doc))
+    messages = messages_from(FUZZ_PAYLOADS)
+    try:
+        seg = import_segmentation(messages, path)
+    except AnalysisError:
+        return
+    assert isinstance(seg.segmenter_name, str)
+    for message_id in {s.message_id for s in seg.segments}:
+        own = sorted((s for s in seg.segments if s.message_id == message_id), key=lambda s: s.offset)
+        assert b"".join(s.bytes for s in own) == messages[message_id].payload
 
 
 class TestHeuristicSegmenter:
@@ -186,14 +236,14 @@ class TestFilterAnalyzable:
         ]
         from typeclust.segmentation import Segmentation
 
-        kept = filter_analyzable(Segmentation(segs, "test", {0}))
+        kept = filter_analyzable(Segmentation(segs, "test"))
         assert [s.length for s in kept] == [2, 3]
 
     def test_all_one_byte_yields_empty(self):
         from typeclust.segmentation import Segmentation
 
         segs = [Segment(0, i, 1, bytes([i])) for i in range(4)]
-        assert filter_analyzable(Segmentation(segs, "test", {0})) == []
+        assert filter_analyzable(Segmentation(segs, "test")) == []
 
     def test_excluded_byte_accounting_matches_ground_truth(self, tmp_path):
         # messages with known one-byte true fields

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_pcap, build_ethernet_packet
 from typeclust.errors import (
+    AnalysisError,
     EmptyTraceError,
     HexParseError,
     PcapFormatError,
@@ -154,6 +158,13 @@ class TestLoadHexlines:
             load_hexlines(path)
         assert err.value.line_number == 3
 
+    def test_non_ascii_byte_reports_line(self, tmp_path):
+        path = tmp_path / "t.hex"
+        path.write_bytes(b"# caf\xc3\xa9 comments may hold any byte\n00\n1\xff\n")
+        with pytest.raises(HexParseError, match="non-ASCII") as err:
+            load_hexlines(path)
+        assert err.value.line_number == 3
+
     def test_thousand_line_fixture_loads_in_order(self, tmp_path):
         rnd = random.Random(42)
         payloads = [bytes([rnd.randrange(256) for _ in range(8)]) for _ in range(1000)]
@@ -214,3 +225,58 @@ def test_pcap_to_hexlines_round_trip(tmp_path):
     write_hexlines([p for _, p in trace.records], hexfile)
     reloaded = load_hexlines(hexfile)
     assert [p for _, p in reloaded.records] == [p for _, p in trace.records]
+
+
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+# Packets that reach every branch of the Ethernet/IPv4/UDP/TCP unwrapping:
+# arbitrary bytes after an Ethernet header that announces IPv4 half the time.
+packets = st.one_of(
+    st.binary(max_size=80),
+    st.binary(max_size=60).map(lambda tail: b"\xaa" * 12 + b"\x08\x00\x45" + tail),
+    st.builds(build_ethernet_packet, st.sampled_from(["udp", "tcp"]), st.sampled_from([53, 123]),
+              st.sampled_from([53, 123]), st.binary(max_size=20)).flatmap(
+        lambda packet: st.integers(0, len(packet)).map(lambda cut: packet[:cut])),
+)
+
+
+@st.composite
+def pcap_files(draw) -> bytes:
+    endian = draw(st.sampled_from("<>"))
+    network = draw(st.sampled_from([1, 101, 0xFFFFFFFF]))
+    out = bytearray(struct.pack(endian + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, network))
+    record = struct.Struct(endian + "IIII")
+    for packet in draw(st.lists(packets, max_size=6)):
+        out += record.pack(0, 0, len(packet), len(packet)) + packet
+    return bytes(out) + draw(st.binary(max_size=20))  # a truncated record, maybe
+
+
+class TestLoaderFuzzing:
+    @FUZZ
+    @given(data=st.one_of(st.binary(max_size=200), pcap_files()),
+           flt=st.sampled_from(["raw", "udp:123", "tcp:53"]))
+    def test_pcap_loader_raises_only_analysis_errors(self, tmp_path, data, flt):
+        path = tmp_path / "fuzz.pcap"
+        path.write_bytes(data)
+        try:
+            trace = load_pcap(path, ProtocolFilter.parse(flt))
+        except AnalysisError:
+            return
+        assert trace.records and all(payload for _, payload in trace.records)
+
+    @FUZZ
+    @given(data=st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.sampled_from([b"00", b"ff", b"a", b"#", b" ", b"\n", b"\r", b"\xff", b"zz"]),
+                 max_size=30).map(b"".join),
+    ))
+    def test_hexlines_loader_raises_only_analysis_errors(self, tmp_path, data):
+        path = tmp_path / "fuzz.hex"
+        path.write_bytes(data)
+        try:
+            trace = load_hexlines(path)
+        except AnalysisError:
+            return
+        assert trace.records
