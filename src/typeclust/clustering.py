@@ -44,7 +44,10 @@ def cluster_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats
     if len(members) < 2:
         return ClusterStats(0.0, 0.0, 0.0)
     sub = matrix.d[np.ix_(members, members)]
-    pairs = sub[np.triu_indices(len(members), k=1)]
+    # a boolean mask (1 byte a cell) selects the upper triangle in the same
+    # row-major order as np.triu_indices (two int64 arrays, 16 bytes a pair)
+    order = np.arange(len(members))
+    pairs = sub[order[:, None] < order]
     np.fill_diagonal(sub, np.inf)
     nearest = sub.min(axis=1)
     return ClusterStats(

@@ -18,8 +18,16 @@ import numpy as np
 from .errors import EmptyAnalysisError
 from .segmentation import Segment
 
-# rows per broadcast chunk are sized to keep temporaries around this many cells
-_CHUNK_CELLS = 4_000_000
+# cells per matrix block and per k-NN row chunk: at 64 K float64 cells
+# (0.5 MB) a byte-position plane stays in a core's L2 cache
+_CHUNK_CELLS = 1 << 16
+
+# _TERMS[256 * x + y] is the Canberra term |x-y| / (x+y) of bytes x and y,
+# with 0/0 taken as 0: where x + y is 0, |x - y| is 0 too
+_x, _y = np.divmod(np.arange(256 * 256), 256)
+_TERMS = np.abs(_x - _y) / np.maximum(_x + _y, 1)
+_TERMS.flags.writeable = False
+del _x, _y
 
 
 @dataclass
@@ -121,30 +129,84 @@ def canberra_dissimilarity(u, v) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def _term_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """canberra_equal for every row pair of two equal-width matrices."""
-    terms = a[:, None, :] - b[None, :, :]
-    np.abs(terms, out=terms)
-    den = a[:, None, :] + b[None, :, :]
-    np.maximum(den, 1.0, out=den)  # den is 0 only where both bytes are, and then terms is 0
-    terms /= den
-    return terms.sum(axis=2) / a.shape[1]
+def _pairwise_sum(term, n: int, start: int = 0) -> np.ndarray:
+    """term(start) + ... + term(start + n - 1), added in numpy's pairwise order.
+
+    numpy sums a contiguous axis sequentially below 8 terms, in 8 running
+    partial sums up to 128 terms, and above that splits the run in two at a
+    multiple of 8. Adding whole arrays in that order gives every element the
+    bits ``.sum(axis=-1)`` gives it. ``term`` returns a new array each call.
+    """
+    if n < 8:
+        total = term(start)
+        for i in range(start + 1, start + n):
+            total += term(i)
+        return total
+    if n <= 128:
+        whole = start + n - n % 8
+
+        def lanes(first: int, count: int) -> np.ndarray:
+            # partial sums first..first+count-1, combined as a balanced tree
+            if count == 1:
+                partial = term(start + first)
+                for i in range(start + first + 8, whole, 8):
+                    partial += term(i)
+                return partial
+            total = lanes(first, count // 2)
+            total += lanes(first + count // 2, count // 2)
+            return total
+
+        total = lanes(0, 8)
+        for i in range(whole, start + n):
+            total += term(i)
+        return total
+    half = n // 2 - (n // 2) % 8
+    total = _pairwise_sum(term, half, start)
+    total += _pairwise_sum(term, n - half, start + half)
+    return total
 
 
-def _chunk_rows(total: int, width: int, other: int) -> list[tuple[int, int]]:
-    rows = max(1, _CHUNK_CELLS // max(1, width * other))
-    return [(start, min(start + rows, total)) for start in range(0, total, rows)]
+def _canberra_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Dissimilarities of byte rows (r, m) against byte rows (c, big), m <= big.
+
+    Byte position i gives one plane of r x (offsets * c) terms, column
+    o * c + j pairing rows[:, i] with cols[j, o + i]; the m planes are summed
+    in numpy's pairwise order, so the window sums equal those of a
+    ``.sum(axis=-1)`` over the bytes, bit for bit.
+    """
+    r, m = rows.shape
+    c, big = cols.shape
+    offsets = big - m + 1
+    table = _TERMS.reshape(256, 256)
+    by_position = np.ascontiguousarray(cols.T, dtype=np.intp)  # (big, c)
+
+    def plane(i: int) -> np.ndarray:
+        return table[rows[:, i]].take(by_position[i : i + offsets].reshape(-1), axis=1)
+
+    best = _pairwise_sum(plane, m)
+    best /= m
+    if m == big:
+        return best
+    best = best.reshape(r, offsets, c).min(axis=1)
+    ratio = m / big
+    block = (m * best + (big - m) * (1.0 - ratio * (1.0 - best))) / big
+    np.clip(block, 0.0, 1.0, out=block)
+    return block
 
 
 def build_matrix(values: list[SegmentValue], threads: int = 1) -> DissimilarityMatrix:
     """Fill the full symmetric dissimilarity matrix over unique values.
 
-    Work is partitioned by value length. Each symmetric pair is computed
-    once: a chunk of rows covers the columns of every longer value and, for
-    its own length, the columns from its first row onward, then writes the
-    mirror cells too. |a-b|/(a+b) is exactly symmetric, so the result is
-    exactly symmetric; chunks write disjoint cells, so any thread count
-    produces bit-identical results.
+    Work is partitioned by value length, and each pair of lengths into
+    blocks of about ``_CHUNK_CELLS`` cells per byte position. Each symmetric
+    pair is computed once: a block of rows covers the columns of every
+    longer value and, for its own length, the columns from its first row
+    onward, then writes the mirror cells too. The Canberra term of every
+    byte pair comes from the ``_TERMS`` table, and a block adds one plane of
+    terms per byte position in numpy's pairwise order, so each cell has the
+    bits of the broadcast ``.sum`` over its bytes. |a-b|/(a+b) is exactly
+    symmetric, so the result is exactly symmetric; blocks write disjoint
+    cells, so any thread count produces bit-identical results.
     """
     n = len(values)
     if n < 2:
@@ -154,7 +216,8 @@ def build_matrix(values: list[SegmentValue], threads: int = 1) -> DissimilarityM
     for index, value in enumerate(values):
         by_length.setdefault(len(value.bytes), []).append(index)
     arrays = {
-        length: np.array([_as_vector(values[i].bytes) for i in idx])
+        length: np.frombuffer(b"".join(values[i].bytes for i in idx), dtype=np.uint8)
+        .reshape(len(idx), length)
         for length, idx in by_length.items()
     }
 
@@ -165,23 +228,18 @@ def build_matrix(values: list[SegmentValue], threads: int = 1) -> DissimilarityM
         idx_a = np.array(by_length[m])
         for big in lengths[li:]:
             idx_b = np.array(by_length[big])
-            for lo, hi in _chunk_rows(len(idx_a), m, len(idx_b)):
+            offsets = big - m + 1
+            width = max(1, min(len(idx_b), _CHUNK_CELLS // offsets))
+            height = max(1, _CHUNK_CELLS // (offsets * width))
+            for lo in range(0, len(idx_a), height):
                 first = lo if m == big else 0  # the lower triangle is the mirror
-                tasks.append((m, big, idx_a[lo:hi], idx_b[first:],
-                              arrays[m][lo:hi], arrays[big][first:]))
+                for left in range(first, len(idx_b), width):
+                    tasks.append((idx_a[lo : lo + height], idx_b[left : left + width],
+                                  arrays[m][lo : lo + height], arrays[big][left : left + width]))
 
     def fill(task) -> None:
-        m, big, rows_idx, cols_idx, rows_arr, cols_arr = task
-        if m == big:
-            block = _term_block(rows_arr, cols_arr)
-        else:
-            best = None
-            for offset in range(big - m + 1):
-                windowed = _term_block(rows_arr, cols_arr[:, offset : offset + m])
-                best = windowed if best is None else np.minimum(best, windowed)
-            ratio = m / big
-            block = (m * best + (big - m) * (1.0 - ratio * (1.0 - best))) / big
-            np.clip(block, 0.0, 1.0, out=block)
+        rows_idx, cols_idx, rows, cols = task
+        block = _canberra_block(rows, cols)
         d[np.ix_(rows_idx, cols_idx)] = block
         d[np.ix_(cols_idx, rows_idx)] = block.T
 

@@ -165,8 +165,9 @@ def _transport_payload(packet: bytes, flt: ProtocolFilter) -> tuple[bytes | None
 def load_hexlines(path: str | Path) -> RawTrace:
     """Load a text file with one hex-encoded message per line.
 
-    Lines starting with ``#`` and blank lines are skipped; the record
-    timestamp is the 1-based line number.
+    Lines starting with ``#`` and blank lines are skipped, and whitespace
+    inside a line is ignored, so ``aabb cc`` and ``aa bb cc`` are the same
+    three bytes; the record timestamp is the 1-based line number.
     """
     records: list[tuple[float, bytes]] = []
     # undecodable bytes pass as lone surrogates, so they are reported by line
@@ -177,10 +178,11 @@ def load_hexlines(path: str | Path) -> RawTrace:
                 continue
             if not text.isascii():
                 raise HexParseError("non-ASCII byte", lineno)
-            if len(text) % 2 != 0:
-                raise HexParseError(f"odd number of hex digits ({len(text)})", lineno)
+            digits = "".join(text.split())
+            if len(digits) % 2 != 0:
+                raise HexParseError(f"odd number of hex digits ({len(digits)})", lineno)
             try:
-                payload = bytes.fromhex(text)
+                payload = bytes.fromhex(digits)
             except ValueError:
                 raise HexParseError(f"non-hex character in {text!r}", lineno) from None
             records.append((float(lineno), payload))

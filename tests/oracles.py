@@ -32,6 +32,61 @@ def canberra_reference(u, v) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def canberra_block_reference(rows, cols):
+    """The broadcast matrix kernel that byte-position planes must reproduce.
+
+    ``rows`` are r values of length m and ``cols`` c values of length
+    big >= m. Each window of ``cols`` is compared by an (r, c, m) broadcast
+    of |a-b| / max(a+b, 1) and ``.sum(axis=2)``; the minimum over windows
+    gets the length penalty. Returns the (r, c) block of dissimilarities,
+    with the bits the matrix layer has always produced.
+    """
+    import numpy as np
+
+    a = np.array([list(v) for v in rows], dtype=np.float64)
+    b = np.array([list(v) for v in cols], dtype=np.float64)
+    m, big = a.shape[1], b.shape[1]
+
+    def windowed(window):
+        terms = a[:, None, :] - window[None, :, :]
+        np.abs(terms, out=terms)
+        den = a[:, None, :] + window[None, :, :]
+        np.maximum(den, 1.0, out=den)  # den is 0 only where both bytes are, and then terms is 0
+        terms /= den
+        return terms.sum(axis=2) / m
+
+    if m == big:
+        return windowed(b)
+    best = None
+    for offset in range(big - m + 1):
+        block = windowed(b[:, offset : offset + m])
+        best = block if best is None else np.minimum(best, block)
+    ratio = m / big
+    block = (m * best + (big - m) * (1.0 - ratio * (1.0 - best))) / big
+    np.clip(block, 0.0, 1.0, out=block)
+    return block
+
+
+def canberra_matrix_reference(contents):
+    """Full dissimilarity matrix of distinct byte values from the broadcast kernel."""
+    import numpy as np
+
+    n = len(contents)
+    by_length = {}
+    for index, content in enumerate(contents):
+        by_length.setdefault(len(content), []).append(index)
+    d = np.zeros((n, n))
+    lengths = sorted(by_length)
+    for li, m in enumerate(lengths):
+        for big in lengths[li:]:
+            rows, cols = by_length[m], by_length[big]
+            block = canberra_block_reference([contents[i] for i in rows], [contents[j] for j in cols])
+            d[np.ix_(rows, cols)] = block
+            d[np.ix_(cols, rows)] = block.T
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 def naive_dbscan(d, epsilon, min_samples):
     """Definition-level DBSCAN: reflexive-transitive closure over core points.
 

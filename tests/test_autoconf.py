@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_matrix, two_blob_matrix, symmetric_random
 from typeclust.autoconf import (
@@ -18,7 +20,8 @@ from typeclust.autoconf import (
     select_epsilon,
     smooth_spline,
 )
-from typeclust.clustering import dbscan
+from typeclust.clustering import Cluster, Clustering, dbscan
+from typeclust.dissimilarity import DissimilarityMatrix
 from typeclust.errors import EmptyAnalysisError, NoKneeError
 
 
@@ -219,31 +222,47 @@ class TestSelectEpsilon:
             assert config.min_samples == round_ln(n)
 
 
+def giant_cluster_case(knee_x: float = 0.5) -> tuple[np.ndarray, AutoConfig]:
+    # tight blob of 20 plus 8 loosely spread points; with the oversized
+    # first knee every point falls into one cluster
+    rng = np.random.default_rng(3)
+    n = 28
+    d = rng.uniform(0.28, 0.32, size=(n, n))
+    d[:20, :20] = rng.uniform(0.02, 0.05, size=(20, 20))
+    d = np.triu(d, 1)
+    d = d + d.T
+    previous = AutoConfig(
+        chosen_k=2, epsilon=0.5, min_samples=round_ln(n), knee_x=knee_x,
+        smoothing=0.1, sensitivity=1.0,
+    )
+    return d, previous
+
+
+def balanced_case() -> tuple[np.ndarray, AutoConfig]:
+    d = np.full((20, 20), 0.8)
+    d[:10, :10] = 0.03
+    d[10:, 10:] = 0.03
+    np.fill_diagonal(d, 0.0)
+    return d, AutoConfig(chosen_k=2, epsilon=0.1, min_samples=2, knee_x=0.1,
+                         smoothing=0.1, sensitivity=1.0)
+
+
+def degenerate_case() -> tuple[np.ndarray, AutoConfig]:
+    # identical 2-NN values below the knee leave nothing to re-detect on
+    d = np.full((10, 10), 0.01)
+    np.fill_diagonal(d, 0.0)
+    return d, AutoConfig(chosen_k=2, epsilon=0.5, min_samples=2, knee_x=0.5,
+                         smoothing=0.1, sensitivity=1.0)
+
+
 class TestRetrim:
     def _giant_cluster_fixture(self):
-        # tight blob of 20 plus 8 loosely spread points; with the oversized
-        # first knee every point falls into one cluster
-        rng = np.random.default_rng(3)
-        n = 28
-        d = rng.uniform(0.28, 0.32, size=(n, n))
-        d[:20, :20] = rng.uniform(0.02, 0.05, size=(20, 20))
-        d = np.triu(d, 1)
-        d = d + d.T
-        matrix = make_matrix(d)
-        previous = AutoConfig(
-            chosen_k=2, epsilon=0.5, min_samples=round_ln(n), knee_x=0.5,
-            smoothing=0.1, sensitivity=1.0,
-        )
-        return matrix, previous
+        d, previous = giant_cluster_case()
+        return make_matrix(d), previous
 
     def test_balanced_clustering_unchanged(self):
-        d = np.full((20, 20), 0.8)
-        d[:10, :10] = 0.03
-        d[10:, 10:] = 0.03
-        np.fill_diagonal(d, 0.0)
+        d, previous = balanced_case()
         matrix = make_matrix(d)
-        previous = AutoConfig(chosen_k=2, epsilon=0.1, min_samples=2, knee_x=0.1,
-                              smoothing=0.1, sensitivity=1.0)
         clustering = dbscan(matrix, 0.1, 2)
         assert max(len(c.members) for c in clustering.clusters) == 10  # 50 % <= 60 %
         assert retrim_epsilon(matrix, previous, clustering) is previous
@@ -285,14 +304,40 @@ class TestRetrim:
         assert updated is not previous
 
     def test_degenerate_trimmed_curve_flags_failure(self):
-        # identical 2-NN values below the knee leave nothing to re-detect on
-        d = np.full((10, 10), 0.01)
-        np.fill_diagonal(d, 0.0)
+        d, previous = degenerate_case()
         matrix = make_matrix(d)
-        previous = AutoConfig(chosen_k=2, epsilon=0.5, min_samples=2, knee_x=0.5,
-                              smoothing=0.1, sensitivity=1.0)
         clustering = dbscan(matrix, 0.5, 2)
         assert [len(c.members) for c in clustering.clusters] == [10]
         updated = retrim_epsilon(matrix, previous, clustering)
         assert updated.retrim_failed
         assert updated.epsilon == previous.epsilon
+
+
+RETRIM_CASES = {
+    "giant": giant_cluster_case,  # re-trims to a smaller epsilon
+    "tiny-trimmed-sample": lambda: giant_cluster_case(knee_x=0.01),  # retrim_failed
+    "degenerate": degenerate_case,  # retrim_failed
+    "balanced": balanced_case,  # previous returned unchanged
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), case=st.sampled_from(sorted(RETRIM_CASES)))
+def test_retrim_epsilon_is_invariant_under_relabelling(data, case):
+    d, previous = RETRIM_CASES[case]()
+    n = d.shape[0]
+    counts = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="members")
+    perm = data.draw(st.permutations(range(n)), label="perm")  # new index i holds value perm[i]
+    matrix = make_matrix(d, member_counts=counts)
+    clustering = dbscan(matrix, previous.epsilon, previous.min_samples)
+    expected = retrim_epsilon(matrix, previous, clustering)
+
+    new_index = np.argsort(perm)
+    relabelled = DissimilarityMatrix([matrix.values[p] for p in perm], matrix.d[np.ix_(perm, perm)])
+    moved = Clustering(
+        [Cluster(c.id, sorted(int(new_index[m]) for m in c.members)) for c in clustering.clusters],
+        sorted(int(new_index[m]) for m in clustering.noise),
+    )
+    result = retrim_epsilon(relabelled, previous, moved)
+    assert result == expected
+    assert (result is previous) == (expected is previous)

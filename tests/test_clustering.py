@@ -202,6 +202,18 @@ class TestClusterStats:
         assert stats.minmed == pytest.approx(minmed, abs=1e-12)
         assert stats.d_max == pytest.approx(d_max, abs=1e-12)
 
+    def test_dyadic_clusters_match_formula_oracle_exactly(self, rng):
+        # entries are multiples of 1/1024, so every sum is exact in any order
+        # and the mean, median and extent agree with the oracle bit for bit
+        for size in (2, 3, 8, 9, 17, 40):
+            n = size + 5
+            d = np.triu(rng.integers(1, 1024, size=(n, n)) / 1024, k=1)
+            d = d + d.T
+            members = sorted(rng.choice(n, size=size, replace=False).tolist())
+            stats = cluster_stats(make_matrix(d), cluster_of(members))
+            expected = cluster_stats_reference(d.tolist(), members)
+            assert (stats.mean_pairwise, stats.minmed, stats.d_max) == expected
+
     def test_singleton_stats_are_zero(self):
         matrix = make_matrix([[0.0, 0.4], [0.4, 0.0]])
         stats = cluster_stats(matrix, cluster_of([1]))

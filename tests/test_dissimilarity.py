@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_matrix
-from oracles import canberra_reference
+from oracles import canberra_matrix_reference, canberra_reference
 from typeclust import dissimilarity
 from typeclust.dissimilarity import (
     build_matrix,
@@ -172,20 +176,27 @@ class TestBuildMatrix:
         assert np.array_equal(sequential.d, parallel.d)
 
     def test_multi_chunk_groups_match_oracle_at_any_thread_count(self, rng, monkeypatch):
-        # several values per length, so each length group spans many chunks
+        # several values per length, so each length group spans many blocks;
+        # lengths of 8 and more take the pairwise-sum lanes, and a 130-byte
+        # value gives more window offsets than a block has cells
         contents = set()
         while len(contents) < 36:
             length = int(rng.integers(2, 6))
             contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
+        for length, count in ((8, 4), (9, 4), (17, 3), (130, 2)):
+            while sum(len(c) == length for c in contents) < count:
+                contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
         contents = sorted(contents, key=lambda c: (c[0], len(c)))  # interleave lengths
         values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(contents)]
         default = build_matrix(values).d
         monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 24)
         builds = [build_matrix(values, threads=t).d for t in (1, 2, 8)]
+        reference = canberra_matrix_reference(contents)
         for d in builds:
             assert np.array_equal(d, builds[0])
             assert np.array_equal(d, default)
             assert np.array_equal(d, d.T)
+            assert np.array_equal(d, reference)
         for i, a in enumerate(contents):
             for j, b in enumerate(contents):
                 expected = 0.0 if i == j else canberra_reference(a, b)
@@ -217,3 +228,67 @@ class TestBuildMatrix:
         assert lines[0] == "0,1"
         assert lines[1] == "0,0.25"
         assert lines[2] == "0.25,0"
+
+
+class TestKernelBits:
+    """The byte-position kernel keeps the bits of the broadcast kernel."""
+
+    def test_term_table_matches_formula_for_every_byte_pair(self):
+        for x in range(256):
+            for y in range(256):
+                expected = abs(x - y) / (x + y) if x + y else 0.0
+                assert dissimilarity._TERMS[256 * x + y] == expected
+
+    def test_pairwise_sum_matches_numpy_sum_for_every_length(self, rng):
+        # magnitudes spread over 24 decades, so a different order of
+        # additions changes the last bits of most sums
+        for n in range(1, 301):
+            x = rng.random((6, n)) * 10.0 ** rng.integers(-12, 12, size=(6, n))
+            total = dissimilarity._pairwise_sum(lambda i: x[:, i].copy(), n)
+            assert np.array_equal(total, x.sum(axis=-1)), n
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_build_matrix_equals_broadcast_kernel(self, rng, threads):
+        contents = []
+        # one length in each branch of the pairwise sum and at its edges
+        for length in (2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 200, 300):
+            sparse = rng.integers(0, 256, size=length) * (rng.random(length) < 0.3)
+            contents += [
+                bytes(rng.integers(0, 256, size=length).tolist()),
+                bytes(sparse.tolist()),  # mostly zero bytes
+                bytes(length),  # all zero
+                bytes([int(rng.integers(1, 256))]) * length,  # one repeated byte
+            ]
+        contents = list(dict.fromkeys(contents))
+        contents = [contents[i] for i in rng.permutation(len(contents))]
+        values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(contents)]
+        d = build_matrix(values, threads=threads).d
+        assert np.array_equal(d, canberra_matrix_reference(contents))
+
+
+# bytes biased toward 0x00, and values made of runs of one byte
+_byte = st.one_of(st.just(0), st.integers(0, 255))
+_value = st.one_of(
+    st.lists(_byte, min_size=2, max_size=40).map(bytes),
+    st.lists(st.tuples(_byte, st.integers(1, 12)), min_size=1, max_size=6)
+    .map(lambda runs: b"".join(bytes([b]) * count for b, count in runs))
+    .filter(lambda v: 2 <= len(v) <= 40),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(contents=st.lists(_value, min_size=2, max_size=14, unique=True),
+       chunk=st.sampled_from([24, dissimilarity._CHUNK_CELLS]))
+def test_build_matrix_properties(contents, chunk):
+    values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(contents)]
+    with mock.patch.object(dissimilarity, "_CHUNK_CELLS", chunk):
+        d = build_matrix(values, threads=1).d
+        assert np.array_equal(build_matrix(values, threads=2).d, d)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert np.all((d >= 0.0) & (d <= 1.0))
+    assert np.array_equal(d, canberra_matrix_reference(contents))
+    for i, a in enumerate(contents):
+        for j, b in enumerate(contents):
+            if i != j:
+                assert d[i, j] == pytest.approx(canberra_reference(a, b), abs=1e-12)

@@ -151,6 +151,19 @@ class TestLoadHexlines:
             load_hexlines(path)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("line", ["aabb cc", "aa bb cc", " aa\tbbcc "])
+    def test_whitespace_inside_a_line_is_ignored(self, tmp_path, line):
+        path = tmp_path / "t.hex"
+        path.write_text(f"{line}\n")
+        assert [p for _, p in load_hexlines(path).records] == [b"\xaa\xbb\xcc"]
+
+    def test_odd_digit_count_counts_hex_digits_only(self, tmp_path):
+        path = tmp_path / "t.hex"
+        path.write_text("aa bb c\n")
+        with pytest.raises(HexParseError, match=r"odd number of hex digits \(5\)") as err:
+            load_hexlines(path)
+        assert err.value.line_number == 1
+
     def test_non_hex_character_reports_line(self, tmp_path):
         path = tmp_path / "t.hex"
         path.write_text("00\n11\nzz\n")
