@@ -19,8 +19,8 @@ from .errors import EmptyAnalysisError, NoKneeError
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SENSITIVITY = 1.0
-DEFAULT_SMOOTHING = 0.1
+KNEEDLE_SENSITIVITY = 1.0
+SPLINE_SMOOTHING = 0.1  # spline residual budget per fitted point
 MIN_ANALYSIS_VALUES = 8
 RETRIM_SHARE = 0.6
 MAX_RETRIMS = 3
@@ -46,16 +46,18 @@ class SmoothCurve:
 
 @dataclass(frozen=True)
 class AutoConfig:
+    """DBSCAN parameters; epsilon is the detected knee (or the fallback)."""
+
     chosen_k: int
     epsilon: float
     min_samples: int
-    knee_x: float
-    smoothing: float
-    sensitivity: float
-    retrimmed: bool = False
     fallback: bool = False
     retrim_failed: bool = False
     retrim_count: int = 0
+
+    @property
+    def retrimmed(self) -> bool:
+        return self.retrim_count > 0
 
 
 def round_ln(n: int) -> int:
@@ -85,10 +87,11 @@ def ecdf(samples, k: int = 1) -> EcdfCurve:
     return EcdfCurve(k, xs, ys)
 
 
-def smooth_spline(curve: EcdfCurve, s: float = DEFAULT_SMOOTHING) -> SmoothCurve:
+def smooth_spline(curve: EcdfCurve) -> SmoothCurve:
     """Cubic smoothing-spline fit of an ECDF, resampled on an even grid.
 
-    The residual budget passed to the spline is s per fitted point.
+    The residual budget passed to the spline is SPLINE_SMOOTHING per
+    fitted point.
     Duplicate x positions collapse to the top of their step beforehand;
     the result is clamped to [0, 1] and made monotone non-decreasing.
     A degenerate x-range returns the step curve unchanged, flagged.
@@ -103,18 +106,19 @@ def smooth_spline(curve: EcdfCurve, s: float = DEFAULT_SMOOTHING) -> SmoothCurve
     ux, uy = xs[keep], ys[keep]
     grid = np.linspace(xs[0], xs[-1], max(200, xs.size))
     degree = min(3, ux.size - 1)
-    spline = UnivariateSpline(ux, uy, k=degree, s=s * ux.size)
+    spline = UnivariateSpline(ux, uy, k=degree, s=SPLINE_SMOOTHING * ux.size)
     smoothed = np.clip(spline(grid), 0.0, 1.0)
     smoothed = np.maximum.accumulate(smoothed)
     return SmoothCurve(grid, smoothed)
 
 
-def kneedle(curve: SmoothCurve, sensitivity: float = DEFAULT_SENSITIVITY) -> float:
+def kneedle(curve: SmoothCurve) -> float:
     """Rightmost confirmed knee of a monotone curve, in original x units.
 
     Both axes are normalized to [0, 1]; candidate knees are local maxima of
     the difference curve y - x, confirmed when the difference drops below
-    (maximum - sensitivity * mean x spacing) before the next local maximum.
+    (maximum - KNEEDLE_SENSITIVITY * mean x spacing) before the next local
+    maximum.
     """
     xs, ys = curve.xs, curve.ys
     if xs.size < 10:
@@ -138,7 +142,7 @@ def kneedle(curve: SmoothCurve, sensitivity: float = DEFAULT_SENSITIVITY) -> flo
     spacing = float(np.mean(np.diff(x_norm)))
     confirmed = []
     for position, index in enumerate(maxima):
-        threshold = diff[index] - sensitivity * spacing
+        threshold = diff[index] - KNEEDLE_SENSITIVITY * spacing
         end = maxima[position + 1] if position + 1 < len(maxima) else diff.size
         if np.any(diff[index + 1 : end] < threshold):
             confirmed.append(index)
@@ -147,12 +151,7 @@ def kneedle(curve: SmoothCurve, sensitivity: float = DEFAULT_SENSITIVITY) -> flo
     return float(xs[confirmed[-1]])
 
 
-def select_epsilon(
-    matrix: DissimilarityMatrix,
-    sensitivity: float = DEFAULT_SENSITIVITY,
-    smoothing: float = DEFAULT_SMOOTHING,
-    epsilon_shift: float = 0.0,
-) -> AutoConfig:
+def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
     """Pick epsilon from the sharpest smoothed k-NN ECDF and min_samples = round(ln n).
 
     The rank k' maximizing the largest single-step increase of the smoothed
@@ -169,7 +168,7 @@ def select_epsilon(
     smoothed: list[tuple[int, SmoothCurve]] = []
     for k in range(2, k_max + 1):
         curve = ecdf(knn_dissimilarities(matrix, k), k)
-        smoothed.append((k, smooth_spline(curve, smoothing)))
+        smoothed.append((k, smooth_spline(curve)))
 
     sharpness = [float(np.max(np.diff(sc.ys))) if sc.ys.size > 1 else 0.0 for _, sc in smoothed]
     best = int(np.argmax(sharpness))  # first occurrence wins: smaller k on ties
@@ -177,34 +176,21 @@ def select_epsilon(
 
     min_samples = max(1, round_ln(n))
     try:
-        knee = kneedle(chosen_curve, sensitivity)
+        knee = kneedle(chosen_curve)
         fallback = False
     except NoKneeError:
         knee = float(np.median(knn_dissimilarities(matrix, 2)))
         fallback = True
         logger.warning("no knee confirmed for k=%d; falling back to median 2-NN %.6g", chosen_k, knee)
-    return AutoConfig(
-        chosen_k=chosen_k,
-        epsilon=knee + epsilon_shift,
-        min_samples=min_samples,
-        knee_x=knee,
-        smoothing=smoothing,
-        sensitivity=sensitivity,
-        fallback=fallback,
-    )
+    return AutoConfig(chosen_k=chosen_k, epsilon=knee, min_samples=min_samples, fallback=fallback)
 
 
-def retrim_epsilon(
-    matrix: DissimilarityMatrix,
-    previous: AutoConfig,
-    clustering,
-    epsilon_shift: float = 0.0,
-) -> AutoConfig:
+def retrim_epsilon(matrix: DissimilarityMatrix, previous: AutoConfig, clustering) -> AutoConfig:
     """Shrink epsilon when one giant cluster dominates the clustering.
 
     If the largest cluster holds more than 60 % of the non-noise segments
     (instances, duplicates included), the k'-NN ECDF is rebuilt from the
-    dissimilarities below the previous knee and knee detection runs again.
+    dissimilarities below the previous epsilon and knee detection runs again.
     Returns ``previous`` unchanged when the condition is not met, or a
     flagged copy when the trimmed curve is unusable.
     """
@@ -217,34 +203,25 @@ def retrim_epsilon(
         return previous
 
     samples = knn_dissimilarities(matrix, previous.chosen_k)
-    trimmed = samples[samples < previous.knee_x]
+    trimmed = samples[samples < previous.epsilon]
     if trimmed.size < MIN_ANALYSIS_VALUES:
         logger.warning("re-trim skipped: only %d dissimilarities below the knee", trimmed.size)
         return replace(previous, retrim_failed=True)
     curve = ecdf(trimmed, previous.chosen_k)
-    smoothed = smooth_spline(curve, previous.smoothing)
+    smoothed = smooth_spline(curve)
     if smoothed.degenerate or smoothed.xs.size < 10:
         logger.warning("re-trim skipped: trimmed curve is degenerate")
         return replace(previous, retrim_failed=True)
     try:
-        knee = kneedle(smoothed, previous.sensitivity)
+        knee = kneedle(smoothed)
     except NoKneeError:
         logger.warning("re-trim skipped: no knee in the trimmed curve")
         return replace(previous, retrim_failed=True)
-    return replace(
-        previous,
-        epsilon=knee + epsilon_shift,
-        knee_x=knee,
-        retrimmed=True,
-        retrim_failed=False,
-        retrim_count=previous.retrim_count + 1,
-    )
+    return replace(previous, epsilon=knee, retrim_failed=False,
+                   retrim_count=previous.retrim_count + 1)
 
 
-def ecdf_rows(
-    matrix: DissimilarityMatrix,
-    smoothing: float = DEFAULT_SMOOTHING,
-) -> list[tuple[int, float, float, float]]:
+def ecdf_rows(matrix: DissimilarityMatrix) -> list[tuple[int, float, float, float]]:
     """(k, x, y_raw, y_smoothed) rows over the smoothed grid, for diagnostics."""
     n = matrix.n
     if n < MIN_ANALYSIS_VALUES:
@@ -255,7 +232,7 @@ def ecdf_rows(
     for k in range(2, round_ln(n) + 1):
         samples = np.sort(knn_dissimilarities(matrix, k))
         curve = ecdf(samples, k)
-        sc = smooth_spline(curve, smoothing)
+        sc = smooth_spline(curve)
         raw = np.searchsorted(samples, sc.xs, side="right") / samples.size
         rows.extend(
             (k, float(x), float(yr), float(ys))

@@ -7,7 +7,6 @@ import json
 import logging
 import sys
 
-from . import autoconf as ac
 from . import pipeline as pl
 from .errors import AnalysisError, EmptyAnalysisError, PipelineStageError
 from .report import read_report, render_table
@@ -35,15 +34,6 @@ def _add_segmenter_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--segments", default=None, help="segmentation JSON for --segmenter import")
 
 
-def _add_autoconf_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kneedle-s", type=float, default=ac.DEFAULT_SENSITIVITY,
-                        help="Kneedle sensitivity")
-    parser.add_argument("--spline-s", type=float, default=ac.DEFAULT_SMOOTHING,
-                        help="spline smoothing per fitted point")
-    parser.add_argument("--epsilon-shift", type=float, default=0.0,
-                        help="offset added to the detected knee")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="typeclust",
@@ -55,10 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser("analyze", help="run the full pipeline on a trace")
     _add_input_args(analyze)
     _add_segmenter_args(analyze)
-    _add_autoconf_args(analyze)
     analyze.add_argument("--no-refine", action="store_true", help="skip cluster refinement")
     analyze.add_argument("--dump-matrix", default=None, help="write the dissimilarity matrix CSV")
-    analyze.add_argument("--dump-ecdf", default=None, help="write k-NN ECDF diagnostics CSV")
     analyze.add_argument("--out-json", default=None, help="write the JSON report")
     analyze.add_argument("--out-table", default=None, help="write the text summary table")
     analyze.add_argument("--threads", type=int, default=1,
@@ -76,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     ecdf = commands.add_parser("ecdf", help="dump k-NN ECDF diagnostics for a trace")
     _add_input_args(ecdf)
     _add_segmenter_args(ecdf)
-    ecdf.add_argument("--spline-s", type=float, default=ac.DEFAULT_SMOOTHING)
     ecdf.add_argument("--out", required=True, help="CSV output path")
 
     return parser
@@ -91,11 +78,7 @@ def _config_from_args(args: argparse.Namespace) -> pl.PipelineConfig:
         segmenter=args.segmenter,
         segments_path=args.segments,
         refine=not getattr(args, "no_refine", False),
-        kneedle_sensitivity=getattr(args, "kneedle_s", ac.DEFAULT_SENSITIVITY),
-        spline_smoothing=getattr(args, "spline_s", ac.DEFAULT_SMOOTHING),
-        epsilon_shift=getattr(args, "epsilon_shift", 0.0),
         dump_matrix=getattr(args, "dump_matrix", None),
-        dump_ecdf=getattr(args, "dump_ecdf", None),
         out_json=getattr(args, "out_json", None),
         out_table=getattr(args, "out_table", None),
         threads=getattr(args, "threads", 1),
@@ -131,7 +114,12 @@ def _run_ecdf(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exit_:
+        # argparse exits 2 on a usage error, which would read as "too few
+        # values"; --help exits 0
+        return EXIT_OK if exit_.code == 0 else EXIT_ERROR
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -240,8 +240,8 @@ def build_matrix(values: list[SegmentValue], threads: int = 1) -> DissimilarityM
     def fill(task) -> None:
         rows_idx, cols_idx, rows, cols = task
         block = _canberra_block(rows, cols)
-        d[np.ix_(rows_idx, cols_idx)] = block
-        d[np.ix_(cols_idx, rows_idx)] = block.T
+        d.put(rows_idx[:, None] * n + cols_idx, block)  # flat indices: cheaper than np.ix_
+        d.put(cols_idx * n + rows_idx[:, None], block)  # the mirror cells
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -4,7 +4,6 @@ for a fixed input and configuration."""
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,11 +28,7 @@ class PipelineConfig:
     segmenter: str = "heuristic"  # "heuristic" | "import"
     segments_path: str | None = None
     refine: bool = True
-    kneedle_sensitivity: float = ac.DEFAULT_SENSITIVITY
-    spline_smoothing: float = ac.DEFAULT_SMOOTHING
-    epsilon_shift: float = 0.0
     dump_matrix: str | None = None
-    dump_ecdf: str | None = None
     out_json: str | None = None
     out_table: str | None = None
     threads: int = 1
@@ -43,12 +38,6 @@ class PipelineConfig:
             raise ValueError(f"--limit must be at least 1 message, got {self.limit}")
         if self.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {self.threads}")
-        for flag, value in (("--kneedle-s", self.kneedle_sensitivity),
-                            ("--spline-s", self.spline_smoothing)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{flag} must be a finite number >= 0, got {value}")
-        if not math.isfinite(self.epsilon_shift):
-            raise ValueError(f"--epsilon-shift must be a finite number, got {self.epsilon_shift}")
 
 
 @dataclass
@@ -141,22 +130,15 @@ def run(config: PipelineConfig) -> PipelineResult:
         if config.dump_matrix:
             dm.write_matrix_csv(matrix, config.dump_matrix)
     with _stage("autoconf"):
-        auto = ac.select_epsilon(
-            matrix,
-            sensitivity=config.kneedle_sensitivity,
-            smoothing=config.spline_smoothing,
-            epsilon_shift=config.epsilon_shift,
-        )
-        if config.dump_ecdf:
-            write_ecdf_csv(matrix, config.spline_smoothing, config.dump_ecdf)
+        auto = ac.select_epsilon(matrix)
     with _stage("cluster"):
         result = cl.dbscan(matrix, auto.epsilon, auto.min_samples)
         for _ in range(ac.MAX_RETRIMS):
-            updated = ac.retrim_epsilon(matrix, auto, result, config.epsilon_shift)
+            updated = ac.retrim_epsilon(matrix, auto, result)
             if updated is auto:
                 break
             auto = updated
-            if not updated.retrimmed or updated.retrim_failed:
+            if updated.retrim_failed:
                 break
             result = cl.dbscan(matrix, auto.epsilon, auto.min_samples)
     with _stage("refine"):
@@ -184,12 +166,12 @@ def run_ecdf(config: PipelineConfig, path: str) -> int:
     with _stage("matrix"):
         matrix = dm.build_matrix(values, threads=config.threads)
     with _stage("autoconf"):
-        write_ecdf_csv(matrix, config.spline_smoothing, path)
+        write_ecdf_csv(matrix, path)
     return matrix.n
 
 
-def write_ecdf_csv(matrix: dm.DissimilarityMatrix, smoothing: float, path: str) -> None:
-    rows = ac.ecdf_rows(matrix, smoothing)
+def write_ecdf_csv(matrix: dm.DissimilarityMatrix, path: str) -> None:
+    rows = ac.ecdf_rows(matrix)
     with open(path, "w", encoding="ascii") as handle:
         handle.write("k,x,y_raw,y_smoothed\n")
         for k, x, y_raw, y_smoothed in rows:
@@ -240,16 +222,16 @@ def build_report(
         "unique_values": len(values),
         "total_bytes": sum(len(m.payload) for m in messages),
         "epsilon": sig6(auto.epsilon),
-        "knee": sig6(auto.knee_x),
+        "knee": sig6(auto.epsilon),  # epsilon is the knee
         "chosen_k": auto.chosen_k,
         "min_samples": auto.min_samples,
         "retrimmed": auto.retrimmed,
         "retrim_count": auto.retrim_count,
         "retrim_failed": auto.retrim_failed,
         "fallback": auto.fallback,
-        "kneedle_sensitivity": sig6(auto.sensitivity),
-        "spline_smoothing": sig6(auto.smoothing),
-        "epsilon_shift": sig6(config.epsilon_shift),
+        "kneedle_sensitivity": sig6(ac.KNEEDLE_SENSITIVITY),
+        "spline_smoothing": sig6(ac.SPLINE_SMOOTHING),
+        "epsilon_shift": 0.0,
         "refined": config.refine,
         "thresholds": {
             "eps_rho_threshold": sig6(rf.EPS_RHO_THRESHOLD),
@@ -287,6 +269,8 @@ def evaluate_report(
     segments are labeled from the ground truth (directly when the report's
     segmenter was the import of that truth, by byte overlap otherwise), and
     the report's clusters are mapped back onto unique values by hex content.
+    A value that is missing from the trace or listed more than once raises
+    AnalysisError.
     """
     _, messages, _, _, values = _load_values(config, truth_path)
     with _stage("evaluate"):
@@ -302,9 +286,11 @@ def evaluate_report(
                         f"report value {hex_value} does not occur in the re-derived "
                         "segmentation; wrong trace or segmenter?"
                     )
+                if index in assigned:
+                    raise AnalysisError(f"report value {hex_value} is listed more than once")
+                assigned.add(index)
                 members.append(index)
             member_sets.append(sorted(members))
-            assigned.update(members)
         noise = sorted(set(range(len(values))) - assigned)
         clusters = [cl.Cluster(i, m) for i, m in enumerate(member_sets)]
         clustering = cl.Clustering(clusters, noise)

@@ -113,7 +113,7 @@ class TestSmoothSpline:
         n = 50
         xs = np.linspace(0.1, 0.9, n)
         curve = EcdfCurve(2, xs, np.arange(1, n + 1) / n)
-        smooth = smooth_spline(curve, 0.1)
+        smooth = smooth_spline(curve)
         reference = np.interp(smooth.xs, curve.xs, curve.ys)
         assert np.max(np.abs(smooth.ys - reference)) < 1e-3
         assert not smooth.degenerate
@@ -121,19 +121,19 @@ class TestSmoothSpline:
     def test_two_plateau_curve_is_monotone(self):
         xs = np.concatenate([np.linspace(0.01, 0.05, 20), np.linspace(0.60, 0.70, 20)])
         curve = EcdfCurve(2, xs, np.arange(1, 41) / 40)
-        smooth = smooth_spline(curve, 0.1)
+        smooth = smooth_spline(curve)
         assert np.all(np.diff(smooth.ys) >= 0)
         assert np.all(smooth.ys >= 0) and np.all(smooth.ys <= 1)
 
     def test_degenerate_range_flagged(self):
         curve = ecdf([0.4] * 12)
-        smooth = smooth_spline(curve, 0.1)
+        smooth = smooth_spline(curve)
         assert smooth.degenerate
         assert smooth.xs.tolist() == curve.xs.tolist()
 
     def test_grid_size_and_span(self):
         curve = ecdf(np.linspace(0, 1, 300))
-        smooth = smooth_spline(curve, 0.1)
+        smooth = smooth_spline(curve)
         assert smooth.xs.size == 300
         assert smooth.xs[0] == curve.xs[0] and smooth.xs[-1] == curve.xs[-1]
 
@@ -199,13 +199,6 @@ class TestSelectEpsilon:
         second = select_epsilon(matrix)
         assert first == second
 
-    def test_epsilon_shift_applied(self):
-        matrix = make_matrix(two_blob_matrix())
-        base = select_epsilon(matrix)
-        shifted = select_epsilon(matrix, epsilon_shift=0.01)
-        assert shifted.epsilon == pytest.approx(base.epsilon + 0.01)
-        assert shifted.knee_x == base.knee_x
-
     def test_fallback_on_uniform_distances(self):
         # all pairwise dissimilarities equal: degenerate ECDF, no knee
         d = np.full((10, 10), 0.4)
@@ -222,46 +215,44 @@ class TestSelectEpsilon:
             assert config.min_samples == round_ln(n)
 
 
-def giant_cluster_case(knee_x: float = 0.5) -> tuple[np.ndarray, AutoConfig]:
-    # tight blob of 20 plus 8 loosely spread points; with the oversized
-    # first knee every point falls into one cluster
+# Each case returns the matrix, the AutoConfig handed to the re-trim and the
+# epsilon its clustering was made with. They differ only where a case needs
+# a clustering at one epsilon and a re-trim below another.
+
+def giant_cluster_case(epsilon: float = 0.5) -> tuple[np.ndarray, AutoConfig, float]:
+    # tight blob of 20 plus 8 loosely spread points; at the oversized first
+    # knee of 0.5 every point falls into one cluster
     rng = np.random.default_rng(3)
     n = 28
     d = rng.uniform(0.28, 0.32, size=(n, n))
     d[:20, :20] = rng.uniform(0.02, 0.05, size=(20, 20))
     d = np.triu(d, 1)
     d = d + d.T
-    previous = AutoConfig(
-        chosen_k=2, epsilon=0.5, min_samples=round_ln(n), knee_x=knee_x,
-        smoothing=0.1, sensitivity=1.0,
-    )
-    return d, previous
+    return d, AutoConfig(chosen_k=2, epsilon=epsilon, min_samples=round_ln(n)), 0.5
 
 
-def balanced_case() -> tuple[np.ndarray, AutoConfig]:
+def balanced_case() -> tuple[np.ndarray, AutoConfig, float]:
     d = np.full((20, 20), 0.8)
     d[:10, :10] = 0.03
     d[10:, 10:] = 0.03
     np.fill_diagonal(d, 0.0)
-    return d, AutoConfig(chosen_k=2, epsilon=0.1, min_samples=2, knee_x=0.1,
-                         smoothing=0.1, sensitivity=1.0)
+    return d, AutoConfig(chosen_k=2, epsilon=0.1, min_samples=2), 0.1
 
 
-def degenerate_case() -> tuple[np.ndarray, AutoConfig]:
+def degenerate_case() -> tuple[np.ndarray, AutoConfig, float]:
     # identical 2-NN values below the knee leave nothing to re-detect on
     d = np.full((10, 10), 0.01)
     np.fill_diagonal(d, 0.0)
-    return d, AutoConfig(chosen_k=2, epsilon=0.5, min_samples=2, knee_x=0.5,
-                         smoothing=0.1, sensitivity=1.0)
+    return d, AutoConfig(chosen_k=2, epsilon=0.5, min_samples=2), 0.5
 
 
 class TestRetrim:
     def _giant_cluster_fixture(self):
-        d, previous = giant_cluster_case()
+        d, previous, _ = giant_cluster_case()
         return make_matrix(d), previous
 
     def test_balanced_clustering_unchanged(self):
-        d, previous = balanced_case()
+        d, previous, _ = balanced_case()
         matrix = make_matrix(d)
         clustering = dbscan(matrix, 0.1, 2)
         assert max(len(c.members) for c in clustering.clusters) == 10  # 50 % <= 60 %
@@ -272,7 +263,8 @@ class TestRetrim:
         clustering = dbscan(matrix, previous.epsilon, previous.min_samples)
         assert [len(c.members) for c in clustering.clusters] == [28]  # 100 % in one cluster
         updated = retrim_epsilon(matrix, previous, clustering)
-        assert updated.retrimmed
+        assert updated.retrimmed and updated.retrim_count == 1
+        assert not updated.retrim_failed
         assert updated.epsilon < previous.epsilon
         reclustered = dbscan(matrix, updated.epsilon, updated.min_samples)
         assert max(len(c.members) for c in reclustered.clusters) < 28
@@ -280,10 +272,10 @@ class TestRetrim:
     def test_tiny_trimmed_sample_keeps_epsilon_flagged(self):
         matrix, previous = self._giant_cluster_fixture()
         clustering = dbscan(matrix, previous.epsilon, previous.min_samples)
-        low = AutoConfig(chosen_k=2, epsilon=0.5, min_samples=previous.min_samples,
-                         knee_x=0.01, smoothing=0.1, sensitivity=1.0)
-        updated = retrim_epsilon(matrix, low, clustering)
+        low = AutoConfig(chosen_k=2, epsilon=0.01, min_samples=previous.min_samples)
+        updated = retrim_epsilon(matrix, low, clustering)  # clustered at 0.5, trimmed below 0.01
         assert updated.retrim_failed
+        assert not updated.retrimmed
         assert updated.epsilon == low.epsilon
 
     def test_member_weighting_uses_segment_instances(self):
@@ -295,8 +287,7 @@ class TestRetrim:
         d = np.triu(d, 1)
         d = d + d.T
         matrix = make_matrix(d, member_counts=[50, 50, 50, 1, 1, 1, 1, 1])
-        previous = AutoConfig(chosen_k=2, epsilon=0.05, min_samples=2, knee_x=0.05,
-                              smoothing=0.1, sensitivity=1.0)
+        previous = AutoConfig(chosen_k=2, epsilon=0.05, min_samples=2)
         clustering = dbscan(matrix, 0.05, 2)
         assert sorted(len(c.members) for c in clustering.clusters) == [3, 5]
         # 150 of 155 instances sit in the 3-value cluster -> retrim is attempted
@@ -304,7 +295,7 @@ class TestRetrim:
         assert updated is not previous
 
     def test_degenerate_trimmed_curve_flags_failure(self):
-        d, previous = degenerate_case()
+        d, previous, _ = degenerate_case()
         matrix = make_matrix(d)
         clustering = dbscan(matrix, 0.5, 2)
         assert [len(c.members) for c in clustering.clusters] == [10]
@@ -315,7 +306,7 @@ class TestRetrim:
 
 RETRIM_CASES = {
     "giant": giant_cluster_case,  # re-trims to a smaller epsilon
-    "tiny-trimmed-sample": lambda: giant_cluster_case(knee_x=0.01),  # retrim_failed
+    "tiny-trimmed-sample": lambda: giant_cluster_case(epsilon=0.01),  # retrim_failed
     "degenerate": degenerate_case,  # retrim_failed
     "balanced": balanced_case,  # previous returned unchanged
 }
@@ -324,13 +315,14 @@ RETRIM_CASES = {
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), case=st.sampled_from(sorted(RETRIM_CASES)))
 def test_retrim_epsilon_is_invariant_under_relabelling(data, case):
-    d, previous = RETRIM_CASES[case]()
+    d, previous, cluster_epsilon = RETRIM_CASES[case]()
     n = d.shape[0]
     counts = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="members")
     perm = data.draw(st.permutations(range(n)), label="perm")  # new index i holds value perm[i]
     matrix = make_matrix(d, member_counts=counts)
-    clustering = dbscan(matrix, previous.epsilon, previous.min_samples)
+    clustering = dbscan(matrix, cluster_epsilon, previous.min_samples)
     expected = retrim_epsilon(matrix, previous, clustering)
+    assert expected.retrim_failed == (case in ("tiny-trimmed-sample", "degenerate"))
 
     new_index = np.argsort(perm)
     relabelled = DissimilarityMatrix([matrix.values[p] for p in perm], matrix.d[np.ix_(perm, perm)])

@@ -110,12 +110,6 @@ class TestRun:
     @pytest.mark.parametrize("field, value, flag", [
         ("threads", 0, "--threads"),
         ("threads", -3, "--threads"),
-        ("kneedle_sensitivity", float("nan"), "--kneedle-s"),
-        ("kneedle_sensitivity", -0.5, "--kneedle-s"),
-        ("spline_smoothing", -1.0, "--spline-s"),
-        ("spline_smoothing", float("inf"), "--spline-s"),
-        ("epsilon_shift", float("nan"), "--epsilon-shift"),
-        ("epsilon_shift", float("-inf"), "--epsilon-shift"),
     ])
     def test_bad_numeric_option_rejected(self, field, value, flag):
         with pytest.raises(ValueError, match=flag):
@@ -139,13 +133,11 @@ class TestRun:
         # a re-trim that keeps finding smaller knees stops after 3 iterations
         calls = []
 
-        def always_retrim(matrix, previous, clustering, epsilon_shift=0.0):
+        def always_retrim(matrix, previous, clustering):
             calls.append(previous.epsilon)
             return dataclasses.replace(
                 previous,
                 epsilon=previous.epsilon * 0.9,
-                knee_x=previous.knee_x * 0.9,
-                retrimmed=True,
                 retrim_count=previous.retrim_count + 1,
             )
 
@@ -156,6 +148,45 @@ class TestRun:
         assert result.report.metadata["retrim_count"] == 3
         assert result.report.metadata["retrimmed"] is True
         assert result.autoconfig.epsilon == pytest.approx(calls[0] * 0.9**3)
+
+    def test_failed_retrim_after_a_success_keeps_the_first_clustering(self, tmp_path, monkeypatch):
+        clustered = []
+        original_dbscan = pl.cl.dbscan
+
+        def recording_dbscan(matrix, epsilon, min_samples):
+            result = original_dbscan(matrix, epsilon, min_samples)
+            clustered.append((epsilon, result))
+            return result
+
+        def retrim_then_fail(matrix, previous, clustering):
+            if previous.retrim_count == 0:
+                return dataclasses.replace(previous, epsilon=previous.epsilon * 0.5,
+                                           retrim_count=1)
+            return dataclasses.replace(previous, retrim_failed=True)
+
+        monkeypatch.setattr(pl.cl, "dbscan", recording_dbscan)
+        monkeypatch.setattr(pl.ac, "retrim_epsilon", retrim_then_fail)
+        trace, truth = two_type_fixture(tmp_path)
+        result = pl.run(analyze_config(trace, truth, refine=False))
+        assert len(clustered) == 2  # the first knee and the one successful re-trim
+        first_epsilon = clustered[0][0]
+        assert clustered[1][0] == result.autoconfig.epsilon == first_epsilon * 0.5
+        assert result.clustering is clustered[1][1]
+        meta = result.report.metadata
+        assert meta["retrimmed"] is True
+        assert meta["retrim_failed"] is True
+        assert meta["retrim_count"] == 1
+        assert meta["epsilon"] == meta["knee"] == sig6(first_epsilon * 0.5)
+
+    def test_autoconf_metadata_constants(self, tmp_path):
+        trace, truth = overclassified_fixture(tmp_path)
+        result = pl.run(analyze_config(trace, truth))
+        meta = result.report.metadata
+        assert meta["kneedle_sensitivity"] == 1.0
+        assert meta["spline_smoothing"] == 0.1
+        assert meta["epsilon_shift"] == 0.0
+        assert meta["knee"] == meta["epsilon"] == sig6(result.autoconfig.epsilon)
+        assert meta["retrimmed"] is (meta["retrim_count"] > 0)
 
     def test_pcap_input_through_cli(self, tmp_path, capsys):
         hex_trace, _ = two_type_fixture(tmp_path)
@@ -245,6 +276,8 @@ class TestCli:
     @pytest.mark.parametrize("command, option, value", [
         ("analyze", "--threads", "0"),
         ("analyze", "--threads", "-3"),
+        ("analyze", "--limit", "abc"),
+        # flags removed with the autoconf tuning values are usage errors
         ("analyze", "--kneedle-s", "nan"),
         ("analyze", "--spline-s", "-1"),
         ("analyze", "--epsilon-shift", "inf"),
@@ -257,6 +290,12 @@ class TestCli:
                             option, value, *out)
         assert code == 1
         assert option in capsys.readouterr().err
+
+    def test_usage_errors_exit_one_and_help_exits_zero(self, capsys):
+        assert self.run_cli("analyze", "--format", "hex") == 1  # no --input
+        assert "--input" in capsys.readouterr().err
+        assert self.run_cli("analyze", "--help") == 0
+        assert "--input" in capsys.readouterr().out
 
     @pytest.mark.parametrize("content", [
         "not json",
@@ -273,6 +312,28 @@ class TestCli:
                             "--format", "hex", "--truth", str(truth))
         assert code == 1
         assert "bogus.json: not an analysis report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("repeat", ["across-clusters", "within-a-cluster"])
+    def test_evaluate_rejects_a_value_listed_twice(self, tmp_path, capsys, repeat):
+        trace, truth = two_type_fixture(tmp_path)
+        report_path = tmp_path / "report.json"
+        inputs = ["--input", str(trace), "--format", "hex",
+                  "--segmenter", "import", "--segments", str(truth)]
+        assert self.run_cli("analyze", *inputs, "--out-json", str(report_path)) == 0
+        doc = json.loads(report_path.read_text())
+        first = doc["clusters"][0]
+        repeated = first["values"][0]
+        if repeat == "across-clusters":
+            doc["clusters"].append({**first, "id": len(doc["clusters"])})
+        else:
+            first["values"].append(repeated)
+            first["counts"].append(first["counts"][0])
+        report_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = self.run_cli("evaluate", "--report", str(report_path), *inputs,
+                            "--truth", str(truth))
+        assert code == 1
+        assert f"report value {repeated} is listed more than once" in capsys.readouterr().err
 
     def test_ecdf_errors_name_their_stage(self, tmp_path, capsys):
         path = tmp_path / "tiny.hex"
@@ -294,22 +355,18 @@ class TestCli:
                              text=True, check=True)
         assert out.stdout.strip() == "[]"
 
-    def test_dump_matrix_and_ecdf(self, tmp_path):
+    def test_dump_matrix(self, tmp_path):
         trace, truth = two_type_fixture(tmp_path)
         matrix_csv = tmp_path / "matrix.csv"
-        ecdf_csv = tmp_path / "ecdf.csv"
         code = self.run_cli(
             "analyze", "--input", str(trace), "--format", "hex",
             "--segmenter", "import", "--segments", str(truth),
-            "--dump-matrix", str(matrix_csv), "--dump-ecdf", str(ecdf_csv),
+            "--dump-matrix", str(matrix_csv),
         )
         assert code == 0
         header = matrix_csv.read_text().splitlines()
         n = len(header[0].split(","))
         assert len(header) == n + 1  # header plus one row per value
-        ecdf_lines = ecdf_csv.read_text().splitlines()
-        assert ecdf_lines[0] == "k,x,y_raw,y_smoothed"
-        assert len(ecdf_lines) > 200
 
     def test_ecdf_subcommand(self, tmp_path, capsys):
         trace, truth = two_type_fixture(tmp_path)
@@ -320,7 +377,9 @@ class TestCli:
             "--out", str(out),
         )
         assert code == 0
-        assert out.read_text().startswith("k,x,y_raw,y_smoothed")
+        ecdf_lines = out.read_text().splitlines()
+        assert ecdf_lines[0] == "k,x,y_raw,y_smoothed"
+        assert len(ecdf_lines) > 200
         capsys.readouterr()
 
     def test_evaluate_subcommand_reproduces_report_metrics(self, tmp_path, capsys):
