@@ -22,8 +22,6 @@ from .dissimilarity import (
     DissimilarityMatrix,
     SegmentValue,
     build_matrix,
-    canberra_dissimilarity,
-    canberra_equal,
     unique_values,
 )
 from .errors import (
@@ -62,9 +60,7 @@ from .refinement import (
 )
 from .report import AnalysisReport, emit_report, render_table
 from .segmentation import (
-    Segment,
     Segmentation,
-    export_segmentation,
     filter_analyzable,
     import_segmentation,
     segment_heuristic,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyAnalysisError
-from .segmentation import Segment
+from .segmentation import Segmentation
 
 # cells per matrix block and per k-NN row chunk: at 64 K float64 cells
 # (0.5 MB) a byte-position plane stays in a core's L2 cache
@@ -32,10 +32,14 @@ del _x, _y
 
 @dataclass
 class SegmentValue:
-    """One distinct byte sequence and every segment that carries it."""
+    """One distinct byte sequence and the segments that carry it.
+
+    ``members`` indexes the segmentation the value was cut from, in trace
+    order, so ``len(members)`` is the value's occurrence count.
+    """
 
     bytes: bytes
-    members: list[Segment]
+    members: np.ndarray
 
 
 @dataclass
@@ -73,60 +77,38 @@ class DissimilarityMatrix:
         return self._nearest[:, :k]
 
 
-def unique_values(segments: list[Segment]) -> list[SegmentValue]:
-    """Fold duplicate segment byte sequences, keeping first-occurrence order."""
-    if not segments:
+def unique_values(segments: Segmentation) -> list[SegmentValue]:
+    """Fold duplicate segment byte sequences, keeping first-occurrence order.
+
+    Segments are grouped by length, and each group's byte rows are folded by
+    one ``np.unique`` over them as opaque records.
+    """
+    if not len(segments):
         raise EmptyAnalysisError("no analyzable segments")
-    table: dict[bytes, SegmentValue] = {}
-    for segment in segments:
-        value = table.get(segment.bytes)
-        if value is None:
-            table[segment.bytes] = SegmentValue(segment.bytes, [segment])
-        else:
-            value.members.append(segment)
-    return list(table.values())
-
-
-def _as_vector(x) -> np.ndarray:
-    if isinstance(x, (bytes, bytearray)):
-        return np.frombuffer(bytes(x), dtype=np.uint8).astype(np.float64)
-    return np.asarray(x, dtype=np.float64)
-
-
-def canberra_equal(x, y) -> float:
-    """Normalized Canberra dissimilarity of two equal-length byte vectors.
-
-    Returns the mean of |a-b|/(a+b) over the coordinates, with 0/0 taken
-    as 0, so the result lies in [0, 1].
-    """
-    xv, yv = _as_vector(x), _as_vector(y)
-    if xv.shape != yv.shape or xv.ndim != 1 or xv.size < 1:
-        raise ValueError(f"expected equal-length vectors, got {xv.shape} and {yv.shape}")
-    num = np.abs(xv - yv)
-    den = xv + yv
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return float(terms.sum() / xv.size)
-
-
-def canberra_dissimilarity(u, v) -> float:
-    """Canberra dissimilarity extended to vectors of different lengths.
-
-    The shorter vector (length m) slides across the longer (length M); with
-    C* the minimum windowed :func:`canberra_equal` and r = m/M, the result is
-    (m*C* + (M-m)*(1 - r*(1-C*))) / M, clamped to [0, 1].
-    """
-    uv, vv = _as_vector(u), _as_vector(v)
-    if uv.size < 2 or vv.size < 2:
-        raise ValueError("one-byte segments are excluded upstream; vectors must have length >= 2")
-    if uv.size > vv.size:
-        uv, vv = vv, uv
-    m, big = uv.size, vv.size
-    if m == big:
-        return canberra_equal(uv, vv)
-    best = min(canberra_equal(uv, vv[o : o + m]) for o in range(big - m + 1))
-    ratio = m / big
-    value = (m * best + (big - m) * (1.0 - ratio * (1.0 - best))) / big
-    return float(min(max(value, 0.0), 1.0))
+    payload = np.frombuffer(segments.data, dtype=np.uint8)
+    group = np.empty(len(segments), dtype=np.int64)  # per segment: its value, by group
+    contents: list[bytes] = []
+    firsts = []
+    for length in np.unique(segments.length).tolist():
+        idx = np.flatnonzero(segments.length == length)
+        rows = payload[segments.start[idx, None] + np.arange(length)]
+        keys, first, inverse = np.unique(
+            rows.view(np.dtype((np.void, length))).ravel(), return_index=True, return_inverse=True
+        )
+        group[idx] = len(contents) + inverse
+        packed = keys.tobytes()
+        contents += [packed[i : i + length] for i in range(0, len(packed), length)]
+        firsts.append(idx[first])
+    order = np.argsort(np.concatenate(firsts))  # values by their first segment
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    value_of = rank[group]
+    by_value = np.argsort(value_of, kind="stable")  # members in trace order, value by value
+    ends = np.cumsum(np.bincount(value_of)).tolist()
+    return [
+        SegmentValue(contents[v], by_value[lo:hi])
+        for v, lo, hi in zip(order.tolist(), [0] + ends, ends)
+    ]
 
 
 def _pairwise_sum(term, n: int, start: int = 0) -> np.ndarray:

@@ -9,13 +9,15 @@ segments.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
+
+import numpy as np
 
 from .clustering import Clustering
 from .dissimilarity import SegmentValue
 from .errors import EvaluationUnavailableError
-from .segmentation import Segment, Segmentation
+from .segmentation import Segmentation
 from .traceio import Message
 
 DEFAULT_BETA = 0.25
@@ -44,64 +46,73 @@ class Metrics:
     coverage: float
 
 
-def value_labels(values: list[SegmentValue]) -> list[str]:
+def value_labels(values: list[SegmentValue], segments: Segmentation) -> list[str]:
     """True type per unique value: majority over members, ties to the earliest.
 
-    Raises when any member segment carries no truth label.
+    ``values`` index ``segments``; raises when any member segment carries no
+    truth label.
     """
+    truth = np.full(len(segments), None) if segments.truth is None else segments.truth
     labels: list[str] = []
     for value in values:
-        counts: Counter[str] = Counter()
-        first_seen: dict[str, int] = {}
-        for position, segment in enumerate(value.members):
-            if segment.truth_type is None:
-                raise EvaluationUnavailableError(
-                    f"segment at message {segment.message_id} offset {segment.offset} "
-                    "has no ground-truth type"
-                )
-            counts[segment.truth_type] += 1
-            first_seen.setdefault(segment.truth_type, position)
-        labels.append(max(counts, key=lambda l: (counts[l], -first_seen[l])))
+        types = truth[value.members].tolist()
+        if None in types:
+            segment = value.members[types.index(None)]
+            raise EvaluationUnavailableError(
+                f"segment at message {segments.message[segment]} offset "
+                f"{segments.offset[segment]} has no ground-truth type"
+            )
+        # most_common keeps first-seen order among equal counts
+        labels.append(Counter(types).most_common(1)[0][0])
     return labels
 
 
-def label_segments_by_overlap(
-    segments: list[Segment], truth: Segmentation
-) -> list[Segment]:
-    """Relabel segments with the true field type covering most of their bytes.
+def label_segments_by_overlap(segments: Segmentation, truth: Segmentation) -> Segmentation:
+    """Label segments with the true field type covering most of their bytes.
 
-    Ties go to the earlier field. Used to score heuristic segmentations
-    against a dissector-derived ground truth.
+    Both segmentations cut the same messages. One search over the truth
+    fields' starts finds the field holding each segment's first byte; each
+    further round moves every segment that reaches past its current field to
+    the next one, and a field takes the label only with strictly more
+    overlap, so ties go to the earlier field. Used to score heuristic
+    segmentations against a dissector-derived ground truth.
     """
-    fields_by_message: dict[int, list[Segment]] = {}
-    for field in truth.segments:
-        fields_by_message.setdefault(field.message_id, []).append(field)
-    for fields in fields_by_message.values():
-        fields.sort(key=lambda f: f.offset)
+    field = np.searchsorted(truth.start, segments.start, side="right") - 1
+    covered = field >= 0
+    covered[covered] = truth.message[field[covered]] == segments.message[covered]
+    if not covered.all():
+        missing = segments.message[np.argmin(covered)]
+        raise EvaluationUnavailableError(f"message {missing} is not covered by the ground truth")
 
-    relabeled: list[Segment] = []
-    for segment in segments:
-        fields = fields_by_message.get(segment.message_id)
-        if not fields:
-            raise EvaluationUnavailableError(
-                f"message {segment.message_id} is not covered by the ground truth"
-            )
-        best_label, best_overlap = None, 0
-        for field in fields:
-            overlap = min(
-                segment.offset + segment.length, field.offset + field.length
-            ) - max(segment.offset, field.offset)
-            if overlap > best_overlap:
-                best_label, best_overlap = field.truth_type, overlap
-        if best_label is None:
-            raise EvaluationUnavailableError(
-                f"segment at message {segment.message_id} offset {segment.offset} "
-                "overlaps no labeled ground-truth field"
-            )
-        relabeled.append(
-            Segment(segment.message_id, segment.offset, segment.length, segment.bytes, best_label)
+    end = segments.start + segments.length
+    best = np.full(len(segments), -1)
+    best_overlap = np.zeros(len(segments), dtype=np.int64)
+    active = np.arange(len(segments))
+    while active.size:
+        f = field[active]
+        overlap = np.minimum(end[active], truth.start[f] + truth.length[f]) - np.maximum(
+            segments.start[active], truth.start[f]
         )
-    return relabeled
+        better = overlap > best_overlap[active]
+        best[active[better]] = f[better]
+        best_overlap[active[better]] = overlap[better]
+        # a message's fields tile it, so a field that starts before the
+        # segment ends lies in the segment's message
+        f += 1
+        reaches = f < len(truth)
+        reaches[reaches] = truth.start[f[reaches]] < end[active[reaches]]
+        active = active[reaches]
+        field[active] = f[reaches]
+
+    labels = truth.truth[best]
+    unlabeled = (best < 0) | (labels == None)  # noqa: E711  (elementwise)
+    if unlabeled.any():
+        segment = np.argmax(unlabeled)
+        raise EvaluationUnavailableError(
+            f"segment at message {segments.message[segment]} offset "
+            f"{segments.offset[segment]} overlaps no labeled ground-truth field"
+        )
+    return replace(segments, truth=labels)
 
 
 def contingency(clustering: Clustering, labels: list[str]) -> ContingencyTable:
@@ -132,18 +143,8 @@ def true_positives(table: ContingencyTable) -> int:
 
 
 def false_negatives(table: ContingencyTable) -> int:
-    """Missed same-type pairs: split across clusters, inside noise, and
-    between noise and clusters."""
-    total = 0
-    for label, t_l in table.totals.items():
-        t_nl = table.noise.get(label, 0)
-        cross = sum(
-            (t_l - counts.get(label, 0)) * counts.get(label, 0)
-            for counts in table.per_cluster
-        )
-        cross += (t_l - t_nl) * t_nl
-        total += cross // 2 + comb(t_nl, 2)
-    return total
+    """Missed same-type pairs: all same-type pairs less those inside a cluster."""
+    return sum(comb(count, 2) for count in table.totals.values()) - true_positives(table)
 
 
 def f_beta(precision: float, recall: float, beta: float = DEFAULT_BETA) -> float:
@@ -162,22 +163,22 @@ def coverage(
     if denominator == 0:
         return 0.0
     inferred = sum(
-        segment.length
+        len(values[member].bytes) * len(values[member].members)
         for cluster in clustering.clusters
         for member in cluster.members
-        for segment in values[member].members
     )
     return inferred / denominator
 
 
 def evaluate_clustering(
     messages: list[Message],
+    segments: Segmentation,
     values: list[SegmentValue],
     clustering: Clustering,
     beta: float = DEFAULT_BETA,
 ) -> Metrics:
-    """Full metric set for a clustering of labeled values."""
-    labels = value_labels(values)
+    """Full metric set for a clustering of the labeled values of ``segments``."""
+    labels = value_labels(values, segments)
     table = contingency(clustering, labels)
     tp_fp, tn_fn = positives_negatives(clustering.clusters)
     tp = true_positives(table)

@@ -34,6 +34,12 @@ class PipelineConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        try:
+            flt = tio.ProtocolFilter.parse(self.filter)
+        except ValueError as err:
+            raise ValueError(f"--filter: {err}") from None
+        if self.format == "hex" and flt.transport != "raw":
+            raise ValueError(f"--filter {self.filter} applies to pcap input; hex input is raw")
         if self.limit is not None and self.limit < 1:
             raise ValueError(f"--limit must be at least 1 message, got {self.limit}")
         if self.threads < 1:
@@ -46,7 +52,7 @@ class PipelineResult:
 
     report: AnalysisReport
     messages: list[tio.Message]
-    segmentation: sg.Segmentation
+    segmentation: sg.Segmentation  # the analyzable segments, which ``values`` index
     values: list[dm.SegmentValue]
     matrix: dm.DissimilarityMatrix
     autoconfig: ac.AutoConfig
@@ -91,7 +97,7 @@ def build_segmentation(
 
 def _load_values(
     config: PipelineConfig, truth_path: str | None = None
-) -> tuple[tio.RawTrace, list[tio.Message], sg.Segmentation, list[sg.Segment],
+) -> tuple[tio.RawTrace, list[tio.Message], sg.Segmentation, sg.Segmentation,
            list[dm.SegmentValue]]:
     """The load, segment and values stages that every command shares.
 
@@ -113,7 +119,7 @@ def _load_values(
         if truth is not None and segmentation is not truth:
             analyzable = ev.label_segments_by_overlap(analyzable, truth)
     with _stage("values"):
-        values = dm.unique_values(analyzable) if analyzable else []
+        values = dm.unique_values(analyzable) if len(analyzable) else []
         if len(values) < ac.MIN_ANALYSIS_VALUES:
             raise EmptyAnalysisError(
                 f"need at least {ac.MIN_ANALYSIS_VALUES} unique multi-byte segment "
@@ -149,15 +155,14 @@ def run(config: PipelineConfig) -> PipelineResult:
             cl.ensure_stats(matrix, cluster)
     with _stage("evaluate"):
         metrics = None
-        if all(s.truth_type is not None for s in analyzable):
-            metrics = ev.evaluate_clustering(messages, values, result)
+        if analyzable.truth is not None and None not in analyzable.truth.tolist():
+            metrics = ev.evaluate_clustering(messages, analyzable, values, result)
     with _stage("report"):
-        excluded = len(segmentation.segments) - len(analyzable)
         report = build_report(
-            config, trace, messages, segmentation, excluded, values, auto, result, metrics
+            config, trace, messages, segmentation, analyzable, values, auto, result, metrics
         )
         emit_report(report, config.out_json, config.out_table)
-    return PipelineResult(report, messages, segmentation, values, matrix, auto, result)
+    return PipelineResult(report, messages, analyzable, values, matrix, auto, result)
 
 
 def run_ecdf(config: PipelineConfig, path: str) -> int:
@@ -200,7 +205,7 @@ def build_report(
     trace: tio.RawTrace,
     messages: list[tio.Message],
     segmentation: sg.Segmentation,
-    excluded_one_byte: int,
+    analyzable: sg.Segmentation,
     values: list[dm.SegmentValue],
     auto: ac.AutoConfig,
     result: cl.Clustering,
@@ -217,8 +222,8 @@ def build_report(
         "skipped_fragments": trace.skipped_fragments,
         "messages": len(messages),
         "segmenter": segmentation.segmenter_name,
-        "segments": len(segmentation.segments),
-        "excluded_one_byte_segments": excluded_one_byte,
+        "segments": len(segmentation),
+        "excluded_one_byte_segments": len(segmentation) - len(analyzable),
         "unique_values": len(values),
         "total_bytes": sum(len(m.payload) for m in messages),
         "epsilon": sig6(auto.epsilon),
@@ -269,17 +274,30 @@ def evaluate_report(
     segments are labeled from the ground truth (directly when the report's
     segmenter was the import of that truth, by byte overlap otherwise), and
     the report's clusters are mapped back onto unique values by hex content.
-    A value that is missing from the trace or listed more than once raises
+    The report must match the re-derived run: its ``messages``,
+    ``unique_values`` and ``segmenter`` metadata, and its clusters plus noise
+    listing every re-derived value exactly once. The first mismatch raises
     AnalysisError.
     """
-    _, messages, _, _, values = _load_values(config, truth_path)
+    _, messages, segmentation, analyzable, values = _load_values(config, truth_path)
     with _stage("evaluate"):
+        derived = {
+            "messages": len(messages),
+            "unique_values": len(values),
+            "segmenter": segmentation.segmenter_name,
+        }
+        for key, value in derived.items():
+            if report.metadata.get(key) != value:
+                raise AnalysisError(
+                    f"report metadata {key} is {report.metadata.get(key)!r}, the re-derived "
+                    f"run gives {value!r}; wrong trace or segmenter?"
+                )
         index_by_hex = {value.bytes.hex(): i for i, value in enumerate(values)}
-        member_sets = []
         assigned: set[int] = set()
-        for cluster in report.clusters:
-            members = []
-            for hex_value in cluster["values"]:
+
+        def indices(hex_values: list[str]) -> list[int]:
+            found = []
+            for hex_value in hex_values:
                 index = index_by_hex.get(hex_value)
                 if index is None:
                     raise AnalysisError(
@@ -289,9 +307,14 @@ def evaluate_report(
                 if index in assigned:
                     raise AnalysisError(f"report value {hex_value} is listed more than once")
                 assigned.add(index)
-                members.append(index)
-            member_sets.append(sorted(members))
-        noise = sorted(set(range(len(values))) - assigned)
+                found.append(index)
+            return sorted(found)
+
+        member_sets = [indices(cluster["values"]) for cluster in report.clusters]
+        noise = indices(report.noise)
+        if len(assigned) != len(values):
+            missing = next(v for i, v in enumerate(values) if i not in assigned)
+            raise AnalysisError(f"re-derived value {missing.bytes.hex()} is not in the report")
         clusters = [cl.Cluster(i, m) for i, m in enumerate(member_sets)]
         clustering = cl.Clustering(clusters, noise)
-        return ev.evaluate_clustering(messages, values, clustering)
+        return ev.evaluate_clustering(messages, analyzable, values, clustering)

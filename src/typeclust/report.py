@@ -44,6 +44,7 @@ class AnalysisReport:
             isinstance(doc, dict)
             and isinstance(doc.get("metadata"), dict)
             and isinstance(doc.get("noise"), list)
+            and all(isinstance(v, str) for v in doc["noise"])
             and isinstance(doc.get("clusters"), list)
             and all(
                 isinstance(c, dict)

@@ -1,97 +1,90 @@
 """Message segmentation: ground-truth import and the built-in heuristic.
 
 A segmentation tiles every covered message completely: per message the
-segments are sorted by offset, non-overlapping, and gap-free.
+segments are sorted by offset, non-overlapping, and gap-free. It is held
+as parallel arrays over the messages' payloads joined in list order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InconsistentGroundTruthError, MissingMessageError
 from .traceio import Message
 
 HEURISTIC_NAME = "delta-texture-v1"
 
-_ZERO = 0
-_PRINTABLE = 1
-_OTHER = 2
+# texture class of every byte value: zero (0x00), printable (0x20-0x7E) or other
+_TEXTURE = np.full(256, 2, dtype=np.int8)
+_TEXTURE[0x00] = 0
+_TEXTURE[0x20:0x7F] = 1
 
 
-@dataclass(frozen=True)
-class Segment:
-    """A contiguous byte slice of one message, a field candidate."""
-
-    message_id: int
-    offset: int
-    length: int
-    bytes: bytes
-    truth_type: str | None = None
-
-
-@dataclass
+@dataclass(eq=False)
 class Segmentation:
-    segments: list[Segment]
+    """Field candidates as parallel arrays in (message, offset) order.
+
+    ``data`` is the messages' payloads joined in list order, and ``start``
+    is each segment's first byte in it; ``message`` (the message id),
+    ``offset`` and ``length`` place the segment in its message. ``truth``
+    holds each segment's true field type (a string, or None where the truth
+    names none), and is None when the segmenter knows no types.
+    """
+
     segmenter_name: str
+    data: bytes
+    message: np.ndarray
+    offset: np.ndarray
+    length: np.ndarray
+    start: np.ndarray
+    truth: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.start)
 
 
-def texture_class(byte: int) -> int:
-    """Classify a byte as zero (0x00), printable (0x20-0x7E), or other."""
-    if byte == 0x00:
-        return _ZERO
-    if 0x20 <= byte <= 0x7E:
-        return _PRINTABLE
-    return _OTHER
+def _joined(messages: list[Message]) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
+    """Joined payloads, and per message its id, first byte in them and size."""
+    sizes = np.array([len(m.payload) for m in messages], dtype=np.int64)
+    ids = np.array([m.id for m in messages], dtype=np.int64)
+    return b"".join(m.payload for m in messages), ids, np.cumsum(sizes) - sizes, sizes
 
 
-def _heuristic_boundaries(payload: bytes) -> list[int]:
-    """Boundary positions (exclusive of 0) for the delta-texture heuristic.
+def segment_heuristic(messages: list[Message]) -> Segmentation:
+    """Deterministic built-in segmenter, one array pass over the whole trace.
 
-    Two rules place a boundary before position i:
+    Two rules place a boundary before position i of a message:
       1. the texture class changes at i and the run of the new class starting
          at i is at least 2 bytes long;
       2. the first difference of the byte-delta series Delta(i) =
          |payload[i] - payload[i-1]| turns from non-positive to positive at i
          and the texture class changes at i.
+    Message starts mask every comparison that would reach into a neighbour.
     """
-    n = len(payload)
-    if n < 2:
-        return []
-    classes = [texture_class(b) for b in payload]
+    data, ids, first, sizes = _joined(messages)
+    payload = np.frombuffer(data, dtype=np.uint8)
+    owner = np.repeat(np.arange(len(messages)), sizes)
+    local = np.arange(payload.size) - first[owner]  # position inside the message
+    texture = _TEXTURE[payload]
 
-    # run length of the identical-class run starting at each position
-    run_from = [1] * n
-    for i in range(n - 2, -1, -1):
-        if classes[i] == classes[i + 1]:
-            run_from[i] = run_from[i + 1] + 1
+    change = np.zeros(payload.size, dtype=bool)
+    change[1:] = texture[1:] != texture[:-1]  # a message start is a cut anyway
+    run_of_two = np.zeros(payload.size, dtype=bool)
+    run_of_two[:-1] = (texture[1:] == texture[:-1]) & (local[1:] >= 1)
+    delta = np.zeros(payload.size, dtype=np.int16)  # Delta(i)
+    delta[1:] = np.abs(np.diff(payload.astype(np.int16)))
+    rise = np.zeros(payload.size, dtype=np.int16)  # Delta(i) - Delta(i-1)
+    rise[1:] = np.diff(delta)
+    turn = np.zeros(payload.size, dtype=bool)
+    turn[1:] = (rise[1:] > 0) & (rise[:-1] <= 0) & (local[1:] >= 3)
 
-    boundaries: set[int] = set()
-    for i in range(1, n):
-        if classes[i] != classes[i - 1] and run_from[i] >= 2:
-            boundaries.add(i)
-
-    delta = [abs(payload[i] - payload[i - 1]) for i in range(1, n)]  # delta[i-1] = Delta(i)
-    # g(i) = Delta(i) - Delta(i-1), defined for i >= 2; a sign change needs g(i-1) too
-    for i in range(3, n):
-        g_here = delta[i - 1] - delta[i - 2]
-        g_prev = delta[i - 2] - delta[i - 3]
-        if g_here > 0 and g_prev <= 0 and classes[i] != classes[i - 1]:
-            boundaries.add(i)
-    return sorted(boundaries)
-
-
-def segment_heuristic(messages: list[Message]) -> Segmentation:
-    """Deterministic built-in segmenter (see :func:`_heuristic_boundaries`)."""
-    segments: list[Segment] = []
-    for message in messages:
-        cuts = [0] + _heuristic_boundaries(message.payload) + [len(message.payload)]
-        for start, end in zip(cuts, cuts[1:]):
-            segments.append(
-                Segment(message.id, start, end - start, message.payload[start:end])
-            )
-    return Segmentation(segments, HEURISTIC_NAME)
+    start = np.flatnonzero((local == 0) | change & (run_of_two | turn))
+    length = np.diff(start, append=payload.size)
+    return Segmentation(HEURISTIC_NAME, data, ids[owner[start]], local[start], length, start)
 
 
 def _is_field(obj) -> bool:
@@ -117,9 +110,12 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
     name = doc.get("segmenter", "imported")
     if not isinstance(name, str):
         raise InconsistentGroundTruthError(f"{path}: segmenter must be a string, got {name!r}")
-    by_payload = {m.payload: m for m in messages}
+    index_of = {m.payload: i for i, m in enumerate(messages)}
 
-    segments: list[Segment] = []
+    field_messages: list[int] = []  # per field: its message's index in ``messages``
+    field_offsets: list[int] = []
+    field_lengths: list[int] = []
+    field_types: list[str | None] = []
     covered: set[int] = set()
     for position, entry in enumerate(doc["messages"]):
         if not isinstance(entry, dict):
@@ -136,8 +132,8 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
                 payload = bytes.fromhex(key)
             except ValueError:
                 raise MissingMessageError(f"entry payload {key!r} is not valid hex") from None
-            message = by_payload.get(payload)
-            if message is None:
+            index = index_of.get(payload)
+            if index is None:
                 raise MissingMessageError(f"no message with payload {key}")
         elif "index" in entry:
             index = entry["index"]
@@ -147,9 +143,9 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
                 )
             if not 0 <= index < len(messages):
                 raise MissingMessageError(f"no message with index {index!r}")
-            message = messages[index]
         else:
             raise MissingMessageError(f"entry {entry!r} has neither payload nor index")
+        message = messages[index]
         if message.id in covered:
             raise InconsistentGroundTruthError(
                 f"message {message.id} is described by more than one entry"
@@ -172,46 +168,34 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
                 f"payload has {len(message.payload)} bytes"
             )
         offset = 0
-        for field_def in fields:
-            length = field_def["len"]
-            segments.append(
-                Segment(
-                    message.id,
-                    offset,
-                    length,
-                    message.payload[offset : offset + length],
-                    field_def.get("type"),
-                )
-            )
+        for length in lengths:
+            field_offsets.append(offset)
             offset += length
+        field_messages += [index] * len(lengths)
+        field_lengths += lengths
+        field_types += [f.get("type") for f in fields]
         covered.add(message.id)
 
-    segments.sort(key=lambda s: (s.message_id, s.offset))
-    return Segmentation(segments, name)
+    data, ids, first, _ = _joined(messages)
+    owner = np.array(field_messages, dtype=np.int64)
+    offsets = np.array(field_offsets, dtype=np.int64)
+    start = first[owner] + offsets
+    order = np.argsort(start, kind="stable")  # entries may come in any message order
+    return Segmentation(
+        name, data, ids[owner][order], offsets[order],
+        np.array(field_lengths, dtype=np.int64)[order], start[order],
+        np.array(field_types, dtype=object)[order],
+    )
 
 
-def export_segmentation(segmentation: Segmentation, messages: list[Message]) -> dict:
-    """Render a segmentation to its JSON interchange structure."""
-    by_id = {m.id: m for m in messages}
-    per_message: dict[int, list[Segment]] = {}
-    for segment in segmentation.segments:
-        per_message.setdefault(segment.message_id, []).append(segment)
-    entries = []
-    for message_id in sorted(per_message):
-        fields = [
-            {"len": s.length, "type": s.truth_type}
-            for s in sorted(per_message[message_id], key=lambda s: s.offset)
-        ]
-        entries.append({"payload": by_id[message_id].payload.hex(), "fields": fields})
-    return {"segmenter": segmentation.segmenter_name, "messages": entries}
-
-
-def save_segmentation(segmentation: Segmentation, messages: list[Message], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(export_segmentation(segmentation, messages), handle, indent=2)
-        handle.write("\n")
-
-
-def filter_analyzable(segmentation: Segmentation) -> list[Segment]:
+def filter_analyzable(segmentation: Segmentation) -> Segmentation:
     """Segments long enough to carry value structure (length >= 2 bytes)."""
-    return [s for s in segmentation.segments if s.length >= 2]
+    keep = segmentation.length >= 2
+    return replace(
+        segmentation,
+        message=segmentation.message[keep],
+        offset=segmentation.offset[keep],
+        length=segmentation.length[keep],
+        start=segmentation.start[keep],
+        truth=None if segmentation.truth is None else segmentation.truth[keep],
+    )

@@ -9,7 +9,7 @@ import pytest
 
 from typeclust.clustering import Cluster
 from typeclust.dissimilarity import DissimilarityMatrix, SegmentValue
-from typeclust.segmentation import Segment
+from typeclust.segmentation import Segmentation
 
 
 def build_pcap(
@@ -59,22 +59,32 @@ def make_matrix(distances, member_counts=None, lengths=None) -> DissimilarityMat
     """Wrap a symmetric distance array in a DissimilarityMatrix.
 
     Synthetic values get distinct two-byte contents and the requested number
-    of member segments (default 1 each).
+    of member segments (default 1 each), indices of a segmentation in
+    value order.
     """
     d = np.asarray(distances, dtype=np.float64)
     n = d.shape[0]
     values = []
+    first = 0
     for i in range(n):
         content = bytes([i // 256, i % 256] + [0] * ((lengths[i] - 2) if lengths else 0))
         count = member_counts[i] if member_counts else 1
-        members = [
-            Segment(message_id=i * 1000 + c, offset=0, length=len(content), bytes=content)
-            for c in range(count)
-        ]
-        values.append(SegmentValue(content, members))
+        values.append(SegmentValue(content, np.arange(first, first + count)))
+        first += count
     d = d.copy()
     d.flags.writeable = False
     return DissimilarityMatrix(values, d)
+
+
+def segmentation_of(*rows) -> Segmentation:
+    """Segments from (message, offset, bytes, truth type) rows, whose bytes
+    are laid end to end in the joined data."""
+    length = np.array([len(r[2]) for r in rows], dtype=np.int64)
+    return Segmentation(
+        "test", b"".join(r[2] for r in rows), np.array([r[0] for r in rows], dtype=np.int64),
+        np.array([r[1] for r in rows], dtype=np.int64), length, np.cumsum(length) - length,
+        np.array([r[3] for r in rows], dtype=object),
+    )
 
 
 def symmetric_random(n: int, rng: np.random.Generator, low=0.05, high=0.95) -> np.ndarray:

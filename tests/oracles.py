@@ -195,6 +195,21 @@ def heuristic_boundaries_reference(payload: bytes) -> list[int]:
     return sorted(cuts)
 
 
+def overlap_label_reference(start: int, length: int, fields):
+    """Label of the field that covers most of [start, start + length).
+
+    ``fields`` are one message's (offset, length, label) triples in offset
+    order; ties go to the earlier field. The rule of ``_overlap_label`` in
+    ``bench/checks.py``.
+    """
+    best, best_overlap = None, 0
+    for offset, size, label in fields:
+        overlap = min(start + length, offset + size) - max(start, offset)
+        if overlap > best_overlap:
+            best, best_overlap = label, overlap
+    return best
+
+
 def cluster_stats_reference(d, members):
     """(mean pairwise, minmed, max pairwise) straight from the formulas."""
     pair = [d[a][b] for a, b in combinations(members, 2)]

@@ -143,7 +143,7 @@ def test_criterion_4_end_to_end_synthetic_protocol(tmp_path):
         assert metrics.precision >= 0.95
         assert metrics.f_score >= 0.90
         # high-entropy random payloads may stay unclustered, nothing else may
-        labels = value_labels(result.values)
+        labels = value_labels(result.values, result.segmentation)
         noise_types = {labels[i] for i in result.clustering.noise}
         assert noise_types <= {"random"}
 
@@ -191,7 +191,7 @@ def test_criterion_6_real_trace_ntp():
         config = select_epsilon(matrix)
         assert abs(config.epsilon - 0.121) <= 0.03
         clustering = dbscan(matrix, config.epsilon, config.min_samples)
-        metrics = evaluate_clustering(messages, values, clustering)
+        metrics = evaluate_clustering(messages, analyzable, values, clustering)
         assert metrics.precision >= 0.98
         assert metrics.recall >= 0.90
 
@@ -226,7 +226,9 @@ def test_criterion_8_coverage_accounting(tmp_path):
         # is the only noise, ten 4-byte values clustered; 55 bytes total
         assert result.report.noise == ["03010201"]
         assert len(result.clustering.clusters) == 1
-        exact = evaluate_clustering(result.messages, result.values, result.clustering)
+        exact = evaluate_clustering(
+            result.messages, result.segmentation, result.values, result.clustering
+        )
         assert exact.coverage == 40 / 55
         assert json.loads(result.report.to_json())["metrics"]["coverage"] == float(
             f"{40 / 55:.6g}"

@@ -9,94 +9,91 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_matrix
+from conftest import make_matrix, segmentation_of
 from oracles import canberra_matrix_reference, canberra_reference
 from typeclust import dissimilarity
 from typeclust.dissimilarity import (
     build_matrix,
-    canberra_dissimilarity,
-    canberra_equal,
     unique_values,
     write_matrix_csv,
     SegmentValue,
 )
 from typeclust.errors import EmptyAnalysisError
-from typeclust.segmentation import Segment
 
 
-def seg(content: bytes, message_id: int = 0, offset: int = 0) -> Segment:
-    return Segment(message_id, offset, len(content), content)
+def value(content: bytes) -> SegmentValue:
+    """A value that occurs once."""
+    return SegmentValue(content, np.zeros(1, dtype=np.intp))
+
+
+def pair(u, v) -> float:
+    """Dissimilarity of two byte sequences, from the matrix built over them."""
+    return build_matrix([value(bytes(u)), value(bytes(v))]).d[0, 1]
 
 
 class TestUniqueValues:
     def test_duplicates_folded(self):
-        segments = [seg(b"AB"), seg(b"CD", 1), seg(b"AB", 2)]
-        values = unique_values(segments)
+        values = unique_values(segmentation_of((0, 0, b"AB", None), (1, 0, b"CD", None),
+                                               (2, 0, b"AB", None)))
         assert [v.bytes for v in values] == [b"AB", b"CD"]
         assert len(values[0].members) == 2
         assert len(values[1].members) == 1
+        assert values[0].members.tolist() == [0, 2]
 
     def test_all_distinct(self):
-        segments = [seg(bytes([i, i + 1])) for i in range(10)]
+        segments = segmentation_of(*((i, 0, bytes([i, i + 1]), None) for i in range(10)))
         assert len(unique_values(segments)) == 10
 
     def test_empty_input_raises(self):
         with pytest.raises(EmptyAnalysisError):
-            unique_values([])
+            unique_values(segmentation_of())
 
 
 class TestCanberraEqual:
     def test_identity_is_zero(self):
-        assert canberra_equal(b"\x01\x02\x03", b"\x01\x02\x03") == 0.0
+        assert pair(b"\x01\x02\x03", b"\x01\x02\x03") == 0.0
 
     def test_maximal_terms(self):
-        assert canberra_equal([0x00, 0xFF], [0xFF, 0x00]) == 1.0
+        assert pair([0x00, 0xFF], [0xFF, 0x00]) == 1.0
 
     def test_hand_computed(self):
         # (|2-6|/8 + 0)/2
-        assert canberra_equal([2, 4], [6, 4]) == 0.25
+        assert pair([2, 4], [6, 4]) == 0.25
 
     def test_zero_zero_term_is_zero(self):
-        assert canberra_equal([0, 0], [0, 0]) == 0.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            canberra_equal([1, 2], [1, 2, 3])
+        assert pair([0, 0], [0, 0]) == 0.0
 
     def test_range_and_symmetry(self, rng):
         for _ in range(200):
             m = int(rng.integers(1, 12))
             x = rng.integers(0, 256, size=m).tolist()
             y = rng.integers(0, 256, size=m).tolist()
-            d = canberra_equal(x, y)
+            d = pair(x, y)
             assert 0.0 <= d <= 1.0
-            assert d == canberra_equal(y, x)
+            assert d == pair(y, x)
 
     def test_per_coordinate_triangle_inequality(self, rng):
         for _ in range(300):
             m = int(rng.integers(1, 8))
-            x, y, z = (rng.integers(0, 256, size=m).tolist() for _ in range(3))
-            assert canberra_equal(x, z) <= canberra_equal(x, y) + canberra_equal(y, z) + 1e-12
+            x, y, z = (bytes(rng.integers(0, 256, size=m).tolist()) for _ in range(3))
+            d = build_matrix([value(x), value(y), value(z)]).d
+            assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
 
 
 class TestCanberraDissimilarity:
     def test_equal_content_any_length_is_zero(self):
-        assert canberra_dissimilarity(b"\x05\x09", b"\x05\x09") == 0.0
-        assert canberra_dissimilarity(b"abcdef", b"abcdef") == 0.0
+        assert pair(b"\x05\x09", b"\x05\x09") == 0.0
+        assert pair(b"abcdef", b"abcdef") == 0.0
 
     def test_prefix_embedding(self):
         # C*=0, r=0.5 -> (0 + 2*(1-0.5))/4
-        assert canberra_dissimilarity([1, 2], [1, 2, 1, 2]) == 0.25
+        assert pair([1, 2], [1, 2, 1, 2]) == 0.25
 
     def test_offset_embedding_and_other_offsets_maximal(self):
         u, v = [0, 255], [255, 0, 255, 0]
-        per_offset = [canberra_equal(u, v[o : o + 2]) for o in range(3)]
+        per_offset = [pair(u, v[o : o + 2]) for o in range(3)]
         assert per_offset == [1.0, 0.0, 1.0]
-        assert canberra_dissimilarity(u, v) == 0.25
-
-    def test_one_byte_vectors_rejected(self):
-        with pytest.raises(ValueError):
-            canberra_dissimilarity([1], [2, 3])
+        assert pair(u, v) == 0.25
 
     def test_matches_plain_loop_reference(self, rng):
         for _ in range(300):
@@ -104,33 +101,33 @@ class TestCanberraDissimilarity:
             big = int(rng.integers(m, 12))
             u = rng.integers(0, 256, size=m).tolist()
             v = rng.integers(0, 256, size=big).tolist()
-            assert canberra_dissimilarity(u, v) == pytest.approx(canberra_reference(u, v), abs=1e-12)
+            assert pair(u, v) == pytest.approx(canberra_reference(u, v), abs=1e-12)
 
     def test_length_gap_grows_dissimilarity_of_equal_prefix(self):
         base = [10, 20]
         previous = 0.0
         for big in (4, 6, 8, 10):
             v = (base * (big // 2))[:big]
-            d = canberra_dissimilarity(base, v)
+            d = pair(base, v)
             assert d > previous
             previous = d
 
 
 class TestBuildMatrix:
     def test_two_values(self):
-        values = [SegmentValue(b"\x01\x02", [seg(b"\x01\x02")]), SegmentValue(b"\x03\x04", [seg(b"\x03\x04", 1)])]
+        values = [value(b"\x01\x02"), value(b"\x03\x04")]
         matrix = build_matrix(values)
-        expected = canberra_dissimilarity(b"\x01\x02", b"\x03\x04")
+        expected = canberra_reference(b"\x01\x02", b"\x03\x04")
         assert matrix.d[0, 1] == matrix.d[1, 0] == expected
         assert matrix.d[0, 0] == matrix.d[1, 1] == 0.0
 
     def test_three_values_match_entrywise_recomputation(self):
         contents = [b"\x01\x02", b"\x00\x10\x20", b"zz"]
-        values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(contents)]
+        values = [value(c) for c in contents]
         matrix = build_matrix(values)
         for i in range(3):
             for j in range(3):
-                expected = 0.0 if i == j else canberra_dissimilarity(contents[i], contents[j])
+                expected = 0.0 if i == j else canberra_reference(contents[i], contents[j])
                 assert matrix.d[i, j] == expected
 
     def test_random_mixed_lengths_match_scalar_oracle(self, rng):
@@ -139,7 +136,7 @@ class TestBuildMatrix:
             length = int(rng.integers(2, 7))
             contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
         contents = sorted(contents)
-        values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(contents)]
+        values = [value(c) for c in contents]
         matrix = build_matrix(values)
         for i in range(len(values)):
             for j in range(len(values)):
@@ -150,7 +147,7 @@ class TestBuildMatrix:
         contents = set()
         while len(contents) < 40:
             contents.add(bytes(rng.integers(0, 256, size=int(rng.integers(2, 6))).tolist()))
-        values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(sorted(contents))]
+        values = [value(c) for c in sorted(contents)]
         matrix = build_matrix(values)
         assert np.array_equal(matrix.d, matrix.d.T)
         assert np.all(np.diag(matrix.d) == 0.0)
@@ -160,7 +157,7 @@ class TestBuildMatrix:
 
     def test_permutation_equivariance(self, rng):
         contents = [b"\x01\x02", b"\x03\x04\x05", b"qrstuv", b"\xff\x00"]
-        values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(contents)]
+        values = [value(c) for c in contents]
         matrix = build_matrix(values)
         perm = [2, 0, 3, 1]
         permuted = build_matrix([values[p] for p in perm])
@@ -170,7 +167,7 @@ class TestBuildMatrix:
         contents = set()
         while len(contents) < 60:
             contents.add(bytes(rng.integers(0, 256, size=int(rng.integers(2, 9))).tolist()))
-        values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(sorted(contents))]
+        values = [value(c) for c in sorted(contents)]
         sequential = build_matrix(values, threads=1)
         parallel = build_matrix(values, threads=8)
         assert np.array_equal(sequential.d, parallel.d)
@@ -187,7 +184,7 @@ class TestBuildMatrix:
             while sum(len(c) == length for c in contents) < count:
                 contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
         contents = sorted(contents, key=lambda c: (c[0], len(c)))  # interleave lengths
-        values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(contents)]
+        values = [value(c) for c in contents]
         default = build_matrix(values).d
         monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 24)
         builds = [build_matrix(values, threads=t).d for t in (1, 2, 8)]
@@ -204,7 +201,7 @@ class TestBuildMatrix:
 
     def test_zero_bytes_in_both_values_count_as_equal(self):
         contents = [b"\x00\x00\x05", b"\x00\x07\x05", b"\x00\x00\x00"]
-        values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(contents)]
+        values = [value(c) for c in contents]
         d = build_matrix(values).d
         for i, a in enumerate(contents):
             for j, b in enumerate(contents):
@@ -213,7 +210,7 @@ class TestBuildMatrix:
 
     def test_single_value_rejected(self):
         with pytest.raises(EmptyAnalysisError):
-            build_matrix([SegmentValue(b"xy", [seg(b"xy")])])
+            build_matrix([value(b"xy")])
 
     def test_matrix_is_immutable(self):
         matrix = make_matrix([[0.0, 0.5], [0.5, 0.0]])
@@ -261,7 +258,7 @@ class TestKernelBits:
             ]
         contents = list(dict.fromkeys(contents))
         contents = [contents[i] for i in rng.permutation(len(contents))]
-        values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(contents)]
+        values = [value(c) for c in contents]
         d = build_matrix(values, threads=threads).d
         assert np.array_equal(d, canberra_matrix_reference(contents))
 
@@ -280,7 +277,7 @@ _value = st.one_of(
 @given(contents=st.lists(_value, min_size=2, max_size=14, unique=True),
        chunk=st.sampled_from([24, dissimilarity._CHUNK_CELLS]))
 def test_build_matrix_properties(contents, chunk):
-    values = [SegmentValue(c, [seg(c, i)]) for i, c in enumerate(contents)]
+    values = [value(c) for c in contents]
     with mock.patch.object(dissimilarity, "_CHUNK_CELLS", chunk):
         d = build_matrix(values, threads=1).d
         assert np.array_equal(build_matrix(values, threads=2).d, d)

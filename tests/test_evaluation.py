@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import pairwise_metrics
+from conftest import segmentation_of
+from oracles import overlap_label_reference, pairwise_metrics
 from typeclust.clustering import Cluster, Clustering
-from typeclust.dissimilarity import SegmentValue, unique_values
+from typeclust.dissimilarity import unique_values
 from typeclust.errors import EvaluationUnavailableError
 from typeclust.evaluation import (
     contingency,
@@ -22,15 +26,18 @@ from typeclust.evaluation import (
     true_positives,
     value_labels,
 )
-from typeclust.segmentation import Segment, Segmentation, import_segmentation
+from typeclust.segmentation import Segmentation, import_segmentation
 from typeclust.traceio import Message
 
 
-def labeled_value(content: bytes, label: str, copies: int = 1) -> SegmentValue:
-    members = [
-        Segment(i, 0, len(content), content, truth_type=label) for i in range(copies)
-    ]
-    return SegmentValue(content, members)
+def tiled(sizes, tilings, labels=None) -> Segmentation:
+    """Segments of messages of ``sizes`` bytes from per-message (offset, length) tilings."""
+    first = np.cumsum(sizes) - np.array(sizes)
+    rows = [(m, o, n) for m, tiling in enumerate(tilings) for o, n in tiling]
+    message, offset, length = (np.array(column, dtype=np.int64) for column in zip(*rows))
+    truth = None if labels is None else np.array(labels, dtype=object)
+    return Segmentation("test", bytes(sum(sizes)), message, offset, length,
+                        first[message] + offset, truth)
 
 
 def clustering_of(member_sets, noise=()):
@@ -153,27 +160,17 @@ class TestFBeta:
 
 class TestValueLabels:
     def test_majority_wins(self):
-        value = SegmentValue(
-            b"xy",
-            [
-                Segment(0, 0, 2, b"xy", "A"),
-                Segment(1, 0, 2, b"xy", "B"),
-                Segment(2, 0, 2, b"xy", "B"),
-            ],
-        )
-        assert value_labels([value]) == ["B"]
+        segs = segmentation_of((0, 0, b"xy", "A"), (1, 0, b"xy", "B"), (2, 0, b"xy", "B"))
+        assert value_labels(unique_values(segs), segs) == ["B"]
 
     def test_tie_goes_to_earliest_member(self):
-        value = SegmentValue(
-            b"xy",
-            [Segment(0, 0, 2, b"xy", "A"), Segment(1, 0, 2, b"xy", "B")],
-        )
-        assert value_labels([value]) == ["A"]
+        segs = segmentation_of((0, 0, b"xy", "A"), (1, 0, b"xy", "B"))
+        assert value_labels(unique_values(segs), segs) == ["A"]
 
     def test_missing_label_raises(self):
-        value = SegmentValue(b"xy", [Segment(0, 0, 2, b"xy", None)])
+        segs = segmentation_of((0, 0, b"xy", None))
         with pytest.raises(EvaluationUnavailableError):
-            value_labels([value])
+            value_labels(unique_values(segs), segs)
 
 
 class TestLabelByOverlap:
@@ -195,32 +192,28 @@ class TestLabelByOverlap:
         path = tmp_path / "gt.json"
         path.write_text(json.dumps(doc))
         truth = import_segmentation(messages, path)
-        segments = [
-            Segment(0, 0, 3, payload[0:3]),  # 2 bytes head, 1 byte mid -> head
-            Segment(0, 3, 3, payload[3:6]),  # 1 byte mid, 2 bytes tail -> tail
-            Segment(0, 1, 2, payload[1:3]),  # 1 byte head, 1 byte mid -> earlier field head
-        ]
-        labeled = label_segments_by_overlap(segments, truth)
-        assert [s.truth_type for s in labeled] == ["head", "tail", "head"]
+        # [0, 3): 2 bytes head, 1 byte mid -> head
+        # [3, 6): 1 byte mid, 2 bytes tail -> tail
+        # [1, 3): 1 byte head, 1 byte mid -> earlier field head
+        labeled = label_segments_by_overlap(tiled([6], [[(0, 3), (3, 3), (1, 2)]]), truth)
+        assert labeled.truth.tolist() == ["head", "tail", "head"]
 
     def test_uncovered_message_raises(self):
-        truth = Segmentation([], "gt")
+        truth = segmentation_of()
         with pytest.raises(EvaluationUnavailableError):
-            label_segments_by_overlap([Segment(0, 0, 2, b"ab")], truth)
+            label_segments_by_overlap(tiled([2], [[(0, 2)]]), truth)
 
 
 class TestCoverage:
     def test_everything_clustered(self):
         messages = [Message(0, b"\x01\x02\x03\x04", 0)]
-        values = [labeled_value(b"\x01\x02", "A"), labeled_value(b"\x03\x04", "B")]
-        values[0].members[0] = Segment(0, 0, 2, b"\x01\x02", "A")
-        values[1].members[0] = Segment(0, 2, 2, b"\x03\x04", "B")
+        values = unique_values(segmentation_of((0, 0, b"\x01\x02", "A"), (0, 2, b"\x03\x04", "B")))
         clustering = clustering_of([[0], [1]])
         assert coverage(messages, values, clustering) == 1.0
 
     def test_all_noise_is_zero(self):
         messages = [Message(0, b"\x01\x02\x03\x04", 0)]
-        values = [labeled_value(b"\x01\x02", "A"), labeled_value(b"\x03\x04", "B")]
+        values = unique_values(segmentation_of((0, 0, b"\x01\x02", "A"), (0, 2, b"\x03\x04", "B")))
         clustering = clustering_of([], noise=[0, 1])
         assert coverage(messages, values, clustering) == 0.0
 
@@ -228,14 +221,11 @@ class TestCoverage:
         # two messages of 6 bytes; a one-byte field per message is excluded,
         # a duplicated 3-byte value is clustered, a 2-byte value is noise
         messages = [Message(0, b"\x09AAABB", 0), Message(1, b"\x07AAACC", 1)]
-        shared = SegmentValue(
-            b"AAA",
-            [Segment(0, 1, 3, b"AAA", "x"), Segment(1, 1, 3, b"AAA", "x")],
-        )
-        tail_b = SegmentValue(b"BB", [Segment(0, 4, 2, b"BB", "y")])
-        tail_c = SegmentValue(b"CC", [Segment(1, 4, 2, b"CC", "y")])
+        values = unique_values(segmentation_of(
+            (0, 1, b"AAA", "x"), (1, 1, b"AAA", "x"), (0, 4, b"BB", "y"), (1, 4, b"CC", "y"),
+        ))
+        assert [(v.bytes, len(v.members)) for v in values] == [(b"AAA", 2), (b"BB", 1), (b"CC", 1)]
         clustering = clustering_of([[0]], noise=[1, 2])
-        values = [shared, tail_b, tail_c]
         # clustered bytes: 3+3 over 12 total
         assert coverage(messages, values, clustering) == pytest.approx(6 / 12)
 
@@ -243,15 +233,12 @@ class TestCoverage:
 class TestEvaluateClustering:
     def test_full_metrics_on_small_instance(self):
         messages = [Message(i, bytes([i, i + 1, 7]), i) for i in range(4)]
-        segments = [
-            Segment(0, 0, 3, b"ab0", "A"),
-            Segment(1, 0, 3, b"ab1", "A"),
-            Segment(2, 0, 3, b"cd0", "B"),
-            Segment(3, 0, 3, b"cd1", "B"),
-        ]
-        values = unique_values(segments)
+        segs = segmentation_of(
+            (0, 0, b"ab0", "A"), (1, 0, b"ab1", "A"), (2, 0, b"cd0", "B"), (3, 0, b"cd1", "B"),
+        )
+        values = unique_values(segs)
         clustering = clustering_of([[0, 1], [2, 3]])
-        metrics = evaluate_clustering(messages, values, clustering)
+        metrics = evaluate_clustering(messages, segs, values, clustering)
         assert metrics.tp == 2 and metrics.fp == 0 and metrics.fn == 0
         assert metrics.precision == 1.0 and metrics.recall == 1.0
         assert metrics.f_score == 1.0
@@ -261,13 +248,11 @@ class TestEvaluateClustering:
     def test_relabeling_invariance(self, rng):
         labels, member_sets, noise = random_labeled_instance(rng)
         messages = [Message(i, bytes([i, 250 - i]), i) for i in range(len(labels))]
-        segments = [
-            Segment(i, 0, 2, bytes([i, 250 - i]), labels[i]) for i in range(len(labels))
-        ]
-        values = unique_values(segments)
-        base = evaluate_clustering(messages, values, clustering_of(member_sets, noise))
+        segs = segmentation_of(*((i, 0, bytes([i, 250 - i]), labels[i]) for i in range(len(labels))))
+        values = unique_values(segs)
+        base = evaluate_clustering(messages, segs, values, clustering_of(member_sets, noise))
         shuffled = evaluate_clustering(
-            messages, values, clustering_of(list(reversed(member_sets)), noise)
+            messages, segs, values, clustering_of(list(reversed(member_sets)), noise)
         )
         assert (base.tp, base.fp, base.fn) == (shuffled.tp, shuffled.fp, shuffled.fn)
         assert base.precision == shuffled.precision
@@ -275,3 +260,24 @@ class TestEvaluateClustering:
         assert 0.0 <= base.recall <= 1.0
         assert 0.0 <= base.f_score <= 1.0
         assert 0.0 <= base.coverage <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(1, 20), min_size=1, max_size=6))
+def test_array_overlap_labels_match_reference(data, sizes):
+    def tiling(n):
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+        bounds = [0, *cuts, n]
+        return [(a, b - a) for a, b in zip(bounds, bounds[1:])]
+
+    fields = [tiling(n) for n in sizes]
+    labels = [data.draw(st.sampled_from("abc")) for tiling_ in fields for _ in tiling_]
+    truth = tiled(sizes, fields, labels)
+    cuts = [tiling(n) for n in sizes]
+    labeled = label_segments_by_overlap(tiled(sizes, cuts), truth)
+
+    labels_of = iter(labels)
+    per_message = [[(o, n, next(labels_of)) for o, n in tiling_] for tiling_ in fields]
+    expected = [overlap_label_reference(o, n, per_message[m])
+                for m, tiling_ in enumerate(cuts) for o, n in tiling_]
+    assert labeled.truth.tolist() == expected

@@ -115,6 +115,17 @@ class TestRun:
         with pytest.raises(ValueError, match=flag):
             pl.PipelineConfig(input="trace.hex", **{field: value})
 
+    @pytest.mark.parametrize("fmt, flt", [
+        ("hex", "bogus"),
+        ("hex", "udp:123"),
+        ("hex", "tcp:80"),
+        ("pcap", "bogus"),
+        ("pcap", "udp:"),
+    ])
+    def test_filter_that_is_never_applied_rejected(self, fmt, flt):
+        with pytest.raises(ValueError, match="--filter"):
+            pl.PipelineConfig(input="trace", format=fmt, filter=flt)
+
     def test_stats_measured_once_per_member_set(self, tmp_path, monkeypatch):
         measured = Counter()
         original = pl.cl.cluster_stats
@@ -334,6 +345,60 @@ class TestCli:
                             "--truth", str(truth))
         assert code == 1
         assert f"report value {repeated} is listed more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flt", ["bogus", "udp:123"])
+    def test_hex_filter_exit_code(self, tmp_path, capsys, flt):
+        trace, _ = two_type_fixture(tmp_path)
+        out = tmp_path / "report.json"
+        code = self.run_cli("analyze", "--input", str(trace), "--format", "hex",
+                            "--filter", flt, "--out-json", str(out))
+        assert code == 1
+        assert "--filter" in capsys.readouterr().err
+        assert not out.exists()
+
+    def _analyzed(self, tmp_path, fixture=two_type_fixture):
+        """A fresh report of a fixture and the evaluate arguments for it."""
+        trace, truth = fixture(tmp_path)
+        report_path = tmp_path / "report.json"
+        inputs = ["--input", str(trace), "--format", "hex",
+                  "--segmenter", "import", "--segments", str(truth)]
+        assert self.run_cli("analyze", *inputs, "--out-json", str(report_path)) == 0
+        argv = ["evaluate", "--report", str(report_path), *inputs, "--truth", str(truth)]
+        return json.loads(report_path.read_text()), report_path, argv
+
+    @pytest.mark.parametrize("forgery, message", [
+        ("non-hex-noise", "report value zz does not occur"),
+        ("dropped-noise", "is not in the report"),
+        ("dropped-cluster-value", "is not in the report"),
+    ])
+    def test_evaluate_rejects_a_report_whose_values_differ(self, tmp_path, capsys, forgery, message):
+        doc, report_path, argv = self._analyzed(tmp_path, coverage_fixture)
+        assert doc["noise"] and len(doc["clusters"][0]["values"]) > 1
+        if forgery == "non-hex-noise":
+            doc["noise"] = ["zz", "deadbeef"]
+        elif forgery == "dropped-noise":
+            doc["noise"] = doc["noise"][1:]
+        else:
+            doc["clusters"][0]["values"].pop()
+            doc["clusters"][0]["counts"].pop()
+        report_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.run_cli(*argv) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, forged", [
+        ("messages", 19),
+        ("unique_values", 1),
+        ("segmenter", "delta-texture-v1"),
+    ])
+    def test_evaluate_rejects_a_report_whose_metadata_differs(self, tmp_path, capsys, key, forged):
+        doc, report_path, argv = self._analyzed(tmp_path)
+        assert doc["metadata"][key] != forged
+        doc["metadata"][key] = forged
+        report_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.run_cli(*argv) == 1
+        assert f"report metadata {key} is {forged!r}" in capsys.readouterr().err
 
     def test_ecdf_errors_name_their_stage(self, tmp_path, capsys):
         path = tmp_path / "tiny.hex"

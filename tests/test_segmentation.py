@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import segmentation_of
 from oracles import heuristic_boundaries_reference
 from typeclust.errors import AnalysisError, InconsistentGroundTruthError, MissingMessageError
 from typeclust.segmentation import (
     HEURISTIC_NAME,
-    Segment,
+    Segmentation,
     filter_analyzable,
     import_segmentation,
-    save_segmentation,
     segment_heuristic,
 )
 from typeclust.traceio import Message
@@ -23,6 +24,16 @@ from typeclust.traceio import Message
 
 def messages_from(payloads):
     return [Message(i, p, i) for i, p in enumerate(payloads)]
+
+
+def rows(seg: Segmentation) -> list[tuple]:
+    """(message, offset, length, bytes, truth type) of every segment."""
+    truth = [None] * len(seg) if seg.truth is None else seg.truth.tolist()
+    return [
+        (m, o, n, seg.data[a : a + n], t)
+        for m, o, n, a, t in zip(seg.message.tolist(), seg.offset.tolist(),
+                                 seg.length.tolist(), seg.start.tolist(), truth)
+    ]
 
 
 class TestImportSegmentation:
@@ -43,12 +54,12 @@ class TestImportSegmentation:
             },
         )
         seg = import_segmentation(messages, path)
-        assert [(s.offset, s.length, s.truth_type) for s in seg.segments] == [
+        assert [(o, n, t) for _, o, n, _, t in rows(seg)] == [
             (0, 1, "flag"),
             (1, 2, "id"),
         ]
-        assert {s.message_id for s in seg.segments} == {0}
-        assert all(s.bytes == messages[0].payload[s.offset : s.offset + s.length] for s in seg.segments)
+        assert {m for m, *_ in rows(seg)} == {0}
+        assert all(b == messages[0].payload[o : o + n] for _, o, n, b, _ in rows(seg))
 
     def test_import_by_index(self, tmp_path):
         messages = messages_from([b"\x10\x20"])
@@ -57,7 +68,7 @@ class TestImportSegmentation:
             {"messages": [{"index": 0, "fields": [{"len": 2, "type": "word"}]}]},
         )
         seg = import_segmentation(messages, path)
-        assert seg.segments[0].truth_type == "word"
+        assert seg.truth[0] == "word"
 
     def test_length_mismatch_names_message(self, tmp_path):
         messages = messages_from([b"\x01\x02\x03"])
@@ -128,23 +139,13 @@ class TestImportSegmentation:
         with pytest.raises(InconsistentGroundTruthError, match="segmenter must be a string"):
             import_segmentation(messages_from([b"\x01\x02"]), path)
 
-    def test_round_trip_export_import(self, tmp_path):
-        messages = messages_from([b"\x00\x01\x02\x03", b"abcdef"])
-        original = segment_heuristic(messages)
-        path = tmp_path / "seg.json"
-        save_segmentation(original, messages, path)
-        reloaded = import_segmentation(messages, path)
-        assert reloaded.segments == original.segments
-        assert {s.message_id for s in reloaded.segments} == {0, 1}
-        assert reloaded.segmenter_name == original.segmenter_name
-
     def test_null_type_stays_none(self, tmp_path):
         messages = messages_from([b"\x01\x02"])
         path = self.write(
             tmp_path, {"messages": [{"payload": "0102", "fields": [{"len": 2, "type": None}]}]}
         )
         seg = import_segmentation(messages, path)
-        assert seg.segments[0].truth_type is None
+        assert seg.truth[0] is None
 
 
 JSON = st.recursive(
@@ -177,26 +178,26 @@ def test_arbitrary_json_raises_only_analysis_errors(tmp_path, doc):
     except AnalysisError:
         return
     assert isinstance(seg.segmenter_name, str)
-    for message_id in {s.message_id for s in seg.segments}:
-        own = sorted((s for s in seg.segments if s.message_id == message_id), key=lambda s: s.offset)
-        assert b"".join(s.bytes for s in own) == messages[message_id].payload
+    for message_id in set(seg.message.tolist()):
+        own = sorted((r for r in rows(seg) if r[0] == message_id), key=lambda r: r[1])
+        assert b"".join(r[3] for r in own) == messages[message_id].payload
 
 
 class TestHeuristicSegmenter:
     def test_uniform_payload_is_single_segment(self):
         seg = segment_heuristic(messages_from([bytes([7] * 8)]))
-        assert [(s.offset, s.length) for s in seg.segments] == [(0, 8)]
+        assert [(o, n) for _, o, n, _, _ in rows(seg)] == [(0, 8)]
         assert seg.segmenter_name == HEURISTIC_NAME
 
     def test_texture_transition_example(self):
         # two zero bytes then the printable run "abcd"
         seg = segment_heuristic(messages_from([bytes.fromhex("000061626364")]))
-        assert [(s.offset, s.length) for s in seg.segments] == [(0, 2), (2, 4)]
+        assert [(o, n) for _, o, n, _, _ in rows(seg)] == [(0, 2), (2, 4)]
 
     def test_alternating_bytes_match_rule_oracle(self):
         payload = bytes([0x00, 0xFF] * 6)
         seg = segment_heuristic(messages_from([payload]))
-        cuts = [s.offset for s in seg.segments][1:]
+        cuts = seg.offset.tolist()[1:]
         assert cuts == heuristic_boundaries_reference(payload)
 
     def test_random_payloads_match_rule_oracle(self, rng):
@@ -204,7 +205,7 @@ class TestHeuristicSegmenter:
             length = int(rng.integers(1, 40))
             payload = bytes(rng.integers(0, 256, size=length).tolist())
             seg = segment_heuristic(messages_from([payload]))
-            cuts = [s.offset for s in seg.segments][1:]
+            cuts = seg.offset.tolist()[1:]
             assert cuts == heuristic_boundaries_reference(payload), payload.hex()
 
     def test_tiling_invariant(self, rng):
@@ -212,38 +213,27 @@ class TestHeuristicSegmenter:
         messages = messages_from(payloads)
         seg = segment_heuristic(messages)
         for message in messages:
-            own = sorted(
-                (s for s in seg.segments if s.message_id == message.id), key=lambda s: s.offset
-            )
-            assert own[0].offset == 0
-            assert sum(s.length for s in own) == len(message.payload)
+            own = sorted((r for r in rows(seg) if r[0] == message.id), key=lambda r: r[1])
+            assert own[0][1] == 0
+            assert sum(r[2] for r in own) == len(message.payload)
             for left, right in zip(own, own[1:]):
-                assert left.offset + left.length == right.offset
-            assert b"".join(s.bytes for s in own) == message.payload
+                assert left[1] + left[2] == right[1]
+            assert b"".join(r[3] for r in own) == message.payload
 
     def test_deterministic(self):
         messages = messages_from([b"\x00\x00abc\xff\xfe\x01", b"xy\x00\x00\x00z"])
-        assert segment_heuristic(messages) == segment_heuristic(messages)
+        assert rows(segment_heuristic(messages)) == rows(segment_heuristic(messages))
 
 
 class TestFilterAnalyzable:
     def test_one_byte_segments_dropped(self):
-        segs = [
-            Segment(0, 0, 1, b"\x01"),
-            Segment(0, 1, 2, b"\x02\x03"),
-            Segment(0, 3, 3, b"\x04\x05\x06"),
-            Segment(0, 6, 1, b"\x07"),
-        ]
-        from typeclust.segmentation import Segmentation
-
-        kept = filter_analyzable(Segmentation(segs, "test"))
-        assert [s.length for s in kept] == [2, 3]
+        segs = segmentation_of(*((0, 0, bytes(n), None) for n in (1, 2, 3, 1)))
+        kept = filter_analyzable(segs)
+        assert kept.length.tolist() == [2, 3]
 
     def test_all_one_byte_yields_empty(self):
-        from typeclust.segmentation import Segmentation
-
-        segs = [Segment(0, i, 1, bytes([i])) for i in range(4)]
-        assert filter_analyzable(Segmentation(segs, "test")) == []
+        segs = segmentation_of(*[(0, 0, b"\x01", None)] * 4)
+        assert len(filter_analyzable(segs)) == 0
 
     def test_excluded_byte_accounting_matches_ground_truth(self, tmp_path):
         # messages with known one-byte true fields
@@ -258,8 +248,27 @@ class TestFilterAnalyzable:
         path.write_text(json.dumps(doc))
         seg = import_segmentation(messages, path)
         kept = filter_analyzable(seg)
-        excluded = [s for s in seg.segments if s.length == 1]
+        excluded = seg.length[seg.length == 1]
         one_byte_true_fields = 2  # recount from the ground truth above
         assert len(excluded) == one_byte_true_fields
-        assert sum(s.length for s in excluded) == one_byte_true_fields
-        assert len(kept) == len(seg.segments) - one_byte_true_fields
+        assert excluded.sum() == one_byte_true_fields
+        assert len(kept) == len(seg) - one_byte_true_fields
+
+
+# bytes at the texture class edges, so class changes and delta turns are common
+_BYTE = st.sampled_from([0x00, 0x01, 0x1F, 0x20, 0x41, 0x7E, 0x7F, 0x80, 0xFF]) | st.integers(0, 255)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads=st.lists(st.lists(_BYTE, min_size=1, max_size=24).map(bytes),
+                         min_size=1, max_size=8))
+def test_array_segmenter_matches_reference_cuts(payloads):
+    messages = messages_from(payloads)
+    seg = segment_heuristic(messages)
+    for message in messages:
+        own = seg.message == message.id
+        assert seg.offset[own].tolist() == [0] + heuristic_boundaries_reference(message.payload)
+    # the segments tile the joined payloads in message order
+    assert seg.data == b"".join(payloads)
+    assert seg.start.tolist() == (np.cumsum(seg.length) - seg.length).tolist()
+    assert seg.length.sum() == len(seg.data)
