@@ -66,7 +66,6 @@ from .segmentation import (
     segment_heuristic,
 )
 from .traceio import (
-    Message,
     ProtocolFilter,
     RawTrace,
     deduplicate,

@@ -30,7 +30,6 @@ MAX_RETRIMS = 3
 class EcdfCurve:
     """Step curve of sorted samples; ys jump by exactly 1/n per sample."""
 
-    k: int
     xs: np.ndarray
     ys: np.ndarray
 
@@ -78,13 +77,13 @@ def knn_dissimilarities(matrix: DissimilarityMatrix, k: int) -> np.ndarray:
     return matrix.nearest(max(k, round_ln(n)))[:, k - 1].copy()  # round_ln(n) <= n - 1
 
 
-def ecdf(samples, k: int = 1) -> EcdfCurve:
+def ecdf(samples) -> EcdfCurve:
     """Empirical CDF of the samples: xs sorted, ys[i] = (i+1)/n."""
     xs = np.sort(np.asarray(samples, dtype=np.float64))
     if xs.size == 0:
         raise ValueError("ecdf needs at least one sample")
     ys = np.arange(1, xs.size + 1, dtype=np.float64) / xs.size
-    return EcdfCurve(k, xs, ys)
+    return EcdfCurve(xs, ys)
 
 
 def smooth_spline(curve: EcdfCurve) -> SmoothCurve:
@@ -131,22 +130,16 @@ def kneedle(curve: SmoothCurve) -> float:
     y_norm = (ys - ys.min()) / y_span
     diff = y_norm - x_norm
 
-    maxima = [
-        i
-        for i in range(1, diff.size - 1)
-        if diff[i] > diff[i - 1] and diff[i] >= diff[i + 1]
-    ]
-    if not maxima:
+    maxima = np.flatnonzero((diff[1:-1] > diff[:-2]) & (diff[1:-1] >= diff[2:])) + 1
+    if not maxima.size:
         raise NoKneeError("difference curve has no local maxima")
 
     spacing = float(np.mean(np.diff(x_norm)))
-    confirmed = []
-    for position, index in enumerate(maxima):
-        threshold = diff[index] - KNEEDLE_SENSITIVITY * spacing
-        end = maxima[position + 1] if position + 1 < len(maxima) else diff.size
-        if np.any(diff[index + 1 : end] < threshold):
-            confirmed.append(index)
-    if not confirmed:
+    # the stretch after a maximum runs up to and including the next one, which
+    # is never that stretch's minimum: the point before it is lower
+    lowest = np.minimum.reduceat(diff, maxima + 1)
+    confirmed = maxima[lowest < diff[maxima] - KNEEDLE_SENSITIVITY * spacing]
+    if not confirmed.size:
         raise NoKneeError("no candidate knee fell below its sensitivity threshold")
     return float(xs[confirmed[-1]])
 
@@ -167,8 +160,7 @@ def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
     k_max = round_ln(n)
     smoothed: list[tuple[int, SmoothCurve]] = []
     for k in range(2, k_max + 1):
-        curve = ecdf(knn_dissimilarities(matrix, k), k)
-        smoothed.append((k, smooth_spline(curve)))
+        smoothed.append((k, smooth_spline(ecdf(knn_dissimilarities(matrix, k)))))
 
     sharpness = [float(np.max(np.diff(sc.ys))) if sc.ys.size > 1 else 0.0 for _, sc in smoothed]
     best = int(np.argmax(sharpness))  # first occurrence wins: smaller k on ties
@@ -207,8 +199,7 @@ def retrim_epsilon(matrix: DissimilarityMatrix, previous: AutoConfig, clustering
     if trimmed.size < MIN_ANALYSIS_VALUES:
         logger.warning("re-trim skipped: only %d dissimilarities below the knee", trimmed.size)
         return replace(previous, retrim_failed=True)
-    curve = ecdf(trimmed, previous.chosen_k)
-    smoothed = smooth_spline(curve)
+    smoothed = smooth_spline(ecdf(trimmed))
     if smoothed.degenerate or smoothed.xs.size < 10:
         logger.warning("re-trim skipped: trimmed curve is degenerate")
         return replace(previous, retrim_failed=True)
@@ -231,8 +222,7 @@ def ecdf_rows(matrix: DissimilarityMatrix) -> list[tuple[int, float, float, floa
     rows: list[tuple[int, float, float, float]] = []
     for k in range(2, round_ln(n) + 1):
         samples = np.sort(knn_dissimilarities(matrix, k))
-        curve = ecdf(samples, k)
-        sc = smooth_spline(curve)
+        sc = smooth_spline(ecdf(samples))
         raw = np.searchsorted(samples, sc.xs, side="right") / samples.size
         rows.extend(
             (k, float(x), float(yr), float(ys))

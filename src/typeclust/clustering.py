@@ -5,8 +5,8 @@ Point i is a core point iff at least min_samples matrix entries of row i
 components of the graph of core points joined by closed epsilon-balls
 (Schubert et al., DBSCAN Revisited, Revisited, TODS 2017), with non-core
 points attached to the lowest-index core that reaches them; everything
-else is noise. Cluster ids follow the lowest member index, which makes
-labels stable for a fixed input order.
+else is noise. A cluster's id is its position in ``Clustering.clusters``,
+which is ordered by lowest member, so ids are stable for a fixed input order.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ class ClusterStats:
 
 @dataclass
 class Cluster:
-    id: int
     members: list[int]  # SegmentValue indices, ascending
     stats: ClusterStats | None = None  # None until ensure_stats measures it
 
 
 @dataclass
 class Clustering:
-    clusters: list[Cluster]
+    clusters: list[Cluster]  # ordered by lowest member
     noise: list[int]
 
 
@@ -62,24 +61,6 @@ def ensure_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats:
     if cluster.stats is None:
         cluster.stats = cluster_stats(matrix, cluster)
     return cluster.stats
-
-
-def _ordered_clusters(member_sets: list[list[int]]) -> list[Cluster]:
-    ordered = sorted((sorted(m) for m in member_sets), key=lambda m: m[0])
-    return [Cluster(cid, members) for cid, members in enumerate(ordered)]
-
-
-def normalize_clusters(matrix: DissimilarityMatrix, member_sets: list[list[int]], noise: list[int],
-                       known: dict[tuple[int, ...], ClusterStats] | None = None) -> Clustering:
-    """Sort members, order clusters by lowest member, and fill in stats.
-
-    Stats of a member set found in ``known`` are reused; the rest are measured.
-    """
-    clusters = _ordered_clusters(member_sets)
-    known = known or {}
-    for cluster in clusters:
-        cluster.stats = known.get(tuple(cluster.members)) or cluster_stats(matrix, cluster)
-    return Clustering(clusters, sorted(noise))
 
 
 def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clustering:
@@ -111,5 +92,7 @@ def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clu
 
     order = np.argsort(labels, kind="stable")  # noise (-1) first, ascending within a label
     noise, *member_sets = np.split(order, np.searchsorted(labels[order], np.arange(count)))
+    # a border point may sit below its cluster's lowest core, so order again;
     # stats are left to ensure_stats: a re-trim may discard this clustering
-    return Clustering(_ordered_clusters([m.tolist() for m in member_sets]), noise.tolist())
+    clusters = sorted((Cluster(m.tolist()) for m in member_sets), key=lambda c: c.members[0])
+    return Clustering(clusters, noise.tolist())

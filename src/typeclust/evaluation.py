@@ -18,7 +18,6 @@ from .clustering import Clustering
 from .dissimilarity import SegmentValue
 from .errors import EvaluationUnavailableError
 from .segmentation import Segmentation
-from .traceio import Message
 
 DEFAULT_BETA = 0.25
 
@@ -156,10 +155,10 @@ def f_beta(precision: float, recall: float, beta: float = DEFAULT_BETA) -> float
 
 
 def coverage(
-    messages: list[Message], values: list[SegmentValue], clustering: Clustering
+    messages: list[bytes], values: list[SegmentValue], clustering: Clustering
 ) -> float:
     """Clustered bytes (all segment instances) over all trace bytes."""
-    denominator = sum(len(m.payload) for m in messages)
+    denominator = sum(len(m) for m in messages)
     if denominator == 0:
         return 0.0
     inferred = sum(
@@ -171,7 +170,7 @@ def coverage(
 
 
 def evaluate_clustering(
-    messages: list[Message],
+    messages: list[bytes],
     segments: Segmentation,
     values: list[SegmentValue],
     clustering: Clustering,

@@ -5,7 +5,7 @@ for a fixed input and configuration."""
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import autoconf as ac
@@ -51,7 +51,7 @@ class PipelineResult:
     """Report plus the intermediate artifacts, for library callers."""
 
     report: AnalysisReport
-    messages: list[tio.Message]
+    messages: list[bytes]  # de-duplicated payloads; a message's id is its index
     segmentation: sg.Segmentation  # the analyzable segments, which ``values`` index
     values: list[dm.SegmentValue]
     matrix: dm.DissimilarityMatrix
@@ -69,7 +69,7 @@ def _stage(name: str):
         raise PipelineStageError(name, exc) from exc
 
 
-def prepare_messages(config: PipelineConfig) -> tuple[tio.RawTrace, list[tio.Message]]:
+def prepare_messages(config: PipelineConfig) -> tuple[tio.RawTrace, list[bytes]]:
     """Load, de-duplicate, and truncate; the limit applies after dedup."""
     if config.format == "pcap":
         trace = tio.load_pcap(config.input, tio.ProtocolFilter.parse(config.filter))
@@ -83,9 +83,7 @@ def prepare_messages(config: PipelineConfig) -> tuple[tio.RawTrace, list[tio.Mes
     return trace, messages
 
 
-def build_segmentation(
-    config: PipelineConfig, messages: list[tio.Message]
-) -> sg.Segmentation:
+def build_segmentation(config: PipelineConfig, messages: list[bytes]) -> sg.Segmentation:
     if config.segmenter == "heuristic":
         return sg.segment_heuristic(messages)
     if config.segmenter == "import":
@@ -97,7 +95,7 @@ def build_segmentation(
 
 def _load_values(
     config: PipelineConfig, truth_path: str | None = None
-) -> tuple[tio.RawTrace, list[tio.Message], sg.Segmentation, sg.Segmentation,
+) -> tuple[tio.RawTrace, list[bytes], sg.Segmentation, sg.Segmentation,
            list[dm.SegmentValue]]:
     """The load, segment and values stages that every command shares.
 
@@ -186,24 +184,14 @@ def write_ecdf_csv(matrix: dm.DissimilarityMatrix, path: str) -> None:
 def round_metrics(metrics: ev.Metrics | None) -> ev.Metrics | None:
     if metrics is None:
         return None
-    return ev.Metrics(
-        tp=metrics.tp,
-        fp=metrics.fp,
-        fn=metrics.fn,
-        tn_plus_fn=metrics.tn_plus_fn,
-        tn=metrics.tn,
-        precision=sig6(metrics.precision),
-        recall=sig6(metrics.recall),
-        f_score=sig6(metrics.f_score),
-        beta=metrics.beta,
-        coverage=sig6(metrics.coverage),
-    )
+    return replace(metrics, precision=sig6(metrics.precision), recall=sig6(metrics.recall),
+                   f_score=sig6(metrics.f_score), coverage=sig6(metrics.coverage))
 
 
 def build_report(
     config: PipelineConfig,
     trace: tio.RawTrace,
-    messages: list[tio.Message],
+    messages: list[bytes],
     segmentation: sg.Segmentation,
     analyzable: sg.Segmentation,
     values: list[dm.SegmentValue],
@@ -225,7 +213,7 @@ def build_report(
         "segments": len(segmentation),
         "excluded_one_byte_segments": len(segmentation) - len(analyzable),
         "unique_values": len(values),
-        "total_bytes": sum(len(m.payload) for m in messages),
+        "total_bytes": sum(len(m) for m in messages),
         "epsilon": sig6(auto.epsilon),
         "knee": sig6(auto.epsilon),  # epsilon is the knee
         "chosen_k": auto.chosen_k,
@@ -248,7 +236,7 @@ def build_report(
     }
     clusters = [
         {
-            "id": cluster.id,
+            "id": cid,
             "values": [values[m].bytes.hex() for m in cluster.members],
             "counts": [len(values[m].members) for m in cluster.members],
             "stats": {
@@ -257,7 +245,7 @@ def build_report(
                 "d_max": sig6(cluster.stats.d_max),
             },
         }
-        for cluster in result.clusters
+        for cid, cluster in enumerate(result.clusters)
     ]
     noise = [values[m].bytes.hex() for m in result.noise]
     return AnalysisReport(metadata, clusters, noise, round_metrics(metrics))
@@ -275,9 +263,11 @@ def evaluate_report(
     segmenter was the import of that truth, by byte overlap otherwise), and
     the report's clusters are mapped back onto unique values by hex content.
     The report must match the re-derived run: its ``messages``,
-    ``unique_values`` and ``segmenter`` metadata, and its clusters plus noise
-    listing every re-derived value exactly once. The first mismatch raises
-    AnalysisError.
+    ``unique_values`` and ``segmenter`` metadata, its clusters plus noise
+    listing every re-derived value exactly once, and each cluster's
+    ``counts`` giving its values' occurrences. The first mismatch raises
+    AnalysisError. ``stats`` and ``epsilon`` would need the matrix, so they
+    are not checked.
     """
     _, messages, segmentation, analyzable, values = _load_values(config, truth_path)
     with _stage("evaluate"):
@@ -308,13 +298,23 @@ def evaluate_report(
                     raise AnalysisError(f"report value {hex_value} is listed more than once")
                 assigned.add(index)
                 found.append(index)
-            return sorted(found)
+            return found
 
-        member_sets = [indices(cluster["values"]) for cluster in report.clusters]
-        noise = indices(report.noise)
+        member_sets = []
+        for cid, cluster in enumerate(report.clusters):
+            members = indices(cluster["values"])
+            counts = [len(values[i].members) for i in members]
+            if len(cluster["counts"]) != len(counts):
+                raise AnalysisError(f"report cluster {cid} has {len(cluster['counts'])} "
+                                    f"counts for {len(counts)} values")
+            for hex_value, listed, count in zip(cluster["values"], cluster["counts"], counts):
+                if listed != count:
+                    raise AnalysisError(f"report cluster {cid} counts {hex_value} {listed} "
+                                        f"times, the re-derived run {count} times")
+            member_sets.append(sorted(members))
+        noise = sorted(indices(report.noise))
         if len(assigned) != len(values):
             missing = next(v for i, v in enumerate(values) if i not in assigned)
             raise AnalysisError(f"re-derived value {missing.bytes.hex()} is not in the report")
-        clusters = [cl.Cluster(i, m) for i, m in enumerate(member_sets)]
-        clustering = cl.Clustering(clusters, noise)
+        clustering = cl.Clustering([cl.Cluster(m) for m in member_sets], noise)
         return ev.evaluate_clustering(messages, analyzable, values, clustering)

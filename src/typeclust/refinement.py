@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .clustering import Cluster, Clustering, ensure_stats, normalize_clusters
+from .clustering import Cluster, Clustering, ensure_stats
 from .dissimilarity import DissimilarityMatrix
 
 EPS_RHO_THRESHOLD = 0.01  # condition 1: |rho_i - rho_j| must stay below this
@@ -97,12 +97,13 @@ def condition2(
 def merge_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clustering:
     """Merge qualifying cluster pairs until a fixpoint is reached.
 
-    Pairs are scanned in ascending id order; after each merge the clusters
-    are renumbered and the scan restarts, so the result is deterministic.
-    A pair's verdict depends only on its two member sets, so it is kept
-    and each restart evaluates only the pairs with the merged cluster.
+    Pairs are scanned in ascending id order; after each merge the merged
+    cluster takes its place by lowest member and the scan restarts, so the
+    result is deterministic. A pair's verdict depends only on its two member
+    sets, so it is kept and each restart evaluates only the pairs with the
+    merged cluster. Unmerged clusters are passed on as they are, stats included.
     """
-    clusters = [Cluster(c.id, list(c.members), c.stats) for c in clustering.clusters]
+    clusters = list(clustering.clusters)
     verdicts: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
     while True:
         keys = [tuple(c.members) for c in clusters]
@@ -123,10 +124,9 @@ def merge_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clusterin
         if hit is None:
             break
         a, b = hit
-        member_sets = [c.members for i, c in enumerate(clusters) if i not in hit]
-        member_sets.append(sorted(clusters[a].members + clusters[b].members))
-        known = {key: c.stats for key, c in zip(keys, clusters) if c.stats is not None}
-        clusters = normalize_clusters(matrix, member_sets, clustering.noise, known).clusters
+        merged = Cluster(sorted(clusters[a].members + clusters[b].members))
+        clusters = [c for i, c in enumerate(clusters) if i not in hit] + [merged]
+        clusters.sort(key=lambda c: c.members[0])
     return Clustering(clusters, list(clustering.noise))
 
 
@@ -137,8 +137,9 @@ def split_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clusterin
     cluster's segment count, a cluster splits at the pivot F when the
     percent rank of counts strictly below F exceeds the split percentile
     and the population standard deviation of the counts exceeds F.
+    Unsplit clusters are passed on as they are, stats included.
     """
-    member_sets: list[list[int]] = []
+    clusters: list[Cluster] = []
     for cluster in clustering.clusters:
         counts = np.array(
             [len(matrix.values[m].members) for m in cluster.members], dtype=np.float64
@@ -151,9 +152,8 @@ def split_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clusterin
             low = [m for m, c in zip(cluster.members, counts) if c <= pivot]
             high = [m for m, c in zip(cluster.members, counts) if c > pivot]
             if low and high:
-                member_sets.append(low)
-                member_sets.append(high)
+                clusters += [Cluster(low), Cluster(high)]
                 continue
-        member_sets.append(list(cluster.members))
-    known = {tuple(c.members): c.stats for c in clustering.clusters if c.stats is not None}
-    return normalize_clusters(matrix, member_sets, clustering.noise, known)
+        clusters.append(cluster)
+    clusters.sort(key=lambda c: c.members[0])
+    return Clustering(clusters, list(clustering.noise))

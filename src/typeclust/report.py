@@ -50,10 +50,15 @@ class AnalysisReport:
                 isinstance(c, dict)
                 and isinstance(c.get("values"), list)
                 and all(isinstance(v, str) for v in c["values"])
+                and isinstance(c.get("counts"), list)
+                and all(isinstance(n, int) and not isinstance(n, bool) for n in c["counts"])
                 for c in doc["clusters"]
             )
         ):
-            raise ValueError("expected an object with metadata, clusters of hex values, and noise")
+            raise ValueError(
+                "expected an object with metadata, clusters of hex values with integer "
+                "counts, and noise"
+            )
         metrics = doc.get("metrics")
         if metrics is not None and not (isinstance(metrics, dict) and set(metrics) == _METRIC_KEYS):
             raise ValueError(f"metrics must be null or an object with keys {sorted(_METRIC_KEYS)}")

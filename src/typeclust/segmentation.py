@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InconsistentGroundTruthError, MissingMessageError
-from .traceio import Message
 
 HEURISTIC_NAME = "delta-texture-v1"
 
@@ -29,7 +28,7 @@ class Segmentation:
     """Field candidates as parallel arrays in (message, offset) order.
 
     ``data`` is the messages' payloads joined in list order, and ``start``
-    is each segment's first byte in it; ``message`` (the message id),
+    is each segment's first byte in it; ``message`` (the message's index),
     ``offset`` and ``length`` place the segment in its message. ``truth``
     holds each segment's true field type (a string, or None where the truth
     names none), and is None when the segmenter knows no types.
@@ -47,14 +46,13 @@ class Segmentation:
         return len(self.start)
 
 
-def _joined(messages: list[Message]) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
-    """Joined payloads, and per message its id, first byte in them and size."""
-    sizes = np.array([len(m.payload) for m in messages], dtype=np.int64)
-    ids = np.array([m.id for m in messages], dtype=np.int64)
-    return b"".join(m.payload for m in messages), ids, np.cumsum(sizes) - sizes, sizes
+def _joined(messages: list[bytes]) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """Joined payloads, and per message its first byte in them and its size."""
+    sizes = np.array([len(m) for m in messages], dtype=np.int64)
+    return b"".join(messages), np.cumsum(sizes) - sizes, sizes
 
 
-def segment_heuristic(messages: list[Message]) -> Segmentation:
+def segment_heuristic(messages: list[bytes]) -> Segmentation:
     """Deterministic built-in segmenter, one array pass over the whole trace.
 
     Two rules place a boundary before position i of a message:
@@ -65,7 +63,7 @@ def segment_heuristic(messages: list[Message]) -> Segmentation:
          and the texture class changes at i.
     Message starts mask every comparison that would reach into a neighbour.
     """
-    data, ids, first, sizes = _joined(messages)
+    data, first, sizes = _joined(messages)
     payload = np.frombuffer(data, dtype=np.uint8)
     owner = np.repeat(np.arange(len(messages)), sizes)
     local = np.arange(payload.size) - first[owner]  # position inside the message
@@ -84,14 +82,14 @@ def segment_heuristic(messages: list[Message]) -> Segmentation:
 
     start = np.flatnonzero((local == 0) | change & (run_of_two | turn))
     length = np.diff(start, append=payload.size)
-    return Segmentation(HEURISTIC_NAME, data, ids[owner[start]], local[start], length, start)
+    return Segmentation(HEURISTIC_NAME, data, owner[start], local[start], length, start)
 
 
 def _is_field(obj) -> bool:
     return isinstance(obj, dict) and "len" in obj and isinstance(obj.get("type"), (str, type(None)))
 
 
-def import_segmentation(messages: list[Message], path: str | Path) -> Segmentation:
+def import_segmentation(messages: list[bytes], path: str | Path) -> Segmentation:
     """Load a segmentation from its JSON interchange format.
 
     Entries address messages either by ``payload`` (hex) or by ``index``;
@@ -110,9 +108,9 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
     name = doc.get("segmenter", "imported")
     if not isinstance(name, str):
         raise InconsistentGroundTruthError(f"{path}: segmenter must be a string, got {name!r}")
-    index_of = {m.payload: i for i, m in enumerate(messages)}
+    index_of = {payload: i for i, payload in enumerate(messages)}
 
-    field_messages: list[int] = []  # per field: its message's index in ``messages``
+    field_messages: list[int] = []  # per field: its message's index
     field_offsets: list[int] = []
     field_lengths: list[int] = []
     field_types: list[str | None] = []
@@ -145,27 +143,26 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
                 raise MissingMessageError(f"no message with index {index!r}")
         else:
             raise MissingMessageError(f"entry {entry!r} has neither payload nor index")
-        message = messages[index]
-        if message.id in covered:
+        if index in covered:
             raise InconsistentGroundTruthError(
-                f"message {message.id} is described by more than one entry"
+                f"message {index} is described by more than one entry"
             )
 
         fields = entry.get("fields")
         if not isinstance(fields, list) or not all(_is_field(f) for f in fields):
             raise InconsistentGroundTruthError(
-                f"message {message.id}: entry needs a 'fields' list of "
+                f"message {index}: entry needs a 'fields' list of "
                 "{'len': int, 'type': str|null} objects"
             )
         lengths = [f["len"] for f in fields]
         if any(not isinstance(l, int) or isinstance(l, bool) or l < 1 for l in lengths):
             raise InconsistentGroundTruthError(
-                f"message {message.id}: field lengths must be positive integers, got {lengths}"
+                f"message {index}: field lengths must be positive integers, got {lengths}"
             )
-        if sum(lengths) != len(message.payload):
+        if sum(lengths) != len(messages[index]):
             raise InconsistentGroundTruthError(
-                f"message {message.id}: field lengths sum to {sum(lengths)}, "
-                f"payload has {len(message.payload)} bytes"
+                f"message {index}: field lengths sum to {sum(lengths)}, "
+                f"payload has {len(messages[index])} bytes"
             )
         offset = 0
         for length in lengths:
@@ -174,15 +171,15 @@ def import_segmentation(messages: list[Message], path: str | Path) -> Segmentati
         field_messages += [index] * len(lengths)
         field_lengths += lengths
         field_types += [f.get("type") for f in fields]
-        covered.add(message.id)
+        covered.add(index)
 
-    data, ids, first, _ = _joined(messages)
+    data, first, _ = _joined(messages)
     owner = np.array(field_messages, dtype=np.int64)
     offsets = np.array(field_offsets, dtype=np.int64)
     start = first[owner] + offsets
     order = np.argsort(start, kind="stable")  # entries may come in any message order
     return Segmentation(
-        name, data, ids[owner][order], offsets[order],
+        name, data, owner[order], offsets[order],
         np.array(field_lengths, dtype=np.int64)[order], start[order],
         np.array(field_types, dtype=object)[order],
     )

@@ -52,21 +52,10 @@ class ProtocolFilter:
 
 @dataclass(frozen=True)
 class RawTrace:
-    """Filtered records of one capture, in original order."""
+    """Filtered payloads of one capture, in original order."""
 
-    source_path: str
-    link_type: str  # "ethernet" | "raw-payload"
-    records: tuple[tuple[float, bytes], ...]  # (timestamp, payload)
+    records: tuple[bytes, ...]
     skipped_fragments: int = 0
-
-
-@dataclass(frozen=True)
-class Message:
-    """A de-duplicated payload; ids are consecutive from 0 after dedup."""
-
-    id: int
-    payload: bytes
-    origin_record: int
 
 
 def load_pcap(path: str | Path, flt: ProtocolFilter) -> RawTrace:
@@ -95,33 +84,31 @@ def load_pcap(path: str | Path, flt: ProtocolFilter) -> RawTrace:
         )
 
     rec_header = struct.Struct(endian + "IIII")
-    records: list[tuple[float, bytes]] = []
+    records: list[bytes] = []
     fragments = 0
     offset = 24
     while offset < len(data):
         if offset + _RECORD_HEADER_LEN > len(data):
             logger.warning("%s: truncated record header at byte %d, stopping", path, offset)
             break
-        ts_sec, ts_usec, incl_len, _ = rec_header.unpack_from(data, offset)
+        _, _, incl_len, _ = rec_header.unpack_from(data, offset)
         offset += _RECORD_HEADER_LEN
         if offset + incl_len > len(data):
             logger.warning("%s: truncated packet data at byte %d, stopping", path, offset)
             break
         packet = data[offset : offset + incl_len]
         offset += incl_len
-        timestamp = ts_sec + ts_usec / 1e6
         if flt.transport == "raw":
             payload: bytes | None = packet
         else:
             payload, fragmented = _transport_payload(packet, flt)
             fragments += fragmented
         if payload:
-            records.append((timestamp, payload))
+            records.append(payload)
 
     if not records:
         raise EmptyTraceError(f"{path}: no packets match filter {flt}")
-    link = "raw-payload" if flt.transport == "raw" else "ethernet"
-    return RawTrace(str(path), link, tuple(records), fragments)
+    return RawTrace(tuple(records), fragments)
 
 
 def _transport_payload(packet: bytes, flt: ProtocolFilter) -> tuple[bytes | None, int]:
@@ -167,9 +154,9 @@ def load_hexlines(path: str | Path) -> RawTrace:
 
     Lines starting with ``#`` and blank lines are skipped, and whitespace
     inside a line is ignored, so ``aabb cc`` and ``aa bb cc`` are the same
-    three bytes; the record timestamp is the 1-based line number.
+    three bytes.
     """
-    records: list[tuple[float, bytes]] = []
+    records: list[bytes] = []
     # undecodable bytes pass as lone surrogates, so they are reported by line
     with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -185,10 +172,10 @@ def load_hexlines(path: str | Path) -> RawTrace:
                 payload = bytes.fromhex(digits)
             except ValueError:
                 raise HexParseError(f"non-hex character in {text!r}", lineno) from None
-            records.append((float(lineno), payload))
+            records.append(payload)
     if not records:
         raise EmptyTraceError(f"{path}: no messages found")
-    return RawTrace(str(path), "raw-payload", tuple(records))
+    return RawTrace(tuple(records))
 
 
 def write_hexlines(payloads: list[bytes] | tuple[bytes, ...], path: str | Path) -> None:
@@ -199,13 +186,9 @@ def write_hexlines(payloads: list[bytes] | tuple[bytes, ...], path: str | Path) 
             handle.write("\n")
 
 
-def deduplicate(trace: RawTrace) -> list[Message]:
-    """Keep the first occurrence of each distinct payload, in capture order."""
-    seen: set[bytes] = set()
-    messages: list[Message] = []
-    for index, (_, payload) in enumerate(trace.records):
-        if payload in seen:
-            continue
-        seen.add(payload)
-        messages.append(Message(id=len(messages), payload=payload, origin_record=index))
-    return messages
+def deduplicate(trace: RawTrace) -> list[bytes]:
+    """The first occurrence of each distinct payload, in capture order.
+
+    A message is its payload, and its id is its position in this list.
+    """
+    return list(dict.fromkeys(trace.records))

@@ -117,7 +117,7 @@ def two_blob_matrix(
 
 
 def cluster_of(members) -> Cluster:
-    return Cluster(id=0, members=sorted(members))
+    return Cluster(sorted(members))
 
 
 @pytest.fixture

@@ -232,3 +232,30 @@ def percent_rank_reference(counts, pivot) -> float:
 def population_std_reference(counts) -> float:
     mean = sum(counts) / len(counts)
     return math.sqrt(sum((c - mean) ** 2 for c in counts) / len(counts))
+
+
+def kneedle_reference(xs, ys, sensitivity=1.0):
+    """Rightmost confirmed Kneedle knee, one maximum at a time; None if none.
+
+    Normalizes both axes with numpy, as the package does, so the difference
+    curve has the same bits; the local maxima of y - x and their
+    confirmation are then scanned in a plain loop. ``xs`` must be at least
+    10 points long.
+    """
+    import numpy as np
+
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    x_span, y_span = xs[-1] - xs[0], ys.max() - ys.min()
+    if x_span <= 0 or y_span <= 0:
+        return None
+    x_norm = (xs - xs[0]) / x_span
+    diff = (ys - ys.min()) / y_span - x_norm
+    maxima = [i for i in range(1, diff.size - 1) if diff[i] > diff[i - 1] and diff[i] >= diff[i + 1]]
+    spacing = float(np.mean(np.diff(x_norm)))
+    confirmed = []
+    for position, index in enumerate(maxima):
+        threshold = diff[index] - sensitivity * spacing
+        end = maxima[position + 1] if position + 1 < len(maxima) else diff.size
+        if any(diff[j] < threshold for j in range(index + 1, end)):
+            confirmed.append(index)
+    return float(xs[confirmed[-1]]) if confirmed else None

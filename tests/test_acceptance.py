@@ -22,7 +22,7 @@ from oracles import naive_dbscan, pairwise_metrics
 from typeclust import pipeline as pl
 from typeclust.autoconf import SmoothCurve, kneedle, select_epsilon
 from typeclust.cli import main as cli_main
-from typeclust.clustering import Cluster, Clustering, dbscan, normalize_clusters
+from typeclust.clustering import Cluster, Clustering, dbscan
 from typeclust.dissimilarity import build_matrix, unique_values
 from typeclust.evaluation import evaluate_clustering, f_beta, value_labels
 from typeclust.refinement import merge_pass, split_pass
@@ -69,9 +69,7 @@ def test_criterion_1_metric_oracle_equivalence():
             member_sets = [m for m in member_sets if m]
             noise = [i for i, a in enumerate(assignment) if a == -1]
 
-            clustering = Clustering(
-                [Cluster(cid, m) for cid, m in enumerate(member_sets)], noise
-            )
+            clustering = Clustering([Cluster(m) for m in member_sets], noise)
             from typeclust.evaluation import (
                 contingency,
                 false_negatives,
@@ -156,7 +154,7 @@ def test_criterion_5_refinement_behavior():
         blob = np.triu(blob, 1)
         blob = blob + blob.T
         matrix = make_matrix(blob)
-        pre_split = normalize_clusters(matrix, [list(range(8)), list(range(8, 16))], [])
+        pre_split = Clustering([Cluster(list(range(8))), Cluster(list(range(8, 16)))], [])
         merged = merge_pass(matrix, pre_split)
         assert [c.members for c in merged.clusters] == [list(range(16))]
 
@@ -168,7 +166,7 @@ def test_criterion_5_refinement_behavior():
             + np.triu(rng.uniform(0.01, 0.05, size=(96, 96)), 1).T,
             member_counts=counts,
         )
-        single = normalize_clusters(values_matrix, [list(range(96))], [])
+        single = Clustering([Cluster(list(range(96)))], [])
         split = split_pass(values_matrix, single)
         pivot = math.log(sum(counts))
         low_side = [i for i, c in enumerate(counts) if c <= pivot]

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_matrix, two_blob_matrix, symmetric_random
+from oracles import kneedle_reference
 from typeclust.autoconf import (
+    KNEEDLE_SENSITIVITY,
     AutoConfig,
     EcdfCurve,
     SmoothCurve,
@@ -112,7 +114,7 @@ class TestSmoothSpline:
     def test_linear_ecdf_reproduced(self):
         n = 50
         xs = np.linspace(0.1, 0.9, n)
-        curve = EcdfCurve(2, xs, np.arange(1, n + 1) / n)
+        curve = EcdfCurve(xs, np.arange(1, n + 1) / n)
         smooth = smooth_spline(curve)
         reference = np.interp(smooth.xs, curve.xs, curve.ys)
         assert np.max(np.abs(smooth.ys - reference)) < 1e-3
@@ -120,7 +122,7 @@ class TestSmoothSpline:
 
     def test_two_plateau_curve_is_monotone(self):
         xs = np.concatenate([np.linspace(0.01, 0.05, 20), np.linspace(0.60, 0.70, 20)])
-        curve = EcdfCurve(2, xs, np.arange(1, 41) / 40)
+        curve = EcdfCurve(xs, np.arange(1, 41) / 40)
         smooth = smooth_spline(curve)
         assert np.all(np.diff(smooth.ys) >= 0)
         assert np.all(smooth.ys >= 0) and np.all(smooth.ys <= 1)
@@ -170,6 +172,41 @@ class TestKneedle:
         xs = np.full(20, 0.3)
         with pytest.raises(NoKneeError):
             kneedle(SmoothCurve(xs, np.linspace(0, 1, 20)))
+
+
+# rises with plateaus and repeated steps
+_RISES = st.sampled_from([0.0, 0.0, 0.001, 0.01, 0.1, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def monotone_curves(draw):
+    if draw(st.booleans()):
+        # integer steps of 0, 1 and 2 over a 2^k grid, with as many 0s as 2s:
+        # both axes span 2^k, so the difference curve is exact and a step of
+        # 1 makes a maximum tie with its right neighbour
+        span = 2 ** draw(st.integers(4, 6))
+        pairs = draw(st.integers(1, span // 2))
+        steps = [0] * pairs + [2] * pairs + [1] * (span - 2 * pairs)
+        ys = np.cumsum([0] + draw(st.permutations(steps))).astype(np.float64)
+        return SmoothCurve(np.arange(span + 1, dtype=np.float64), ys)
+    n = draw(st.integers(10, 120))
+    if draw(st.booleans()):
+        xs = np.linspace(0.0, 1.0, n)
+    else:
+        xs = np.cumsum(draw(st.lists(st.floats(0.001, 1.0), min_size=n, max_size=n)))
+    ys = np.cumsum(draw(st.lists(_RISES, min_size=n, max_size=n)))
+    return SmoothCurve(xs, ys)
+
+
+@settings(max_examples=400, deadline=None)
+@given(curve=monotone_curves())
+def test_kneedle_matches_loop_reference(curve):
+    expected = kneedle_reference(curve.xs, curve.ys, KNEEDLE_SENSITIVITY)
+    if expected is None:
+        with pytest.raises(NoKneeError):
+            kneedle(curve)
+    else:
+        assert kneedle(curve) == expected
 
 
 class TestSelectEpsilon:
@@ -334,7 +371,7 @@ def test_retrim_epsilon_is_invariant_under_relabelling(data, case):
     new_index = np.argsort(perm)
     relabelled = DissimilarityMatrix([matrix.values[p] for p in perm], matrix.d[np.ix_(perm, perm)])
     moved = Clustering(
-        [Cluster(c.id, sorted(int(new_index[m]) for m in c.members)) for c in clustering.clusters],
+        [Cluster(sorted(int(new_index[m]) for m in c.members)) for c in clustering.clusters],
         sorted(int(new_index[m]) for m in clustering.noise),
     )
     result = retrim_epsilon(relabelled, previous, moved)

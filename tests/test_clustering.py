@@ -63,7 +63,17 @@ class TestDbscan:
         np.fill_diagonal(d, 0.0)
         clustering = dbscan(make_matrix(d), epsilon=0.1, min_samples=2)
         assert [c.members for c in clustering.clusters] == [[0, 5], [2, 3]]
-        assert [c.id for c in clustering.clusters] == [0, 1]
+
+    def test_border_point_below_its_cores_orders_its_cluster(self):
+        # cores {1, 2, 3} form the first component, cores {4, 5, 6} the second;
+        # border 0 reaches only core 4, so the second cluster has the lowest member
+        d = np.full((7, 7), 1.0)
+        for group in ([1, 2, 3], [4, 5, 6]):
+            d[np.ix_(group, group)] = 0.05
+        d[0, 4] = d[4, 0] = 0.05
+        np.fill_diagonal(d, 0.0)
+        clustering = dbscan(make_matrix(d), epsilon=0.1, min_samples=3)
+        assert [c.members for c in clustering.clusters] == [[0, 4, 5, 6], [1, 2, 3]]
 
     def test_matches_naive_reference(self, rng):
         for trial in range(30):
@@ -156,6 +166,28 @@ class TestDbscanProperties:
         assert partition_of(dbscan(make_matrix(d), epsilon, min_samples)) == naive_dbscan(
             d, epsilon, min_samples
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.one_of(tied_matrices(), bridged_cliques()), data=st.data())
+    def test_permutation_keeps_noise_and_core_partition(self, case, data):
+        d, epsilon, min_samples = case
+        perm = np.array(data.draw(st.permutations(range(len(d))), label="perm"))
+        core = np.count_nonzero(d <= epsilon, axis=1) >= min_samples
+        base = dbscan(make_matrix(d), epsilon, min_samples)
+        moved = dbscan(make_matrix(d[np.ix_(perm, perm)]), epsilon, min_samples)
+        # member j of the permuted matrix is original index perm[j]
+        back = [[int(perm[m]) for m in c.members] for c in moved.clusters]
+        assert sorted(int(perm[m]) for m in moved.noise) == base.noise
+
+        def core_partition(member_sets):
+            return {frozenset(m for m in members if core[m]) for members in member_sets}
+
+        assert core_partition(back) == core_partition(c.members for c in base.clusters)
+        # a tie between cores goes to the lowest index, which the permutation
+        # may change, so a border point only needs a core of its cluster in reach
+        for members in back:
+            for point in members:
+                assert core[point] or any(core[m] and d[point, m] <= epsilon for m in members)
 
     def test_border_reachable_from_three_clusters(self):
         # three 5-cliques of cores; 15 lies exactly at epsilon from cores

@@ -27,7 +27,6 @@ from typeclust.evaluation import (
     value_labels,
 )
 from typeclust.segmentation import Segmentation, import_segmentation
-from typeclust.traceio import Message
 
 
 def tiled(sizes, tilings, labels=None) -> Segmentation:
@@ -41,7 +40,7 @@ def tiled(sizes, tilings, labels=None) -> Segmentation:
 
 
 def clustering_of(member_sets, noise=()):
-    clusters = [Cluster(i, sorted(m)) for i, m in enumerate(member_sets)]
+    clusters = [Cluster(sorted(m)) for m in member_sets]
     return Clustering(clusters, sorted(noise))
 
 
@@ -176,7 +175,7 @@ class TestValueLabels:
 class TestLabelByOverlap:
     def test_majority_overlap_and_earlier_tie(self, tmp_path):
         payload = b"\x01\x02\x03\x04\x05\x06"
-        messages = [Message(0, payload, 0)]
+        messages = [payload]
         doc = {
             "messages": [
                 {
@@ -206,13 +205,13 @@ class TestLabelByOverlap:
 
 class TestCoverage:
     def test_everything_clustered(self):
-        messages = [Message(0, b"\x01\x02\x03\x04", 0)]
+        messages = [b"\x01\x02\x03\x04"]
         values = unique_values(segmentation_of((0, 0, b"\x01\x02", "A"), (0, 2, b"\x03\x04", "B")))
         clustering = clustering_of([[0], [1]])
         assert coverage(messages, values, clustering) == 1.0
 
     def test_all_noise_is_zero(self):
-        messages = [Message(0, b"\x01\x02\x03\x04", 0)]
+        messages = [b"\x01\x02\x03\x04"]
         values = unique_values(segmentation_of((0, 0, b"\x01\x02", "A"), (0, 2, b"\x03\x04", "B")))
         clustering = clustering_of([], noise=[0, 1])
         assert coverage(messages, values, clustering) == 0.0
@@ -220,7 +219,7 @@ class TestCoverage:
     def test_byte_accounting_with_exclusions_and_duplicates(self):
         # two messages of 6 bytes; a one-byte field per message is excluded,
         # a duplicated 3-byte value is clustered, a 2-byte value is noise
-        messages = [Message(0, b"\x09AAABB", 0), Message(1, b"\x07AAACC", 1)]
+        messages = [b"\x09AAABB", b"\x07AAACC"]
         values = unique_values(segmentation_of(
             (0, 1, b"AAA", "x"), (1, 1, b"AAA", "x"), (0, 4, b"BB", "y"), (1, 4, b"CC", "y"),
         ))
@@ -232,7 +231,7 @@ class TestCoverage:
 
 class TestEvaluateClustering:
     def test_full_metrics_on_small_instance(self):
-        messages = [Message(i, bytes([i, i + 1, 7]), i) for i in range(4)]
+        messages = [bytes([i, i + 1, 7]) for i in range(4)]
         segs = segmentation_of(
             (0, 0, b"ab0", "A"), (1, 0, b"ab1", "A"), (2, 0, b"cd0", "B"), (3, 0, b"cd1", "B"),
         )
@@ -247,7 +246,7 @@ class TestEvaluateClustering:
 
     def test_relabeling_invariance(self, rng):
         labels, member_sets, noise = random_labeled_instance(rng)
-        messages = [Message(i, bytes([i, 250 - i]), i) for i in range(len(labels))]
+        messages = [bytes([i, 250 - i]) for i in range(len(labels))]
         segs = segmentation_of(*((i, 0, bytes([i, 250 - i]), labels[i]) for i in range(len(labels))))
         values = unique_values(segs)
         base = evaluate_clustering(messages, segs, values, clustering_of(member_sets, noise))

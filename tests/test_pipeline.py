@@ -62,7 +62,7 @@ class TestRun:
         path.write_text("\n".join(payloads) + "\n")
         config = pl.PipelineConfig(input=str(path), format="hex", limit=3)
         _, messages = pl.prepare_messages(config)
-        assert [m.payload.hex() for m in messages] == ["aa01", "bb02", "cc03"]
+        assert [m.hex() for m in messages] == ["aa01", "bb02", "cc03"]
 
     def test_empty_analysis_raises_stage_error(self, tmp_path):
         path = tmp_path / "tiny.hex"
@@ -313,6 +313,9 @@ class TestCli:
         "[1, 2]",
         '{"clusters": []}',
         '{"metadata": {}, "clusters": [{"values": [1]}], "noise": []}',
+        '{"metadata": {}, "clusters": [{"values": ["aabb"]}], "noise": []}',
+        '{"metadata": {}, "clusters": [{"values": ["aabb"], "counts": [1.5]}], "noise": []}',
+        '{"metadata": {}, "clusters": [{"values": ["aabb"], "counts": [true]}], "noise": []}',
         '{"metadata": {}, "clusters": [], "noise": [], "metrics": {"tp": 1}}',
     ])
     def test_evaluate_rejects_a_file_that_is_not_a_report(self, tmp_path, capsys, content):
@@ -384,6 +387,29 @@ class TestCli:
         report_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert self.run_cli(*argv) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("forgery", ["count", "dropped-count", "extra-count"])
+    def test_evaluate_rejects_a_report_whose_counts_differ(self, tmp_path, capsys, forgery):
+        doc, report_path, argv = self._analyzed(tmp_path, coverage_fixture)
+        cluster = doc["clusters"][0]
+        size, value, count = len(cluster["values"]), cluster["values"][0], cluster["counts"][0]
+        if forgery == "count":
+            cluster["counts"][0] = 999
+            cluster["stats"]["d_max"] = 42
+            doc["metadata"]["epsilon"] = 7
+        elif forgery == "dropped-count":
+            cluster["counts"].pop()
+        else:
+            cluster["counts"].append(1)
+        report_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.run_cli(*argv) == 1
+        message = {
+            "count": f"report cluster 0 counts {value} 999 times, the re-derived run {count} times",
+            "dropped-count": f"report cluster 0 has {size - 1} counts for {size} values",
+            "extra-count": f"report cluster 0 has {size + 1} counts for {size} values",
+        }[forgery]
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, forged", [

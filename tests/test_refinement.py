@@ -11,7 +11,7 @@ import pytest
 
 from conftest import make_matrix, symmetric_random
 from oracles import percent_rank_reference, population_std_reference
-from typeclust.clustering import Cluster, cluster_stats, normalize_clusters
+from typeclust.clustering import Cluster, Clustering, cluster_stats, ensure_stats
 from typeclust.refinement import (
     EPS_RHO_THRESHOLD,
     NEIGHBOR_DENSITY_THRESHOLD,
@@ -24,8 +24,9 @@ from typeclust.refinement import (
 )
 
 
-def clusters_from(matrix, member_sets, noise=()):
-    return normalize_clusters(matrix, [list(m) for m in member_sets], list(noise))
+def clusters_from(member_sets, noise=()):
+    """Clusters with sorted members, ordered by lowest member."""
+    return Clustering([Cluster(sorted(m)) for m in sorted(member_sets, key=min)], sorted(noise))
 
 
 def uniform_blob_matrix(n: int, low=0.005, high=0.065, seed=5) -> np.ndarray:
@@ -39,7 +40,7 @@ class TestLinkSegments:
     def test_singleton_clusters(self):
         d = np.array([[0.0, 0.37], [0.37, 0.0]])
         matrix = make_matrix(d)
-        clustering = clusters_from(matrix, [[0], [1]])
+        clustering = clusters_from([[0], [1]])
         link = link_segments(matrix, clustering.clusters[0], clustering.clusters[1])
         assert (link.s_link_ij, link.s_link_ji, link.d_link) == (0, 1, 0.37)
 
@@ -50,7 +51,7 @@ class TestLinkSegments:
         d[2, 3] = d[3, 2] = 0.05
         np.fill_diagonal(d, 0.0)
         matrix = make_matrix(d)
-        clustering = clusters_from(matrix, [[0, 1], [2, 3]])
+        clustering = clusters_from([[0, 1], [2, 3]])
         link = link_segments(matrix, clustering.clusters[0], clustering.clusters[1])
         assert (link.s_link_ij, link.s_link_ji) == (1, 2)
         assert link.d_link == 0.11
@@ -61,7 +62,7 @@ class TestLinkSegments:
             matrix = make_matrix(d)
             left = sorted(rng.choice(12, size=4, replace=False).tolist())
             right = sorted(set(range(12)) - set(left))[:5]
-            link = link_segments(matrix, Cluster(0, left), Cluster(1, right))
+            link = link_segments(matrix, Cluster(left), Cluster(right))
             best = min((d[a][b], a, b) for a in left for b in right)
             assert (link.d_link, link.s_link_ij, link.s_link_ji) == best
 
@@ -69,7 +70,7 @@ class TestLinkSegments:
         d = np.full((4, 4), 0.5)
         np.fill_diagonal(d, 0.0)
         matrix = make_matrix(d)
-        clustering = clusters_from(matrix, [[0, 1], [2, 3]])
+        clustering = clusters_from([[0, 1], [2, 3]])
         link = link_segments(matrix, clustering.clusters[0], clustering.clusters[1])
         assert (link.s_link_ij, link.s_link_ji) == (0, 2)
 
@@ -81,13 +82,13 @@ class TestEpsDensity:
         d[0, 2] = d[2, 0] = 0.03
         d[1, 2] = d[2, 1] = 0.05
         matrix = make_matrix(d)
-        cluster = Cluster(0, [0, 1, 2])
+        cluster = Cluster([0, 1, 2])
         assert eps_density(matrix, cluster, 0, eps=0.04) == pytest.approx(0.02)
 
     def test_empty_neighborhood_is_undefined(self):
         d = np.array([[0.0, 0.5], [0.5, 0.0]])
         matrix = make_matrix(d)
-        assert eps_density(matrix, Cluster(0, [0, 1]), 0, eps=0.1) is None
+        assert eps_density(matrix, Cluster([0, 1]), 0, eps=0.1) is None
 
     def test_random_matches_direct_median(self, rng):
         for _ in range(50):
@@ -99,7 +100,7 @@ class TestEpsDensity:
             inside = sorted(
                 d[anchor][m] for m in members if m != anchor and d[anchor][m] <= eps
             )
-            got = eps_density(matrix, Cluster(0, members), anchor, eps)
+            got = eps_density(matrix, Cluster(members), anchor, eps)
             if not inside:
                 assert got is None
             else:
@@ -114,7 +115,7 @@ class TestMergeConditions:
         d = uniform_blob_matrix(n, seed=seed)
         matrix = make_matrix(d)
         half = n // 2
-        clustering = clusters_from(matrix, [list(range(half)), list(range(half, n))])
+        clustering = clusters_from([list(range(half)), list(range(half, n))])
         return matrix, clustering
 
     def test_split_uniform_blob_satisfies_condition1(self):
@@ -128,7 +129,7 @@ class TestMergeConditions:
         d[6:, 6:] = uniform_blob_matrix(6, seed=2)
         np.fill_diagonal(d, 0.0)
         matrix = make_matrix(d)
-        clustering = clusters_from(matrix, [list(range(6)), list(range(6, 12))])
+        clustering = clusters_from([list(range(6)), list(range(6, 12))])
         c_i, c_j = clustering.clusters
         link = link_segments(matrix, c_i, c_j)
         assert not condition1(matrix, c_i, c_j, link)
@@ -149,12 +150,13 @@ class TestMergeConditions:
         d = np.triu(d, 1)
         d = d + d.T
         matrix = make_matrix(d)
-        clustering = clusters_from(matrix, [a, b])
+        clustering = clusters_from([a, b])
         c_i, c_j = clustering.clusters
         link = link_segments(matrix, c_i, c_j)
         # the distance term alone would allow the merge
-        assert link.d_link < max(c_i.stats.mean_pairwise, c_j.stats.mean_pairwise)
-        smaller = c_j.stats if len(c_j.members) < len(c_i.members) else c_i.stats
+        stats_i, stats_j = ensure_stats(matrix, c_i), ensure_stats(matrix, c_j)
+        assert link.d_link < max(stats_i.mean_pairwise, stats_j.mean_pairwise)
+        smaller = stats_j if len(c_j.members) < len(c_i.members) else stats_i
         eps = smaller.d_max / 2
         rho_i = eps_density(matrix, c_i, link.s_link_ij, eps)
         rho_j = eps_density(matrix, c_j, link.s_link_ji, eps)
@@ -174,7 +176,7 @@ class TestMergeConditions:
         d[6:, :6] = cross.T
         np.fill_diagonal(d, 0.0)
         matrix = make_matrix(d)
-        clustering = clusters_from(matrix, [list(range(6)), list(range(6, 12))])
+        clustering = clusters_from([list(range(6)), list(range(6, 12))])
         c_i, c_j = clustering.clusters
         # minmed identical by construction, link far below the normalized bound
         assert condition2(matrix, c_i, c_j, link_segments(matrix, c_i, c_j))
@@ -188,7 +190,7 @@ class TestMergeConditions:
         d[4:, :4] = cross.T
         np.fill_diagonal(d, 0.0)
         matrix = make_matrix(d)
-        clustering = clusters_from(matrix, [list(range(4)), list(range(4, 8))])
+        clustering = clusters_from([list(range(4)), list(range(4, 8))])
         c_i, c_j = clustering.clusters
         # |0.02 - 0.03| = 0.01 > 0.002
         assert not condition2(matrix, c_i, c_j, link_segments(matrix, c_i, c_j))
@@ -199,7 +201,7 @@ class TestMergeConditions:
             matrix = make_matrix(d)
             left = sorted(rng.choice(12, size=5, replace=False).tolist())
             right = sorted(set(range(12)) - set(left))
-            clustering = clusters_from(matrix, [left, right])
+            clustering = clusters_from([left, right])
             c_i, c_j = clustering.clusters
             link = link_segments(matrix, c_i, c_j)
             got1 = condition1(matrix, c_i, c_j, link)
@@ -249,14 +251,14 @@ class TestMergePass:
         d[4:, 4:] = uniform_blob_matrix(4, seed=2)
         np.fill_diagonal(d, 0.0)
         matrix = make_matrix(d)
-        clustering = clusters_from(matrix, [list(range(4)), list(range(4, 8))])
+        clustering = clusters_from([list(range(4)), list(range(4, 8))])
         merged = merge_pass(matrix, clustering)
         assert [c.members for c in merged.clusters] == [c.members for c in clustering.clusters]
 
     def test_split_blob_is_unified(self):
         d = uniform_blob_matrix(16)
         matrix = make_matrix(d)
-        clustering = clusters_from(matrix, [list(range(8)), list(range(8, 16))])
+        clustering = clusters_from([list(range(8)), list(range(8, 16))])
         merged = merge_pass(matrix, clustering)
         assert [c.members for c in merged.clusters] == [list(range(16))]
 
@@ -264,7 +266,7 @@ class TestMergePass:
         d = uniform_blob_matrix(18, seed=8)
         matrix = make_matrix(d)
         clustering = clusters_from(
-            matrix, [list(range(6)), list(range(6, 12)), list(range(12, 18))]
+            [list(range(6)), list(range(6, 12)), list(range(12, 18))]
         )
         merged = merge_pass(matrix, clustering)
         assert [c.members for c in merged.clusters] == [list(range(18))]
@@ -272,7 +274,7 @@ class TestMergePass:
     def test_idempotent_at_fixpoint(self):
         d = uniform_blob_matrix(16)
         matrix = make_matrix(d)
-        clustering = clusters_from(matrix, [list(range(8)), list(range(8, 16))])
+        clustering = clusters_from([list(range(8)), list(range(8, 16))])
         once = merge_pass(matrix, clustering)
         twice = merge_pass(matrix, once)
         assert [c.members for c in twice.clusters] == [c.members for c in once.clusters]
@@ -280,7 +282,7 @@ class TestMergePass:
     def test_noise_untouched(self):
         d = uniform_blob_matrix(10)
         matrix = make_matrix(d)
-        clustering = clusters_from(matrix, [[0, 1, 2, 3], [4, 5, 6]], noise=[7, 8, 9])
+        clustering = clusters_from([[0, 1, 2, 3], [4, 5, 6]], noise=[7, 8, 9])
         merged = merge_pass(matrix, clustering)
         assert merged.noise == [7, 8, 9]
 
@@ -289,7 +291,7 @@ def restart_scan_reference(matrix, member_sets):
     """merge_pass from its definition: every merge restarts the full pair scan."""
     sets = [sorted(m) for m in member_sets]
     while True:
-        clusters = [Cluster(cid, m) for cid, m in enumerate(sorted(sets, key=lambda m: m[0]))]
+        clusters = [Cluster(m) for m in sorted(sets, key=lambda m: m[0])]
         for c_i, c_j in combinations(clusters, 2):
             link = link_segments(matrix, c_i, c_j)
             if condition1(matrix, c_i, c_j, link) or condition2(matrix, c_i, c_j, link):
@@ -324,11 +326,12 @@ class TestMergePassEquivalence:
         for seed in range(12):
             d, member_sets = fragmented_blobs(seed)
             matrix = make_matrix(d)
-            merged = merge_pass(matrix, clusters_from(matrix, member_sets))
+            merged = merge_pass(matrix, clusters_from(member_sets))
             expected = restart_scan_reference(matrix, member_sets)
             assert [c.members for c in merged.clusters] == expected, seed
-            for cluster in merged.clusters:
-                assert cluster.stats == cluster_stats(matrix, Cluster(0, cluster.members))
+            for cluster in merged.clusters:  # stats that travel with a cluster are its own
+                fresh = cluster_stats(matrix, Cluster(cluster.members))
+                assert ensure_stats(matrix, cluster) == fresh
             merges += len(member_sets) - len(expected)
         assert merges >= 20  # the scenarios exercise repeated merges
 
@@ -351,7 +354,7 @@ class TestMergePassEquivalence:
         monkeypatch.setattr(refinement, "link_segments", counting_link)
         d, member_sets = fragmented_blobs(1)
         matrix = make_matrix(d)
-        merged = merge_pass(matrix, clusters_from(matrix, member_sets))
+        merged = merge_pass(matrix, clusters_from(member_sets))
         split_pass(matrix, merged)
         assert len(merged.clusters) < len(member_sets)
         assert max(measured.values()) == 1
@@ -363,7 +366,7 @@ class TestSplitPass:
     def test_all_unique_values_do_not_split(self):
         d = uniform_blob_matrix(10)
         matrix = make_matrix(d)  # every value occurs once: sigma = 0
-        clustering = clusters_from(matrix, [list(range(10))])
+        clustering = clusters_from([list(range(10))])
         result = split_pass(matrix, clustering)
         assert [c.members for c in result.clusters] == [list(range(10))]
 
@@ -372,7 +375,7 @@ class TestSplitPass:
         counts = [1] * 95 + [100]
         d = uniform_blob_matrix(96, seed=12)
         matrix = make_matrix(d, member_counts=counts)
-        clustering = clusters_from(matrix, [list(range(96))])
+        clustering = clusters_from([list(range(96))])
 
         segment_count = sum(counts)  # 195
         pivot = math.log(segment_count)
@@ -394,7 +397,7 @@ class TestSplitPass:
         pivot = math.log(sum(counts))
         assert percent_rank_reference(counts, pivot) == 95.0
         assert population_std_reference(counts) > pivot
-        clustering = clusters_from(matrix, [list(range(20))])
+        clustering = clusters_from([list(range(20))])
         result = split_pass(matrix, clustering)
         assert [len(c.members) for c in result.clusters] == [20]
 
@@ -402,7 +405,7 @@ class TestSplitPass:
         counts = [int(c) for c in rng.integers(1, 120, size=40)]
         d = symmetric_random(40, rng)
         matrix = make_matrix(d, member_counts=counts)
-        clustering = clusters_from(matrix, [list(range(40))])
+        clustering = clusters_from([list(range(40))])
         result = split_pass(matrix, clustering)
         union = sorted(m for c in result.clusters for m in c.members)
         assert union == list(range(40))
@@ -413,7 +416,7 @@ class TestSplitPass:
             counts = [int(c) for c in rng.integers(1, 60, size=n)]
             d = symmetric_random(n, rng)
             matrix = make_matrix(d, member_counts=counts)
-            clustering = clusters_from(matrix, [list(range(n))])
+            clustering = clusters_from([list(range(n))])
             result = split_pass(matrix, clustering)
 
             pivot = math.log(sum(counts))
@@ -429,7 +432,7 @@ class TestSplitPass:
 def test_merge_terminates_and_decreases_cluster_count(rng):
     d = uniform_blob_matrix(20, seed=21)
     matrix = make_matrix(d)
-    clustering = clusters_from(matrix, [[i, i + 1] for i in range(0, 20, 2)])
+    clustering = clusters_from([[i, i + 1] for i in range(0, 20, 2)])
     merged = merge_pass(matrix, clustering)
     assert len(merged.clusters) <= len(clustering.clusters)
     everything = sorted(m for c in merged.clusters for m in c.members)

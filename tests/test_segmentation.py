@@ -19,11 +19,6 @@ from typeclust.segmentation import (
     import_segmentation,
     segment_heuristic,
 )
-from typeclust.traceio import Message
-
-
-def messages_from(payloads):
-    return [Message(i, p, i) for i, p in enumerate(payloads)]
 
 
 def rows(seg: Segmentation) -> list[tuple]:
@@ -43,7 +38,7 @@ class TestImportSegmentation:
         return path
 
     def test_basic_import_by_payload(self, tmp_path):
-        messages = messages_from([bytes([0x01, 0x02, 0x03])])
+        messages = [bytes([0x01, 0x02, 0x03])]
         path = self.write(
             tmp_path,
             {
@@ -59,10 +54,10 @@ class TestImportSegmentation:
             (1, 2, "id"),
         ]
         assert {m for m, *_ in rows(seg)} == {0}
-        assert all(b == messages[0].payload[o : o + n] for _, o, n, b, _ in rows(seg))
+        assert all(b == messages[0][o : o + n] for _, o, n, b, _ in rows(seg))
 
     def test_import_by_index(self, tmp_path):
-        messages = messages_from([b"\x10\x20"])
+        messages = [b"\x10\x20"]
         path = self.write(
             tmp_path,
             {"messages": [{"index": 0, "fields": [{"len": 2, "type": "word"}]}]},
@@ -71,7 +66,7 @@ class TestImportSegmentation:
         assert seg.truth[0] == "word"
 
     def test_length_mismatch_names_message(self, tmp_path):
-        messages = messages_from([b"\x01\x02\x03"])
+        messages = [b"\x01\x02\x03"]
         path = self.write(
             tmp_path,
             {"messages": [{"payload": "010203", "fields": [{"len": 1, "type": "a"}, {"len": 1, "type": "b"}]}]},
@@ -80,7 +75,7 @@ class TestImportSegmentation:
             import_segmentation(messages, path)
 
     def test_unknown_payload_is_missing_message(self, tmp_path):
-        messages = messages_from([b"\x01"])
+        messages = [b"\x01"]
         path = self.write(
             tmp_path, {"messages": [{"payload": "ff", "fields": [{"len": 1, "type": "x"}]}]}
         )
@@ -88,40 +83,40 @@ class TestImportSegmentation:
             import_segmentation(messages, path)
 
     def test_unknown_index_is_missing_message(self, tmp_path):
-        messages = messages_from([b"\x01"])
+        messages = [b"\x01"]
         path = self.write(tmp_path, {"messages": [{"index": 5, "fields": [{"len": 1, "type": "x"}]}]})
         with pytest.raises(MissingMessageError):
             import_segmentation(messages, path)
 
     @pytest.mark.parametrize("entry", [3, "010203", None, ["index", 0]])
     def test_non_object_message_entry_rejected(self, tmp_path, entry):
-        messages = messages_from([b"\x01\x02\x03"])
+        messages = [b"\x01\x02\x03"]
         path = self.write(tmp_path, {"messages": [entry]})
         with pytest.raises(InconsistentGroundTruthError, match=r"messages\[0\]"):
             import_segmentation(messages, path)
 
     @pytest.mark.parametrize("field", [3, "len", None, [3, "x"], {"len": 3, "type": 7}])
     def test_non_object_field_rejected(self, tmp_path, field):
-        messages = messages_from([b"\x01\x02\x03"])
+        messages = [b"\x01\x02\x03"]
         path = self.write(tmp_path, {"messages": [{"payload": "010203", "fields": [field]}]})
         with pytest.raises(InconsistentGroundTruthError, match="message 0"):
             import_segmentation(messages, path)
 
     @pytest.mark.parametrize("index", [True, False, 1.0, "1"])
     def test_non_integer_index_rejected(self, tmp_path, index):
-        messages = messages_from([b"\x01\x02", b"\x03\x04"])
+        messages = [b"\x01\x02", b"\x03\x04"]
         path = self.write(tmp_path, {"messages": [{"index": index, "fields": [{"len": 2}]}]})
         with pytest.raises(InconsistentGroundTruthError, match="index"):
             import_segmentation(messages, path)
 
     def test_boolean_field_length_rejected(self, tmp_path):
-        messages = messages_from([b"\x01"])
+        messages = [b"\x01"]
         path = self.write(tmp_path, {"messages": [{"index": 0, "fields": [{"len": True}]}]})
         with pytest.raises(InconsistentGroundTruthError, match="positive integers"):
             import_segmentation(messages, path)
 
     def test_non_string_payload_rejected(self, tmp_path):
-        messages = messages_from([b"\x01\x02"])
+        messages = [b"\x01\x02"]
         path = self.write(tmp_path, {"messages": [{"payload": 258, "fields": [{"len": 2}]}]})
         with pytest.raises(InconsistentGroundTruthError, match="hex string"):
             import_segmentation(messages, path)
@@ -131,16 +126,16 @@ class TestImportSegmentation:
         path = tmp_path / "gt.json"
         path.write_bytes(content)
         with pytest.raises(InconsistentGroundTruthError, match="gt.json: not a JSON document"):
-            import_segmentation(messages_from([b"\x01\x02"]), path)
+            import_segmentation([b"\x01\x02"], path)
 
     @pytest.mark.parametrize("name", [7, None, ["heuristic"], {"name": "x"}])
     def test_non_string_segmenter_rejected(self, tmp_path, name):
         path = self.write(tmp_path, {"segmenter": name, "messages": []})
         with pytest.raises(InconsistentGroundTruthError, match="segmenter must be a string"):
-            import_segmentation(messages_from([b"\x01\x02"]), path)
+            import_segmentation([b"\x01\x02"], path)
 
     def test_null_type_stays_none(self, tmp_path):
-        messages = messages_from([b"\x01\x02"])
+        messages = [b"\x01\x02"]
         path = self.write(
             tmp_path, {"messages": [{"payload": "0102", "fields": [{"len": 2, "type": None}]}]}
         )
@@ -172,7 +167,7 @@ SEGMENTATION_DOCS = JSON | st.fixed_dictionaries(
 def test_arbitrary_json_raises_only_analysis_errors(tmp_path, doc):
     path = tmp_path / "gt.json"
     path.write_text(json.dumps(doc))
-    messages = messages_from(FUZZ_PAYLOADS)
+    messages = FUZZ_PAYLOADS
     try:
         seg = import_segmentation(messages, path)
     except AnalysisError:
@@ -180,23 +175,23 @@ def test_arbitrary_json_raises_only_analysis_errors(tmp_path, doc):
     assert isinstance(seg.segmenter_name, str)
     for message_id in set(seg.message.tolist()):
         own = sorted((r for r in rows(seg) if r[0] == message_id), key=lambda r: r[1])
-        assert b"".join(r[3] for r in own) == messages[message_id].payload
+        assert b"".join(r[3] for r in own) == messages[message_id]
 
 
 class TestHeuristicSegmenter:
     def test_uniform_payload_is_single_segment(self):
-        seg = segment_heuristic(messages_from([bytes([7] * 8)]))
+        seg = segment_heuristic([bytes([7] * 8)])
         assert [(o, n) for _, o, n, _, _ in rows(seg)] == [(0, 8)]
         assert seg.segmenter_name == HEURISTIC_NAME
 
     def test_texture_transition_example(self):
         # two zero bytes then the printable run "abcd"
-        seg = segment_heuristic(messages_from([bytes.fromhex("000061626364")]))
+        seg = segment_heuristic([bytes.fromhex("000061626364")])
         assert [(o, n) for _, o, n, _, _ in rows(seg)] == [(0, 2), (2, 4)]
 
     def test_alternating_bytes_match_rule_oracle(self):
         payload = bytes([0x00, 0xFF] * 6)
-        seg = segment_heuristic(messages_from([payload]))
+        seg = segment_heuristic([payload])
         cuts = seg.offset.tolist()[1:]
         assert cuts == heuristic_boundaries_reference(payload)
 
@@ -204,24 +199,23 @@ class TestHeuristicSegmenter:
         for _ in range(200):
             length = int(rng.integers(1, 40))
             payload = bytes(rng.integers(0, 256, size=length).tolist())
-            seg = segment_heuristic(messages_from([payload]))
+            seg = segment_heuristic([payload])
             cuts = seg.offset.tolist()[1:]
             assert cuts == heuristic_boundaries_reference(payload), payload.hex()
 
     def test_tiling_invariant(self, rng):
         payloads = [bytes(rng.integers(0, 256, size=int(rng.integers(1, 30))).tolist()) for _ in range(50)]
-        messages = messages_from(payloads)
-        seg = segment_heuristic(messages)
-        for message in messages:
-            own = sorted((r for r in rows(seg) if r[0] == message.id), key=lambda r: r[1])
+        seg = segment_heuristic(payloads)
+        for message_id, payload in enumerate(payloads):
+            own = sorted((r for r in rows(seg) if r[0] == message_id), key=lambda r: r[1])
             assert own[0][1] == 0
-            assert sum(r[2] for r in own) == len(message.payload)
+            assert sum(r[2] for r in own) == len(payload)
             for left, right in zip(own, own[1:]):
                 assert left[1] + left[2] == right[1]
-            assert b"".join(r[3] for r in own) == message.payload
+            assert b"".join(r[3] for r in own) == payload
 
     def test_deterministic(self):
-        messages = messages_from([b"\x00\x00abc\xff\xfe\x01", b"xy\x00\x00\x00z"])
+        messages = [b"\x00\x00abc\xff\xfe\x01", b"xy\x00\x00\x00z"]
         assert rows(segment_heuristic(messages)) == rows(segment_heuristic(messages))
 
 
@@ -237,7 +231,7 @@ class TestFilterAnalyzable:
 
     def test_excluded_byte_accounting_matches_ground_truth(self, tmp_path):
         # messages with known one-byte true fields
-        messages = messages_from([b"\x01\x02\x03\x04", b"\x05\x06\x07"])
+        messages = [b"\x01\x02\x03\x04", b"\x05\x06\x07"]
         doc = {
             "messages": [
                 {"payload": "01020304", "fields": [{"len": 1, "type": "tag"}, {"len": 3, "type": "body"}]},
@@ -263,11 +257,10 @@ _BYTE = st.sampled_from([0x00, 0x01, 0x1F, 0x20, 0x41, 0x7E, 0x7F, 0x80, 0xFF]) 
 @given(payloads=st.lists(st.lists(_BYTE, min_size=1, max_size=24).map(bytes),
                          min_size=1, max_size=8))
 def test_array_segmenter_matches_reference_cuts(payloads):
-    messages = messages_from(payloads)
-    seg = segment_heuristic(messages)
-    for message in messages:
-        own = seg.message == message.id
-        assert seg.offset[own].tolist() == [0] + heuristic_boundaries_reference(message.payload)
+    seg = segment_heuristic(payloads)
+    for message_id, payload in enumerate(payloads):
+        own = seg.message == message_id
+        assert seg.offset[own].tolist() == [0] + heuristic_boundaries_reference(payload)
     # the segments tile the joined payloads in message order
     assert seg.data == b"".join(payloads)
     assert seg.start.tolist() == (np.cumsum(seg.length) - seg.length).tolist()

@@ -43,8 +43,7 @@ class TestLoadPcap:
         pcap = tmp_path / "ntp.pcap"
         pcap.write_bytes(build_pcap([("udp", 123, 123, p) for p in payloads]))
         trace = load_pcap(pcap, ProtocolFilter("udp", 123))
-        assert [p for _, p in trace.records] == payloads
-        assert trace.link_type == "ethernet"
+        assert list(trace.records) == payloads
 
     def test_filter_excludes_other_ports(self, tmp_path):
         pcap = tmp_path / "mix.pcap"
@@ -58,27 +57,26 @@ class TestLoadPcap:
             )
         )
         trace = load_pcap(pcap, ProtocolFilter("udp", 53))
-        assert [p for _, p in trace.records] == [b"dns-a", b"dns-b"]
+        assert trace.records == (b"dns-a", b"dns-b")
 
     def test_little_endian_capture(self, tmp_path):
         pcap = tmp_path / "le.pcap"
         pcap.write_bytes(build_pcap([("udp", 9, 123, b"swapped")], little_endian=True))
         trace = load_pcap(pcap, ProtocolFilter("udp", 123))
-        assert trace.records[0][1] == b"swapped"
+        assert trace.records[0] == b"swapped"
 
     def test_tcp_payload_extraction(self, tmp_path):
         pcap = tmp_path / "tcp.pcap"
         pcap.write_bytes(build_pcap([("tcp", 1024, 445, b"smb-bytes")]))
         trace = load_pcap(pcap, ProtocolFilter("tcp", 445))
-        assert trace.records[0][1] == b"smb-bytes"
+        assert trace.records[0] == b"smb-bytes"
 
     def test_raw_filter_keeps_whole_packets(self, tmp_path):
         packet = build_ethernet_packet("udp", 1, 2, b"xy")
         pcap = tmp_path / "raw.pcap"
         pcap.write_bytes(build_pcap([("rawdata", packet)], network=147))
         trace = load_pcap(pcap, ProtocolFilter("raw"))
-        assert trace.records[0][1] == packet
-        assert trace.link_type == "raw-payload"
+        assert trace.records[0] == packet
 
     def test_bad_magic_is_format_error(self, tmp_path):
         bad = tmp_path / "bad.pcap"
@@ -111,7 +109,7 @@ class TestLoadPcap:
             build_pcap([("rawdata", frag), ("udp", 5, 7, b"whole")])
         )
         trace = load_pcap(pcap, ProtocolFilter("udp", 7))
-        assert [p for _, p in trace.records] == [b"whole"]
+        assert trace.records == (b"whole",)
         assert trace.skipped_fragments == 1
 
     def test_ethernet_padding_trimmed(self, tmp_path):
@@ -120,7 +118,7 @@ class TestLoadPcap:
         pcap = tmp_path / "pad.pcap"
         pcap.write_bytes(build_pcap([("rawdata", packet)]))
         trace = load_pcap(pcap, ProtocolFilter("udp", 123))
-        assert trace.records[0][1] == b"ab"
+        assert trace.records[0] == b"ab"
 
 
 class TestLoadHexlines:
@@ -128,15 +126,13 @@ class TestLoadHexlines:
         path = tmp_path / "t.hex"
         path.write_text("0001\nff\n")
         trace = load_hexlines(path)
-        assert [p for _, p in trace.records] == [b"\x00\x01", b"\xff"]
-        assert trace.link_type == "raw-payload"
-        assert [t for t, _ in trace.records] == [1.0, 2.0]
+        assert trace.records == (b"\x00\x01", b"\xff")
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "t.hex"
         path.write_text("# header\n\n0a0b\n")
         trace = load_hexlines(path)
-        assert [p for _, p in trace.records] == [b"\x0a\x0b"]
+        assert trace.records == (b"\x0a\x0b",)
 
     def test_comment_only_file_is_empty_trace(self, tmp_path):
         path = tmp_path / "t.hex"
@@ -155,7 +151,7 @@ class TestLoadHexlines:
     def test_whitespace_inside_a_line_is_ignored(self, tmp_path, line):
         path = tmp_path / "t.hex"
         path.write_text(f"{line}\n")
-        assert [p for _, p in load_hexlines(path).records] == [b"\xaa\xbb\xcc"]
+        assert load_hexlines(path).records == (b"\xaa\xbb\xcc",)
 
     def test_odd_digit_count_counts_hex_digits_only(self, tmp_path):
         path = tmp_path / "t.hex"
@@ -185,23 +181,21 @@ class TestLoadHexlines:
         write_hexlines(payloads, path)
         trace = load_hexlines(path)
         assert len(trace.records) == 1000
-        assert [p for _, p in trace.records] == payloads
+        assert list(trace.records) == payloads
 
 
 class TestDeduplicate:
     def _trace(self, payloads):
-        return RawTrace("mem", "raw-payload", tuple((float(i), p) for i, p in enumerate(payloads)))
+        return RawTrace(tuple(payloads))
 
     def test_first_occurrence_kept(self):
         messages = deduplicate(self._trace([b"A1", b"B2", b"A1"]))
-        assert [m.payload for m in messages] == [b"A1", b"B2"]
-        assert [m.id for m in messages] == [0, 1]
-        assert [m.origin_record for m in messages] == [0, 1]
+        assert messages == [b"A1", b"B2"]
 
     def test_all_distinct_is_identity(self):
         payloads = [b"aa", b"bb", b"cc"]
         messages = deduplicate(self._trace(payloads))
-        assert [m.payload for m in messages] == payloads
+        assert messages == payloads
 
     def test_randomized_fixture_with_known_duplicates(self):
         # 163 distinct payloads, 37 seeded re-insertions -> 200 records total
@@ -222,11 +216,8 @@ class TestDeduplicate:
         trace = self._trace(payloads)
         messages = deduplicate(trace)
         assert len(messages) <= len(trace.records)
-        assert {m.payload for m in messages} == set(payloads)
-        again = deduplicate(
-            RawTrace("mem", "raw-payload", tuple((0.0, m.payload) for m in messages))
-        )
-        assert [m.payload for m in again] == [m.payload for m in messages]
+        assert set(messages) == set(payloads)
+        assert deduplicate(RawTrace(tuple(messages))) == messages
 
 
 def test_pcap_to_hexlines_round_trip(tmp_path):
@@ -235,9 +226,8 @@ def test_pcap_to_hexlines_round_trip(tmp_path):
     pcap.write_bytes(build_pcap([("udp", 123, 123, p) for p in payloads]))
     trace = load_pcap(pcap, ProtocolFilter("udp", 123))
     hexfile = tmp_path / "rt.hex"
-    write_hexlines([p for _, p in trace.records], hexfile)
-    reloaded = load_hexlines(hexfile)
-    assert [p for _, p in reloaded.records] == [p for _, p in trace.records]
+    write_hexlines(trace.records, hexfile)
+    assert load_hexlines(hexfile).records == trace.records
 
 
 FUZZ = settings(max_examples=300, deadline=None,
@@ -277,7 +267,7 @@ class TestLoaderFuzzing:
             trace = load_pcap(path, ProtocolFilter.parse(flt))
         except AnalysisError:
             return
-        assert trace.records and all(payload for _, payload in trace.records)
+        assert trace.records and all(trace.records)
 
     @FUZZ
     @given(data=st.one_of(
