@@ -37,17 +37,7 @@ from .errors import (
     PipelineStageError,
     UnsupportedLinkTypeError,
 )
-from .evaluation import (
-    ContingencyTable,
-    Metrics,
-    contingency,
-    coverage,
-    evaluate_clustering,
-    f_beta,
-    false_negatives,
-    positives_negatives,
-    true_positives,
-)
+from .evaluation import Metrics, coverage, evaluate_clustering, f_beta, pair_counts
 from .pipeline import PipelineConfig, PipelineResult, run
 from .refinement import (
     LinkPair,

@@ -149,8 +149,9 @@ def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
 
     The rank k' maximizing the largest single-step increase of the smoothed
     curve is selected (ties toward smaller k); Kneedle runs on that curve.
-    Without a confirmed knee, epsilon falls back to the median 2-NN
-    dissimilarity, flagged.
+    Without a confirmed knee, or when the chosen curve is degenerate or too
+    short for Kneedle, epsilon falls back to the median 2-NN dissimilarity,
+    flagged.
     """
     n = matrix.n
     if n < MIN_ANALYSIS_VALUES:
@@ -168,6 +169,8 @@ def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
 
     min_samples = max(1, round_ln(n))
     try:
+        if chosen_curve.degenerate or chosen_curve.xs.size < 10:
+            raise NoKneeError("chosen curve is degenerate")
         knee = kneedle(chosen_curve)
         fallback = False
     except NoKneeError:

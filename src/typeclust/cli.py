@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--out-json", default=None, help="write the JSON report")
     analyze.add_argument("--out-table", default=None, help="write the text summary table")
     analyze.add_argument("--threads", type=int, default=1,
-                         help="upper bound on matrix-build workers")
+                         help="upper bound on matrix-build workers, capped at the CPU count")
 
     evaluate = commands.add_parser(
         "evaluate", help="score an analysis report against a ground-truth segmentation"

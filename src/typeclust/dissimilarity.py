@@ -9,6 +9,7 @@ identical.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -176,6 +177,13 @@ def _canberra_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return block
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_matrix(values: list[SegmentValue], threads: int = 1) -> DissimilarityMatrix:
     """Fill the full symmetric dissimilarity matrix over unique values.
 
@@ -188,7 +196,8 @@ def build_matrix(values: list[SegmentValue], threads: int = 1) -> DissimilarityM
     terms per byte position in numpy's pairwise order, so each cell has the
     bits of the broadcast ``.sum`` over its bytes. |a-b|/(a+b) is exactly
     symmetric, so the result is exactly symmetric; blocks write disjoint
-    cells, so any thread count produces bit-identical results.
+    cells, so any thread count produces bit-identical results. ``threads``
+    workers fill the blocks, but never more than the process has CPUs.
     """
     n = len(values)
     if n < 2:
@@ -225,8 +234,9 @@ def build_matrix(values: list[SegmentValue], threads: int = 1) -> DissimilarityM
         d.put(rows_idx[:, None] * n + cols_idx, block)  # flat indices: cheaper than np.ix_
         d.put(cols_idx * n + rows_idx[:, None], block)  # the mirror cells
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, _cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, tasks))
     else:
         for task in tasks:

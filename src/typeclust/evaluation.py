@@ -1,8 +1,9 @@
 """Clustering quality against ground-truth field types.
 
 TP/FP/FN are defined combinatorially over pairwise assignments of unique
-segment values; the F-score uses beta = 1/4 to weight precision four times
-over recall. Coverage is the fraction of all trace bytes inside clustered
+segment values and read from one contingency table of clusters by true
+types; the F-score uses beta = 1/4 to weight precision four times over
+recall. Coverage is the fraction of all trace bytes inside clustered
 segments.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from math import comb
 
 import numpy as np
 
@@ -19,16 +19,7 @@ from .dissimilarity import SegmentValue
 from .errors import EvaluationUnavailableError
 from .segmentation import Segmentation
 
-DEFAULT_BETA = 0.25
-
-
-@dataclass
-class ContingencyTable:
-    """Per-cluster, per-noise and total counts of unique values by true type."""
-
-    per_cluster: list[dict[str, int]]
-    noise: dict[str, int]
-    totals: dict[str, int]
+BETA = 0.25  # F-score weight: precision counts four times over recall
 
 
 @dataclass
@@ -114,75 +105,55 @@ def label_segments_by_overlap(segments: Segmentation, truth: Segmentation) -> Se
     return replace(segments, truth=labels)
 
 
-def contingency(clustering: Clustering, labels: list[str]) -> ContingencyTable:
-    per_cluster = [
-        dict(Counter(labels[m] for m in cluster.members))
-        for cluster in clustering.clusters
-    ]
-    noise = dict(Counter(labels[m] for m in clustering.noise))
-    totals: Counter[str] = Counter(noise)
-    for counts in per_cluster:
-        totals.update(counts)
-    return ContingencyTable(per_cluster, noise, dict(totals))
+def pair_counts(clustering: Clustering, labels: list[str]) -> tuple[int, int, int, int]:
+    """(TP, FP, FN, TN+FN) over pairs of values, from one contingency table.
+
+    The table's rows are the clusters and then the noise, its columns the
+    true types. TP sums C(n, 2) over the cluster cells, TP+FP over the
+    cluster sizes and TP+FN over the type totals, noise included (Hubert &
+    Arabie, Comparing Partitions, 1985). TN+FN counts the ordered pairs of
+    values in distinct clusters: (sum of sizes)^2 - sum of squared sizes.
+    """
+    types, column = np.unique(labels, return_inverse=True)
+    groups = [*(cluster.members for cluster in clustering.clusters), clustering.noise]
+    row = np.repeat(np.arange(len(groups)), [len(members) for members in groups])
+    table = np.zeros((len(groups), len(types)), dtype=np.int64)
+    np.add.at(table, (row, column[np.concatenate(groups).astype(np.int64)]), 1)
+
+    def pairs(counts: np.ndarray) -> int:
+        return int((counts * (counts - 1) // 2).sum())
+
+    sizes = table[:-1].sum(axis=1)
+    tp = pairs(table[:-1])
+    return (tp, pairs(sizes) - tp, pairs(table.sum(axis=0)) - tp,
+            int(sizes.sum() ** 2 - (sizes * sizes).sum()))
 
 
-def positives_negatives(clusters) -> tuple[int, int]:
-    """(TP+FP, TN+FN): same-cluster pair count and ordered cross-cluster sum."""
-    sizes = [len(c.members) for c in clusters]
-    tp_fp = sum(comb(s, 2) for s in sizes)
-    total = sum(sizes)
-    tn_fn = total * total - sum(s * s for s in sizes)
-    return tp_fp, tn_fn
-
-
-def true_positives(table: ContingencyTable) -> int:
-    return sum(
-        comb(count, 2) for counts in table.per_cluster for count in counts.values()
-    )
-
-
-def false_negatives(table: ContingencyTable) -> int:
-    """Missed same-type pairs: all same-type pairs less those inside a cluster."""
-    return sum(comb(count, 2) for count in table.totals.values()) - true_positives(table)
-
-
-def f_beta(precision: float, recall: float, beta: float = DEFAULT_BETA) -> float:
-    """(1+b^2)PR / (b^2 P + R), defined as 0 when precision = recall = 0."""
-    denominator = beta * beta * precision + recall
+def f_beta(precision: float, recall: float) -> float:
+    """(1+b^2)PR / (b^2 P + R) with b = BETA, defined as 0 when precision = recall = 0."""
+    denominator = BETA * BETA * precision + recall
     if denominator == 0:
         return 0.0
-    return (1 + beta * beta) * precision * recall / denominator
+    return (1 + BETA * BETA) * precision * recall / denominator
 
 
-def coverage(
-    messages: list[bytes], values: list[SegmentValue], clustering: Clustering
-) -> float:
+def coverage(segments: Segmentation, values: list[SegmentValue], clustering: Clustering) -> float:
     """Clustered bytes (all segment instances) over all trace bytes."""
-    denominator = sum(len(m) for m in messages)
-    if denominator == 0:
+    if not segments.data:
         return 0.0
     inferred = sum(
         len(values[member].bytes) * len(values[member].members)
         for cluster in clustering.clusters
         for member in cluster.members
     )
-    return inferred / denominator
+    return inferred / len(segments.data)
 
 
 def evaluate_clustering(
-    messages: list[bytes],
-    segments: Segmentation,
-    values: list[SegmentValue],
-    clustering: Clustering,
-    beta: float = DEFAULT_BETA,
+    segments: Segmentation, values: list[SegmentValue], clustering: Clustering
 ) -> Metrics:
     """Full metric set for a clustering of the labeled values of ``segments``."""
-    labels = value_labels(values, segments)
-    table = contingency(clustering, labels)
-    tp_fp, tn_fn = positives_negatives(clustering.clusters)
-    tp = true_positives(table)
-    fp = tp_fp - tp
-    fn = false_negatives(table)
+    tp, fp, fn, tn_fn = pair_counts(clustering, value_labels(values, segments))
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     return Metrics(
@@ -193,7 +164,7 @@ def evaluate_clustering(
         tn=tn_fn - fn,
         precision=precision,
         recall=recall,
-        f_score=f_beta(precision, recall, beta),
-        beta=beta,
-        coverage=coverage(messages, values, clustering),
+        f_score=f_beta(precision, recall),
+        beta=BETA,
+        coverage=coverage(segments, values, clustering),
     )

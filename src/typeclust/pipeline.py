@@ -34,6 +34,10 @@ class PipelineConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        if self.format not in ("pcap", "hex"):
+            raise ValueError(f"--format must be pcap or hex, got {self.format!r}")
+        if self.segmenter not in ("heuristic", "import"):
+            raise ValueError(f"--segmenter must be heuristic or import, got {self.segmenter!r}")
         try:
             flt = tio.ProtocolFilter.parse(self.filter)
         except ValueError as err:
@@ -73,10 +77,8 @@ def prepare_messages(config: PipelineConfig) -> tuple[tio.RawTrace, list[bytes]]
     """Load, de-duplicate, and truncate; the limit applies after dedup."""
     if config.format == "pcap":
         trace = tio.load_pcap(config.input, tio.ProtocolFilter.parse(config.filter))
-    elif config.format == "hex":
-        trace = tio.load_hexlines(config.input)
     else:
-        raise ValueError(f"unknown input format {config.format!r}")
+        trace = tio.load_hexlines(config.input)
     messages = tio.deduplicate(trace)
     if config.limit is not None:
         messages = messages[: config.limit]
@@ -86,11 +88,9 @@ def prepare_messages(config: PipelineConfig) -> tuple[tio.RawTrace, list[bytes]]
 def build_segmentation(config: PipelineConfig, messages: list[bytes]) -> sg.Segmentation:
     if config.segmenter == "heuristic":
         return sg.segment_heuristic(messages)
-    if config.segmenter == "import":
-        if not config.segments_path:
-            raise ValueError("--segments is required with the import segmenter")
-        return sg.import_segmentation(messages, config.segments_path)
-    raise ValueError(f"unknown segmenter {config.segmenter!r}")
+    if not config.segments_path:
+        raise ValueError("--segments is required with the import segmenter")
+    return sg.import_segmentation(messages, config.segments_path)
 
 
 def _load_values(
@@ -154,7 +154,7 @@ def run(config: PipelineConfig) -> PipelineResult:
     with _stage("evaluate"):
         metrics = None
         if analyzable.truth is not None and None not in analyzable.truth.tolist():
-            metrics = ev.evaluate_clustering(messages, analyzable, values, result)
+            metrics = ev.evaluate_clustering(analyzable, values, result)
     with _stage("report"):
         report = build_report(
             config, trace, messages, segmentation, analyzable, values, auto, result, metrics
@@ -213,7 +213,7 @@ def build_report(
         "segments": len(segmentation),
         "excluded_one_byte_segments": len(segmentation) - len(analyzable),
         "unique_values": len(values),
-        "total_bytes": sum(len(m) for m in messages),
+        "total_bytes": len(segmentation.data),
         "epsilon": sig6(auto.epsilon),
         "knee": sig6(auto.epsilon),  # epsilon is the knee
         "chosen_k": auto.chosen_k,
@@ -317,4 +317,4 @@ def evaluate_report(
             missing = next(v for i, v in enumerate(values) if i not in assigned)
             raise AnalysisError(f"re-derived value {missing.bytes.hex()} is not in the report")
         clustering = cl.Clustering([cl.Cluster(m) for m in member_sets], noise)
-        return ev.evaluate_clustering(messages, analyzable, values, clustering)
+        return ev.evaluate_clustering(analyzable, values, clustering)

@@ -24,7 +24,7 @@ from typeclust.autoconf import SmoothCurve, kneedle, select_epsilon
 from typeclust.cli import main as cli_main
 from typeclust.clustering import Cluster, Clustering, dbscan
 from typeclust.dissimilarity import build_matrix, unique_values
-from typeclust.evaluation import evaluate_clustering, f_beta, value_labels
+from typeclust.evaluation import evaluate_clustering, f_beta, pair_counts, value_labels
 from typeclust.refinement import merge_pass, split_pass
 from typeclust.segmentation import filter_analyzable, import_segmentation
 from typeclust.traceio import ProtocolFilter, deduplicate, load_pcap
@@ -70,18 +70,7 @@ def test_criterion_1_metric_oracle_equivalence():
             noise = [i for i, a in enumerate(assignment) if a == -1]
 
             clustering = Clustering([Cluster(m) for m in member_sets], noise)
-            from typeclust.evaluation import (
-                contingency,
-                false_negatives,
-                positives_negatives,
-                true_positives,
-            )
-
-            table = contingency(clustering, labels)
-            tp = true_positives(table)
-            fn = false_negatives(table)
-            tp_fp, _ = positives_negatives(clustering.clusters)
-            fp = tp_fp - tp
+            tp, fp, fn, _ = pair_counts(clustering, labels)
 
             oracle_tp, oracle_fp, oracle_fn = pairwise_metrics(member_sets, noise, labels)
             assert (tp, fp, fn) == (oracle_tp, oracle_fp, oracle_fn)
@@ -189,7 +178,7 @@ def test_criterion_6_real_trace_ntp():
         config = select_epsilon(matrix)
         assert abs(config.epsilon - 0.121) <= 0.03
         clustering = dbscan(matrix, config.epsilon, config.min_samples)
-        metrics = evaluate_clustering(messages, analyzable, values, clustering)
+        metrics = evaluate_clustering(analyzable, values, clustering)
         assert metrics.precision >= 0.98
         assert metrics.recall >= 0.90
 
@@ -224,9 +213,7 @@ def test_criterion_8_coverage_accounting(tmp_path):
         # is the only noise, ten 4-byte values clustered; 55 bytes total
         assert result.report.noise == ["03010201"]
         assert len(result.clustering.clusters) == 1
-        exact = evaluate_clustering(
-            result.messages, result.segmentation, result.values, result.clustering
-        )
+        exact = evaluate_clustering(result.segmentation, result.values, result.clustering)
         assert exact.coverage == 40 / 55
         assert json.loads(result.report.to_json())["metrics"]["coverage"] == float(
             f"{40 / 55:.6g}"

@@ -244,6 +244,15 @@ class TestSelectEpsilon:
         assert config.fallback
         assert config.epsilon == pytest.approx(0.4)  # median 2-NN
 
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_degenerate_curve_falls_back_below_kneedle_minimum(self, n):
+        # a degenerate step curve of n < 10 points is too short for Kneedle
+        d = np.full((n, n), 0.5)
+        np.fill_diagonal(d, 0.0)
+        config = select_epsilon(make_matrix(d))
+        assert config.fallback
+        assert config.epsilon == 0.5
+
     def test_chosen_k_within_ln_bound(self, rng):
         for n in (8, 13, 25, 60):
             d = symmetric_random(n, rng)

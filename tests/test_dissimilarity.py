@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from unittest import mock
 
 import numpy as np
@@ -171,6 +172,32 @@ class TestBuildMatrix:
         sequential = build_matrix(values, threads=1)
         parallel = build_matrix(values, threads=8)
         assert np.array_equal(sequential.d, parallel.d)
+
+    @pytest.mark.parametrize("cpus, threads, workers", [(2, 10_000, 2), (4, 3, 3), (1, 8, None)])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, threads, workers):
+        started = []
+
+        class SerialExecutor:  # records the pool size and starts no thread
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(dissimilarity, "ThreadPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        values = [value(bytes([i, 255 - i, i])) for i in range(12)]
+        matrix = build_matrix(values, threads=threads)
+        assert started == ([] if workers is None else [workers])
+        assert np.array_equal(matrix.d, build_matrix(values).d)
 
     def test_multi_chunk_groups_match_oracle_at_any_thread_count(self, rng, monkeypatch):
         # several values per length, so each length group spans many blocks;

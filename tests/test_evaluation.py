@@ -16,17 +16,14 @@ from typeclust.clustering import Cluster, Clustering
 from typeclust.dissimilarity import unique_values
 from typeclust.errors import EvaluationUnavailableError
 from typeclust.evaluation import (
-    contingency,
     coverage,
     evaluate_clustering,
     f_beta,
-    false_negatives,
     label_segments_by_overlap,
-    positives_negatives,
-    true_positives,
+    pair_counts,
     value_labels,
 )
-from typeclust.segmentation import Segmentation, import_segmentation
+from typeclust.segmentation import Segmentation, filter_analyzable, import_segmentation
 
 
 def tiled(sizes, tilings, labels=None) -> Segmentation:
@@ -58,84 +55,82 @@ def random_labeled_instance(rng, max_values=20, max_types=5, max_clusters=5):
 class TestPositivesNegatives:
     def test_sizes_three_two(self):
         clustering = clustering_of([[0, 1, 2], [3, 4]])
-        assert positives_negatives(clustering.clusters) == (4, 12)  # C(3,2)+C(2,2); 2*3*2
+        tp, fp, _, tn_fn = pair_counts(clustering, ["A"] * 5)
+        assert (tp + fp, tn_fn) == (4, 12)  # C(3,2)+C(2,2); 2*3*2
 
     def test_single_cluster_has_no_negatives(self):
         clustering = clustering_of([[0, 1, 2, 3]])
-        assert positives_negatives(clustering.clusters) == (6, 0)
+        tp, fp, _, tn_fn = pair_counts(clustering, ["A"] * 4)
+        assert (tp + fp, tn_fn) == (6, 0)
 
     def test_random_matches_enumeration(self, rng):
         for _ in range(100):
             labels, member_sets, noise = random_labeled_instance(rng)
             clustering = clustering_of(member_sets, noise)
-            tp_fp, tn_fn = positives_negatives(clustering.clusters)
+            tp, fp, _, tn_fn = pair_counts(clustering, labels)
             sizes = [len(m) for m in member_sets]
-            assert tp_fp == sum(comb(s, 2) for s in sizes)
+            assert tp + fp == sum(comb(s, 2) for s in sizes)
             ordered_cross = sum(
                 a * b for i, a in enumerate(sizes) for j, b in enumerate(sizes) if i != j
             )
             assert tn_fn == ordered_cross
 
+    def test_counts_are_python_ints(self):
+        counts = pair_counts(clustering_of([[0, 1]], noise=[2]), ["A", "A", "B"])
+        assert counts == (1, 0, 0, 0)
+        assert all(type(count) is int for count in counts)
+
 
 class TestTruePositives:
     def test_pure_cluster(self):
         clustering = clustering_of([[0, 1, 2, 3]])
-        table = contingency(clustering, ["A"] * 4)
-        assert true_positives(table) == 6
+        assert pair_counts(clustering, ["A"] * 4)[0] == 6
 
     def test_mixed_cluster_hand_count(self):
         clustering = clustering_of([[0, 1, 2, 3]])
-        table = contingency(clustering, ["A", "A", "B", "B"])
-        assert true_positives(table) == 2  # C(2,2) + C(2,2)
+        assert pair_counts(clustering, ["A", "A", "B", "B"])[0] == 2  # C(2,2) + C(2,2)
 
     def test_random_matches_pair_enumeration(self, rng):
         for _ in range(100):
             labels, member_sets, noise = random_labeled_instance(rng)
             clustering = clustering_of(member_sets, noise)
-            table = contingency(clustering, labels)
             tp, fp, fn = pairwise_metrics(member_sets, noise, labels)
-            assert true_positives(table) == tp
+            assert pair_counts(clustering, labels)[0] == tp
 
 
 class TestFalseNegatives:
     def test_perfect_clustering_no_noise(self):
         clustering = clustering_of([[0, 1], [2, 3]])
-        table = contingency(clustering, ["A", "A", "B", "B"])
-        assert false_negatives(table) == 0
+        assert pair_counts(clustering, ["A", "A", "B", "B"])[2] == 0
 
     def test_type_split_across_two_clusters(self):
         # type A split evenly across two clusters of 2: 2*2 missed cross pairs
         clustering = clustering_of([[0, 1], [2, 3]])
-        table = contingency(clustering, ["A", "A", "A", "A"])
-        assert false_negatives(table) == 4
+        assert pair_counts(clustering, ["A", "A", "A", "A"])[2] == 4
 
     def test_noise_pairs_counted(self):
         clustering = clustering_of([[0, 1]], noise=[2, 3])
-        table = contingency(clustering, ["A"] * 4)
         # noise-noise pair: 1; noise-cluster pairs: 2*2=4
-        assert false_negatives(table) == 5
+        assert pair_counts(clustering, ["A"] * 4)[2] == 5
 
     def test_random_matches_pair_enumeration(self, rng):
         for _ in range(200):
             labels, member_sets, noise = random_labeled_instance(rng)
             clustering = clustering_of(member_sets, noise)
-            table = contingency(clustering, labels)
-            tp, fp, fn = pairwise_metrics(member_sets, noise, labels)
-            assert false_negatives(table) == fn
-            assert true_positives(table) == tp
-            tp_fp, _ = positives_negatives(clustering.clusters)
-            assert tp_fp - true_positives(table) == fp
+            assert pair_counts(clustering, labels)[:3] == pairwise_metrics(
+                member_sets, noise, labels
+            )
 
     def test_tp_plus_fn_is_total_same_type_pairs(self, rng):
         for _ in range(100):
             labels, member_sets, noise = random_labeled_instance(rng)
             clustering = clustering_of(member_sets, noise)
-            table = contingency(clustering, labels)
+            tp, _, fn, _ = pair_counts(clustering, labels)
             by_type = {}
             for label in labels:
                 by_type[label] = by_type.get(label, 0) + 1
             total_same_type = sum(comb(c, 2) for c in by_type.values())
-            assert true_positives(table) + false_negatives(table) == total_same_type
+            assert tp + fn == total_same_type
 
 
 class TestFBeta:
@@ -147,10 +142,10 @@ class TestFBeta:
                 assert f_beta(x, x) == pytest.approx(x)
 
     def test_high_precision_dominates(self):
-        assert f_beta(1.00, 0.96, 0.25) == pytest.approx(0.9976, abs=5e-4)
+        assert f_beta(1.00, 0.96) == pytest.approx(0.9976, abs=5e-4)
 
     def test_mediocre_precision_caps_the_score(self):
-        assert f_beta(0.59, 0.70, 0.25) == pytest.approx(0.596, abs=5e-3)
+        assert f_beta(0.59, 0.70) == pytest.approx(0.596, abs=5e-3)
 
     def test_zero_division_guard(self):
         assert f_beta(0.0, 0.0) == 0.0
@@ -205,39 +200,38 @@ class TestLabelByOverlap:
 
 class TestCoverage:
     def test_everything_clustered(self):
-        messages = [b"\x01\x02\x03\x04"]
-        values = unique_values(segmentation_of((0, 0, b"\x01\x02", "A"), (0, 2, b"\x03\x04", "B")))
+        segs = segmentation_of((0, 0, b"\x01\x02", "A"), (0, 2, b"\x03\x04", "B"))
         clustering = clustering_of([[0], [1]])
-        assert coverage(messages, values, clustering) == 1.0
+        assert coverage(segs, unique_values(segs), clustering) == 1.0
 
     def test_all_noise_is_zero(self):
-        messages = [b"\x01\x02\x03\x04"]
-        values = unique_values(segmentation_of((0, 0, b"\x01\x02", "A"), (0, 2, b"\x03\x04", "B")))
+        segs = segmentation_of((0, 0, b"\x01\x02", "A"), (0, 2, b"\x03\x04", "B"))
         clustering = clustering_of([], noise=[0, 1])
-        assert coverage(messages, values, clustering) == 0.0
+        assert coverage(segs, unique_values(segs), clustering) == 0.0
 
     def test_byte_accounting_with_exclusions_and_duplicates(self):
         # two messages of 6 bytes; a one-byte field per message is excluded,
         # a duplicated 3-byte value is clustered, a 2-byte value is noise
-        messages = [b"\x09AAABB", b"\x07AAACC"]
-        values = unique_values(segmentation_of(
-            (0, 1, b"AAA", "x"), (1, 1, b"AAA", "x"), (0, 4, b"BB", "y"), (1, 4, b"CC", "y"),
+        segs = filter_analyzable(segmentation_of(
+            (0, 0, b"\x09", "t"), (0, 1, b"AAA", "x"), (0, 4, b"BB", "y"),
+            (1, 0, b"\x07", "t"), (1, 1, b"AAA", "x"), (1, 4, b"CC", "y"),
         ))
+        assert len(segs.data) == 12 and len(segs) == 4
+        values = unique_values(segs)
         assert [(v.bytes, len(v.members)) for v in values] == [(b"AAA", 2), (b"BB", 1), (b"CC", 1)]
         clustering = clustering_of([[0]], noise=[1, 2])
         # clustered bytes: 3+3 over 12 total
-        assert coverage(messages, values, clustering) == pytest.approx(6 / 12)
+        assert coverage(segs, values, clustering) == pytest.approx(6 / 12)
 
 
 class TestEvaluateClustering:
     def test_full_metrics_on_small_instance(self):
-        messages = [bytes([i, i + 1, 7]) for i in range(4)]
         segs = segmentation_of(
             (0, 0, b"ab0", "A"), (1, 0, b"ab1", "A"), (2, 0, b"cd0", "B"), (3, 0, b"cd1", "B"),
         )
         values = unique_values(segs)
         clustering = clustering_of([[0, 1], [2, 3]])
-        metrics = evaluate_clustering(messages, segs, values, clustering)
+        metrics = evaluate_clustering(segs, values, clustering)
         assert metrics.tp == 2 and metrics.fp == 0 and metrics.fn == 0
         assert metrics.precision == 1.0 and metrics.recall == 1.0
         assert metrics.f_score == 1.0
@@ -246,12 +240,11 @@ class TestEvaluateClustering:
 
     def test_relabeling_invariance(self, rng):
         labels, member_sets, noise = random_labeled_instance(rng)
-        messages = [bytes([i, 250 - i]) for i in range(len(labels))]
         segs = segmentation_of(*((i, 0, bytes([i, 250 - i]), labels[i]) for i in range(len(labels))))
         values = unique_values(segs)
-        base = evaluate_clustering(messages, segs, values, clustering_of(member_sets, noise))
+        base = evaluate_clustering(segs, values, clustering_of(member_sets, noise))
         shuffled = evaluate_clustering(
-            messages, segs, values, clustering_of(list(reversed(member_sets)), noise)
+            segs, values, clustering_of(list(reversed(member_sets)), noise)
         )
         assert (base.tp, base.fp, base.fn) == (shuffled.tp, shuffled.fp, shuffled.fn)
         assert base.precision == shuffled.precision

@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import build_pcap
@@ -125,6 +126,15 @@ class TestRun:
     def test_filter_that_is_never_applied_rejected(self, fmt, flt):
         with pytest.raises(ValueError, match="--filter"):
             pl.PipelineConfig(input="trace", format=fmt, filter=flt)
+
+    @pytest.mark.parametrize("field, value", [
+        ("format", "json"),
+        ("format", "PCAP"),
+        ("segmenter", "netzob"),
+    ])
+    def test_unknown_choice_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"--{field}"):
+            pl.PipelineConfig(input="trace", **{field: value})
 
     def test_stats_measured_once_per_member_set(self, tmp_path, monkeypatch):
         measured = Counter()
@@ -263,6 +273,30 @@ class TestCli:
         n_refined = len(json.loads(refined.read_text())["clusters"])
         n_plain = len(json.loads(plain.read_text())["clusters"])
         assert n_refined < n_plain
+
+    @pytest.mark.parametrize("order", [8, 16])
+    def test_degenerate_knn_curve_falls_back_at_every_size(self, tmp_path, order):
+        # rows of a Sylvester Hadamard matrix as 00/ff bytes: any two rows
+        # differ in half their bytes, so every dissimilarity is 0.5
+        rows = np.array([[1]])
+        while len(rows) < order:
+            rows = np.block([[rows, rows], [rows, -rows]])
+        payloads = [bytes(np.where(row > 0, 0xFF, 0x00).tolist()) for row in rows]
+        trace = tmp_path / "hadamard.hex"
+        trace.write_text("".join(p.hex() + "\n" for p in payloads))
+        truth = tmp_path / "hadamard.json"
+        truth.write_text(json.dumps({"messages": [
+            {"payload": p.hex(), "fields": [{"len": len(p), "type": "word"}]} for p in payloads
+        ]}))
+        out = tmp_path / "report.json"
+        code = self.run_cli("analyze", "--input", str(trace), "--format", "hex",
+                            "--segmenter", "import", "--segments", str(truth),
+                            "--out-json", str(out))
+        assert code == 0
+        metadata = json.loads(out.read_text())["metadata"]
+        assert metadata["unique_values"] == order
+        assert metadata["fallback"] is True
+        assert metadata["epsilon"] == 0.5  # the median 2-NN dissimilarity
 
     def test_empty_analysis_exit_code(self, tmp_path, capsys):
         path = tmp_path / "tiny.hex"
