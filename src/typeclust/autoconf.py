@@ -1,9 +1,10 @@
 """Automatic DBSCAN parameter selection from k-NN dissimilarity ECDFs.
 
 For each neighbor rank k between 2 and round(ln n), the empirical CDF of
-the k-th-nearest-neighbor dissimilarities is smoothed with a cubic spline;
-the curve with the sharpest rise is handed to Kneedle, and the detected
-knee becomes epsilon. min_samples is round(ln n) throughout.
+the k-th-nearest-neighbor dissimilarities is smoothed with a cubic
+smoothing spline, in practice its least-squares cubic; the curve with the
+sharpest rise is handed to Kneedle, and the detected knee becomes epsilon.
+min_samples is round(ln n) throughout.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ logger = logging.getLogger(__name__)
 
 KNEEDLE_SENSITIVITY = 1.0
 SPLINE_SMOOTHING = 0.1  # spline residual budget per fitted point
+# Up to this condition number of the scaled cubic's design matrix, numpy's and
+# FITPACK's least-squares cubics agree to about 1e-12; beyond it they drift
+# apart (1e-9 near 1e8), so such a fit is left to FITPACK.
+MAX_FIT_CONDITION = 1e4
 MIN_ANALYSIS_VALUES = 8
 RETRIM_SHARE = 0.6
 MAX_RETRIMS = 3
@@ -89,14 +94,17 @@ def ecdf(samples) -> EcdfCurve:
 def smooth_spline(curve: EcdfCurve) -> SmoothCurve:
     """Cubic smoothing-spline fit of an ECDF, resampled on an even grid.
 
-    The residual budget passed to the spline is SPLINE_SMOOTHING per
-    fitted point.
+    The residual budget of the spline is SPLINE_SMOOTHING per fitted point.
+    Whenever the least-squares polynomial of degree min(3, m - 1) through the
+    m fitted points meets that budget, FITPACK's smoothing spline is that
+    polynomial (no interior knots), so it is fitted here with numpy. Only a
+    curve whose polynomial misses the budget, or whose fit is so
+    ill-conditioned that two solvers would round it apart, is handed to
+    scipy's ``UnivariateSpline``.
     Duplicate x positions collapse to the top of their step beforehand;
     the result is clamped to [0, 1] and made monotone non-decreasing.
     A degenerate x-range returns the step curve unchanged, flagged.
     """
-    from scipy.interpolate import UnivariateSpline  # slow import; only fits need it
-
     xs, ys = curve.xs, curve.ys
     if xs[-1] == xs[0]:
         return SmoothCurve(xs.copy(), ys.copy(), degenerate=True)
@@ -105,8 +113,18 @@ def smooth_spline(curve: EcdfCurve) -> SmoothCurve:
     ux, uy = xs[keep], ys[keep]
     grid = np.linspace(xs[0], xs[-1], max(200, xs.size))
     degree = min(3, ux.size - 1)
-    spline = UnivariateSpline(ux, uy, k=degree, s=SPLINE_SMOOTHING * ux.size)
-    smoothed = np.clip(spline(grid), 0.0, 1.0)
+    budget = SPLINE_SMOOTHING * ux.size
+    span = ux[-1] - ux[0]
+    design = np.vander((ux - ux[0]) / span, degree + 1)
+    coef, _, _, singular = np.linalg.lstsq(design, uy, rcond=None)
+    residual = float(np.sum((design @ coef - uy) ** 2))
+    if residual <= budget and singular[0] <= MAX_FIT_CONDITION * singular[-1]:
+        fitted = np.polyval(coef, (grid - ux[0]) / span)
+    else:
+        from scipy.interpolate import UnivariateSpline  # slow import; rarely needed
+
+        fitted = UnivariateSpline(ux, uy, k=degree, s=budget)(grid)
+    smoothed = np.clip(fitted, 0.0, 1.0)
     smoothed = np.maximum.accumulate(smoothed)
     return SmoothCurve(grid, smoothed)
 

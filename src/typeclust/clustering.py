@@ -63,6 +63,26 @@ def ensure_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats:
     return cluster.stats
 
 
+def _component_roots(heads: np.ndarray, tails: np.ndarray, n: int) -> np.ndarray:
+    """Per node of an undirected graph, the lowest node of its connected component.
+
+    Every round hooks the larger root of each edge that joins two trees onto
+    the smaller one, then moves every node to its grandparent until each
+    points at its root. A parent is never above its child, so every root
+    is the minimum of its tree.
+    """
+    parent = np.arange(n)
+    while True:
+        a, b = parent[heads], parent[tails]
+        joins = a != b
+        if not joins.any():
+            return parent
+        a, b = a[joins], b[joins]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+
+
 def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clustering:
     """Cluster the matrix values with DBSCAN on the closed epsilon-ball."""
     n = matrix.n
@@ -71,9 +91,6 @@ def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clu
     if not 1 <= min_samples <= n:
         raise ValueError(f"min_samples must be in [1, {n}], got {min_samples}")
 
-    from scipy.sparse import csr_matrix  # slow import; only clustering needs it
-    from scipy.sparse.csgraph import connected_components
-
     neighborhood = matrix.d <= epsilon
     core = np.count_nonzero(neighborhood, axis=1) >= min_samples
     core_indices = np.flatnonzero(core)
@@ -81,8 +98,11 @@ def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clu
     count = 0
     if core_indices.size:
         to_core = neighborhood.compress(core, axis=1)
-        graph = csr_matrix(to_core.compress(core, axis=0))
-        count, components = connected_components(graph, directed=False)
+        roots, components = np.unique(
+            _component_roots(*np.nonzero(to_core.compress(core, axis=0)), core_indices.size),
+            return_inverse=True,
+        )
+        count = roots.size
         labels[core_indices] = components
         border = np.flatnonzero(~core)
         reach = to_core.compress(~core, axis=0)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_matrix, two_blob_matrix, symmetric_random
 from oracles import kneedle_reference
+from typeclust import autoconf
 from typeclust.autoconf import (
     KNEEDLE_SENSITIVITY,
     AutoConfig,
@@ -110,7 +111,66 @@ class TestEcdf:
         assert np.allclose(np.diff(curve.ys), 1 / 37)
 
 
+@st.composite
+def ecdf_samples(draw):
+    """k-NN-like distance samples: uniform, mixtures of spreads, rounded to few
+    distinct values, or tight clusters at scales decades apart."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(8, 600))
+    kind = draw(st.sampled_from(["uniform", "mixture", "rounded", "clusters"]))
+    if kind == "uniform":
+        return rng.uniform(0.0, draw(st.floats(1e-3, 10.0)), n)
+    if kind == "rounded":
+        return np.round(rng.random(n), draw(st.integers(1, 3)))
+    parts = draw(st.integers(2, 5))
+    if kind == "mixture":
+        centers, spreads = rng.random(parts), rng.uniform(0.01, 0.3, parts)
+    else:
+        centers = 10.0 ** rng.uniform(-4, 0, parts)
+        spreads = centers * 10.0 ** rng.uniform(-4, -1, parts)
+    return np.abs(rng.normal(centers[np.arange(n) % parts], spreads[np.arange(n) % parts]))
+
+
+def fitpack_smoothing(curve: EcdfCurve):
+    """UnivariateSpline on the collapsed ECDF, with smooth_spline's budget,
+    grid, clip and running maximum: the fit smooth_spline must reproduce."""
+    from scipy.interpolate import UnivariateSpline
+
+    keep = np.append(curve.xs[1:] != curve.xs[:-1], True)
+    ux, uy = curve.xs[keep], curve.ys[keep]
+    grid = np.linspace(curve.xs[0], curve.xs[-1], max(200, curve.xs.size))
+    spline = UnivariateSpline(ux, uy, k=min(3, ux.size - 1),
+                              s=autoconf.SPLINE_SMOOTHING * ux.size)
+    return np.maximum.accumulate(np.clip(spline(grid), 0.0, 1.0)), spline.get_knots().size
+
+
 class TestSmoothSpline:
+    @settings(max_examples=300, deadline=None)
+    @given(ecdf_samples())
+    def test_matches_fitpack_least_squares_cubic(self, samples):
+        curve = ecdf(samples)
+        assume(curve.xs[-1] > curve.xs[0])
+        expected, knots = fitpack_smoothing(curve)
+        assert knots == 2  # no interior knot: FITPACK's fit is the polynomial
+        assert np.max(np.abs(smooth_spline(curve).ys - expected)) <= 1e-9
+
+    def test_cubic_over_budget_is_fitpack_spline(self, monkeypatch):
+        monkeypatch.setattr(autoconf, "SPLINE_SMOOTHING", 1e-4)
+        xs = np.concatenate([np.linspace(0.01, 0.05, 20), np.linspace(0.60, 0.70, 20)])
+        curve = EcdfCurve(xs, np.arange(1, 41) / 40)
+        expected, knots = fitpack_smoothing(curve)
+        assert knots > 2
+        assert np.array_equal(smooth_spline(curve).ys, expected)
+
+    def test_ill_conditioned_cubic_is_fitpack_spline(self):
+        # three clusters a billionth wide barely determine the cubic's fourth
+        # coefficient; numpy's and FITPACK's solutions differ here by 5e-9
+        xs = np.concatenate([c + 1e-9 * np.arange(20) for c in (0.2, 0.5, 0.9)])
+        curve = EcdfCurve(xs, np.arange(1, 61) / 60)
+        expected, knots = fitpack_smoothing(curve)
+        assert knots == 2
+        assert np.array_equal(smooth_spline(curve).ys, expected)
+
     def test_linear_ecdf_reproduced(self):
         n = 50
         xs = np.linspace(0.1, 0.9, n)

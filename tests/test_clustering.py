@@ -150,7 +150,36 @@ def bridged_cliques(draw):
     return d[np.ix_(order, order)], 0.2, size
 
 
+@st.composite
+def chains_and_stars(draw):
+    """A path of 50-400 points and a star, in shuffled index order; returns
+    (d, epsilon, min_samples). Neighbours along the path sit far apart in
+    index order, so joining its cores takes several hook-and-jump rounds.
+    With min_samples 3 the path's two ends and the star's leaves are border
+    points; with 2 every point in them is a core."""
+    path = draw(st.integers(50, 400))
+    leaves = draw(st.integers(2, 30))
+    noise = draw(st.integers(0, 3))
+    n = path + 1 + leaves + noise
+    d = np.full((n, n), 0.9)
+    steps = np.arange(path - 1)
+    d[steps, steps + 1] = d[steps + 1, steps] = draw(st.sampled_from((0.1, 0.2)))
+    center, tips = path, np.arange(path + 1, path + 1 + leaves)
+    d[center, tips] = d[tips, center] = 0.2
+    np.fill_diagonal(d, 0.0)
+    order = np.array(draw(st.permutations(range(n))))
+    return d[np.ix_(order, order)], 0.2, draw(st.sampled_from((2, 3)))
+
+
 class TestDbscanProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(chains_and_stars())
+    def test_matches_naive_reference_on_chains_and_stars(self, case):
+        d, epsilon, min_samples = case
+        assert partition_of(dbscan(make_matrix(d), epsilon, min_samples)) == naive_dbscan(
+            d, epsilon, min_samples
+        )
+
     @settings(max_examples=200, deadline=None)
     @given(bridged_cliques())
     def test_matches_naive_reference_on_shared_borders(self, case):

@@ -468,17 +468,25 @@ class TestCli:
         assert code == 2
         assert "error in stage values" in capsys.readouterr().err
 
-    def test_cli_import_loads_no_scipy(self):
-        src = Path(pl.__file__).resolve().parents[1]
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        trace, truth = two_type_fixture(tmp_path)  # 40 values: three ECDFs and a knee
+        report, curves = tmp_path / "report.json", tmp_path / "curves.csv"
+        inputs = ["--input", str(trace), "--format", "hex", "--segmenter", "import",
+                  "--segments", str(truth)]
         probe = (
-            "import sys, typeclust.cli; print(sorted(m for m in sys.modules"
-            " if m.startswith(('scipy.interpolate', 'scipy.sparse'))))"
+            "import sys; from typeclust.cli import main\n"
+            f"assert main(['analyze', *{inputs!r}, '--out-json', {str(report)!r}]) == 0\n"
+            f"assert main(['ecdf', *{inputs!r}, '--out', {str(curves)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
+        src = Path(pl.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.splitlines()[-1] == "[]"
+        assert json.loads(report.read_text())["metadata"]["fallback"] is False
+        assert len(curves.read_text().splitlines()) == 1 + 3 * 200  # k = 2, 3, 4
 
     def test_dump_matrix(self, tmp_path):
         trace, truth = two_type_fixture(tmp_path)
