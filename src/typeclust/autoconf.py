@@ -162,14 +162,20 @@ def kneedle(curve: SmoothCurve) -> float:
     return float(xs[confirmed[-1]])
 
 
+def _knee(curve: SmoothCurve) -> float:
+    """Kneedle's knee of a smoothed curve; a degenerate curve has none."""
+    if curve.degenerate:
+        raise NoKneeError("curve is degenerate")
+    return kneedle(curve)
+
+
 def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
     """Pick epsilon from the sharpest smoothed k-NN ECDF and min_samples = round(ln n).
 
     The rank k' maximizing the largest single-step increase of the smoothed
     curve is selected (ties toward smaller k); Kneedle runs on that curve.
-    Without a confirmed knee, or when the chosen curve is degenerate or too
-    short for Kneedle, epsilon falls back to the median 2-NN dissimilarity,
-    flagged.
+    Without a confirmed knee, or when the chosen curve is degenerate,
+    epsilon falls back to the median 2-NN dissimilarity, flagged.
     """
     n = matrix.n
     if n < MIN_ANALYSIS_VALUES:
@@ -181,21 +187,18 @@ def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
     for k in range(2, k_max + 1):
         smoothed.append((k, smooth_spline(ecdf(knn_dissimilarities(matrix, k)))))
 
-    sharpness = [float(np.max(np.diff(sc.ys))) if sc.ys.size > 1 else 0.0 for _, sc in smoothed]
+    sharpness = [float(np.max(np.diff(sc.ys))) for _, sc in smoothed]
     best = int(np.argmax(sharpness))  # first occurrence wins: smaller k on ties
     chosen_k, chosen_curve = smoothed[best]
 
-    min_samples = max(1, round_ln(n))
     try:
-        if chosen_curve.degenerate or chosen_curve.xs.size < 10:
-            raise NoKneeError("chosen curve is degenerate")
-        knee = kneedle(chosen_curve)
+        knee = _knee(chosen_curve)
         fallback = False
     except NoKneeError:
         knee = float(np.median(knn_dissimilarities(matrix, 2)))
         fallback = True
         logger.warning("no knee confirmed for k=%d; falling back to median 2-NN %.6g", chosen_k, knee)
-    return AutoConfig(chosen_k=chosen_k, epsilon=knee, min_samples=min_samples, fallback=fallback)
+    return AutoConfig(chosen_k=chosen_k, epsilon=knee, min_samples=k_max, fallback=fallback)
 
 
 def retrim_epsilon(matrix: DissimilarityMatrix, previous: AutoConfig, clustering) -> AutoConfig:
@@ -217,17 +220,12 @@ def retrim_epsilon(matrix: DissimilarityMatrix, previous: AutoConfig, clustering
 
     samples = knn_dissimilarities(matrix, previous.chosen_k)
     trimmed = samples[samples < previous.epsilon]
-    if trimmed.size < MIN_ANALYSIS_VALUES:
-        logger.warning("re-trim skipped: only %d dissimilarities below the knee", trimmed.size)
-        return replace(previous, retrim_failed=True)
-    smoothed = smooth_spline(ecdf(trimmed))
-    if smoothed.degenerate or smoothed.xs.size < 10:
-        logger.warning("re-trim skipped: trimmed curve is degenerate")
-        return replace(previous, retrim_failed=True)
     try:
-        knee = kneedle(smoothed)
-    except NoKneeError:
-        logger.warning("re-trim skipped: no knee in the trimmed curve")
+        if trimmed.size < MIN_ANALYSIS_VALUES:
+            raise NoKneeError(f"only {trimmed.size} dissimilarities below the knee")
+        knee = _knee(smooth_spline(ecdf(trimmed)))
+    except NoKneeError as reason:
+        logger.warning("re-trim skipped: %s", reason)
         return replace(previous, retrim_failed=True)
     return replace(previous, epsilon=knee, retrim_failed=False,
                    retrim_count=previous.retrim_count + 1)

@@ -42,7 +42,7 @@ def cluster_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats
     members = cluster.members
     if len(members) < 2:
         return ClusterStats(0.0, 0.0, 0.0)
-    sub = matrix.d[np.ix_(members, members)]
+    sub = matrix.block(members, members)
     # a boolean mask (1 byte a cell) selects the upper triangle in the same
     # row-major order as np.triu_indices (two int64 arrays, 16 bytes a pair)
     order = np.arange(len(members))
@@ -84,34 +84,30 @@ def _component_roots(heads: np.ndarray, tails: np.ndarray, n: int) -> np.ndarray
 
 
 def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clustering:
-    """Cluster the matrix values with DBSCAN on the closed epsilon-ball."""
+    """Cluster the matrix values with DBSCAN, reading only the pairs within epsilon."""
     n = matrix.n
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 1 <= min_samples <= n:
         raise ValueError(f"min_samples must be in [1, {n}], got {min_samples}")
 
-    neighborhood = matrix.d <= epsilon
-    core = np.count_nonzero(neighborhood, axis=1) >= min_samples
-    core_indices = np.flatnonzero(core)
+    heads, tails = matrix.within(epsilon)
+    # the zero diagonal puts every point within epsilon of itself
+    core = np.bincount(heads, minlength=n) + np.bincount(tails, minlength=n) >= min_samples - 1
+    both = core[heads] & core[tails]
+    roots = _component_roots(heads[both], tails[both], n)
     labels = np.full(n, -1, dtype=np.int64)
-    count = 0
-    if core_indices.size:
-        to_core = neighborhood.compress(core, axis=1)
-        roots, components = np.unique(
-            _component_roots(*np.nonzero(to_core.compress(core, axis=0)), core_indices.size),
-            return_inverse=True,
-        )
-        count = roots.size
-        labels[core_indices] = components
-        border = np.flatnonzero(~core)
-        reach = to_core.compress(~core, axis=0)
-        reached = reach.any(axis=1)
-        # argmax finds the first True: the lowest-index core within epsilon
-        labels[border[reached]] = components[reach[reached].argmax(axis=1)]
+    ids, labels[core] = np.unique(roots[core], return_inverse=True)
+    # a border point joins the cluster of the lowest-index core within epsilon
+    reach = np.full(n, n)
+    for border, other in ((heads, tails), (tails, heads)):
+        to_core = core[other] & ~core[border]
+        np.minimum.at(reach, border[to_core], other[to_core])
+    reached = reach < n
+    labels[reached] = labels[reach[reached]]
 
     order = np.argsort(labels, kind="stable")  # noise (-1) first, ascending within a label
-    noise, *member_sets = np.split(order, np.searchsorted(labels[order], np.arange(count)))
+    noise, *member_sets = np.split(order, np.searchsorted(labels[order], np.arange(ids.size)))
     # a border point may sit below its cluster's lowest core, so order again;
     # stats are left to ensure_stats: a re-trim may discard this clustering
     clusters = sorted((Cluster(m.tolist()) for m in member_sets), key=lambda c: c.members[0])

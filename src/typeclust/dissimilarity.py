@@ -19,8 +19,8 @@ import numpy as np
 from .errors import EmptyAnalysisError
 from .segmentation import Segmentation
 
-# cells per matrix block and per k-NN row chunk: at 64 K float64 cells
-# (0.5 MB) a byte-position plane stays in a core's L2 cache
+# cells per matrix block and per k-NN or epsilon-pair row chunk: at 64 K
+# float64 cells (0.5 MB) a byte-position plane stays in a core's L2 cache
 _CHUNK_CELLS = 1 << 16
 
 # _TERMS[256 * x + y] is the Canberra term |x-y| / (x+y) of bytes x and y,
@@ -54,6 +54,22 @@ class DissimilarityMatrix:
     @property
     def n(self) -> int:
         return len(self.values)
+
+    def block(self, rows, cols) -> np.ndarray:
+        """A new array of the dissimilarities of ``rows`` against ``cols``."""
+        return self.d[np.ix_(rows, cols)]
+
+    def within(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """(heads, tails) of every pair i < j with d[i, j] <= eps, row-major, by row chunks."""
+        n = self.n
+        rows = max(1, _CHUNK_CELLS // n)
+        heads, tails = [], []
+        for lo in range(0, n, rows):
+            # local column c > local row r is the upper triangle j > i
+            r, c = np.nonzero(np.triu(self.d[lo : lo + rows, lo:] <= eps, 1))
+            heads.append(r + lo)
+            tails.append(c + lo)
+        return np.concatenate(heads), np.concatenate(tails)
 
     def nearest(self, k: int) -> np.ndarray:
         """The k smallest off-diagonal dissimilarities of every row, ascending.

@@ -36,7 +36,7 @@ def link_segments(matrix: DissimilarityMatrix, c_i: Cluster, c_j: Cluster) -> Li
     """Closest cross-cluster pair; ties resolve to the lowest index pair."""
     rows = np.asarray(c_i.members)
     cols = np.asarray(c_j.members)
-    block = matrix.d[np.ix_(rows, cols)]
+    block = matrix.block(rows, cols)
     flat = int(np.argmin(block))  # first minimum in row-major order
     a, b = divmod(flat, cols.size)
     return LinkPair(int(rows[a]), int(cols[b]), float(block[a, b]))
@@ -49,7 +49,7 @@ def eps_density(
     others = [m for m in cluster.members if m != s_l]
     if not others:
         return None
-    dists = matrix.d[s_l, others]
+    dists = matrix.block([s_l], others)[0]
     inside = dists[dists <= eps]
     if inside.size == 0:
         return None

@@ -80,7 +80,9 @@ class TestDbscan:
             n = int(rng.integers(5, 31))
             d = symmetric_random(n, rng)
             matrix = make_matrix(d)
-            for epsilon, min_samples in [(0.1, 2), (0.3, 3), (0.5, 4), (0.7, 2), (0.9, 5)]:
+            # min_samples 1 makes every point a core, min_samples n needs a full row
+            for epsilon, min_samples in [(0.1, 2), (0.3, 3), (0.5, 4), (0.7, 2), (0.9, 5),
+                                         (0.3, 1), (0.7, 1), (0.9, n), (1.0, n)]:
                 mine = partition_of(dbscan(matrix, epsilon, min_samples))
                 reference = naive_dbscan(d.tolist(), epsilon, min_samples)
                 assert mine == reference, (trial, epsilon, min_samples)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_matrix, segmentation_of
+from conftest import make_matrix, segmentation_of, symmetric_random
 from oracles import canberra_matrix_reference, canberra_reference
 from typeclust import dissimilarity
 from typeclust.dissimilarity import (
@@ -252,6 +254,44 @@ class TestBuildMatrix:
         assert lines[0] == "0,1"
         assert lines[1] == "0,0.25"
         assert lines[2] == "0.25,0"
+
+
+class TestMatrixReaders:
+    """``block``, ``nearest`` and ``within`` are the only readers of the dense array."""
+
+    @pytest.mark.parametrize("n", [300, 700])  # both end on a partial row chunk
+    def test_within_is_the_upper_triangle_at_or_below_eps(self, rng, n):
+        assert n % max(1, dissimilarity._CHUNK_CELLS // n)
+        d = np.round(symmetric_random(n, rng), 2)  # ties at eps
+        matrix = make_matrix(d)
+        off_diagonal = d[~np.eye(n, dtype=bool)]
+        sizes = []
+        for eps in (off_diagonal.min() / 2, 0.3, 0.5, 0.71, off_diagonal.max(), 1.0):
+            heads, tails = matrix.within(eps)
+            expected = np.nonzero(np.triu(d <= eps, 1))
+            assert np.array_equal(heads, expected[0]) and np.array_equal(tails, expected[1])
+            sizes.append(heads.size)
+        assert sizes[0] == 0 and sizes[-2] == sizes[-1] == n * (n - 1) // 2
+
+    def test_block_is_a_writable_copy(self, rng):
+        d = symmetric_random(6, rng)
+        matrix = make_matrix(d)
+        block = matrix.block([4, 1], [0, 2, 5])
+        assert np.array_equal(block, d[np.ix_([4, 1], [0, 2, 5])])
+        block[:] = np.inf
+        assert np.array_equal(matrix.d, d)
+
+    def test_no_other_module_reads_the_dense_array(self):
+        package = Path(dissimilarity.__file__).parent
+        readers = sorted({
+            path.name
+            for path in package.glob("*.py")
+            if path.name != "dissimilarity.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "d"
+            and isinstance(node.ctx, ast.Load)
+        })
+        assert readers == []
 
 
 class TestKernelBits:
