@@ -1,0 +1,105 @@
+"""Byte identity of every output on the first bench capture of each workload.
+
+``report_digests.json`` holds the SHA-256 of the ``analyze --out-json``
+reports at ``--threads`` 1 and 2, the ``--no-refine`` report, the ``ecdf``
+CSV and the ``evaluate --out-json`` metrics of two generated captures: NTP
+generator seed 3 (1,000 messages, imported segmentation) and DHCP generator
+seed 8 (1,200 messages, heuristic segmenter), the first capture of each
+bench workload at bench seed 1. The captures are written with relative
+paths, because a report records the path of its input. A change that moves
+a byte of any output fails here. Rebuild the manifest with
+
+    python3 tests/test_report_digests.py --write
+
+and list every digest that changed, and why, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+import gen  # noqa: E402
+
+MANIFEST = Path(__file__).with_name("report_digests.json")
+
+# workload -> (generator, generator seed, messages, segmenter), as bench/run.py has them
+CAPTURES = {
+    "ntp-import": (gen.write_ntp_pcap, 3, 1000, "import"),
+    "dhcp-heuristic": (gen.write_dhcp_hex, 8, 1200, "heuristic"),
+}
+
+
+def versions() -> dict[str, str]:
+    """The interpreter and numpy versions, which the digests were taken under."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def digests() -> dict[str, str]:
+    """SHA-256 of every output, by relative path; generates and runs in the working directory."""
+    from typeclust import cli
+
+    found = {}
+    for name, (generate, seed, messages, segmenter) in CAPTURES.items():
+        trace = generate(Path(name), seed, messages)
+        args = ["--input", str(trace.path), "--format", trace.format, "--filter", trace.filter,
+                "--segmenter", segmenter]
+        if trace.limit is not None:
+            args += ["--limit", str(trace.limit)]
+        if segmenter == "import":
+            args += ["--segments", str(trace.truth_path)]
+        report = f"{name}/analyze-threads1.json"
+        commands = {
+            report: ["analyze", *args, "--threads", "1", "--out-json"],
+            f"{name}/analyze-threads2.json": ["analyze", *args, "--threads", "2", "--out-json"],
+            f"{name}/no-refine.json": ["analyze", *args, "--no-refine", "--out-json"],
+            f"{name}/ecdf.csv": ["ecdf", *args, "--out"],
+            f"{name}/evaluate.json": ["evaluate", "--report", report, *args,
+                                      "--truth", str(trace.truth_path), "--out-json"],
+        }
+        for output, argv in commands.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*argv, output])
+            if code != 0:
+                raise RuntimeError(f"typeclust {' '.join(argv)} {output} exited with code {code}")
+            found[output] = hashlib.sha256(Path(output).read_bytes()).hexdigest()
+    return found
+
+
+def test_outputs_match_the_manifest(tmp_path, monkeypatch):
+    manifest = json.loads(MANIFEST.read_text(encoding="ascii"))
+    recorded = {key: manifest[key] for key in versions()}
+    assert recorded == versions(), (
+        f"the digests were recorded under {recorded} and this is {versions()}; "
+        "rebuild them with --write and list the changed digests in CHANGES.md"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert digests() == manifest["digests"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: python3 {sys.argv[0]} --write")
+    sys.path.insert(0, str(ROOT / "src"))
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            written = digests()
+        finally:
+            os.chdir(home)
+    MANIFEST.write_text(json.dumps({**versions(), "digests": written}, indent=2) + "\n",
+                        encoding="ascii")
+    print(f"wrote {len(written)} digests to {MANIFEST}")
