@@ -20,7 +20,7 @@ from .autoconf import (
 from .clustering import Cluster, ClusterStats, Clustering, cluster_stats, dbscan
 from .dissimilarity import (
     DissimilarityMatrix,
-    SegmentValue,
+    Values,
     build_matrix,
     unique_values,
 )

@@ -210,10 +210,7 @@ def retrim_epsilon(matrix: DissimilarityMatrix, previous: AutoConfig, clustering
     Returns ``previous`` unchanged when the condition is not met, or a
     flagged copy when the trimmed curve is unusable.
     """
-    sizes = [
-        sum(len(matrix.values[m].members) for m in cluster.members)
-        for cluster in clustering.clusters
-    ]
+    sizes = [matrix.values.counts[cluster.members].sum() for cluster in clustering.clusters]
     total = sum(sizes)
     if not sizes or total == 0 or max(sizes) <= RETRIM_SHARE * total:
         return previous

@@ -27,7 +27,7 @@ class ClusterStats:
 
 @dataclass
 class Cluster:
-    members: list[int]  # SegmentValue indices, ascending
+    members: list[int]  # value indices, ascending
     stats: ClusterStats | None = None  # None until ensure_stats measures it
 
 

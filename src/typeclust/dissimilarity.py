@@ -31,23 +31,31 @@ _TERMS.flags.writeable = False
 del _x, _y
 
 
-@dataclass
-class SegmentValue:
-    """One distinct byte sequence and the segments that carry it.
+@dataclass(eq=False)
+class Values:
+    """The distinct segment byte sequences, as parallel arrays in first-occurrence order.
 
-    ``members`` indexes the segmentation the value was cut from, in trace
-    order, so ``len(members)`` is the value's occurrence count.
+    Value v is ``content[v]``, ``length[v]`` bytes long, and occurs in
+    ``counts[v]`` segments. ``members`` holds the segments' indices into the
+    segmentation the values were cut from, value by value and each value's
+    in trace order, so value v's segments are the ``counts[v]`` entries
+    after those of the values before it.
     """
 
-    bytes: bytes
+    content: list[bytes]
+    length: np.ndarray
+    counts: np.ndarray
     members: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.content)
 
 
 @dataclass
 class DissimilarityMatrix:
     """Symmetric pairwise dissimilarities over unique segment values."""
 
-    values: list[SegmentValue]
+    values: Values
     d: np.ndarray
     _nearest: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -94,7 +102,7 @@ class DissimilarityMatrix:
         return self._nearest[:, :k]
 
 
-def unique_values(segments: Segmentation) -> list[SegmentValue]:
+def unique_values(segments: Segmentation) -> Values:
     """Fold duplicate segment byte sequences, keeping first-occurrence order.
 
     Segments are grouped by length, and each group's byte rows are folded by
@@ -116,16 +124,17 @@ def unique_values(segments: Segmentation) -> list[SegmentValue]:
         packed = keys.tobytes()
         contents += [packed[i : i + length] for i in range(0, len(packed), length)]
         firsts.append(idx[first])
-    order = np.argsort(np.concatenate(firsts))  # values by their first segment
+    firsts = np.concatenate(firsts)
+    order = np.argsort(firsts)  # values by their first segment
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     value_of = rank[group]
-    by_value = np.argsort(value_of, kind="stable")  # members in trace order, value by value
-    ends = np.cumsum(np.bincount(value_of)).tolist()
-    return [
-        SegmentValue(contents[v], by_value[lo:hi])
-        for v, lo, hi in zip(order.tolist(), [0] + ends, ends)
-    ]
+    return Values(
+        [contents[v] for v in order.tolist()],
+        segments.length[firsts[order]],
+        np.bincount(value_of),
+        np.argsort(value_of, kind="stable"),
+    )
 
 
 def _pairwise_sum(term, n: int, start: int = 0) -> np.ndarray:
@@ -200,7 +209,7 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def build_matrix(values: list[SegmentValue], threads: int = 1) -> DissimilarityMatrix:
+def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     """Fill the full symmetric dissimilarity matrix over unique values.
 
     Work is partitioned by value length, and each pair of lengths into
@@ -219,22 +228,18 @@ def build_matrix(values: list[SegmentValue], threads: int = 1) -> DissimilarityM
     if n < 2:
         raise EmptyAnalysisError(f"need at least 2 unique segment values, got {n}")
 
-    by_length: dict[int, list[int]] = {}
-    for index, value in enumerate(values):
-        by_length.setdefault(len(value.bytes), []).append(index)
-    arrays = {
-        length: np.frombuffer(b"".join(values[i].bytes for i in idx), dtype=np.uint8)
-        .reshape(len(idx), length)
-        for length, idx in by_length.items()
-    }
+    payload = np.frombuffer(b"".join(values.content), dtype=np.uint8)
+    start = np.cumsum(values.length) - values.length
+    lengths = np.unique(values.length).tolist()
+    by_length = {m: np.flatnonzero(values.length == m) for m in lengths}
+    arrays = {m: payload[start[idx, None] + np.arange(m)] for m, idx in by_length.items()}
 
     d = np.zeros((n, n), dtype=np.float64)
     tasks = []
-    lengths = sorted(by_length)
     for li, m in enumerate(lengths):
-        idx_a = np.array(by_length[m])
+        idx_a = by_length[m]
         for big in lengths[li:]:
-            idx_b = np.array(by_length[big])
+            idx_b = by_length[big]
             offsets = big - m + 1
             width = max(1, min(len(idx_b), _CHUNK_CELLS // offsets))
             height = max(1, _CHUNK_CELLS // (offsets * width))

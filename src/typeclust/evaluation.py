@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import Clustering
-from .dissimilarity import SegmentValue
+from .dissimilarity import Values
 from .errors import EvaluationUnavailableError
 from .segmentation import Segmentation
 
@@ -36,7 +36,7 @@ class Metrics:
     coverage: float
 
 
-def value_labels(values: list[SegmentValue], segments: Segmentation) -> list[str]:
+def value_labels(values: Values, segments: Segmentation) -> list[str]:
     """True type per unique value: majority over members, ties to the earliest.
 
     ``values`` index ``segments``; raises when any member segment carries no
@@ -44,10 +44,10 @@ def value_labels(values: list[SegmentValue], segments: Segmentation) -> list[str
     """
     truth = np.full(len(segments), None) if segments.truth is None else segments.truth
     labels: list[str] = []
-    for value in values:
-        types = truth[value.members].tolist()
+    for members in np.split(values.members, np.cumsum(values.counts)[:-1]):
+        types = truth[members].tolist()
         if None in types:
-            segment = value.members[types.index(None)]
+            segment = members[types.index(None)]
             raise EvaluationUnavailableError(
                 f"segment at message {segments.message[segment]} offset "
                 f"{segments.offset[segment]} has no ground-truth type"
@@ -137,20 +137,16 @@ def f_beta(precision: float, recall: float) -> float:
     return (1 + BETA * BETA) * precision * recall / denominator
 
 
-def coverage(segments: Segmentation, values: list[SegmentValue], clustering: Clustering) -> float:
+def coverage(segments: Segmentation, values: Values, clustering: Clustering) -> float:
     """Clustered bytes (all segment instances) over all trace bytes."""
     if not segments.data:
         return 0.0
-    inferred = sum(
-        len(values[member].bytes) * len(values[member].members)
-        for cluster in clustering.clusters
-        for member in cluster.members
-    )
-    return inferred / len(segments.data)
+    clustered = [member for cluster in clustering.clusters for member in cluster.members]
+    return int((values.length * values.counts)[clustered].sum()) / len(segments.data)
 
 
 def evaluate_clustering(
-    segments: Segmentation, values: list[SegmentValue], clustering: Clustering
+    segments: Segmentation, values: Values, clustering: Clustering
 ) -> Metrics:
     """Full metric set for a clustering of the labeled values of ``segments``."""
     tp, fp, fn, tn_fn = pair_counts(clustering, value_labels(values, segments))

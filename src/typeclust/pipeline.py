@@ -57,7 +57,7 @@ class PipelineResult:
     report: AnalysisReport
     messages: list[bytes]  # de-duplicated payloads; a message's id is its index
     segmentation: sg.Segmentation  # the analyzable segments, which ``values`` index
-    values: list[dm.SegmentValue]
+    values: dm.Values
     matrix: dm.DissimilarityMatrix
     autoconfig: ac.AutoConfig
     clustering: cl.Clustering
@@ -95,8 +95,7 @@ def build_segmentation(config: PipelineConfig, messages: list[bytes]) -> sg.Segm
 
 def _load_values(
     config: PipelineConfig, truth_path: str | None = None
-) -> tuple[tio.RawTrace, list[bytes], sg.Segmentation, sg.Segmentation,
-           list[dm.SegmentValue]]:
+) -> tuple[tio.RawTrace, list[bytes], sg.Segmentation, sg.Segmentation, dm.Values]:
     """The load, segment and values stages that every command shares.
 
     With ``truth_path`` the analyzable segments carry ground-truth types:
@@ -194,7 +193,7 @@ def build_report(
     messages: list[bytes],
     segmentation: sg.Segmentation,
     analyzable: sg.Segmentation,
-    values: list[dm.SegmentValue],
+    values: dm.Values,
     auto: ac.AutoConfig,
     result: cl.Clustering,
     metrics: ev.Metrics | None,
@@ -237,8 +236,8 @@ def build_report(
     clusters = [
         {
             "id": cid,
-            "values": [values[m].bytes.hex() for m in cluster.members],
-            "counts": [len(values[m].members) for m in cluster.members],
+            "values": [values.content[m].hex() for m in cluster.members],
+            "counts": values.counts[cluster.members].tolist(),
             "stats": {
                 "mean_pairwise": sig6(cluster.stats.mean_pairwise),
                 "minmed": sig6(cluster.stats.minmed),
@@ -247,7 +246,7 @@ def build_report(
         }
         for cid, cluster in enumerate(result.clusters)
     ]
-    noise = [values[m].bytes.hex() for m in result.noise]
+    noise = [values.content[m].hex() for m in result.noise]
     return AnalysisReport(metadata, clusters, noise, round_metrics(metrics))
 
 
@@ -282,7 +281,7 @@ def evaluate_report(
                     f"report metadata {key} is {report.metadata.get(key)!r}, the re-derived "
                     f"run gives {value!r}; wrong trace or segmenter?"
                 )
-        index_by_hex = {value.bytes.hex(): i for i, value in enumerate(values)}
+        index_by_hex = {content.hex(): i for i, content in enumerate(values.content)}
         assigned: set[int] = set()
 
         def indices(hex_values: list[str]) -> list[int]:
@@ -303,7 +302,7 @@ def evaluate_report(
         member_sets = []
         for cid, cluster in enumerate(report.clusters):
             members = indices(cluster["values"])
-            counts = [len(values[i].members) for i in members]
+            counts = values.counts[members].tolist()
             if len(cluster["counts"]) != len(counts):
                 raise AnalysisError(f"report cluster {cid} has {len(cluster['counts'])} "
                                     f"counts for {len(counts)} values")
@@ -314,7 +313,7 @@ def evaluate_report(
             member_sets.append(sorted(members))
         noise = sorted(indices(report.noise))
         if len(assigned) != len(values):
-            missing = next(v for i, v in enumerate(values) if i not in assigned)
-            raise AnalysisError(f"re-derived value {missing.bytes.hex()} is not in the report")
+            missing = next(c for i, c in enumerate(values.content) if i not in assigned)
+            raise AnalysisError(f"re-derived value {missing.hex()} is not in the report")
         clustering = cl.Clustering([cl.Cluster(m) for m in member_sets], noise)
         return ev.evaluate_clustering(analyzable, values, clustering)

@@ -141,16 +141,15 @@ def split_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clusterin
     """
     clusters: list[Cluster] = []
     for cluster in clustering.clusters:
-        counts = np.array(
-            [len(matrix.values[m].members) for m in cluster.members], dtype=np.float64
-        )
+        counts = matrix.values.counts[cluster.members].astype(np.float64)
         segment_count = counts.sum()
         pivot = math.log(segment_count) if segment_count > 0 else 0.0
         percent_rank = 100.0 * float((counts < pivot).sum()) / counts.size
         spread = float(counts.std())
         if percent_rank > SPLIT_PERCENTILE and spread > pivot:
-            low = [m for m, c in zip(cluster.members, counts) if c <= pivot]
-            high = [m for m, c in zip(cluster.members, counts) if c > pivot]
+            members = np.asarray(cluster.members)
+            low = members[counts <= pivot].tolist()
+            high = members[counts > pivot].tolist()
             if low and high:
                 clusters += [Cluster(low), Cluster(high)]
                 continue

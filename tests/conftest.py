@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from typeclust.clustering import Cluster
-from typeclust.dissimilarity import DissimilarityMatrix, SegmentValue
+from typeclust.dissimilarity import DissimilarityMatrix, Values
 from typeclust.segmentation import Segmentation
 
 
@@ -55,6 +55,14 @@ def build_ethernet_packet(
     return eth + ip
 
 
+def values_of(contents, counts=None) -> Values:
+    """Values of distinct byte contents, each occurring ``counts[v]`` times
+    (default once), whose segments are numbered consecutively in value order."""
+    counts = np.ones(len(contents), dtype=np.int64) if counts is None else np.asarray(counts)
+    return Values(list(contents), np.array([len(c) for c in contents], dtype=np.int64),
+                  counts, np.arange(counts.sum()))
+
+
 def make_matrix(distances, member_counts=None, lengths=None) -> DissimilarityMatrix:
     """Wrap a symmetric distance array in a DissimilarityMatrix.
 
@@ -64,16 +72,12 @@ def make_matrix(distances, member_counts=None, lengths=None) -> DissimilarityMat
     """
     d = np.asarray(distances, dtype=np.float64)
     n = d.shape[0]
-    values = []
-    first = 0
-    for i in range(n):
-        content = bytes([i // 256, i % 256] + [0] * ((lengths[i] - 2) if lengths else 0))
-        count = member_counts[i] if member_counts else 1
-        values.append(SegmentValue(content, np.arange(first, first + count)))
-        first += count
+    contents = [
+        bytes([i // 256, i % 256] + [0] * ((lengths[i] - 2) if lengths else 0)) for i in range(n)
+    ]
     d = d.copy()
     d.flags.writeable = False
-    return DissimilarityMatrix(values, d)
+    return DissimilarityMatrix(values_of(contents, member_counts), d)
 
 
 def segmentation_of(*rows) -> Segmentation:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_matrix, two_blob_matrix, symmetric_random
+from conftest import make_matrix, two_blob_matrix, symmetric_random, values_of
 from oracles import kneedle_reference
 from typeclust import autoconf
 from typeclust.autoconf import (
@@ -438,7 +438,10 @@ def test_retrim_epsilon_is_invariant_under_relabelling(data, case):
     assert expected.retrim_failed == (case in ("tiny-trimmed-sample", "degenerate"))
 
     new_index = np.argsort(perm)
-    relabelled = DissimilarityMatrix([matrix.values[p] for p in perm], matrix.d[np.ix_(perm, perm)])
+    relabelled = DissimilarityMatrix(
+        values_of([matrix.values.content[p] for p in perm], matrix.values.counts[perm]),
+        matrix.d[np.ix_(perm, perm)],
+    )
     moved = Clustering(
         [Cluster(sorted(int(new_index[m]) for m in c.members)) for c in clustering.clusters],
         sorted(int(new_index[m]) for m in clustering.noise),

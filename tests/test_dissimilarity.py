@@ -12,36 +12,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_matrix, segmentation_of, symmetric_random
+from conftest import make_matrix, segmentation_of, symmetric_random, values_of
 from oracles import canberra_matrix_reference, canberra_reference
 from typeclust import dissimilarity
 from typeclust.dissimilarity import (
     build_matrix,
     unique_values,
     write_matrix_csv,
-    SegmentValue,
 )
 from typeclust.errors import EmptyAnalysisError
 
 
-def value(content: bytes) -> SegmentValue:
-    """A value that occurs once."""
-    return SegmentValue(content, np.zeros(1, dtype=np.intp))
-
-
 def pair(u, v) -> float:
     """Dissimilarity of two byte sequences, from the matrix built over them."""
-    return build_matrix([value(bytes(u)), value(bytes(v))]).d[0, 1]
+    return build_matrix(values_of([bytes(u), bytes(v)])).d[0, 1]
 
 
 class TestUniqueValues:
     def test_duplicates_folded(self):
         values = unique_values(segmentation_of((0, 0, b"AB", None), (1, 0, b"CD", None),
                                                (2, 0, b"AB", None)))
-        assert [v.bytes for v in values] == [b"AB", b"CD"]
-        assert len(values[0].members) == 2
-        assert len(values[1].members) == 1
-        assert values[0].members.tolist() == [0, 2]
+        assert values.content == [b"AB", b"CD"]
+        assert values.counts.tolist() == [2, 1]
+        assert values.members[:2].tolist() == [0, 2]
 
     def test_all_distinct(self):
         segments = segmentation_of(*((i, 0, bytes([i, i + 1]), None) for i in range(10)))
@@ -79,7 +72,7 @@ class TestCanberraEqual:
         for _ in range(300):
             m = int(rng.integers(1, 8))
             x, y, z = (bytes(rng.integers(0, 256, size=m).tolist()) for _ in range(3))
-            d = build_matrix([value(x), value(y), value(z)]).d
+            d = build_matrix(values_of([x, y, z])).d
             assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
 
 
@@ -118,7 +111,7 @@ class TestCanberraDissimilarity:
 
 class TestBuildMatrix:
     def test_two_values(self):
-        values = [value(b"\x01\x02"), value(b"\x03\x04")]
+        values = values_of([b"\x01\x02", b"\x03\x04"])
         matrix = build_matrix(values)
         expected = canberra_reference(b"\x01\x02", b"\x03\x04")
         assert matrix.d[0, 1] == matrix.d[1, 0] == expected
@@ -126,7 +119,7 @@ class TestBuildMatrix:
 
     def test_three_values_match_entrywise_recomputation(self):
         contents = [b"\x01\x02", b"\x00\x10\x20", b"zz"]
-        values = [value(c) for c in contents]
+        values = values_of(contents)
         matrix = build_matrix(values)
         for i in range(3):
             for j in range(3):
@@ -139,7 +132,7 @@ class TestBuildMatrix:
             length = int(rng.integers(2, 7))
             contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
         contents = sorted(contents)
-        values = [value(c) for c in contents]
+        values = values_of(contents)
         matrix = build_matrix(values)
         for i in range(len(values)):
             for j in range(len(values)):
@@ -150,7 +143,7 @@ class TestBuildMatrix:
         contents = set()
         while len(contents) < 40:
             contents.add(bytes(rng.integers(0, 256, size=int(rng.integers(2, 6))).tolist()))
-        values = [value(c) for c in sorted(contents)]
+        values = values_of(sorted(contents))
         matrix = build_matrix(values)
         assert np.array_equal(matrix.d, matrix.d.T)
         assert np.all(np.diag(matrix.d) == 0.0)
@@ -160,17 +153,17 @@ class TestBuildMatrix:
 
     def test_permutation_equivariance(self, rng):
         contents = [b"\x01\x02", b"\x03\x04\x05", b"qrstuv", b"\xff\x00"]
-        values = [value(c) for c in contents]
+        values = values_of(contents)
         matrix = build_matrix(values)
         perm = [2, 0, 3, 1]
-        permuted = build_matrix([values[p] for p in perm])
+        permuted = build_matrix(values_of([contents[p] for p in perm]))
         assert np.array_equal(permuted.d, matrix.d[np.ix_(perm, perm)])
 
     def test_parallel_build_bit_identical(self, rng):
         contents = set()
         while len(contents) < 60:
             contents.add(bytes(rng.integers(0, 256, size=int(rng.integers(2, 9))).tolist()))
-        values = [value(c) for c in sorted(contents)]
+        values = values_of(sorted(contents))
         sequential = build_matrix(values, threads=1)
         parallel = build_matrix(values, threads=8)
         assert np.array_equal(sequential.d, parallel.d)
@@ -196,7 +189,7 @@ class TestBuildMatrix:
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        values = [value(bytes([i, 255 - i, i])) for i in range(12)]
+        values = values_of([bytes([i, 255 - i, i]) for i in range(12)])
         matrix = build_matrix(values, threads=threads)
         assert started == ([] if workers is None else [workers])
         assert np.array_equal(matrix.d, build_matrix(values).d)
@@ -213,7 +206,7 @@ class TestBuildMatrix:
             while sum(len(c) == length for c in contents) < count:
                 contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
         contents = sorted(contents, key=lambda c: (c[0], len(c)))  # interleave lengths
-        values = [value(c) for c in contents]
+        values = values_of(contents)
         default = build_matrix(values).d
         monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 24)
         builds = [build_matrix(values, threads=t).d for t in (1, 2, 8)]
@@ -230,7 +223,7 @@ class TestBuildMatrix:
 
     def test_zero_bytes_in_both_values_count_as_equal(self):
         contents = [b"\x00\x00\x05", b"\x00\x07\x05", b"\x00\x00\x00"]
-        values = [value(c) for c in contents]
+        values = values_of(contents)
         d = build_matrix(values).d
         for i, a in enumerate(contents):
             for j, b in enumerate(contents):
@@ -239,7 +232,7 @@ class TestBuildMatrix:
 
     def test_single_value_rejected(self):
         with pytest.raises(EmptyAnalysisError):
-            build_matrix([value(b"xy")])
+            build_matrix(values_of([b"xy"]))
 
     def test_matrix_is_immutable(self):
         matrix = make_matrix([[0.0, 0.5], [0.5, 0.0]])
@@ -325,7 +318,7 @@ class TestKernelBits:
             ]
         contents = list(dict.fromkeys(contents))
         contents = [contents[i] for i in rng.permutation(len(contents))]
-        values = [value(c) for c in contents]
+        values = values_of(contents)
         d = build_matrix(values, threads=threads).d
         assert np.array_equal(d, canberra_matrix_reference(contents))
 
@@ -344,7 +337,7 @@ _value = st.one_of(
 @given(contents=st.lists(_value, min_size=2, max_size=14, unique=True),
        chunk=st.sampled_from([24, dissimilarity._CHUNK_CELLS]))
 def test_build_matrix_properties(contents, chunk):
-    values = [value(c) for c in contents]
+    values = values_of(contents)
     with mock.patch.object(dissimilarity, "_CHUNK_CELLS", chunk):
         d = build_matrix(values, threads=1).d
         assert np.array_equal(build_matrix(values, threads=2).d, d)

@@ -218,7 +218,7 @@ class TestCoverage:
         ))
         assert len(segs.data) == 12 and len(segs) == 4
         values = unique_values(segs)
-        assert [(v.bytes, len(v.members)) for v in values] == [(b"AAA", 2), (b"BB", 1), (b"CC", 1)]
+        assert values.content == [b"AAA", b"BB", b"CC"] and values.counts.tolist() == [2, 1, 1]
         clustering = clustering_of([[0]], noise=[1, 2])
         # clustered bytes: 3+3 over 12 total
         assert coverage(segs, values, clustering) == pytest.approx(6 / 12)
