@@ -169,6 +169,20 @@ def _knee(curve: SmoothCurve) -> float:
     return kneedle(curve)
 
 
+def _curves(matrix: DissimilarityMatrix) -> list[tuple[int, EcdfCurve, SmoothCurve]]:
+    """(k, ECDF, smoothed ECDF) of the k-NN dissimilarities, for k = 2 .. round(ln n)."""
+    n = matrix.n
+    if n < MIN_ANALYSIS_VALUES:
+        raise EmptyAnalysisError(
+            f"need at least {MIN_ANALYSIS_VALUES} unique segment values, got {n}"
+        )
+    curves = []
+    for k in range(2, round_ln(n) + 1):
+        curve = ecdf(knn_dissimilarities(matrix, k))
+        curves.append((k, curve, smooth_spline(curve)))
+    return curves
+
+
 def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
     """Pick epsilon from the sharpest smoothed k-NN ECDF and min_samples = round(ln n).
 
@@ -177,19 +191,10 @@ def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
     Without a confirmed knee, or when the chosen curve is degenerate,
     epsilon falls back to the median 2-NN dissimilarity, flagged.
     """
-    n = matrix.n
-    if n < MIN_ANALYSIS_VALUES:
-        raise EmptyAnalysisError(
-            f"need at least {MIN_ANALYSIS_VALUES} unique segment values, got {n}"
-        )
-    k_max = round_ln(n)
-    smoothed: list[tuple[int, SmoothCurve]] = []
-    for k in range(2, k_max + 1):
-        smoothed.append((k, smooth_spline(ecdf(knn_dissimilarities(matrix, k)))))
-
-    sharpness = [float(np.max(np.diff(sc.ys))) for _, sc in smoothed]
+    curves = _curves(matrix)
+    sharpness = [float(np.max(np.diff(smoothed.ys))) for _, _, smoothed in curves]
     best = int(np.argmax(sharpness))  # first occurrence wins: smaller k on ties
-    chosen_k, chosen_curve = smoothed[best]
+    chosen_k, _, chosen_curve = curves[best]
 
     try:
         knee = _knee(chosen_curve)
@@ -198,7 +203,8 @@ def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
         knee = float(np.median(knn_dissimilarities(matrix, 2)))
         fallback = True
         logger.warning("no knee confirmed for k=%d; falling back to median 2-NN %.6g", chosen_k, knee)
-    return AutoConfig(chosen_k=chosen_k, epsilon=knee, min_samples=k_max, fallback=fallback)
+    return AutoConfig(chosen_k=chosen_k, epsilon=knee, min_samples=round_ln(matrix.n),
+                      fallback=fallback)
 
 
 def retrim_epsilon(matrix: DissimilarityMatrix, previous: AutoConfig, clustering) -> AutoConfig:
@@ -230,18 +236,11 @@ def retrim_epsilon(matrix: DissimilarityMatrix, previous: AutoConfig, clustering
 
 def ecdf_rows(matrix: DissimilarityMatrix) -> list[tuple[int, float, float, float]]:
     """(k, x, y_raw, y_smoothed) rows over the smoothed grid, for diagnostics."""
-    n = matrix.n
-    if n < MIN_ANALYSIS_VALUES:
-        raise EmptyAnalysisError(
-            f"need at least {MIN_ANALYSIS_VALUES} unique segment values, got {n}"
-        )
     rows: list[tuple[int, float, float, float]] = []
-    for k in range(2, round_ln(n) + 1):
-        samples = np.sort(knn_dissimilarities(matrix, k))
-        sc = smooth_spline(ecdf(samples))
-        raw = np.searchsorted(samples, sc.xs, side="right") / samples.size
+    for k, curve, smoothed in _curves(matrix):
+        raw = np.searchsorted(curve.xs, smoothed.xs, side="right") / curve.xs.size
         rows.extend(
             (k, float(x), float(yr), float(ys))
-            for x, yr, ys in zip(sc.xs, raw, sc.ys)
+            for x, yr, ys in zip(smoothed.xs, raw, smoothed.ys)
         )
     return rows

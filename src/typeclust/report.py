@@ -81,7 +81,8 @@ def read_report(path: str | Path) -> AnalysisReport:
     """Load a JSON report written by ``analyze``; anything else is an AnalysisError."""
     try:
         return AnalysisReport.from_json(Path(path).read_text(encoding="utf-8"))
-    except ValueError as err:  # not UTF-8, not JSON, or not shaped like a report
+    # not UTF-8, not JSON, nested deeper than the decoder recurses, or not shaped like a report
+    except (ValueError, RecursionError) as err:
         raise AnalysisError(f"{path}: not an analysis report ({err})") from None
 
 

@@ -99,7 +99,7 @@ def import_segmentation(messages: list[bytes], path: str | Path) -> Segmentation
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except ValueError as err:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, or nested too deep
             raise InconsistentGroundTruthError(f"{path}: not a JSON document ({err})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("messages"), list):
         raise InconsistentGroundTruthError(

@@ -32,6 +32,21 @@ def canberra_reference(u, v) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def unique_values_reference(segments):
+    """(content, length, counts, members) of the distinct segment byte sequences.
+
+    One pass over the segments in trace order: a byte sequence not seen
+    before opens a value, and each segment joins the list of its value.
+    """
+    by_content: dict[bytes, list[int]] = {}
+    for index, (start, length) in enumerate(zip(segments.start.tolist(), segments.length.tolist())):
+        by_content.setdefault(segments.data[start : start + length], []).append(index)
+    content = list(by_content)
+    lists = list(by_content.values())
+    return (content, [len(c) for c in content], [len(m) for m in lists],
+            [index for members in lists for index in members])
+
+
 def canberra_block_reference(rows, cols):
     """The broadcast matrix kernel that byte-position planes must reproduce.
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_matrix, segmentation_of, symmetric_random, values_of
-from oracles import canberra_matrix_reference, canberra_reference
+from oracles import canberra_matrix_reference, canberra_reference, unique_values_reference
 from typeclust import dissimilarity
 from typeclust.dissimilarity import (
     build_matrix,
@@ -43,6 +43,34 @@ class TestUniqueValues:
     def test_empty_input_raises(self):
         with pytest.raises(EmptyAnalysisError):
             unique_values(segmentation_of())
+
+
+# few byte values, so distinct values of one length sort unlike their first occurrence
+_field = st.lists(st.sampled_from([0, 1, 2, 255]), min_size=2, max_size=12).map(bytes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_unique_values_matches_reference(data):
+    pool = data.draw(st.lists(_field, min_size=1, max_size=8, unique=True), label="pool")
+    messages = data.draw(
+        st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=6), min_size=1, max_size=8),
+        label="messages",
+    )
+    rows = []
+    for message, fields in enumerate(messages):
+        offset = 0
+        for content in fields:
+            rows.append((message, offset, content, None))
+            offset += len(content)
+    segments = segmentation_of(*rows)
+    values = unique_values(segments)
+    content, length, counts, members = unique_values_reference(segments)
+    assert values.content == content
+    assert values.length.tolist() == length
+    assert values.counts.tolist() == counts
+    assert values.members.tolist() == members
+    assert sorted(values.members.tolist()) == list(range(len(segments)))
 
 
 class TestCanberraEqual:

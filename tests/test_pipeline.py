@@ -351,6 +351,7 @@ class TestCli:
         '{"metadata": {}, "clusters": [{"values": ["aabb"], "counts": [1.5]}], "noise": []}',
         '{"metadata": {}, "clusters": [{"values": ["aabb"], "counts": [true]}], "noise": []}',
         '{"metadata": {}, "clusters": [], "noise": [], "metrics": {"tp": 1}}',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
     ])
     def test_evaluate_rejects_a_file_that_is_not_a_report(self, tmp_path, capsys, content):
         trace, truth = two_type_fixture(tmp_path)

@@ -121,7 +121,10 @@ class TestImportSegmentation:
         with pytest.raises(InconsistentGroundTruthError, match="hex string"):
             import_segmentation(messages, path)
 
-    @pytest.mark.parametrize("content", [b"{messages: []}", b"", b'{"messages": [\xff]}'])
+    @pytest.mark.parametrize("content", [
+        b"{messages: []}", b"", b'{"messages": [\xff]}',
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100000-deep"),
+    ])
     def test_undecodable_file_names_path(self, tmp_path, content):
         path = tmp_path / "gt.json"
         path.write_bytes(content)
