@@ -63,7 +63,7 @@ def values_of(contents, counts=None) -> Values:
                   counts, np.arange(counts.sum()))
 
 
-def make_matrix(distances, member_counts=None, lengths=None) -> DissimilarityMatrix:
+def make_matrix(distances, member_counts=None) -> DissimilarityMatrix:
     """Wrap a symmetric distance array in a DissimilarityMatrix.
 
     Synthetic values get distinct two-byte contents and the requested number
@@ -71,10 +71,7 @@ def make_matrix(distances, member_counts=None, lengths=None) -> DissimilarityMat
     value order.
     """
     d = np.asarray(distances, dtype=np.float64)
-    n = d.shape[0]
-    contents = [
-        bytes([i // 256, i % 256] + [0] * ((lengths[i] - 2) if lengths else 0)) for i in range(n)
-    ]
+    contents = [bytes([i // 256, i % 256]) for i in range(d.shape[0])]
     d = d.copy()
     d.flags.writeable = False
     return DissimilarityMatrix(values_of(contents, member_counts), d)
