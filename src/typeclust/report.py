@@ -81,8 +81,7 @@ def read_report(path: str | Path) -> AnalysisReport:
     """Load a JSON report written by ``analyze``; anything else is an AnalysisError."""
     try:
         return AnalysisReport.from_json(Path(path).read_text(encoding="utf-8"))
-    # not UTF-8, not JSON, nested deeper than the decoder recurses, or not shaped like a report
-    except (ValueError, RecursionError) as err:
+    except (ValueError, RecursionError) as err:  # not UTF-8 or JSON, nested too deep, not a report
         raise AnalysisError(f"{path}: not an analysis report ({err})") from None
 
 

@@ -39,8 +39,9 @@ def unique_values_reference(segments):
     before opens a value, and each segment joins the list of its value.
     """
     by_content: dict[bytes, list[int]] = {}
-    for index, (start, length) in enumerate(zip(segments.start.tolist(), segments.length.tolist())):
-        by_content.setdefault(segments.data[start : start + length], []).append(index)
+    ends = (segments.start + segments.length).tolist()
+    for index, (start, end) in enumerate(zip(segments.start.tolist(), ends)):
+        by_content.setdefault(segments.data[start:end], []).append(index)
     content = list(by_content)
     lists = list(by_content.values())
     return (content, [len(c) for c in content], [len(m) for m in lists],
