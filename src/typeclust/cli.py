@@ -8,8 +8,9 @@ import logging
 import sys
 
 from . import pipeline as pl
+from .dissimilarity import write_matrix_csv
 from .errors import AnalysisError, EmptyAnalysisError, PipelineStageError
-from .report import read_report, render_table
+from .report import emit_report, read_report, render_table
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -78,15 +79,15 @@ def _config_from_args(args: argparse.Namespace) -> pl.PipelineConfig:
         segmenter=args.segmenter,
         segments_path=args.segments,
         refine=not getattr(args, "no_refine", False),
-        dump_matrix=getattr(args, "dump_matrix", None),
-        out_json=getattr(args, "out_json", None),
-        out_table=getattr(args, "out_table", None),
         threads=getattr(args, "threads", 1),
     )
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
     result = pl.run(_config_from_args(args))
+    if args.dump_matrix:
+        write_matrix_csv(result.matrix, args.dump_matrix)
+    emit_report(result.report, args.out_json, args.out_table)
     sys.stdout.write(render_table(result.report))
     return EXIT_OK
 
@@ -133,9 +134,6 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(err.original, EmptyAnalysisError):
             return EXIT_EMPTY_ANALYSIS
         return EXIT_ERROR
-    except EmptyAnalysisError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_EMPTY_ANALYSIS
     except (AnalysisError, OSError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_ERROR

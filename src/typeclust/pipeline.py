@@ -16,7 +16,7 @@ from . import refinement as rf
 from . import segmentation as sg
 from . import traceio as tio
 from .errors import AnalysisError, EmptyAnalysisError, PipelineStageError
-from .report import AnalysisReport, emit_report, sig6
+from .report import AnalysisReport, sig6
 
 
 @dataclass
@@ -28,9 +28,6 @@ class PipelineConfig:
     segmenter: str = "heuristic"  # "heuristic" | "import"
     segments_path: str | None = None
     refine: bool = True
-    dump_matrix: str | None = None
-    out_json: str | None = None
-    out_table: str | None = None
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -38,6 +35,8 @@ class PipelineConfig:
             raise ValueError(f"--format must be pcap or hex, got {self.format!r}")
         if self.segmenter not in ("heuristic", "import"):
             raise ValueError(f"--segmenter must be heuristic or import, got {self.segmenter!r}")
+        if self.segmenter == "import" and not self.segments_path:
+            raise ValueError("--segments is required with the import segmenter")
         try:
             flt = tio.ProtocolFilter.parse(self.filter)
         except ValueError as err:
@@ -88,8 +87,6 @@ def prepare_messages(config: PipelineConfig) -> tuple[tio.RawTrace, list[bytes]]
 def build_segmentation(config: PipelineConfig, messages: list[bytes]) -> sg.Segmentation:
     if config.segmenter == "heuristic":
         return sg.segment_heuristic(messages)
-    if not config.segments_path:
-        raise ValueError("--segments is required with the import segmenter")
     return sg.import_segmentation(messages, config.segments_path)
 
 
@@ -106,9 +103,8 @@ def _load_values(
         trace, messages = prepare_messages(config)
     with _stage("segment"):
         truth = None if truth_path is None else sg.import_segmentation(messages, truth_path)
-        if truth is not None and config.segmenter == "import" and (
-            config.segments_path is None or str(config.segments_path) == str(truth_path)
-        ):
+        if (truth is not None and config.segmenter == "import"
+                and str(config.segments_path) == str(truth_path)):
             segmentation = truth
         else:
             segmentation = build_segmentation(config, messages)
@@ -126,12 +122,10 @@ def _load_values(
 
 
 def run(config: PipelineConfig) -> PipelineResult:
-    """Execute the full pipeline and assemble the analysis report."""
+    """Execute the full pipeline and assemble the analysis report; writes no file."""
     trace, messages, segmentation, analyzable, values = _load_values(config)
     with _stage("matrix"):
         matrix = dm.build_matrix(values, threads=config.threads)
-        if config.dump_matrix:
-            dm.write_matrix_csv(matrix, config.dump_matrix)
     with _stage("autoconf"):
         auto = ac.select_epsilon(matrix)
     with _stage("cluster"):
@@ -158,7 +152,6 @@ def run(config: PipelineConfig) -> PipelineResult:
         report = build_report(
             config, trace, messages, segmentation, analyzable, values, auto, result, metrics
         )
-        emit_report(report, config.out_json, config.out_table)
     return PipelineResult(report, messages, analyzable, values, matrix, auto, result)
 
 

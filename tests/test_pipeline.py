@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import os
@@ -111,6 +112,7 @@ class TestRun:
     @pytest.mark.parametrize("field, value, flag", [
         ("threads", 0, "--threads"),
         ("threads", -3, "--threads"),
+        ("segmenter", "import", "--segments"),  # import without segments_path
     ])
     def test_bad_numeric_option_rejected(self, field, value, flag):
         with pytest.raises(ValueError, match=flag):
@@ -469,6 +471,49 @@ class TestCli:
         assert code == 2
         assert "error in stage values" in capsys.readouterr().err
 
+    def test_import_segmenter_without_segments_rejected_before_loading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")  # no file is read, so none need exist
+        inputs = ["--input", missing, "--format", "hex", "--segmenter", "import"]
+        for argv in (["analyze", *inputs],
+                     ["evaluate", "--report", missing, *inputs, "--truth", missing],
+                     ["ecdf", *inputs, "--out", str(tmp_path / "ecdf.csv")]):
+            assert self.run_cli(*argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: --segments is required with the import segmenter\n"
+            assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("failing", ["--dump-matrix", "--out-json", "--out-table"])
+    def test_failed_write_stops_the_later_outputs(self, tmp_path, capsys, failing):
+        trace, truth = two_type_fixture(tmp_path)
+        order = ["--dump-matrix", "--out-json", "--out-table"]  # the order analyze writes them
+        paths = {flag: tmp_path / f"out{i}" for i, flag in enumerate(order)}
+        paths[failing] = tmp_path / "missing" / "out"
+        code = self.run_cli("analyze", "--input", str(trace), "--format", "hex",
+                            "--segmenter", "import", "--segments", str(truth),
+                            *(arg for flag in order for arg in (flag, str(paths[flag]))))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no table
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(paths[failing]) in lines[0]
+        later = order[order.index(failing):]
+        assert [flag for flag in later if paths[flag].exists()] == []
+        earlier = order[:order.index(failing)]
+        assert all(paths[flag].exists() for flag in earlier)
+
+    def test_pipeline_writes_no_file(self):
+        referenced = set()
+        for node in ast.walk(ast.parse(Path(pl.__file__).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+        assert sorted(referenced & {"emit_report", "write_matrix_csv"}) == []
+
     def test_cli_import_loads_no_scipy(self, tmp_path):
         trace, truth = two_type_fixture(tmp_path)  # 40 values: three ECDFs and a knee
         report, curves = tmp_path / "report.json", tmp_path / "curves.csv"
@@ -498,9 +543,12 @@ class TestCli:
             "--dump-matrix", str(matrix_csv),
         )
         assert code == 0
-        header = matrix_csv.read_text().splitlines()
-        n = len(header[0].split(","))
-        assert len(header) == n + 1  # header plus one row per value
+        matrix = pl.run(analyze_config(trace, truth)).matrix
+        n = matrix.n
+        full = matrix.block(range(n), range(n))
+        expected = [",".join(str(i) for i in range(n))]
+        expected += [",".join(f"{x:.6g}" for x in row) for row in full]
+        assert matrix_csv.read_text().splitlines() == expected
 
     def test_ecdf_subcommand(self, tmp_path, capsys):
         trace, truth = two_type_fixture(tmp_path)
