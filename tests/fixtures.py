@@ -93,3 +93,16 @@ def synthetic_protocol_fixture(directory: Path, count: int = 500, seed: int = 95
             (payload, [(4, "magic"), (4, "counter"), (8, "text"), (4, "random")])
         )
     return write_fixture(directory, rows)
+
+
+def hadamard_fixture(directory: Path, order: int) -> tuple[Path, Path]:
+    """Rows of a Sylvester Hadamard matrix of `order` (a power of 2) as 00/ff bytes.
+
+    Any two rows differ in half their bytes, so with each message one field
+    every dissimilarity is 0.5: every k-NN curve is flat and has no knee.
+    """
+    rows = [[1]]
+    while len(rows) < order:
+        rows = [row + row for row in rows] + [row + [-x for x in row] for row in rows]
+    payloads = [bytes(0xFF if x > 0 else 0x00 for x in row) for row in rows]
+    return write_fixture(directory, [(p, [(len(p), "word")]) for p in payloads])

@@ -11,11 +11,15 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import build_pcap
-from fixtures import coverage_fixture, overclassified_fixture, two_type_fixture
+from fixtures import (
+    coverage_fixture,
+    hadamard_fixture,
+    overclassified_fixture,
+    two_type_fixture,
+)
 from typeclust import autoconf as ac
 from typeclust import pipeline as pl
 from typeclust.cli import main
@@ -278,18 +282,7 @@ class TestCli:
 
     @pytest.mark.parametrize("order", [8, 16])
     def test_degenerate_knn_curve_falls_back_at_every_size(self, tmp_path, order):
-        # rows of a Sylvester Hadamard matrix as 00/ff bytes: any two rows
-        # differ in half their bytes, so every dissimilarity is 0.5
-        rows = np.array([[1]])
-        while len(rows) < order:
-            rows = np.block([[rows, rows], [rows, -rows]])
-        payloads = [bytes(np.where(row > 0, 0xFF, 0x00).tolist()) for row in rows]
-        trace = tmp_path / "hadamard.hex"
-        trace.write_text("".join(p.hex() + "\n" for p in payloads))
-        truth = tmp_path / "hadamard.json"
-        truth.write_text(json.dumps({"messages": [
-            {"payload": p.hex(), "fields": [{"len": len(p), "type": "word"}]} for p in payloads
-        ]}))
+        trace, truth = hadamard_fixture(tmp_path, order)  # every dissimilarity is 0.5
         out = tmp_path / "report.json"
         code = self.run_cli("analyze", "--input", str(trace), "--format", "hex",
                             "--segmenter", "import", "--segments", str(truth),

@@ -5,9 +5,13 @@ reports at ``--threads`` 1 and 2, the ``--no-refine`` report, the ``ecdf``
 CSV and the ``evaluate --out-json`` metrics of two generated captures: NTP
 generator seed 3 (1,000 messages, imported segmentation) and DHCP generator
 seed 8 (1,200 messages, heuristic segmenter), the first capture of each
-bench workload at bench seed 1. The captures are written with relative
-paths, because a report records the path of its input. A change that moves
-a byte of any output fails here. Rebuild the manifest with
+bench workload at bench seed 1. It also holds the ``--threads`` 1 report,
+the ``ecdf`` CSV and the ``evaluate`` metrics of the Hadamard traces of 8
+and 16 messages, whose k-NN curves are flat: they cover the fallback
+epsilon and the failed re-trim, which the bench captures never reach. The
+captures are written with relative paths, because a report records the
+path of its input. A change that moves a byte of any output fails here.
+Rebuild the manifest with
 
     python3 tests/test_report_digests.py --write
 
@@ -32,13 +36,40 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
 import gen  # noqa: E402
+from fixtures import hadamard_fixture  # noqa: E402
 
 MANIFEST = Path(__file__).with_name("report_digests.json")
 
-# workload -> (generator, generator seed, messages, segmenter), as bench/run.py has them
+def bench_capture(generate, seed: int, messages: int, segmenter: str):
+    """A bench workload's capture as bench/run.py generates it, with every output."""
+    def write(directory: Path) -> tuple[list[str], Path, bool]:
+        trace = generate(directory, seed, messages)
+        args = ["--input", str(trace.path), "--format", trace.format, "--filter", trace.filter,
+                "--segmenter", segmenter]
+        if trace.limit is not None:
+            args += ["--limit", str(trace.limit)]
+        if segmenter == "import":
+            args += ["--segments", str(trace.truth_path)]
+        return args, trace.truth_path, True
+    return write
+
+
+def hadamard_capture(order: int):
+    """The Hadamard trace of `order` messages, without the thread and no-refine variants."""
+    def write(directory: Path) -> tuple[list[str], Path, bool]:
+        trace, truth = hadamard_fixture(directory, order)
+        args = ["--input", str(trace), "--format", "hex", "--segmenter", "import",
+                "--segments", str(truth)]
+        return args, truth, False
+    return write
+
+
+# name -> capture writer; the first two are the bench workloads at bench seed 1
 CAPTURES = {
-    "ntp-import": (gen.write_ntp_pcap, 3, 1000, "import"),
-    "dhcp-heuristic": (gen.write_dhcp_hex, 8, 1200, "heuristic"),
+    "ntp-import": bench_capture(gen.write_ntp_pcap, 3, 1000, "import"),
+    "dhcp-heuristic": bench_capture(gen.write_dhcp_hex, 8, 1200, "heuristic"),
+    "hadamard-8": hadamard_capture(8),  # 8-point curves, below Kneedle's minimum
+    "hadamard-16": hadamard_capture(16),
 }
 
 
@@ -52,23 +83,17 @@ def digests() -> dict[str, str]:
     from typeclust import cli
 
     found = {}
-    for name, (generate, seed, messages, segmenter) in CAPTURES.items():
-        trace = generate(Path(name), seed, messages)
-        args = ["--input", str(trace.path), "--format", trace.format, "--filter", trace.filter,
-                "--segmenter", segmenter]
-        if trace.limit is not None:
-            args += ["--limit", str(trace.limit)]
-        if segmenter == "import":
-            args += ["--segments", str(trace.truth_path)]
+    for name, write in CAPTURES.items():
+        args, truth, variants = write(Path(name))
         report = f"{name}/analyze-threads1.json"
-        commands = {
-            report: ["analyze", *args, "--threads", "1", "--out-json"],
-            f"{name}/analyze-threads2.json": ["analyze", *args, "--threads", "2", "--out-json"],
-            f"{name}/no-refine.json": ["analyze", *args, "--no-refine", "--out-json"],
-            f"{name}/ecdf.csv": ["ecdf", *args, "--out"],
-            f"{name}/evaluate.json": ["evaluate", "--report", report, *args,
-                                      "--truth", str(trace.truth_path), "--out-json"],
-        }
+        commands = {report: ["analyze", *args, "--threads", "1", "--out-json"]}
+        if variants:
+            commands[f"{name}/analyze-threads2.json"] = ["analyze", *args, "--threads", "2",
+                                                         "--out-json"]
+            commands[f"{name}/no-refine.json"] = ["analyze", *args, "--no-refine", "--out-json"]
+        commands[f"{name}/ecdf.csv"] = ["ecdf", *args, "--out"]
+        commands[f"{name}/evaluate.json"] = ["evaluate", "--report", report, *args,
+                                             "--truth", str(truth), "--out-json"]
         for output, argv in commands.items():
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main([*argv, output])
