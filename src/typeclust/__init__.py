@@ -8,8 +8,7 @@ and scores the result against ground-truth field types when available.
 
 from .autoconf import (
     AutoConfig,
-    EcdfCurve,
-    SmoothCurve,
+    Curve,
     ecdf,
     kneedle,
     knn_dissimilarities,

@@ -32,20 +32,11 @@ MAX_RETRIMS = 3
 
 
 @dataclass(frozen=True)
-class EcdfCurve:
-    """Step curve of sorted samples; ys jump by exactly 1/n per sample."""
+class Curve:
+    """A monotone curve over ascending xs: an ECDF, or one smoothed on an even grid."""
 
     xs: np.ndarray
     ys: np.ndarray
-
-
-@dataclass(frozen=True)
-class SmoothCurve:
-    """Smoothed curve resampled on an even x-grid."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -82,16 +73,16 @@ def knn_dissimilarities(matrix: DissimilarityMatrix, k: int) -> np.ndarray:
     return matrix.nearest(max(k, round_ln(n)))[:, k - 1].copy()  # round_ln(n) <= n - 1
 
 
-def ecdf(samples) -> EcdfCurve:
+def ecdf(samples) -> Curve:
     """Empirical CDF of the samples: xs sorted, ys[i] = (i+1)/n."""
     xs = np.sort(np.asarray(samples, dtype=np.float64))
     if xs.size == 0:
         raise ValueError("ecdf needs at least one sample")
     ys = np.arange(1, xs.size + 1, dtype=np.float64) / xs.size
-    return EcdfCurve(xs, ys)
+    return Curve(xs, ys)
 
 
-def smooth_spline(curve: EcdfCurve) -> SmoothCurve:
+def smooth_spline(curve: Curve) -> Curve:
     """Cubic smoothing-spline fit of an ECDF, resampled on an even grid.
 
     The residual budget of the spline is SPLINE_SMOOTHING per fitted point.
@@ -103,11 +94,11 @@ def smooth_spline(curve: EcdfCurve) -> SmoothCurve:
     scipy's ``UnivariateSpline``.
     Duplicate x positions collapse to the top of their step beforehand;
     the result is clamped to [0, 1] and made monotone non-decreasing.
-    A degenerate x-range returns the step curve unchanged, flagged.
+    A curve whose samples are all equal is returned unchanged, as a copy.
     """
     xs, ys = curve.xs, curve.ys
     if xs[-1] == xs[0]:
-        return SmoothCurve(xs.copy(), ys.copy(), degenerate=True)
+        return Curve(xs.copy(), ys.copy())
     # keep the last (highest) y per distinct x: the top of the ECDF step
     keep = np.append(xs[1:] != xs[:-1], True)
     ux, uy = xs[keep], ys[keep]
@@ -126,24 +117,24 @@ def smooth_spline(curve: EcdfCurve) -> SmoothCurve:
         fitted = UnivariateSpline(ux, uy, k=degree, s=budget)(grid)
     smoothed = np.clip(fitted, 0.0, 1.0)
     smoothed = np.maximum.accumulate(smoothed)
-    return SmoothCurve(grid, smoothed)
+    return Curve(grid, smoothed)
 
 
-def kneedle(curve: SmoothCurve) -> float:
+def kneedle(curve: Curve) -> float:
     """Rightmost confirmed knee of a monotone curve, in original x units.
 
     Both axes are normalized to [0, 1]; candidate knees are local maxima of
     the difference curve y - x, confirmed when the difference drops below
     (maximum - KNEEDLE_SENSITIVITY * mean x spacing) before the next local
-    maximum.
+    maximum. A curve without x- or y-extent has no knee, whatever its size.
     """
     xs, ys = curve.xs, curve.ys
-    if xs.size < 10:
-        raise ValueError(f"kneedle needs at least 10 samples, got {xs.size}")
     x_span = xs[-1] - xs[0]
     y_span = ys.max() - ys.min()
     if x_span <= 0 or y_span <= 0:
         raise NoKneeError("curve has no extent to detect a knee in")
+    if xs.size < 10:
+        raise ValueError(f"kneedle needs at least 10 samples, got {xs.size}")
     x_norm = (xs - xs[0]) / x_span
     y_norm = (ys - ys.min()) / y_span
     diff = y_norm - x_norm
@@ -162,14 +153,7 @@ def kneedle(curve: SmoothCurve) -> float:
     return float(xs[confirmed[-1]])
 
 
-def _knee(curve: SmoothCurve) -> float:
-    """Kneedle's knee of a smoothed curve; a degenerate curve has none."""
-    if curve.degenerate:
-        raise NoKneeError("curve is degenerate")
-    return kneedle(curve)
-
-
-def _curves(matrix: DissimilarityMatrix) -> list[tuple[int, EcdfCurve, SmoothCurve]]:
+def _curves(matrix: DissimilarityMatrix) -> list[tuple[int, Curve, Curve]]:
     """(k, ECDF, smoothed ECDF) of the k-NN dissimilarities, for k = 2 .. round(ln n)."""
     n = matrix.n
     if n < MIN_ANALYSIS_VALUES:
@@ -188,8 +172,8 @@ def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
 
     The rank k' maximizing the largest single-step increase of the smoothed
     curve is selected (ties toward smaller k); Kneedle runs on that curve.
-    Without a confirmed knee, or when the chosen curve is degenerate,
-    epsilon falls back to the median 2-NN dissimilarity, flagged.
+    Without a confirmed knee, epsilon falls back to the median 2-NN
+    dissimilarity, flagged.
     """
     curves = _curves(matrix)
     sharpness = [float(np.max(np.diff(smoothed.ys))) for _, _, smoothed in curves]
@@ -197,7 +181,7 @@ def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
     chosen_k, _, chosen_curve = curves[best]
 
     try:
-        knee = _knee(chosen_curve)
+        knee = kneedle(chosen_curve)
         fallback = False
     except NoKneeError:
         knee = float(np.median(knn_dissimilarities(matrix, 2)))
@@ -226,7 +210,7 @@ def retrim_epsilon(matrix: DissimilarityMatrix, previous: AutoConfig, clustering
     try:
         if trimmed.size < MIN_ANALYSIS_VALUES:
             raise NoKneeError(f"only {trimmed.size} dissimilarities below the knee")
-        knee = _knee(smooth_spline(ecdf(trimmed)))
+        knee = kneedle(smooth_spline(ecdf(trimmed)))
     except NoKneeError as reason:
         logger.warning("re-trim skipped: %s", reason)
         return replace(previous, retrim_failed=True)

@@ -37,6 +37,8 @@ class PipelineConfig:
             raise ValueError(f"--segmenter must be heuristic or import, got {self.segmenter!r}")
         if self.segmenter == "import" and not self.segments_path:
             raise ValueError("--segments is required with the import segmenter")
+        if self.segmenter == "heuristic" and self.segments_path is not None:
+            raise ValueError("--segments applies only to --segmenter import")
         try:
             flt = tio.ProtocolFilter.parse(self.filter)
         except ValueError as err:

@@ -20,7 +20,7 @@ from conftest import make_matrix, symmetric_random, two_blob_matrix
 from fixtures import coverage_fixture, synthetic_protocol_fixture, two_type_fixture
 from oracles import naive_dbscan, pairwise_metrics
 from typeclust import pipeline as pl
-from typeclust.autoconf import SmoothCurve, kneedle, select_epsilon
+from typeclust.autoconf import Curve, kneedle, select_epsilon
 from typeclust.cli import main as cli_main
 from typeclust.clustering import Cluster, Clustering, dbscan
 from typeclust.dissimilarity import build_matrix, unique_values
@@ -109,7 +109,7 @@ def test_criterion_2_dbscan_reference_equivalence():
 def test_criterion_3_knee_detection():
     with Budget("3 knee detection", 5.0):
         xs = np.linspace(0.0, 1.0, 200)
-        knee = kneedle(SmoothCurve(xs, 1 - (1 - xs) ** 2))
+        knee = kneedle(Curve(xs, 1 - (1 - xs) ** 2))
         assert abs(knee - 0.5) <= 0.05
 
         matrix = make_matrix(two_blob_matrix())

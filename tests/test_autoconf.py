@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,8 +15,7 @@ from typeclust import autoconf
 from typeclust.autoconf import (
     KNEEDLE_SENSITIVITY,
     AutoConfig,
-    EcdfCurve,
-    SmoothCurve,
+    Curve,
     ecdf,
     kneedle,
     knn_dissimilarities,
@@ -131,7 +132,7 @@ def ecdf_samples(draw):
     return np.abs(rng.normal(centers[np.arange(n) % parts], spreads[np.arange(n) % parts]))
 
 
-def fitpack_smoothing(curve: EcdfCurve):
+def fitpack_smoothing(curve: Curve):
     """UnivariateSpline on the collapsed ECDF, with smooth_spline's budget,
     grid, clip and running maximum: the fit smooth_spline must reproduce."""
     from scipy.interpolate import UnivariateSpline
@@ -157,7 +158,7 @@ class TestSmoothSpline:
     def test_cubic_over_budget_is_fitpack_spline(self, monkeypatch):
         monkeypatch.setattr(autoconf, "SPLINE_SMOOTHING", 1e-4)
         xs = np.concatenate([np.linspace(0.01, 0.05, 20), np.linspace(0.60, 0.70, 20)])
-        curve = EcdfCurve(xs, np.arange(1, 41) / 40)
+        curve = Curve(xs, np.arange(1, 41) / 40)
         expected, knots = fitpack_smoothing(curve)
         assert knots > 2
         assert np.array_equal(smooth_spline(curve).ys, expected)
@@ -166,7 +167,7 @@ class TestSmoothSpline:
         # three clusters a billionth wide barely determine the cubic's fourth
         # coefficient; numpy's and FITPACK's solutions differ here by 5e-9
         xs = np.concatenate([c + 1e-9 * np.arange(20) for c in (0.2, 0.5, 0.9)])
-        curve = EcdfCurve(xs, np.arange(1, 61) / 60)
+        curve = Curve(xs, np.arange(1, 61) / 60)
         expected, knots = fitpack_smoothing(curve)
         assert knots == 2
         assert np.array_equal(smooth_spline(curve).ys, expected)
@@ -174,24 +175,27 @@ class TestSmoothSpline:
     def test_linear_ecdf_reproduced(self):
         n = 50
         xs = np.linspace(0.1, 0.9, n)
-        curve = EcdfCurve(xs, np.arange(1, n + 1) / n)
+        curve = Curve(xs, np.arange(1, n + 1) / n)
         smooth = smooth_spline(curve)
         reference = np.interp(smooth.xs, curve.xs, curve.ys)
         assert np.max(np.abs(smooth.ys - reference)) < 1e-3
-        assert not smooth.degenerate
+        assert smooth.xs.size == 200  # the fitted grid, not the 50 input points
 
     def test_two_plateau_curve_is_monotone(self):
         xs = np.concatenate([np.linspace(0.01, 0.05, 20), np.linspace(0.60, 0.70, 20)])
-        curve = EcdfCurve(xs, np.arange(1, 41) / 40)
+        curve = Curve(xs, np.arange(1, 41) / 40)
         smooth = smooth_spline(curve)
         assert np.all(np.diff(smooth.ys) >= 0)
         assert np.all(smooth.ys >= 0) and np.all(smooth.ys <= 1)
 
-    def test_degenerate_range_flagged(self):
+    def test_flat_curve_returned_unchanged_without_knee(self):
         curve = ecdf([0.4] * 12)
         smooth = smooth_spline(curve)
-        assert smooth.degenerate
         assert smooth.xs.tolist() == curve.xs.tolist()
+        assert smooth.ys.tolist() == curve.ys.tolist()
+        assert smooth.xs is not curve.xs and smooth.ys is not curve.ys  # a copy
+        with pytest.raises(NoKneeError, match="no extent"):
+            kneedle(smooth)
 
     def test_grid_size_and_span(self):
         curve = ecdf(np.linspace(0, 1, 300))
@@ -203,18 +207,18 @@ class TestSmoothSpline:
 class TestKneedle:
     def test_analytic_concave_curve(self):
         xs = np.linspace(0.0, 1.0, 200)
-        knee = kneedle(SmoothCurve(xs, 1 - (1 - xs) ** 2))
+        knee = kneedle(Curve(xs, 1 - (1 - xs) ** 2))
         assert knee == pytest.approx(0.5, abs=0.05)
 
     def test_straight_line_has_no_knee(self):
         xs = np.linspace(0.0, 1.0, 200)
         with pytest.raises(NoKneeError):
-            kneedle(SmoothCurve(xs, xs.copy()))
+            kneedle(Curve(xs, xs.copy()))
 
     def test_too_few_samples_rejected(self):
         xs = np.linspace(0, 1, 5)
         with pytest.raises(ValueError):
-            kneedle(SmoothCurve(xs, xs**0.5))
+            kneedle(Curve(xs, xs**0.5))
 
     def test_rightmost_knee_wins(self):
         # two concave rises separated by a plateau produce two knees
@@ -225,13 +229,16 @@ class TestKneedle:
             np.where(xs < 0.75, 0.45, 0.45 + 0.55 * (1 - (1 - 4 * (xs - 0.75)) ** 2)),
         )
         ys = np.maximum.accumulate(ys)
-        knee = kneedle(SmoothCurve(xs, ys))
+        knee = kneedle(Curve(xs, ys))
         assert knee > 0.5
 
     def test_degenerate_curve_raises_no_knee(self):
-        xs = np.full(20, 0.3)
-        with pytest.raises(NoKneeError):
-            kneedle(SmoothCurve(xs, np.linspace(0, 1, 20)))
+        # no extent means no knee at any size, below Kneedle's 10-point minimum too
+        for n in (1, 5, 9, 20):
+            rising = np.linspace(0.0, 1.0, n)
+            for curve in (Curve(np.full(n, 0.3), rising), Curve(rising, np.full(n, 0.3))):
+                with pytest.raises(NoKneeError, match="no extent"):
+                    kneedle(curve)
 
 
 # rises with plateaus and repeated steps
@@ -248,14 +255,14 @@ def monotone_curves(draw):
         pairs = draw(st.integers(1, span // 2))
         steps = [0] * pairs + [2] * pairs + [1] * (span - 2 * pairs)
         ys = np.cumsum([0] + draw(st.permutations(steps))).astype(np.float64)
-        return SmoothCurve(np.arange(span + 1, dtype=np.float64), ys)
+        return Curve(np.arange(span + 1, dtype=np.float64), ys)
     n = draw(st.integers(10, 120))
     if draw(st.booleans()):
         xs = np.linspace(0.0, 1.0, n)
     else:
         xs = np.cumsum(draw(st.lists(st.floats(0.001, 1.0), min_size=n, max_size=n)))
     ys = np.cumsum(draw(st.lists(_RISES, min_size=n, max_size=n)))
-    return SmoothCurve(xs, ys)
+    return Curve(xs, ys)
 
 
 @settings(max_examples=400, deadline=None)
@@ -297,7 +304,7 @@ class TestSelectEpsilon:
         assert first == second
 
     def test_fallback_on_uniform_distances(self):
-        # all pairwise dissimilarities equal: degenerate ECDF, no knee
+        # all pairwise dissimilarities equal: a flat ECDF, no knee
         d = np.full((10, 10), 0.4)
         np.fill_diagonal(d, 0.0)
         config = select_epsilon(make_matrix(d))
@@ -306,7 +313,7 @@ class TestSelectEpsilon:
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_degenerate_curve_falls_back_below_kneedle_minimum(self, n):
-        # a degenerate step curve of n < 10 points is too short for Kneedle
+        # a flat step curve has no knee, also below Kneedle's 10-point minimum
         d = np.full((n, n), 0.5)
         np.fill_diagonal(d, 0.0)
         config = select_epsilon(make_matrix(d))
@@ -400,14 +407,18 @@ class TestRetrim:
         updated = retrim_epsilon(matrix, previous, clustering)
         assert updated is not previous
 
-    def test_degenerate_trimmed_curve_flags_failure(self):
+    def test_degenerate_trimmed_curve_flags_failure(self, caplog):
         d, previous, _ = degenerate_case()
         matrix = make_matrix(d)
         clustering = dbscan(matrix, 0.5, 2)
         assert [len(c.members) for c in clustering.clusters] == [10]
-        updated = retrim_epsilon(matrix, previous, clustering)
+        with caplog.at_level(logging.WARNING, logger="typeclust.autoconf"):
+            updated = retrim_epsilon(matrix, previous, clustering)
         assert updated.retrim_failed
         assert updated.epsilon == previous.epsilon
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "re-trim skipped: curve has no extent to detect a knee in")
+        ]
 
 
 RETRIM_CASES = {

@@ -117,6 +117,7 @@ class TestRun:
         ("threads", 0, "--threads"),
         ("threads", -3, "--threads"),
         ("segmenter", "import", "--segments"),  # import without segments_path
+        ("segments_path", "truth.json", "--segments"),  # segments_path with the heuristic
     ])
     def test_bad_numeric_option_rejected(self, field, value, flag):
         with pytest.raises(ValueError, match=flag):
@@ -466,14 +467,18 @@ class TestCli:
 
     def test_import_segmenter_without_segments_rejected_before_loading(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")  # no file is read, so none need exist
-        inputs = ["--input", missing, "--format", "hex", "--segmenter", "import"]
-        for argv in (["analyze", *inputs],
-                     ["evaluate", "--report", missing, *inputs, "--truth", missing],
-                     ["ecdf", *inputs, "--out", str(tmp_path / "ecdf.csv")]):
-            assert self.run_cli(*argv) == 1
-            captured = capsys.readouterr()
-            assert captured.err == "error: --segments is required with the import segmenter\n"
-            assert captured.out == ""
+        for flags, message in (
+            (["--segmenter", "import"], "--segments is required with the import segmenter"),
+            (["--segments", missing], "--segments applies only to --segmenter import"),
+        ):
+            inputs = ["--input", missing, "--format", "hex", *flags]
+            for argv in (["analyze", *inputs],
+                         ["evaluate", "--report", missing, *inputs, "--truth", missing],
+                         ["ecdf", *inputs, "--out", str(tmp_path / "ecdf.csv")]):
+                assert self.run_cli(*argv) == 1
+                captured = capsys.readouterr()
+                assert captured.err == f"error: {message}\n"
+                assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("failing", ["--dump-matrix", "--out-json", "--out-table"])
