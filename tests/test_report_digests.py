@@ -40,6 +40,7 @@ from fixtures import hadamard_fixture  # noqa: E402
 
 MANIFEST = Path(__file__).with_name("report_digests.json")
 
+
 def bench_capture(generate, seed: int, messages: int, segmenter: str):
     """A bench workload's capture as bench/run.py generates it, with every output."""
     def write(directory: Path) -> tuple[list[str], Path, bool]:
