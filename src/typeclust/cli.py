@@ -71,12 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> pl.PipelineConfig:
+    if args.segmenter == "import" and not args.segments:
+        raise ValueError("--segments is required with the import segmenter")
+    if args.segmenter == "heuristic" and args.segments is not None:
+        raise ValueError("--segments applies only to --segmenter import")
     return pl.PipelineConfig(
         input=args.input,
         format=args.format,
         filter=args.filter,
         limit=args.limit,
-        segmenter=args.segmenter,
         segments_path=args.segments,
         refine=not getattr(args, "no_refine", False),
         threads=getattr(args, "threads", 1),

@@ -25,20 +25,13 @@ class PipelineConfig:
     format: str = "hex"  # "pcap" | "hex"
     filter: str = "raw"
     limit: int | None = None
-    segmenter: str = "heuristic"  # "heuristic" | "import"
-    segments_path: str | None = None
+    segments_path: str | None = None  # imported segmentation; None cuts heuristically
     refine: bool = True
     threads: int = 1
 
     def __post_init__(self) -> None:
         if self.format not in ("pcap", "hex"):
             raise ValueError(f"--format must be pcap or hex, got {self.format!r}")
-        if self.segmenter not in ("heuristic", "import"):
-            raise ValueError(f"--segmenter must be heuristic or import, got {self.segmenter!r}")
-        if self.segmenter == "import" and not self.segments_path:
-            raise ValueError("--segments is required with the import segmenter")
-        if self.segmenter == "heuristic" and self.segments_path is not None:
-            raise ValueError("--segments applies only to --segmenter import")
         try:
             flt = tio.ProtocolFilter.parse(self.filter)
         except ValueError as err:
@@ -56,7 +49,6 @@ class PipelineResult:
     """Report plus the intermediate artifacts, for library callers."""
 
     report: AnalysisReport
-    messages: list[bytes]  # de-duplicated payloads; a message's id is its index
     segmentation: sg.Segmentation  # the analyzable segments, which ``values`` index
     values: dm.Values
     matrix: dm.DissimilarityMatrix
@@ -86,32 +78,34 @@ def prepare_messages(config: PipelineConfig) -> tuple[tio.RawTrace, list[bytes]]
     return trace, messages
 
 
-def build_segmentation(config: PipelineConfig, messages: list[bytes]) -> sg.Segmentation:
-    if config.segmenter == "heuristic":
+def build_segmentation(
+    config: PipelineConfig, trace: tio.RawTrace, messages: list[bytes]
+) -> sg.Segmentation:
+    """Import ``segments_path`` for the kept messages, or cut them heuristically."""
+    if config.segments_path is None:
         return sg.segment_heuristic(messages)
-    return sg.import_segmentation(messages, config.segments_path)
+    # the file may describe the whole capture, so it is resolved against all of it
+    return sg.import_segmentation(tio.deduplicate(trace), config.segments_path, config.limit)
 
 
 def _load_values(
     config: PipelineConfig, truth_path: str | None = None
-) -> tuple[tio.RawTrace, list[bytes], sg.Segmentation, sg.Segmentation, dm.Values]:
+) -> tuple[dict, sg.Segmentation, dm.Values]:
     """The load, segment and values stages that every command shares.
 
-    With ``truth_path`` the analyzable segments carry ground-truth types:
-    the truth itself when the analysis imported it, else labels by byte
-    overlap with it.
+    Returns the run's input counts, in report metadata order, with the
+    analyzable segments and their unique values. With ``truth_path`` the
+    analyzable segments carry ground-truth types: the imported ones when
+    the analysis imported that file, else labels by byte overlap with it.
     """
     with _stage("load"):
         trace, messages = prepare_messages(config)
     with _stage("segment"):
-        truth = None if truth_path is None else sg.import_segmentation(messages, truth_path)
-        if (truth is not None and config.segmenter == "import"
-                and str(config.segments_path) == str(truth_path)):
-            segmentation = truth
-        else:
-            segmentation = build_segmentation(config, messages)
+        segmentation = build_segmentation(config, trace, messages)
         analyzable = sg.filter_analyzable(segmentation)
-        if truth is not None and segmentation is not truth:
+        if truth_path is not None and (config.segments_path is None
+                                       or str(config.segments_path) != str(truth_path)):
+            truth = sg.import_segmentation(tio.deduplicate(trace), truth_path, config.limit)
             analyzable = ev.label_segments_by_overlap(analyzable, truth)
     with _stage("values"):
         values = dm.unique_values(analyzable) if len(analyzable) else []
@@ -120,12 +114,22 @@ def _load_values(
                 f"need at least {ac.MIN_ANALYSIS_VALUES} unique multi-byte segment "
                 f"values, got {len(values)}"
             )
-    return trace, messages, segmentation, analyzable, values
+    inputs = {
+        "records": len(trace.records),
+        "skipped_fragments": trace.skipped_fragments,
+        "messages": len(messages),
+        "segmenter": segmentation.segmenter_name,
+        "segments": len(segmentation),
+        "excluded_one_byte_segments": len(segmentation) - len(analyzable),
+        "unique_values": len(values),
+        "total_bytes": len(segmentation.data),
+    }
+    return inputs, analyzable, values
 
 
 def run(config: PipelineConfig) -> PipelineResult:
     """Execute the full pipeline and assemble the analysis report; writes no file."""
-    trace, messages, segmentation, analyzable, values = _load_values(config)
+    inputs, analyzable, values = _load_values(config)
     with _stage("matrix"):
         matrix = dm.build_matrix(values, threads=config.threads)
     with _stage("autoconf"):
@@ -151,10 +155,8 @@ def run(config: PipelineConfig) -> PipelineResult:
         if analyzable.truth is not None and None not in analyzable.truth.tolist():
             metrics = ev.evaluate_clustering(analyzable, values, result)
     with _stage("report"):
-        report = build_report(
-            config, trace, messages, segmentation, analyzable, values, auto, result, metrics
-        )
-    return PipelineResult(report, messages, analyzable, values, matrix, auto, result)
+        report = build_report(config, inputs, values, auto, result, metrics)
+    return PipelineResult(report, analyzable, values, matrix, auto, result)
 
 
 def run_ecdf(config: PipelineConfig, path: str) -> int:
@@ -184,10 +186,7 @@ def round_metrics(metrics: ev.Metrics | None) -> ev.Metrics | None:
 
 def build_report(
     config: PipelineConfig,
-    trace: tio.RawTrace,
-    messages: list[bytes],
-    segmentation: sg.Segmentation,
-    analyzable: sg.Segmentation,
+    inputs: dict,
     values: dm.Values,
     auto: ac.AutoConfig,
     result: cl.Clustering,
@@ -200,14 +199,7 @@ def build_report(
         "filter": config.filter,
         "limit": config.limit,
         "limit_applied": "after-dedup",
-        "records": len(trace.records),
-        "skipped_fragments": trace.skipped_fragments,
-        "messages": len(messages),
-        "segmenter": segmentation.segmenter_name,
-        "segments": len(segmentation),
-        "excluded_one_byte_segments": len(segmentation) - len(analyzable),
-        "unique_values": len(values),
-        "total_bytes": len(segmentation.data),
+        **inputs,
         "epsilon": sig6(auto.epsilon),
         "knee": sig6(auto.epsilon),  # epsilon is the knee
         "chosen_k": auto.chosen_k,
@@ -256,21 +248,16 @@ def evaluate_report(
     segments are labeled from the ground truth (directly when the report's
     segmenter was the import of that truth, by byte overlap otherwise), and
     the report's clusters are mapped back onto unique values by hex content.
-    The report must match the re-derived run: its ``messages``,
-    ``unique_values`` and ``segmenter`` metadata, its clusters plus noise
+    The report must match the re-derived run: its eight input counts
+    (``records`` to ``total_bytes``), its clusters plus noise
     listing every re-derived value exactly once, and each cluster's
     ``counts`` giving its values' occurrences. The first mismatch raises
     AnalysisError. ``stats`` and ``epsilon`` would need the matrix, so they
     are not checked.
     """
-    _, messages, segmentation, analyzable, values = _load_values(config, truth_path)
+    inputs, analyzable, values = _load_values(config, truth_path)
     with _stage("evaluate"):
-        derived = {
-            "messages": len(messages),
-            "unique_values": len(values),
-            "segmenter": segmentation.segmenter_name,
-        }
-        for key, value in derived.items():
+        for key, value in inputs.items():
             if report.metadata.get(key) != value:
                 raise AnalysisError(
                     f"report metadata {key} is {report.metadata.get(key)!r}, the re-derived "

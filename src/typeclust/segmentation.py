@@ -89,12 +89,15 @@ def _is_field(obj) -> bool:
     return isinstance(obj, dict) and "len" in obj and isinstance(obj.get("type"), (str, type(None)))
 
 
-def import_segmentation(messages: list[bytes], path: str | Path) -> Segmentation:
+def import_segmentation(
+    messages: list[bytes], path: str | Path, limit: int | None = None
+) -> Segmentation:
     """Load a segmentation from its JSON interchange format.
 
     Entries address messages either by ``payload`` (hex) or by ``index``;
     each entry lists (length, type) fields whose lengths must sum to the
-    payload length.
+    payload length. Only the first ``limit`` messages are segmented: an
+    entry for a later one is checked like any other, then left out.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -164,6 +167,9 @@ def import_segmentation(messages: list[bytes], path: str | Path) -> Segmentation
                 f"message {index}: field lengths sum to {sum(lengths)}, "
                 f"payload has {len(messages[index])} bytes"
             )
+        covered.add(index)
+        if limit is not None and index >= limit:
+            continue
         offset = 0
         for length in lengths:
             field_offsets.append(offset)
@@ -171,9 +177,8 @@ def import_segmentation(messages: list[bytes], path: str | Path) -> Segmentation
         field_messages += [index] * len(lengths)
         field_lengths += lengths
         field_types += [f.get("type") for f in fields]
-        covered.add(index)
 
-    data, first, _ = _joined(messages)
+    data, first, _ = _joined(messages[:limit])
     owner = np.array(field_messages, dtype=np.int64)
     offsets = np.array(field_offsets, dtype=np.int64)
     start = first[owner] + offsets

@@ -123,7 +123,7 @@ def test_criterion_4_end_to_end_synthetic_protocol(tmp_path):
         result = pl.run(
             pl.PipelineConfig(
                 input=str(trace), format="hex",
-                segmenter="import", segments_path=str(truth),
+                segments_path=str(truth),
             )
         )
         metrics = result.report.metrics
@@ -170,8 +170,8 @@ def test_criterion_5_refinement_behavior():
 def test_criterion_6_real_trace_ntp():
     with Budget("6 real-trace NTP validation", 600.0):
         trace = load_pcap(NTP_PCAP, ProtocolFilter("udp", 123))
-        messages = deduplicate(trace)[:1000]
-        segmentation = import_segmentation(messages, NTP_TRUTH)
+        # the truth describes the whole capture; the analysis keeps 1,000 messages
+        segmentation = import_segmentation(deduplicate(trace), NTP_TRUTH, limit=1000)
         analyzable = filter_analyzable(segmentation)
         values = unique_values(analyzable)
         matrix = build_matrix(values)
@@ -206,7 +206,7 @@ def test_criterion_8_coverage_accounting(tmp_path):
         result = pl.run(
             pl.PipelineConfig(
                 input=str(trace), format="hex",
-                segmenter="import", segments_path=str(truth),
+                segments_path=str(truth),
             )
         )
         # known assignment: eleven 1-byte tags excluded, the 4-byte outlier

@@ -18,6 +18,7 @@ from fixtures import (
     coverage_fixture,
     hadamard_fixture,
     overclassified_fixture,
+    synthetic_protocol_fixture,
     two_type_fixture,
 )
 from typeclust import autoconf as ac
@@ -30,7 +31,6 @@ def analyze_config(trace, truth, **overrides):
     defaults = dict(
         input=str(trace),
         format="hex",
-        segmenter="import",
         segments_path=str(truth),
     )
     defaults.update(overrides)
@@ -116,8 +116,6 @@ class TestRun:
     @pytest.mark.parametrize("field, value, flag", [
         ("threads", 0, "--threads"),
         ("threads", -3, "--threads"),
-        ("segmenter", "import", "--segments"),  # import without segments_path
-        ("segments_path", "truth.json", "--segments"),  # segments_path with the heuristic
     ])
     def test_bad_numeric_option_rejected(self, field, value, flag):
         with pytest.raises(ValueError, match=flag):
@@ -137,7 +135,6 @@ class TestRun:
     @pytest.mark.parametrize("field, value", [
         ("format", "json"),
         ("format", "PCAP"),
-        ("segmenter", "netzob"),
     ])
     def test_unknown_choice_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"--{field}"):
@@ -335,6 +332,8 @@ class TestCli:
     def test_usage_errors_exit_one_and_help_exits_zero(self, capsys):
         assert self.run_cli("analyze", "--format", "hex") == 1  # no --input
         assert "--input" in capsys.readouterr().err
+        assert self.run_cli("analyze", "--input", "trace.hex", "--segmenter", "netzob") == 1
+        assert "--segmenter" in capsys.readouterr().err
         assert self.run_cli("analyze", "--help") == 0
         assert "--input" in capsys.readouterr().out
 
@@ -447,6 +446,11 @@ class TestCli:
         ("messages", 19),
         ("unique_values", 1),
         ("segmenter", "delta-texture-v1"),
+        ("records", 21),
+        ("skipped_fragments", 1),
+        ("segments", 41),
+        ("excluded_one_byte_segments", 1),
+        ("total_bytes", 241),
     ])
     def test_evaluate_rejects_a_report_whose_metadata_differs(self, tmp_path, capsys, key, forged):
         doc, report_path, argv = self._analyzed(tmp_path)
@@ -579,6 +583,27 @@ class TestCli:
         evaluated = json.loads(metrics_path.read_text())
         reported = json.loads(report_path.read_text())["metrics"]
         assert evaluated == reported
+        capsys.readouterr()
+
+    def test_limit_leaves_out_the_truth_of_dropped_messages(self, tmp_path, capsys):
+        trace, truth = synthetic_protocol_fixture(tmp_path, count=60)
+        doc = json.loads(truth.read_text())
+        doc["messages"] = doc["messages"][:40]
+        kept_truth = tmp_path / "gt40.json"
+        kept_truth.write_text(json.dumps(doc))
+        inputs = ["--input", str(trace), "--format", "hex", "--limit", "40"]
+        heuristic = tmp_path / "heuristic.json"
+        assert self.run_cli("analyze", *inputs, "--out-json", str(heuristic)) == 0
+        outputs = []
+        for name, gt in (("whole", truth), ("kept", kept_truth)):
+            report, metrics = tmp_path / f"{name}.json", tmp_path / f"{name}-metrics.json"
+            assert self.run_cli("analyze", *inputs, "--segmenter", "import", "--segments",
+                                str(gt), "--out-json", str(report)) == 0
+            assert self.run_cli("evaluate", "--report", str(heuristic), *inputs,
+                                "--truth", str(gt), "--out-json", str(metrics)) == 0
+            outputs.append((report.read_bytes(), metrics.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["metadata"]["messages"] == 40
         capsys.readouterr()
 
     def test_evaluate_heuristic_report_against_truth(self, tmp_path, capsys):

@@ -137,6 +137,34 @@ class TestImportSegmentation:
         with pytest.raises(InconsistentGroundTruthError, match="segmenter must be a string"):
             import_segmentation([b"\x01\x02"], path)
 
+    def test_limit_leaves_out_later_messages(self, tmp_path):
+        messages = [b"\x01\x02", b"\x03\x04", b"\x05\x06\x07"]
+        path = self.write(tmp_path, {"messages": [
+            {"payload": "0304", "fields": [{"len": 2, "type": "b"}]},
+            {"index": 2, "fields": [{"len": 1, "type": "c"}, {"len": 2, "type": "c"}]},
+            {"payload": "0102", "fields": [{"len": 1, "type": "a"}, {"len": 1, "type": "a"}]},
+        ]})
+        seg = import_segmentation(messages, path, limit=2)
+        assert seg.data == b"\x01\x02\x03\x04"
+        assert [(m, o, n, t) for m, o, n, _, t in rows(seg)] == [
+            (0, 0, 1, "a"), (0, 1, 1, "a"), (1, 0, 2, "b"),
+        ]
+
+    @pytest.mark.parametrize("entry, error, match", [
+        ({"payload": "050607", "fields": [{"len": 2}]}, InconsistentGroundTruthError, "message 2"),
+        ({"index": 2, "fields": [{"len": 0}, {"len": 3}]}, InconsistentGroundTruthError, "message 2"),
+        ({"index": 1, "fields": [{"len": 2}]}, InconsistentGroundTruthError, "more than one"),
+        ({"payload": "ff", "fields": [{"len": 1}]}, MissingMessageError, "payload ff"),
+        ({"index": 3, "fields": [{"len": 1}]}, MissingMessageError, "index 3"),
+    ])
+    def test_limit_checks_the_entries_it_leaves_out(self, tmp_path, entry, error, match):
+        messages = [b"\x01\x02", b"\x03\x04", b"\x05\x06\x07"]
+        path = self.write(tmp_path, {"messages": [
+            {"payload": "0304", "fields": [{"len": 2}]}, entry,
+        ]})
+        with pytest.raises(error, match=match):
+            import_segmentation(messages, path, limit=1)
+
     def test_null_type_stays_none(self, tmp_path):
         messages = [b"\x01\x02"]
         path = self.write(
