@@ -1,16 +1,18 @@
 """Byte identity of every output on the first bench capture of each workload.
 
 ``report_digests.json`` holds the SHA-256 of the ``analyze --out-json``
-reports at ``--threads`` 1 and 2, the ``--no-refine`` report, the ``ecdf``
-CSV and the ``evaluate --out-json`` metrics of two generated captures: NTP
-generator seed 3 (1,000 messages, imported segmentation) and DHCP generator
-seed 8 (1,200 messages, heuristic segmenter), the first capture of each
-bench workload at bench seed 1. It also holds the ``--threads`` 1 report,
-the ``ecdf`` CSV and the ``evaluate`` metrics of the Hadamard traces of 8
-and 16 messages, whose k-NN curves are flat: they cover the fallback
-epsilon and the failed re-trim, which the bench captures never reach. The
-captures are written with relative paths, because a report records the
-path of its input. A change that moves a byte of any output fails here.
+reports at ``--threads`` 1 and 2, the ``--out-table`` table of the
+``--threads`` 1 run, the ``--no-refine`` report, the ``ecdf`` CSV, and the
+``evaluate --out-json`` metrics and ``evaluate`` stdout line of two
+generated captures: NTP generator seed 3 (1,000 messages, imported
+segmentation) and DHCP generator seed 8 (1,200 messages, heuristic
+segmenter), the first capture of each bench workload at bench seed 1. It
+also holds the ``--threads`` 1 report and table, the ``ecdf`` CSV and the
+``evaluate`` metrics and stdout of the Hadamard traces of 8 and 16
+messages, whose k-NN curves are flat: they cover the fallback epsilon and
+the failed re-trim, which the bench captures never reach. The captures are
+written with relative paths, because a report records the path of its
+input. A change that moves a byte of any output fails here.
 Rebuild the manifest with
 
     python3 tests/test_report_digests.py --write
@@ -83,24 +85,33 @@ def digests() -> dict[str, str]:
     """SHA-256 of every output, by relative path; generates and runs in the working directory."""
     from typeclust import cli
 
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
     found = {}
     for name, write in CAPTURES.items():
         args, truth, variants = write(Path(name))
-        report = f"{name}/analyze-threads1.json"
-        commands = {report: ["analyze", *args, "--threads", "1", "--out-json"]}
+        report, table = f"{name}/analyze-threads1.json", f"{name}/analyze-threads1.txt"
+        evaluate = f"{name}/evaluate.json"
+        commands = {report: ["analyze", *args, "--threads", "1", "--out-table", table,
+                             "--out-json"]}
         if variants:
             commands[f"{name}/analyze-threads2.json"] = ["analyze", *args, "--threads", "2",
                                                          "--out-json"]
             commands[f"{name}/no-refine.json"] = ["analyze", *args, "--no-refine", "--out-json"]
         commands[f"{name}/ecdf.csv"] = ["ecdf", *args, "--out"]
-        commands[f"{name}/evaluate.json"] = ["evaluate", "--report", report, *args,
-                                             "--truth", str(truth), "--out-json"]
+        commands[evaluate] = ["evaluate", "--report", report, *args, "--truth", str(truth),
+                              "--out-json"]
         for output, argv in commands.items():
-            with contextlib.redirect_stdout(io.StringIO()):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
                 code = cli.main([*argv, output])
             if code != 0:
                 raise RuntimeError(f"typeclust {' '.join(argv)} {output} exited with code {code}")
-            found[output] = hashlib.sha256(Path(output).read_bytes()).hexdigest()
+            found[output] = sha256(Path(output).read_bytes())
+            if output == evaluate:
+                found[f"{name}/evaluate.stdout"] = sha256(stdout.getvalue().encode("utf-8"))
+        found[table] = sha256(Path(table).read_bytes())
     return found
 
 
