@@ -47,7 +47,7 @@ from .refinement import (
     merge_pass,
     split_pass,
 )
-from .report import AnalysisReport, emit_report, render_table
+from .report import emit_report, render_table
 from .segmentation import (
     Segmentation,
     filter_analyzable,

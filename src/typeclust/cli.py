@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
+from pathlib import Path
 
 from . import pipeline as pl
 from .dissimilarity import write_matrix_csv
 from .errors import AnalysisError, EmptyAnalysisError, PipelineStageError
-from .report import emit_report, read_report, render_table
+from .report import emit_report, read_report, render_table, to_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -100,13 +100,10 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     metrics = pl.evaluate_report(read_report(args.report), config, args.truth)
     rounded = pl.round_metrics(metrics)
     if args.out_json:
-        with open(args.out_json, "w", encoding="utf-8") as handle:
-            json.dump(rounded.__dict__, handle, indent=2)
-            handle.write("\n")
+        Path(args.out_json).write_text(to_json(rounded), encoding="utf-8")
     sys.stdout.write(
-        f"tp={rounded.tp} fp={rounded.fp} fn={rounded.fn} "
-        f"precision={rounded.precision:.6g} recall={rounded.recall:.6g} "
-        f"f_{rounded.beta:g}={rounded.f_score:.6g} coverage={rounded.coverage:.6g}\n"
+        "tp={tp} fp={fp} fn={fn} precision={precision:.6g} recall={recall:.6g} "
+        "f_{beta:g}={f_score:.6g} coverage={coverage:.6g}\n".format_map(rounded)
     )
     return EXIT_OK
 

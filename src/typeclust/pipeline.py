@@ -5,7 +5,7 @@ for a fixed input and configuration."""
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import autoconf as ac
@@ -16,7 +16,7 @@ from . import refinement as rf
 from . import segmentation as sg
 from . import traceio as tio
 from .errors import AnalysisError, EmptyAnalysisError, PipelineStageError
-from .report import AnalysisReport, sig6
+from .report import sig6
 
 
 @dataclass
@@ -48,7 +48,7 @@ class PipelineConfig:
 class PipelineResult:
     """Report plus the intermediate artifacts, for library callers."""
 
-    report: AnalysisReport
+    report: dict  # the JSON document, as ``report.to_json`` writes it
     segmentation: sg.Segmentation  # the analyzable segments, which ``values`` index
     values: dm.Values
     matrix: dm.DissimilarityMatrix
@@ -177,11 +177,12 @@ def write_ecdf_csv(matrix: dm.DissimilarityMatrix, path: str) -> None:
             handle.write(f"{k},{x:.6g},{y_raw:.6g},{y_smoothed:.6g}\n")
 
 
-def round_metrics(metrics: ev.Metrics | None) -> ev.Metrics | None:
+def round_metrics(metrics: ev.Metrics | None) -> dict | None:
+    """The metrics block of a report and of ``evaluate --out-json``, ratios at 6 digits."""
     if metrics is None:
         return None
-    return replace(metrics, precision=sig6(metrics.precision), recall=sig6(metrics.recall),
-                   f_score=sig6(metrics.f_score), coverage=sig6(metrics.coverage))
+    ratios = ("precision", "recall", "f_score", "coverage")
+    return {key: sig6(value) if key in ratios else value for key, value in asdict(metrics).items()}
 
 
 def build_report(
@@ -191,7 +192,8 @@ def build_report(
     auto: ac.AutoConfig,
     result: cl.Clustering,
     metrics: ev.Metrics | None,
-) -> AnalysisReport:
+) -> dict:
+    """The report document: metadata, clusters, noise and the rounded metrics."""
     metadata = {
         "protocol": Path(config.input).stem,
         "input": config.input,
@@ -234,11 +236,12 @@ def build_report(
         for cid, cluster in enumerate(result.clusters)
     ]
     noise = [values.content[m].hex() for m in result.noise]
-    return AnalysisReport(metadata, clusters, noise, round_metrics(metrics))
+    return {"metadata": metadata, "clusters": clusters, "noise": noise,
+            "metrics": round_metrics(metrics)}
 
 
 def evaluate_report(
-    report: AnalysisReport,
+    report: dict,
     config: PipelineConfig,
     truth_path: str,
 ) -> ev.Metrics:
@@ -258,9 +261,9 @@ def evaluate_report(
     inputs, analyzable, values = _load_values(config, truth_path)
     with _stage("evaluate"):
         for key, value in inputs.items():
-            if report.metadata.get(key) != value:
+            if report["metadata"].get(key) != value:
                 raise AnalysisError(
-                    f"report metadata {key} is {report.metadata.get(key)!r}, the re-derived "
+                    f"report metadata {key} is {report['metadata'].get(key)!r}, the re-derived "
                     f"run gives {value!r}; wrong trace or segmenter?"
                 )
         index_by_hex = {content.hex(): i for i, content in enumerate(values.content)}
@@ -282,7 +285,7 @@ def evaluate_report(
             return found
 
         member_sets = []
-        for cid, cluster in enumerate(report.clusters):
+        for cid, cluster in enumerate(report["clusters"]):
             members = indices(cluster["values"])
             counts = values.counts[members].tolist()
             if len(cluster["counts"]) != len(counts):
@@ -293,7 +296,7 @@ def evaluate_report(
                     raise AnalysisError(f"report cluster {cid} counts {hex_value} {listed} "
                                         f"times, the re-derived run {count} times")
             member_sets.append(sorted(members))
-        noise = sorted(indices(report.noise))
+        noise = sorted(indices(report["noise"]))
         if len(assigned) != len(values):
             missing = next(c for i, c in enumerate(values.content) if i not in assigned)
             raise AnalysisError(f"re-derived value {missing.hex()} is not in the report")

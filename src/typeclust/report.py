@@ -1,13 +1,15 @@
-"""Analysis report: JSON schema, text table, and lossless round-trip.
+"""Analysis report: the JSON document, its text table, and reading it back.
 
-All floating-point values are rounded to 6 significant digits when the
-report is built, so emitted files are byte-reproducible.
+A report is the dict ``{"metadata", "clusters", "noise", "metrics"}``
+that is written as JSON. All floating-point values are rounded to 6
+significant digits when the report is built, so emitted files are
+byte-reproducible.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import AnalysisError
@@ -22,76 +24,51 @@ def sig6(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-@dataclass
-class AnalysisReport:
-    metadata: dict
-    clusters: list[dict]
-    noise: list[str]
-    metrics: Metrics | None
+def to_json(doc: dict) -> str:
+    """A report or a metrics block as written: indented JSON and a final newline."""
+    return json.dumps(doc, indent=2) + "\n"
 
-    def to_dict(self) -> dict:
-        return {
-            "metadata": self.metadata,
-            "clusters": self.clusters,
-            "noise": self.noise,
-            "metrics": asdict(self.metrics) if self.metrics is not None else None,
-        }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AnalysisReport":
-        """Rebuild a report; ValueError if ``doc`` does not have a report's shape."""
-        if not (
-            isinstance(doc, dict)
-            and isinstance(doc.get("metadata"), dict)
-            and isinstance(doc.get("noise"), list)
-            and all(isinstance(v, str) for v in doc["noise"])
-            and isinstance(doc.get("clusters"), list)
-            and all(
-                isinstance(c, dict)
-                and isinstance(c.get("values"), list)
-                and all(isinstance(v, str) for v in c["values"])
-                and isinstance(c.get("counts"), list)
-                and all(isinstance(n, int) and not isinstance(n, bool) for n in c["counts"])
-                for c in doc["clusters"]
-            )
-        ):
-            raise ValueError(
-                "expected an object with metadata, clusters of hex values with integer "
-                "counts, and noise"
-            )
-        metrics = doc.get("metrics")
-        if metrics is not None and not (isinstance(metrics, dict) and set(metrics) == _METRIC_KEYS):
-            raise ValueError(f"metrics must be null or an object with keys {sorted(_METRIC_KEYS)}")
-        return cls(
-            metadata=doc["metadata"],
-            clusters=doc["clusters"],
-            noise=doc["noise"],
-            metrics=Metrics(**metrics) if metrics is not None else None,
+def _check_report(doc: object) -> dict:
+    """``doc`` itself; ValueError if it does not have a report's shape."""
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("metadata"), dict)
+        and isinstance(doc.get("noise"), list)
+        and all(isinstance(v, str) for v in doc["noise"])
+        and isinstance(doc.get("clusters"), list)
+        and all(
+            isinstance(c, dict)
+            and isinstance(c.get("values"), list)
+            and all(isinstance(v, str) for v in c["values"])
+            and isinstance(c.get("counts"), list)
+            and all(isinstance(n, int) and not isinstance(n, bool) for n in c["counts"])
+            for c in doc["clusters"]
         )
+    ):
+        raise ValueError(
+            "expected an object with metadata, clusters of hex values with integer "
+            "counts, and noise"
+        )
+    metrics = doc.get("metrics")
+    if metrics is not None and not (isinstance(metrics, dict) and set(metrics) == _METRIC_KEYS):
+        raise ValueError(f"metrics must be null or an object with keys {sorted(_METRIC_KEYS)}")
+    return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisReport":
-        return cls.from_dict(json.loads(text))
-
-
-def read_report(path: str | Path) -> AnalysisReport:
+def read_report(path: str | Path) -> dict:
     """Load a JSON report written by ``analyze``; anything else is an AnalysisError."""
     try:
-        return AnalysisReport.from_json(Path(path).read_text(encoding="utf-8"))
+        return _check_report(json.loads(Path(path).read_text(encoding="utf-8")))
     except (ValueError, RecursionError) as err:  # not UTF-8 or JSON, nested too deep, not a report
         raise AnalysisError(f"{path}: not an analysis report ({err})") from None
 
 
-def render_table(report: AnalysisReport) -> str:
+def render_table(report: dict) -> str:
     """Aligned text table with the summary columns of one analysis run."""
-    meta = report.metadata
-    if report.metrics is not None:
-        p = f"{report.metrics.precision:.2f}"
-        r = f"{report.metrics.recall:.2f}"
-        f = f"{report.metrics.f_score:.2f}"
+    meta, metrics = report["metadata"], report.get("metrics")
+    if metrics is not None:
+        p, r, f = (f"{metrics[key]:.2f}" for key in ("precision", "recall", "f_score"))
     else:
         p = r = f = "-"
     row = (
@@ -110,14 +87,14 @@ def render_table(report: AnalysisReport) -> str:
 
 
 def emit_report(
-    report: AnalysisReport,
+    report: dict,
     json_path: str | Path | None = None,
     table_path: str | Path | None = None,
 ) -> None:
     """Write the JSON report and/or the text table."""
     if json_path is not None:
         try:
-            Path(json_path).write_text(report.to_json(), encoding="utf-8")
+            Path(json_path).write_text(to_json(report), encoding="utf-8")
         except OSError as err:
             raise OSError(f"cannot write report JSON to {json_path}: {err}") from err
     if table_path is not None:

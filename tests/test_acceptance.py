@@ -26,6 +26,7 @@ from typeclust.clustering import Cluster, Clustering, dbscan
 from typeclust.dissimilarity import build_matrix, unique_values
 from typeclust.evaluation import evaluate_clustering, f_beta, pair_counts, value_labels
 from typeclust.refinement import merge_pass, split_pass
+from typeclust.report import to_json
 from typeclust.segmentation import filter_analyzable, import_segmentation
 from typeclust.traceio import ProtocolFilter, deduplicate, load_pcap
 
@@ -126,9 +127,9 @@ def test_criterion_4_end_to_end_synthetic_protocol(tmp_path):
                 segments_path=str(truth),
             )
         )
-        metrics = result.report.metrics
-        assert metrics.precision >= 0.95
-        assert metrics.f_score >= 0.90
+        metrics = result.report["metrics"]
+        assert metrics["precision"] >= 0.95
+        assert metrics["f_score"] >= 0.90
         # high-entropy random payloads may stay unclustered, nothing else may
         labels = value_labels(result.values, result.segmentation)
         noise_types = {labels[i] for i in result.clustering.noise}
@@ -211,10 +212,10 @@ def test_criterion_8_coverage_accounting(tmp_path):
         )
         # known assignment: eleven 1-byte tags excluded, the 4-byte outlier
         # is the only noise, ten 4-byte values clustered; 55 bytes total
-        assert result.report.noise == ["03010201"]
+        assert result.report["noise"] == ["03010201"]
         assert len(result.clustering.clusters) == 1
         exact = evaluate_clustering(result.segmentation, result.values, result.clustering)
         assert exact.coverage == 40 / 55
-        assert json.loads(result.report.to_json())["metrics"]["coverage"] == float(
+        assert json.loads(to_json(result.report))["metrics"]["coverage"] == float(
             f"{40 / 55:.6g}"
         )

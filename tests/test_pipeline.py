@@ -24,7 +24,7 @@ from fixtures import (
 from typeclust import autoconf as ac
 from typeclust import pipeline as pl
 from typeclust.cli import main
-from typeclust.report import AnalysisReport, sig6
+from typeclust.report import read_report, sig6, to_json
 
 
 def analyze_config(trace, truth, **overrides):
@@ -41,26 +41,26 @@ class TestRun:
     def test_two_type_fixture_perfect_metrics(self, tmp_path):
         trace, truth = two_type_fixture(tmp_path)
         result = pl.run(analyze_config(trace, truth))
-        assert len(result.report.clusters) == 2
-        assert result.report.noise == []  # ground-truth segments leave no noise
-        metrics = result.report.metrics
-        assert metrics.precision == 1.0
-        assert metrics.recall == 1.0
-        assert metrics.f_score == 1.0
+        assert len(result.report["clusters"]) == 2
+        assert result.report["noise"] == []  # ground-truth segments leave no noise
+        metrics = result.report["metrics"]
+        assert metrics["precision"] == 1.0
+        assert metrics["recall"] == 1.0
+        assert metrics["f_score"] == 1.0
 
     def test_refinement_reduces_overclassification(self, tmp_path):
         trace, truth = overclassified_fixture(tmp_path)
         refined = pl.run(analyze_config(trace, truth))
         plain = pl.run(analyze_config(trace, truth, refine=False))
-        assert len(plain.report.clusters) == 2
-        assert len(refined.report.clusters) < len(plain.report.clusters)
-        assert refined.report.metrics.recall > plain.report.metrics.recall
+        assert len(plain.report["clusters"]) == 2
+        assert len(refined.report["clusters"]) < len(plain.report["clusters"])
+        assert refined.report["metrics"]["recall"] > plain.report["metrics"]["recall"]
 
     def test_heuristic_segmenter_runs_without_truth(self, tmp_path):
         trace, _ = two_type_fixture(tmp_path)
         result = pl.run(pl.PipelineConfig(input=str(trace), format="hex"))
-        assert result.report.metrics is None
-        assert result.report.metadata["segmenter"] == "delta-texture-v1"
+        assert result.report["metrics"] is None
+        assert result.report["metadata"]["segmenter"] == "delta-texture-v1"
 
     def test_limit_applies_after_dedup(self, tmp_path):
         path = tmp_path / "dups.hex"
@@ -80,27 +80,28 @@ class TestRun:
     def test_coverage_byte_accounting(self, tmp_path):
         trace, truth = coverage_fixture(tmp_path)
         result = pl.run(analyze_config(trace, truth))
-        assert len(result.report.noise) == 1  # exactly the outlier value
-        assert result.report.noise == ["03010201"]
+        assert len(result.report["noise"]) == 1  # exactly the outlier value
+        assert result.report["noise"] == ["03010201"]
         # hand-computed: 55 total bytes, 11 excluded tag bytes, 4 noise bytes
-        assert result.report.metrics.coverage == sig6(40 / 55)
+        assert result.report["metrics"]["coverage"] == sig6(40 / 55)
 
     def test_report_round_trips(self, tmp_path):
         trace, truth = two_type_fixture(tmp_path)
         result = pl.run(analyze_config(trace, truth))
-        text = result.report.to_json()
-        assert AnalysisReport.from_json(text) == result.report
+        path = tmp_path / "report.json"
+        path.write_text(to_json(result.report), encoding="utf-8")
+        assert read_report(path) == result.report
 
     def test_metrics_null_without_truth(self, tmp_path):
         trace, _ = two_type_fixture(tmp_path)
         result = pl.run(pl.PipelineConfig(input=str(trace), format="hex"))
-        doc = json.loads(result.report.to_json())
+        doc = json.loads(to_json(result.report))
         assert doc["metrics"] is None
 
     def test_report_metadata_records_choices(self, tmp_path):
         trace, _ = two_type_fixture(tmp_path)
         result = pl.run(pl.PipelineConfig(input=str(trace), format="hex", limit=18))
-        meta = result.report.metadata
+        meta = result.report["metadata"]
         assert meta["limit"] == 18
         assert meta["messages"] == 18
         assert meta["limit_applied"] == "after-dedup"
@@ -170,8 +171,8 @@ class TestRun:
         trace, truth = two_type_fixture(tmp_path)
         result = pl.run(analyze_config(trace, truth))
         assert len(calls) == ac.MAX_RETRIMS
-        assert result.report.metadata["retrim_count"] == 3
-        assert result.report.metadata["retrimmed"] is True
+        assert result.report["metadata"]["retrim_count"] == 3
+        assert result.report["metadata"]["retrimmed"] is True
         assert result.autoconfig.epsilon == pytest.approx(calls[0] * 0.9**3)
 
     def test_failed_retrim_after_a_success_keeps_the_first_clustering(self, tmp_path, monkeypatch):
@@ -197,7 +198,7 @@ class TestRun:
         first_epsilon = clustered[0][0]
         assert clustered[1][0] == result.autoconfig.epsilon == first_epsilon * 0.5
         assert result.clustering is clustered[1][1]
-        meta = result.report.metadata
+        meta = result.report["metadata"]
         assert meta["retrimmed"] is True
         assert meta["retrim_failed"] is True
         assert meta["retrim_count"] == 1
@@ -206,7 +207,7 @@ class TestRun:
     def test_autoconf_metadata_constants(self, tmp_path):
         trace, truth = overclassified_fixture(tmp_path)
         result = pl.run(analyze_config(trace, truth))
-        meta = result.report.metadata
+        meta = result.report["metadata"]
         assert meta["kneedle_sensitivity"] == 1.0
         assert meta["spline_smoothing"] == 0.1
         assert meta["epsilon_shift"] == 0.0
