@@ -64,7 +64,9 @@ def load_pcap(path: str | Path, flt: ProtocolFilter) -> RawTrace:
     For ``udp``/``tcp`` filters the payload is everything above the transport
     header of IPv4 packets whose source or destination port matches; the
     capture must use the Ethernet link type. For ``raw`` the whole packet
-    data is kept regardless of link type.
+    data is kept regardless of link type. A record the capture's snapshot
+    length cut short (``incl_len < orig_len``) is skipped, under every
+    filter, with one warning for the whole file.
     """
     data = Path(path).read_bytes()
     if len(data) < 24:
@@ -85,19 +87,22 @@ def load_pcap(path: str | Path, flt: ProtocolFilter) -> RawTrace:
 
     rec_header = struct.Struct(endian + "IIII")
     records: list[bytes] = []
-    fragments = 0
+    fragments = truncated = 0
     offset = 24
     while offset < len(data):
         if offset + _RECORD_HEADER_LEN > len(data):
             logger.warning("%s: truncated record header at byte %d, stopping", path, offset)
             break
-        _, _, incl_len, _ = rec_header.unpack_from(data, offset)
+        _, _, incl_len, orig_len = rec_header.unpack_from(data, offset)
         offset += _RECORD_HEADER_LEN
         if offset + incl_len > len(data):
             logger.warning("%s: truncated packet data at byte %d, stopping", path, offset)
             break
         packet = data[offset : offset + incl_len]
         offset += incl_len
+        if incl_len < orig_len:
+            truncated += 1
+            continue
         if flt.transport == "raw":
             payload: bytes | None = packet
         else:
@@ -106,6 +111,8 @@ def load_pcap(path: str | Path, flt: ProtocolFilter) -> RawTrace:
         if payload:
             records.append(payload)
 
+    if truncated:
+        logger.warning("%s: skipped %d packets cut short by the snapshot length", path, truncated)
     if not records:
         raise EmptyTraceError(f"{path}: no packets match filter {flt}")
     return RawTrace(tuple(records), fragments)

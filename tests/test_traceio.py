@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import random
 import struct
 
@@ -111,6 +112,22 @@ class TestLoadPcap:
         trace = load_pcap(pcap, ProtocolFilter("udp", 7))
         assert trace.records == (b"whole",)
         assert trace.skipped_fragments == 1
+
+    @pytest.mark.parametrize("flt", ["udp:123", "raw"])
+    def test_records_cut_short_by_the_snaplen_are_skipped(self, tmp_path, caplog, flt):
+        payload = bytes(range(48))
+        whole = build_ethernet_packet("udp", 4, 123, payload)
+        cut = whole[: len(whole) - 38]  # 10 of the 48 payload bytes captured
+        pcap = tmp_path / "snaplen.pcap"
+        pcap.write_bytes(build_pcap([("rawdata", whole)])
+                         + struct.pack(">IIII", 1_600_000_001, 0, len(cut), len(whole)) + cut)
+        with caplog.at_level(logging.WARNING, logger="typeclust.traceio"):
+            trace = load_pcap(pcap, ProtocolFilter.parse(flt))
+        assert trace.records == (whole if flt == "raw" else payload,)
+        assert trace.skipped_fragments == 0
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"{pcap}: skipped 1 packets cut short by the snapshot length")
+        ]
 
     def test_ethernet_padding_trimmed(self, tmp_path):
         # pad the frame past the IP total length, as a real NIC would
