@@ -4,6 +4,8 @@ for a fixed input and configuration."""
 
 from __future__ import annotations
 
+import logging
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -17,6 +19,8 @@ from . import segmentation as sg
 from . import traceio as tio
 from .errors import AnalysisError, EmptyAnalysisError, PipelineStageError
 from .report import sig6
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -58,12 +62,14 @@ class PipelineResult:
 
 @contextmanager
 def _stage(name: str):
+    start = time.perf_counter()
     try:
         yield
     except PipelineStageError:
         raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
+    logger.info("stage %s done in %.3f s", name, time.perf_counter() - start)
 
 
 def prepare_messages(config: PipelineConfig) -> tuple[tio.RawTrace, list[bytes]]:

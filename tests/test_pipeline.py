@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -25,6 +26,13 @@ from typeclust import autoconf as ac
 from typeclust import pipeline as pl
 from typeclust.cli import main
 from typeclust.report import read_report, sig6, to_json
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this checkout's typeclust."""
+    src = Path(pl.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
 
 
 def analyze_config(trace, truth, **overrides):
@@ -528,14 +536,25 @@ class TestCli:
             f"assert main(['ecdf', *{inputs!r}, '--out', {str(curves)!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
-        src = Path(pl.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+        out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
                              text=True, check=True)
         assert out.stdout.splitlines()[-1] == "[]"
         assert json.loads(report.read_text())["metadata"]["fallback"] is False
         assert len(curves.read_text().splitlines()) == 1 + 3 * 200  # k = 2, 3, 4
+
+    @pytest.mark.parametrize("verbose", [True, False], ids=["verbose", "quiet"])
+    def test_verbose_logs_each_stage_with_its_time(self, tmp_path, verbose):
+        # a child interpreter: pytest's root handlers make basicConfig a no-op in this one
+        trace, truth = two_type_fixture(tmp_path)
+        argv = [*(["-v"] if verbose else []), "analyze", "--input", str(trace), "--format", "hex",
+                "--segmenter", "import", "--segments", str(truth)]
+        out = subprocess.run([sys.executable, "-m", "typeclust.cli", *argv], env=child_env(),
+                             capture_output=True, text=True, check=True)
+        stages = ["load", "segment", "values", "matrix", "autoconf", "cluster", "refine",
+                  "evaluate", "report"]
+        logged = [re.sub(r"in \d+\.\d{3} s$", "in T s", line) for line in out.stderr.splitlines()]
+        assert logged == ([f"INFO typeclust.pipeline: stage {stage} done in T s"
+                           for stage in stages] if verbose else [])
 
     def test_dump_matrix(self, tmp_path):
         trace, truth = two_type_fixture(tmp_path)
