@@ -81,8 +81,6 @@ def condition2(
     matrix: DissimilarityMatrix, c_i: Cluster, c_j: Cluster, link: LinkPair
 ) -> bool:
     """Somewhat-close clusters whose whole-cluster densities are similar."""
-    if len(c_i.members) < 2 or len(c_j.members) < 2:
-        return False
     stats_i, stats_j = ensure_stats(matrix, c_i), ensure_stats(matrix, c_j)
     if stats_i.mean_pairwise == 0.0 or stats_j.mean_pairwise == 0.0:
         return False
