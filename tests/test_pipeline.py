@@ -13,6 +13,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_pcap
 from fixtures import (
@@ -22,9 +24,11 @@ from fixtures import (
     synthetic_protocol_fixture,
     two_type_fixture,
 )
+from oracles import pairwise_metrics
 from typeclust import autoconf as ac
 from typeclust import pipeline as pl
 from typeclust.cli import main
+from typeclust.errors import AnalysisError
 from typeclust.report import read_report, sig6, to_json
 
 
@@ -640,3 +644,125 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "precision=" in out and "coverage=" in out
+
+
+@pytest.fixture(scope="module")
+def coverage_report(tmp_path_factory):
+    """The report analyze writes for the coverage fixture, its config and truth,
+    and every value's true count."""
+    trace, truth = coverage_fixture(tmp_path_factory.mktemp("coverage"))
+    config = analyze_config(trace, truth)
+    result = pl.run(config)
+    counts = dict(zip((c.hex() for c in result.values.content), result.values.counts.tolist()))
+    return json.loads(to_json(result.report)), config, str(truth), counts
+
+
+DEFECTS = ("drop", "repeat", "count", "count-length", "unknown", "metadata")
+BENIGN = ("reorder", "move", "to-noise", "from-noise")
+INPUT_KEYS = ("records", "skipped_fragments", "messages", "segmenter", "segments",
+              "excluded_one_byte_segments", "unique_values", "total_bytes")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_evaluate_rejects_exactly_the_forged_reports(coverage_report, data):
+    """A report edited by drawn defects is rejected; one edited only by
+    benign moves scores its edited membership."""
+    original, config, truth, true_count = coverage_report
+    doc = json.loads(json.dumps(original))
+    tainted: set[str] = set()  # values a defect touched: no later edit may undo it
+    frozen: set[int] = set()  # ids of clusters whose counts no longer pair with values
+
+    def places(clusters_only=False):
+        """(cluster, position) of every untainted value; the cluster is None for noise."""
+        found = [(c, i) for c in doc["clusters"] if id(c) not in frozen
+                 for i, v in enumerate(c["values"]) if v not in tainted]
+        if not clusters_only:
+            found += [(None, i) for i, v in enumerate(doc["noise"]) if v not in tainted]
+        return found
+
+    def targets(source):
+        """Where a value of ``source`` may go: another open cluster, a new one, or noise."""
+        return [c for c in doc["clusters"] if c is not source and id(c) not in frozen] + [
+            "new"] + ([None] if source is not None else [])
+
+    def take(place):
+        cluster, i = place
+        if cluster is None:
+            return doc["noise"].pop(i), None
+        return cluster["values"].pop(i), cluster["counts"].pop(i)
+
+    def put(target, value, count):
+        if target is None:
+            doc["noise"].append(value)
+            return
+        if target == "new":
+            target = {"id": len(doc["clusters"]), "values": [], "counts": []}
+            doc["clusters"].append(target)
+        target["values"].append(value)
+        target["counts"].append(count)
+
+    defective = False
+    for kind in data.draw(st.lists(st.sampled_from(DEFECTS + BENIGN), max_size=6)):
+        open_clusters = [c for c in doc["clusters"] if id(c) not in frozen]
+        if kind == "metadata":
+            key = data.draw(st.sampled_from(INPUT_KEYS))
+            value = doc["metadata"][key]
+            doc["metadata"][key] = value + "x" if isinstance(value, str) else value + 1
+        elif kind == "unknown":
+            value = data.draw(st.sampled_from(["zz", "deadbeef", "c89664"]))
+            put(data.draw(st.sampled_from([None, "new", *open_clusters])), value, 1)
+            tainted.add(value)
+        elif kind == "count-length":
+            if not open_clusters:
+                continue
+            cluster = data.draw(st.sampled_from(open_clusters))
+            if cluster["counts"] and data.draw(st.booleans()):
+                cluster["counts"].pop()
+            else:
+                cluster["counts"].append(1)
+            frozen.add(id(cluster))
+        elif kind == "reorder":
+            doc["clusters"] = list(data.draw(st.permutations(doc["clusters"])))
+        else:
+            candidates = {
+                "drop": places(),
+                "repeat": places(),
+                "count": places(clusters_only=True),
+                "move": places(clusters_only=True),
+                "to-noise": places(clusters_only=True),
+                "from-noise": [p for p in places() if p[0] is None],
+            }[kind]
+            if not candidates:
+                continue
+            cluster, i = place = data.draw(st.sampled_from(candidates))
+            value = (doc["noise"] if cluster is None else cluster["values"])[i]
+            if kind == "drop":
+                take(place)
+            elif kind == "repeat":
+                put(data.draw(st.sampled_from(targets(cluster))), value, true_count[value])
+            elif kind == "count":
+                forged = data.draw(st.integers(0, 999).filter(lambda n: n != true_count[value]))
+                cluster["counts"][i] = forged
+            elif kind == "move":
+                put(data.draw(st.sampled_from(targets(cluster)[:-1])), *take(place))
+            elif kind == "to-noise":
+                take(place)
+                put(None, value, None)
+            else:  # from-noise
+                take(place)
+                put(data.draw(st.sampled_from(targets(None))), value, true_count[value])
+            if kind in DEFECTS:
+                tainted.add(value)
+        defective |= kind in DEFECTS
+
+    if defective:
+        with pytest.raises(AnalysisError):
+            pl.evaluate_report(doc, config, truth)
+        return
+    metrics = pl.evaluate_report(doc, config, truth)
+    members = [c["values"] for c in doc["clusters"]]
+    labels = dict.fromkeys(true_count, "data")  # the fixture types every 4-byte field "data"
+    assert (metrics.tp, metrics.fp, metrics.fn) == pairwise_metrics(members, doc["noise"], labels)
+    clustered = sum(len(bytes.fromhex(v)) * true_count[v] for values in members for v in values)
+    assert metrics.coverage == clustered / original["metadata"]["total_bytes"]
