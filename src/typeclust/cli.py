@@ -109,7 +109,9 @@ def _run_evaluate(args: argparse.Namespace) -> int:
 
 
 def _run_ecdf(args: argparse.Namespace) -> int:
-    n = pl.run_ecdf(_config_from_args(args), args.out)
+    n, rows = pl.run_ecdf(_config_from_args(args))
+    lines = [f"{k},{x:.6g},{y_raw:.6g},{y_smoothed:.6g}\n" for k, x, y_raw, y_smoothed in rows]
+    Path(args.out).write_text("k,x,y_raw,y_smoothed\n" + "".join(lines), encoding="ascii")
     sys.stdout.write(f"wrote ECDF diagnostics for n={n} values to {args.out}\n")
     return EXIT_OK
 

@@ -10,6 +10,8 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import autoconf as ac
 from . import clustering as cl
 from . import dissimilarity as dm
@@ -165,22 +167,14 @@ def run(config: PipelineConfig) -> PipelineResult:
     return PipelineResult(report, analyzable, values, matrix, auto, result)
 
 
-def run_ecdf(config: PipelineConfig, path: str) -> int:
-    """Write the k-NN ECDF diagnostics of the trace's values; returns their number."""
+def run_ecdf(config: PipelineConfig) -> tuple[int, list[tuple[int, float, float, float]]]:
+    """The number of values and their k-NN ECDF rows (k, x, y_raw, y_smoothed); writes no file."""
     *_, values = _load_values(config)
     with _stage("matrix"):
         matrix = dm.build_matrix(values, threads=config.threads)
     with _stage("autoconf"):
-        write_ecdf_csv(matrix, path)
-    return matrix.n
-
-
-def write_ecdf_csv(matrix: dm.DissimilarityMatrix, path: str) -> None:
-    rows = ac.ecdf_rows(matrix)
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("k,x,y_raw,y_smoothed\n")
-        for k, x, y_raw, y_smoothed in rows:
-            handle.write(f"{k},{x:.6g},{y_raw:.6g},{y_smoothed:.6g}\n")
+        rows = ac.ecdf_rows(matrix)
+    return matrix.n, rows
 
 
 def round_metrics(metrics: ev.Metrics | None) -> dict | None:
@@ -261,8 +255,10 @@ def evaluate_report(
     (``records`` to ``total_bytes``), its clusters plus noise
     listing every re-derived value exactly once, and each cluster's
     ``counts`` giving its values' occurrences. The first mismatch raises
-    AnalysisError. ``stats`` and ``epsilon`` would need the matrix, so they
-    are not checked.
+    AnalysisError, checked in this order: input counts; count-list lengths
+    and repeats, then unknown values and counts, both in listing order;
+    missing values. ``stats`` and ``epsilon`` would need the matrix, so
+    they are not checked.
     """
     inputs, analyzable, values = _load_values(config, truth_path)
     with _stage("evaluate"):
@@ -272,39 +268,29 @@ def evaluate_report(
                     f"report metadata {key} is {report['metadata'].get(key)!r}, the re-derived "
                     f"run gives {value!r}; wrong trace or segmenter?"
                 )
-        index_by_hex = {content.hex(): i for i, content in enumerate(values.content)}
-        assigned: set[int] = set()
-
-        def indices(hex_values: list[str]) -> list[int]:
-            found = []
-            for hex_value in hex_values:
-                index = index_by_hex.get(hex_value)
-                if index is None:
-                    raise AnalysisError(
-                        f"report value {hex_value} does not occur in the re-derived "
-                        "segmentation; wrong trace or segmenter?"
-                    )
-                if index in assigned:
+        listed = {}  # hex value -> (its cluster id, -1 for noise; its listed count)
+        groups = [(cid, c["values"], c["counts"]) for cid, c in enumerate(report["clusters"])]
+        groups.append((-1, report["noise"], [None] * len(report["noise"])))
+        for cid, hex_values, counts in groups:
+            if len(counts) != len(hex_values):
+                raise AnalysisError(f"report cluster {cid} has {len(counts)} "
+                                    f"counts for {len(hex_values)} values")
+            for hex_value, count in zip(hex_values, counts):
+                if hex_value in listed:
                     raise AnalysisError(f"report value {hex_value} is listed more than once")
-                assigned.add(index)
-                found.append(index)
-            return found
-
-        member_sets = []
-        for cid, cluster in enumerate(report["clusters"]):
-            members = indices(cluster["values"])
-            counts = values.counts[members].tolist()
-            if len(cluster["counts"]) != len(counts):
-                raise AnalysisError(f"report cluster {cid} has {len(cluster['counts'])} "
-                                    f"counts for {len(counts)} values")
-            for hex_value, listed, count in zip(cluster["values"], cluster["counts"], counts):
-                if listed != count:
-                    raise AnalysisError(f"report cluster {cid} counts {hex_value} {listed} "
-                                        f"times, the re-derived run {count} times")
-            member_sets.append(sorted(members))
-        noise = sorted(indices(report["noise"]))
-        if len(assigned) != len(values):
-            missing = next(c for i, c in enumerate(values.content) if i not in assigned)
-            raise AnalysisError(f"re-derived value {missing.hex()} is not in the report")
-        clustering = cl.Clustering([cl.Cluster(m) for m in member_sets], noise)
+                listed[hex_value] = (cid, count)
+        count_of = dict(zip((content.hex() for content in values.content), values.counts.tolist()))
+        for hex_value, (cid, listed_count) in listed.items():
+            if hex_value not in count_of:
+                raise AnalysisError(f"report value {hex_value} does not occur in the re-derived "
+                                    "segmentation; wrong trace or segmenter?")
+            if cid >= 0 and listed_count != count_of[hex_value]:
+                raise AnalysisError(f"report cluster {cid} counts {hex_value} {listed_count} "
+                                    f"times, the re-derived run {count_of[hex_value]} times")
+        if len(listed) != len(values):
+            missing = next(hex_value for hex_value in count_of if hex_value not in listed)
+            raise AnalysisError(f"re-derived value {missing} is not in the report")
+        label = np.array([listed[hex_value][0] for hex_value in count_of])
+        members = [np.flatnonzero(label == cid) for cid in range(-1, len(report["clusters"]))]
+        clustering = cl.Clustering([cl.Cluster(m) for m in members[1:]], members[0])
         return ev.evaluate_clustering(analyzable, values, clustering)

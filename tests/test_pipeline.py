@@ -527,7 +527,8 @@ class TestCli:
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
-        assert sorted(referenced & {"emit_report", "write_matrix_csv"}) == []
+        writers = {"emit_report", "write_matrix_csv", "open", "write_text", "write_ecdf_csv"}
+        assert sorted(referenced & writers) == []
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
         trace, truth = two_type_fixture(tmp_path)  # 40 values: three ECDFs and a knee
