@@ -197,9 +197,9 @@ def _canberra_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return best
     best = best.reshape(r, offsets, c).min(axis=1)
     ratio = m / big
-    block = (m * best + (big - m) * (1.0 - ratio * (1.0 - best))) / big
-    np.clip(block, 0.0, 1.0, out=block)
-    return block
+    # best is in [0, 1], so the rounded terms are at most m and big - m (rounding
+    # is monotone) and the cell is in [0, 1]
+    return (m * best + (big - m) * (1.0 - ratio * (1.0 - best))) / big
 
 
 def _cpus() -> int:
@@ -216,9 +216,10 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     blocks of about ``_CHUNK_CELLS`` cells per byte position. Each symmetric
     pair is computed once: a block of rows covers the columns of every
     longer value and, for its own length, the columns from its first row
-    onward, then writes the mirror cells too. The Canberra term of every
-    byte pair comes from the ``_TERMS`` table, and a block adds one plane of
-    terms per byte position in numpy's pairwise order, so each cell has the
+    onward (so the diagonal, where Canberra(x, x) is exactly 0), then writes
+    the mirror cells too. The Canberra term of every byte pair comes from
+    the ``_TERMS`` table, and a block adds one plane of terms per byte
+    position in numpy's pairwise order, so each cell has the
     bits of the broadcast ``.sum`` over its bytes. |a-b|/(a+b) is exactly
     symmetric, so the result is exactly symmetric; blocks write disjoint
     cells, so any thread count produces bit-identical results. ``threads``
@@ -252,8 +253,8 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     def fill(task) -> None:
         rows_idx, cols_idx, rows, cols = task
         block = _canberra_block(rows, cols)
-        d.put(rows_idx[:, None] * n + cols_idx, block)  # flat indices: cheaper than np.ix_
-        d.put(cols_idx * n + rows_idx[:, None], block)  # the mirror cells
+        d[rows_idx[:, None], cols_idx] = block
+        d[cols_idx[:, None], rows_idx] = block.T  # the mirror cells
 
     workers = min(threads, _cpus())
     if workers > 1:
@@ -263,7 +264,6 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
         for task in tasks:
             fill(task)
 
-    np.fill_diagonal(d, 0.0)
     d.flags.writeable = False
     return DissimilarityMatrix(values, d)
 

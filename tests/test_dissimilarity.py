@@ -168,16 +168,27 @@ class TestBuildMatrix:
                 assert matrix.d[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_matrix_invariants_on_random_inputs(self, rng):
-        contents = set()
-        while len(contents) < 40:
-            contents.add(bytes(rng.integers(0, 256, size=int(rng.integers(2, 6))).tolist()))
-        values = values_of(sorted(contents))
-        matrix = build_matrix(values)
-        assert np.array_equal(matrix.d, matrix.d.T)
-        assert np.all(np.diag(matrix.d) == 0.0)
-        assert np.all(matrix.d >= 0.0) and np.all(matrix.d <= 1.0)
-        off_diagonal = matrix.d[~np.eye(matrix.n, dtype=bool)]
-        assert np.all(off_diagonal > 0.0)  # unique values never coincide
+        random = set()
+        while len(random) < 40:
+            random.add(bytes(rng.integers(0, 256, size=int(rng.integers(2, 6))).tolist()))
+        # runs of 0x00 and 0xff, whose terms are 0 and 1, mixed with random bytes
+        extreme = {bytes([byte]) * length for byte in (0, 255) for length in range(2, 41)}
+        while len(extreme) < 120:
+            runs = [bytes([int(rng.choice([0, 255]))]) * int(rng.integers(1, 9))
+                    for _ in range(int(rng.integers(1, 5)))]
+            runs.insert(int(rng.integers(len(runs) + 1)),
+                        bytes(rng.integers(0, 256, size=int(rng.integers(0, 5))).tolist()))
+            content = b"".join(runs)[:40]
+            if len(content) >= 2:
+                extreme.add(content)
+        for contents in (random, extreme):
+            matrix = build_matrix(values_of(sorted(contents)))
+            assert np.array_equal(matrix.d, matrix.d.T)
+            assert np.all(np.diag(matrix.d) == 0.0)
+            assert np.all(matrix.d >= 0.0) and np.all(matrix.d <= 1.0)
+            off_diagonal = matrix.d[~np.eye(matrix.n, dtype=bool)]
+            assert np.all(off_diagonal > 0.0)  # unique values never coincide
+        assert matrix.d.max() == 1.0  # all 0x00 against all 0xff
 
     def test_permutation_equivariance(self, rng):
         contents = [b"\x01\x02", b"\x03\x04\x05", b"qrstuv", b"\xff\x00"]
