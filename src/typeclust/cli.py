@@ -10,7 +10,7 @@ from pathlib import Path
 from . import pipeline as pl
 from .dissimilarity import write_matrix_csv
 from .errors import AnalysisError, EmptyAnalysisError, PipelineStageError
-from .report import emit_report, read_report, render_table, to_json
+from .report import emit_report, read_report, render_table, to_json, writing
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -89,7 +89,8 @@ def _config_from_args(args: argparse.Namespace) -> pl.PipelineConfig:
 def _run_analyze(args: argparse.Namespace) -> int:
     result = pl.run(_config_from_args(args))
     if args.dump_matrix:
-        write_matrix_csv(result.matrix, args.dump_matrix)
+        with writing("matrix CSV", args.dump_matrix):
+            write_matrix_csv(result.matrix, args.dump_matrix)
     emit_report(result.report, args.out_json, args.out_table)
     sys.stdout.write(render_table(result.report))
     return EXIT_OK
@@ -100,7 +101,8 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     metrics = pl.evaluate_report(read_report(args.report), config, args.truth)
     rounded = pl.round_metrics(metrics)
     if args.out_json:
-        Path(args.out_json).write_text(to_json(rounded), encoding="utf-8")
+        with writing("metrics JSON", args.out_json):
+            Path(args.out_json).write_text(to_json(rounded), encoding="utf-8")
     sys.stdout.write(
         "tp={tp} fp={fp} fn={fn} precision={precision:.6g} recall={recall:.6g} "
         "f_{beta:g}={f_score:.6g} coverage={coverage:.6g}\n".format_map(rounded)
@@ -111,7 +113,8 @@ def _run_evaluate(args: argparse.Namespace) -> int:
 def _run_ecdf(args: argparse.Namespace) -> int:
     n, rows = pl.run_ecdf(_config_from_args(args))
     lines = [f"{k},{x:.6g},{y_raw:.6g},{y_smoothed:.6g}\n" for k, x, y_raw, y_smoothed in rows]
-    Path(args.out).write_text("k,x,y_raw,y_smoothed\n" + "".join(lines), encoding="ascii")
+    with writing("ECDF CSV", args.out):
+        Path(args.out).write_text("k,x,y_raw,y_smoothed\n" + "".join(lines), encoding="ascii")
     sys.stdout.write(f"wrote ECDF diagnostics for n={n} values to {args.out}\n")
     return EXIT_OK
 

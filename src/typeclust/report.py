@@ -9,6 +9,8 @@ byte-reproducible.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -93,12 +95,17 @@ def emit_report(
 ) -> None:
     """Write the JSON report and/or the text table."""
     if json_path is not None:
-        try:
+        with writing("report JSON", json_path):
             Path(json_path).write_text(to_json(report), encoding="utf-8")
-        except OSError as err:
-            raise OSError(f"cannot write report JSON to {json_path}: {err}") from err
     if table_path is not None:
-        try:
+        with writing("report table", table_path):
             Path(table_path).write_text(render_table(report), encoding="utf-8")
-        except OSError as err:
-            raise OSError(f"cannot write report table to {table_path}: {err}") from err
+
+
+@contextmanager
+def writing(what: str, path: str | Path) -> Iterator[None]:
+    """Re-raise an OSError of the block as ``cannot write <what> to <path>: ...``."""
+    try:
+        yield
+    except OSError as err:
+        raise OSError(f"cannot write {what} to {path}: {err}") from err

@@ -518,6 +518,29 @@ class TestCli:
         earlier = order[:order.index(failing)]
         assert all(paths[flag].exists() for flag in earlier)
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full to fail writes")
+    @pytest.mark.parametrize("what", ["matrix CSV", "report JSON", "report table", "ECDF CSV",
+                                      "metrics JSON"])
+    def test_failed_write_names_its_output(self, tmp_path, capsys, what):
+        trace, truth = two_type_fixture(tmp_path)
+        inputs = ["--input", str(trace), "--format", "hex",
+                  "--segmenter", "import", "--segments", str(truth)]
+        report = tmp_path / "report.json"
+        assert self.run_cli("analyze", *inputs, "--out-json", str(report)) == 0
+        argv = {
+            "matrix CSV": ["analyze", *inputs, "--dump-matrix"],
+            "report JSON": ["analyze", *inputs, "--out-json"],
+            "report table": ["analyze", *inputs, "--out-table"],
+            "ECDF CSV": ["ecdf", *inputs, "--out"],
+            "metrics JSON": ["evaluate", "--report", str(report), *inputs, "--truth", str(truth),
+                             "--out-json"],
+        }[what]
+        capsys.readouterr()
+        assert self.run_cli(*argv, "/dev/full") == 1  # every write to /dev/full fails
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write {what} to /dev/full: ")
+
     def test_pipeline_writes_no_file(self):
         referenced = set()
         for node in ast.walk(ast.parse(Path(pl.__file__).read_text(encoding="utf-8"))):
