@@ -9,7 +9,6 @@ byte-reproducible.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -103,7 +102,7 @@ def emit_report(
 
 
 @contextmanager
-def writing(what: str, path: str | Path) -> Iterator[None]:
+def writing(what: str, path: str | Path):
     """Re-raise an OSError of the block as ``cannot write <what> to <path>: ...``."""
     try:
         yield
