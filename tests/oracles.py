@@ -226,19 +226,75 @@ def overlap_label_reference(start: int, length: int, fields):
     return best
 
 
+def median_reference(xs) -> float:
+    ordered = sorted(xs)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def cluster_stats_reference(d, members):
-    """(mean pairwise, minmed, max pairwise) straight from the formulas."""
+    """(mean pairwise, minmed, max pairwise) straight from the formulas.
+
+    A cluster of one value has no pairs, and all three are 0.
+    """
+    if len(members) < 2:
+        return 0.0, 0.0, 0.0
     pair = [d[a][b] for a, b in combinations(members, 2)]
     nearest = [
         min(d[a][b] for b in members if b != a) for a in members
     ]
-    nearest_sorted = sorted(nearest)
-    mid = len(nearest_sorted) // 2
-    if len(nearest_sorted) % 2:
-        minmed = nearest_sorted[mid]
-    else:
-        minmed = (nearest_sorted[mid - 1] + nearest_sorted[mid]) / 2
-    return sum(pair) / len(pair), minmed, max(pair)
+    return sum(pair) / len(pair), median_reference(nearest), max(pair)
+
+
+def restart_scan_reference(d, member_sets):
+    """The merge pass from the paper's definitions: every merge restarts the scan.
+
+    Clusters are ordered by lowest member and their pairs scanned in that
+    order; the first pair that meets condition 1 or condition 2 merges, and
+    the scan starts again from the first pair. Returns the member lists of
+    the fixpoint, ordered by lowest member.
+    """
+    sets = [sorted(m) for m in member_sets]
+
+    def link(left, right):
+        # the first cross pair in row-major order with the least distance
+        best = None
+        for a in left:
+            for b in right:
+                if best is None or d[a][b] < best[0]:
+                    best = (d[a][b], a, b)
+        return best
+
+    def rho(members, anchor, eps):
+        # median distance from the link member to the cluster within eps
+        inside = [d[anchor][m] for m in members if m != anchor and d[anchor][m] <= eps]
+        return median_reference(inside) if inside else None
+
+    def mergeable(left, right):
+        d_link, s_ij, s_ji = link(left, right)
+        mean_i, minmed_i, d_max_i = cluster_stats_reference(d, left)
+        mean_j, minmed_j, d_max_j = cluster_stats_reference(d, right)
+        # condition 1: very close, with similar densities around the link
+        eps = (d_max_i if len(left) <= len(right) else d_max_j) / 2
+        rho_i, rho_j = rho(left, s_ij, eps), rho(right, s_ji, eps)
+        if (d_link < max(mean_i, mean_j) and rho_i is not None and rho_j is not None
+                and abs(rho_i - rho_j) < 0.01):
+            return True
+        # condition 2: somewhat close, with similar whole-cluster densities
+        if mean_i == 0 or mean_j == 0:
+            return False
+        return (d_link < (minmed_i / mean_i + minmed_j / mean_j) / 2
+                and abs(minmed_i - minmed_j) < 0.002)
+
+    while True:
+        sets.sort(key=lambda m: m[0])
+        for left, right in combinations(sets, 2):
+            if mergeable(left, right):
+                sets = [m for m in sets if m is not left and m is not right]
+                sets.append(sorted(left + right))
+                break
+        else:
+            return sets
 
 
 def percent_rank_reference(counts, pivot) -> float:

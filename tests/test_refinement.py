@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_matrix, symmetric_random
-from oracles import percent_rank_reference, population_std_reference
+from oracles import percent_rank_reference, population_std_reference, restart_scan_reference
 from typeclust.clustering import Cluster, Clustering, cluster_stats, ensure_stats
+from typeclust.dissimilarity import DissimilarityMatrix, Values
 from typeclust.refinement import (
     EPS_RHO_THRESHOLD,
     NEIGHBOR_DENSITY_THRESHOLD,
@@ -287,21 +289,6 @@ class TestMergePass:
         assert merged.noise == [7, 8, 9]
 
 
-def restart_scan_reference(matrix, member_sets):
-    """merge_pass from its definition: every merge restarts the full pair scan."""
-    sets = [sorted(m) for m in member_sets]
-    while True:
-        clusters = [Cluster(m) for m in sorted(sets, key=lambda m: m[0])]
-        for c_i, c_j in combinations(clusters, 2):
-            link = link_segments(matrix, c_i, c_j)
-            if condition1(matrix, c_i, c_j, link) or condition2(matrix, c_i, c_j, link):
-                sets = [c.members for c in clusters if c is not c_i and c is not c_j]
-                sets.append(sorted(c_i.members + c_j.members))
-                break
-        else:
-            return [c.members for c in clusters]
-
-
 def fragmented_blobs(seed: int):
     """Blobs of different densities, each cut into several random clusters."""
     rng = np.random.default_rng(seed)
@@ -327,7 +314,7 @@ class TestMergePassEquivalence:
             d, member_sets = fragmented_blobs(seed)
             matrix = make_matrix(d)
             merged = merge_pass(matrix, clusters_from(member_sets))
-            expected = restart_scan_reference(matrix, member_sets)
+            expected = restart_scan_reference(d.tolist(), member_sets)
             assert [c.members for c in merged.clusters] == expected, seed
             for cluster in merged.clusters:  # stats that travel with a cluster are its own
                 fresh = cluster_stats(matrix, Cluster(cluster.members))
@@ -427,6 +414,36 @@ class TestSplitPass:
                 and any(c > pivot for c in counts)
             )
             assert (len(result.clusters) == 2) == should_split
+
+
+@st.composite
+def polarized_counts(draw):
+    """k ones and up to k // 19 counts of 1 to 10**6, shuffled: the percent
+    rank below the pivot falls on both sides of 95 and on it."""
+    k = draw(st.integers(20, 300))
+    others = draw(st.lists(st.integers(1, 10**6), max_size=k // 19))
+    return draw(st.permutations([1] * k + others))
+
+
+@settings(derandomize=True, deadline=None)
+@given(polarized_counts())
+def test_split_fires_exactly_on_the_rule(counts):
+    n = len(counts)
+    # split_pass reads only the counts, so the values carry no segments
+    values = Values([bytes([i // 256, i % 256]) for i in range(n)], np.full(n, 2),
+                    np.array(counts), np.empty(0, dtype=np.int64))
+    matrix = DissimilarityMatrix(values, np.zeros((n, n)))
+    pivot = math.log(sum(counts))
+    fires = percent_rank_reference(counts, pivot) > 95 and population_std_reference(counts) > pivot
+    event(f"split: {fires}")
+
+    result = split_pass(matrix, clusters_from([list(range(n))]))
+    assert (len(result.clusters) == 2) == fires
+    if fires:
+        low = next(c for c in result.clusters if counts[c.members[0]] <= pivot)
+        assert low.members == [m for m in range(n) if counts[m] <= pivot]
+        assert all(c.members for c in result.clusters)
+    assert sorted(m for c in result.clusters for m in c.members) == list(range(n))
 
 
 def test_merge_terminates_and_decreases_cluster_count(rng):
