@@ -25,7 +25,7 @@ class ClusterStats:
     d_max: float
 
 
-@dataclass
+@dataclass(eq=False)  # a cluster is itself: it compares and hashes by identity
 class Cluster:
     members: list[int]  # value indices, ascending
     stats: ClusterStats | None = None  # None until ensure_stats measures it

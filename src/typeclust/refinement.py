@@ -34,12 +34,9 @@ class LinkPair:
 
 def link_segments(matrix: DissimilarityMatrix, c_i: Cluster, c_j: Cluster) -> LinkPair:
     """Closest cross-cluster pair; ties resolve to the lowest index pair."""
-    rows = np.asarray(c_i.members)
-    cols = np.asarray(c_j.members)
-    block = matrix.block(rows, cols)
-    flat = int(np.argmin(block))  # first minimum in row-major order
-    a, b = divmod(flat, cols.size)
-    return LinkPair(int(rows[a]), int(cols[b]), float(block[a, b]))
+    block = matrix.block(c_i.members, c_j.members)
+    a, b = divmod(int(np.argmin(block)), block.shape[1])  # first minimum in row-major order
+    return LinkPair(c_i.members[a], c_j.members[b], float(block[a, b]))
 
 
 def eps_density(
@@ -95,37 +92,28 @@ def condition2(
 def merge_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clustering:
     """Merge qualifying cluster pairs until a fixpoint is reached.
 
-    Pairs are scanned in ascending id order; after each merge the merged
-    cluster takes its place by lowest member and the scan restarts, so the
-    result is deterministic. A pair's verdict depends only on its two member
-    sets, so it is kept and each restart evaluates only the pairs with the
-    merged cluster. Unmerged clusters are passed on as they are, stats included.
+    Pairs are scanned in ascending id order. The first pair that meets
+    condition 1 or condition 2 merges, the merged cluster takes its place
+    by lowest member, and the scan restarts, so the result is
+    deterministic. A verdict depends only on the pair's two clusters, so a
+    rejected pair is remembered and not evaluated again. Unmerged clusters
+    are passed on as they are, stats included.
     """
     clusters = list(clustering.clusters)
-    verdicts: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+    rejected: set[tuple[Cluster, Cluster]] = set()
     while True:
-        keys = [tuple(c.members) for c in clusters]
-        hit = None
-        for a, b in combinations(range(len(clusters)), 2):
-            pair = (keys[a], keys[b])
-            verdict = verdicts.get(pair)
-            if verdict is None:
-                c_i, c_j = clusters[a], clusters[b]
-                link = link_segments(matrix, c_i, c_j)
-                verdict = condition1(matrix, c_i, c_j, link) or condition2(
-                    matrix, c_i, c_j, link
-                )
-                verdicts[pair] = verdict
-            if verdict:
-                hit = (a, b)
+        for c_i, c_j in combinations(clusters, 2):
+            if (c_i, c_j) in rejected:
+                continue
+            link = link_segments(matrix, c_i, c_j)
+            if condition1(matrix, c_i, c_j, link) or condition2(matrix, c_i, c_j, link):
                 break
-        if hit is None:
-            break
-        a, b = hit
-        merged = Cluster(sorted(clusters[a].members + clusters[b].members))
-        clusters = [c for i, c in enumerate(clusters) if i not in hit] + [merged]
+            rejected.add((c_i, c_j))
+        else:
+            return Clustering(clusters, list(clustering.noise))
+        clusters = [c for c in clusters if c not in (c_i, c_j)]
+        clusters.append(Cluster(sorted(c_i.members + c_j.members)))
         clusters.sort(key=lambda c: c.members[0])
-    return Clustering(clusters, list(clustering.noise))
 
 
 def split_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clustering:
@@ -145,12 +133,11 @@ def split_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clusterin
         percent_rank = 100.0 * float((counts < pivot).sum()) / counts.size
         spread = float(counts.std())
         if percent_rank > SPLIT_PERCENTILE and spread > pivot:
+            # both sides fill: some count < pivot, and counts in [0, pivot] spread <= pivot / 2
             members = np.asarray(cluster.members)
-            low = members[counts <= pivot].tolist()
-            high = members[counts > pivot].tolist()
-            if low and high:
-                clusters += [Cluster(low), Cluster(high)]
-                continue
-        clusters.append(cluster)
+            clusters += [Cluster(members[counts <= pivot].tolist()),
+                         Cluster(members[counts > pivot].tolist())]
+        else:
+            clusters.append(cluster)
     clusters.sort(key=lambda c: c.members[0])
     return Clustering(clusters, list(clustering.noise))
