@@ -66,7 +66,8 @@ def load_pcap(path: str | Path, flt: ProtocolFilter) -> RawTrace:
     capture must use the Ethernet link type. For ``raw`` the whole packet
     data is kept regardless of link type. A record the capture's snapshot
     length cut short (``incl_len < orig_len``) is skipped, under every
-    filter, with one warning for the whole file.
+    filter, with one warning for the whole file. Under ``udp``/``tcp`` so is a
+    matching datagram shorter than its IPv4 total length or UDP length.
     """
     data = Path(path).read_bytes()
     if len(data) < 24:
@@ -87,7 +88,7 @@ def load_pcap(path: str | Path, flt: ProtocolFilter) -> RawTrace:
 
     rec_header = struct.Struct(endian + "IIII")
     records: list[bytes] = []
-    fragments = truncated = 0
+    fragments = truncated = short = 0
     offset = 24
     while offset < len(data):
         if offset + _RECORD_HEADER_LEN > len(data):
@@ -106,54 +107,63 @@ def load_pcap(path: str | Path, flt: ProtocolFilter) -> RawTrace:
         if flt.transport == "raw":
             payload: bytes | None = packet
         else:
-            payload, fragmented = _transport_payload(packet, flt)
-            fragments += fragmented
+            payload, skipped = _transport_payload(packet, flt)
+            fragments += skipped == "fragment"
+            short += skipped == "short"
         if payload:
             records.append(payload)
 
     if truncated:
         logger.warning("%s: skipped %d packets cut short by the snapshot length", path, truncated)
+    if short:
+        logger.warning("%s: skipped %d packets shorter than their IPv4 or UDP length", path, short)
     if not records:
         raise EmptyTraceError(f"{path}: no packets match filter {flt}")
     return RawTrace(tuple(records), fragments)
 
 
-def _transport_payload(packet: bytes, flt: ProtocolFilter) -> tuple[bytes | None, int]:
-    """Unwrap Ethernet -> IPv4 -> UDP/TCP; returns (payload, fragment_flag)."""
+def _transport_payload(packet: bytes, flt: ProtocolFilter) -> tuple[bytes | None, str | None]:
+    """Unwrap Ethernet -> IPv4 -> UDP/TCP; returns (payload, skip reason or None).
+
+    ``"fragment"`` skips an IPv4 fragment, ``"short"`` a matching datagram
+    shorter than its IPv4 total length or UDP length.
+    """
     if len(packet) < 34:  # eth(14) + minimal ip(20)
-        return None, 0
+        return None, None
     ethertype = struct.unpack(">H", packet[12:14])[0]
     if ethertype != ETHERTYPE_IPV4:
-        return None, 0
+        return None, None
     ip = packet[14:]
     vihl = ip[0]
     ihl = (vihl & 0x0F) * 4
     if vihl >> 4 != 4 or ihl < 20 or len(ip) < ihl:
-        return None, 0
+        return None, None
     total_len = struct.unpack(">H", ip[2:4])[0]
     if total_len < ihl:
-        return None, 0
-    if total_len < len(ip):  # trim Ethernet trailer padding
-        ip = ip[:total_len]
+        return None, None
+    cut_short = total_len > len(ip)
+    ip = ip[:total_len]  # trim Ethernet trailer padding
     flags_frag = struct.unpack(">H", ip[6:8])[0]
     if flags_frag & 0x2000 or flags_frag & 0x1FFF:
-        return None, 1
+        return None, "fragment"
     proto = ip[9]
     segment = ip[ihl:]
     if flt.transport == "udp" and proto == IPPROTO_UDP:
         if len(segment) < 8:
-            return None, 0
+            return None, None
         sport, dport, udp_len = struct.unpack(">HHH", segment[:6])
         if flt.port in (sport, dport) and udp_len >= 8:
-            return segment[8:udp_len], 0
+            if cut_short or udp_len > len(segment):
+                return None, "short"
+            return segment[8:udp_len], None
     elif flt.transport == "tcp" and proto == IPPROTO_TCP:
         if len(segment) < 20:
-            return None, 0
+            return None, None
         sport, dport = struct.unpack(">HH", segment[:4])
         data_off = (segment[12] >> 4) * 4
         if flt.port in (sport, dport) and 20 <= data_off <= len(segment):
-            return segment[data_off:], 0
-    return None, 0
+            return (None, "short") if cut_short else (segment[data_off:], None)
+    return None, None
 
 
 def load_hexlines(path: str | Path) -> RawTrace:

@@ -129,6 +129,28 @@ class TestLoadPcap:
             ("WARNING", f"{pcap}: skipped 1 packets cut short by the snapshot length")
         ]
 
+    @pytest.mark.parametrize("flt, ip_extra, udp_extra", [
+        ("udp:123", 8, 8), ("udp:123", 0, 8), ("tcp:80", 8, 0)])
+    def test_datagrams_longer_than_their_record_are_skipped(
+        self, tmp_path, caplog, flt, ip_extra, udp_extra
+    ):
+        payload = bytes(range(48))
+        whole = build_ethernet_packet(flt[:3], 4, int(flt[4:]), payload)
+        # the same packet, captured whole, claiming 8 more bytes than it holds
+        overstated = bytearray(whole)
+        for offset, extra in ((16, ip_extra), (38, udp_extra)):  # IPv4 total, UDP length
+            if extra:
+                struct.pack_into(">H", overstated, offset,
+                                 struct.unpack_from(">H", whole, offset)[0] + extra)
+        pcap = tmp_path / "overstated.pcap"
+        pcap.write_bytes(build_pcap([("rawdata", whole), ("rawdata", bytes(overstated))]))
+        with caplog.at_level(logging.WARNING, logger="typeclust.traceio"):
+            trace = load_pcap(pcap, ProtocolFilter.parse(flt))
+        assert trace.records == (payload,)
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"{pcap}: skipped 1 packets shorter than their IPv4 or UDP length")
+        ]
+
     def test_ethernet_padding_trimmed(self, tmp_path):
         # pad the frame past the IP total length, as a real NIC would
         packet = build_ethernet_packet("udp", 3, 123, b"ab") + b"\x00" * 18
