@@ -10,9 +10,13 @@ segmenter), the first capture of each bench workload at bench seed 1. It
 also holds the ``--threads`` 1 report and table, the ``ecdf`` CSV and the
 ``evaluate`` metrics and stdout of the Hadamard traces of 8 and 16
 messages, whose k-NN curves are flat: they cover the fallback epsilon and
-the failed re-trim, which the bench captures never reach. The captures are
-written with relative paths, because a report records the path of its
-input. A change that moves a byte of any output fails here.
+the failed re-trim, which the bench captures never reach. Of a 150-message
+capture of DHCP generator seed 8 (heuristic segmenter, 490 values of
+mixed lengths) it holds the ``--threads`` 1 report and the
+``--dump-matrix`` CSV, the one output written in value order from the
+matrix's length-sorted storage. The captures are written with relative
+paths, because a report records the path of its input. A change that
+moves a byte of any output fails here.
 Rebuild the manifest with
 
     python3 tests/test_report_digests.py --write
@@ -43,9 +47,15 @@ from fixtures import hadamard_fixture  # noqa: E402
 MANIFEST = Path(__file__).with_name("report_digests.json")
 
 
-def bench_capture(generate, seed: int, messages: int, segmenter: str):
-    """A bench workload's capture as bench/run.py generates it, with every output."""
-    def write(directory: Path) -> tuple[list[str], Path, bool]:
+# the outputs hashed besides the --threads 1 report
+EVERY = frozenset({"threads2", "no-refine", "table", "ecdf", "evaluate"})
+FLAT = frozenset({"table", "ecdf", "evaluate"})
+MATRIX = frozenset({"matrix"})
+
+
+def bench_capture(generate, seed: int, messages: int, segmenter: str, outputs=EVERY):
+    """A capture as bench/run.py generates its workloads, with the named outputs."""
+    def write(directory: Path) -> tuple[list[str], Path, frozenset]:
         trace = generate(directory, seed, messages)
         args = ["--input", str(trace.path), "--format", trace.format, "--filter", trace.filter,
                 "--segmenter", segmenter]
@@ -53,17 +63,17 @@ def bench_capture(generate, seed: int, messages: int, segmenter: str):
             args += ["--limit", str(trace.limit)]
         if segmenter == "import":
             args += ["--segments", str(trace.truth_path)]
-        return args, trace.truth_path, True
+        return args, trace.truth_path, outputs
     return write
 
 
 def hadamard_capture(order: int):
     """The Hadamard trace of `order` messages, without the thread and no-refine variants."""
-    def write(directory: Path) -> tuple[list[str], Path, bool]:
+    def write(directory: Path) -> tuple[list[str], Path, frozenset]:
         trace, truth = hadamard_fixture(directory, order)
         args = ["--input", str(trace), "--format", "hex", "--segmenter", "import",
                 "--segments", str(truth)]
-        return args, truth, False
+        return args, truth, FLAT
     return write
 
 
@@ -73,6 +83,7 @@ CAPTURES = {
     "dhcp-heuristic": bench_capture(gen.write_dhcp_hex, 8, 1200, "heuristic"),
     "hadamard-8": hadamard_capture(8),  # 8-point curves, below Kneedle's minimum
     "hadamard-16": hadamard_capture(16),
+    "dhcp-150": bench_capture(gen.write_dhcp_hex, 8, 150, "heuristic", MATRIX),
 }
 
 
@@ -90,18 +101,25 @@ def digests() -> dict[str, str]:
 
     found = {}
     for name, write in CAPTURES.items():
-        args, truth, variants = write(Path(name))
+        args, truth, outputs = write(Path(name))
         report, table = f"{name}/analyze-threads1.json", f"{name}/analyze-threads1.txt"
-        evaluate = f"{name}/evaluate.json"
-        commands = {report: ["analyze", *args, "--threads", "1", "--out-table", table,
-                             "--out-json"]}
-        if variants:
+        matrix, evaluate = f"{name}/matrix.csv", f"{name}/evaluate.json"
+        analyze = ["analyze", *args, "--threads", "1"]
+        if "table" in outputs:
+            analyze += ["--out-table", table]
+        if "matrix" in outputs:
+            analyze += ["--dump-matrix", matrix]
+        commands = {report: [*analyze, "--out-json"]}
+        if "threads2" in outputs:
             commands[f"{name}/analyze-threads2.json"] = ["analyze", *args, "--threads", "2",
                                                          "--out-json"]
+        if "no-refine" in outputs:
             commands[f"{name}/no-refine.json"] = ["analyze", *args, "--no-refine", "--out-json"]
-        commands[f"{name}/ecdf.csv"] = ["ecdf", *args, "--out"]
-        commands[evaluate] = ["evaluate", "--report", report, *args, "--truth", str(truth),
-                              "--out-json"]
+        if "ecdf" in outputs:
+            commands[f"{name}/ecdf.csv"] = ["ecdf", *args, "--out"]
+        if "evaluate" in outputs:
+            commands[evaluate] = ["evaluate", "--report", report, *args, "--truth", str(truth),
+                                  "--out-json"]
         for output, argv in commands.items():
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
@@ -111,7 +129,9 @@ def digests() -> dict[str, str]:
             found[output] = sha256(Path(output).read_bytes())
             if output == evaluate:
                 found[f"{name}/evaluate.stdout"] = sha256(stdout.getvalue().encode("utf-8"))
-        found[table] = sha256(Path(table).read_bytes())
+        for key, path in (("table", table), ("matrix", matrix)):
+            if key in outputs:
+                found[path] = sha256(Path(path).read_bytes())
     return found
 
 
