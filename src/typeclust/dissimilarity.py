@@ -53,37 +53,57 @@ class Values:
 
 @dataclass
 class DissimilarityMatrix:
-    """Symmetric pairwise dissimilarities over unique segment values."""
+    """Symmetric pairwise dissimilarities over unique segment values.
+
+    ``d`` holds them in storage order: its row and column p are value
+    ``order[p]``, and value v is at ``pos[v]``. ``build_matrix`` stores the
+    values by length, so the cells of each pair of lengths are one
+    contiguous tile. The readers below take and return value indices.
+    """
 
     values: Values
     d: np.ndarray
+    order: np.ndarray
+    pos: np.ndarray = field(init=False, repr=False, compare=False)
     _nearest: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.pos = np.empty_like(self.order)
+        self.pos[self.order] = np.arange(len(self.order))
 
     @property
     def n(self) -> int:
         return len(self.values)
 
     def block(self, rows, cols) -> np.ndarray:
-        """A new array of the dissimilarities of ``rows`` against ``cols``."""
-        return self.d[np.ix_(rows, cols)]
+        """A new array of the dissimilarities of values ``rows`` against values ``cols``."""
+        return self.d[np.ix_(self.pos[rows], self.pos[cols])]
 
     def within(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """(heads, tails) of every pair i < j with d[i, j] <= eps, row-major, by row chunks."""
+        """(heads, tails) of every pair i < j with d[i, j] <= eps, row-major.
+
+        The storage upper triangle is scanned by row chunks; each pair is
+        mapped to its values as the key i * n + j, and one sort of the keys
+        puts the pairs in row-major order.
+        """
         n = self.n
         rows = max(1, _CHUNK_CELLS // n)
-        heads, tails = [], []
+        keys = []
         for lo in range(0, n, rows):
-            # local column c > local row r is the upper triangle j > i
+            # local column c > local row r is the storage upper triangle
             r, c = np.nonzero(np.triu(self.d[lo : lo + rows, lo:] <= eps, 1))
-            heads.append(r + lo)
-            tails.append(c + lo)
-        return np.concatenate(heads), np.concatenate(tails)
+            i, j = self.order[r + lo], self.order[c + lo]
+            keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+        key = np.concatenate(keys)
+        key.sort()
+        return np.divmod(key, n)
 
     def nearest(self, k: int) -> np.ndarray:
-        """The k smallest off-diagonal dissimilarities of every row, ascending.
+        """The k smallest off-diagonal dissimilarities of every value, ascending.
 
-        One partition per row chunk computes them; the table is kept, so a
-        request no wider than an earlier one is a read-only slice of it.
+        One partition per chunk of storage rows computes them; the table is
+        kept, so a request no wider than an earlier one is a read-only slice
+        of it.
         """
         n = self.n
         if not 1 <= k <= n - 1:
@@ -97,6 +117,7 @@ class DissimilarityMatrix:
                 chunk[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
                 chunk.partition(k - 1, axis=1)
                 table[lo:hi] = np.sort(chunk[:, :k], axis=1)
+            table = table[self.pos]  # storage rows to value rows
             table.flags.writeable = False
             self._nearest = table
         return self._nearest[:, :k]
@@ -212,12 +233,13 @@ def _cpus() -> int:
 def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     """Fill the full symmetric dissimilarity matrix over unique values.
 
-    Work is partitioned by value length, and each pair of lengths into
-    blocks of about ``_CHUNK_CELLS`` cells per byte position. Each symmetric
-    pair is computed once: a block of rows covers the columns of every
-    longer value and, for its own length, the columns from its first row
-    onward (so the diagonal, where Canberra(x, x) is exactly 0), then writes
-    the mirror cells too. The Canberra term of every byte pair comes from
+    The values are stored by length, ties in value order, so the cells of
+    each pair of lengths are one tile of the matrix. Each tile is
+    partitioned into blocks of about ``_CHUNK_CELLS`` cells per byte
+    position. Each symmetric pair is computed once: a block of rows covers
+    the columns of every longer value and, for its own length, the columns
+    from its first row onward (so the diagonal, where Canberra(x, x) is
+    exactly 0), then writes the mirror cells too, each as one slice. The Canberra term of every byte pair comes from
     the ``_TERMS`` table, and a block adds one plane of terms per byte
     position in numpy's pairwise order, so each cell has the
     bits of the broadcast ``.sum`` over its bytes. |a-b|/(a+b) is exactly
@@ -231,30 +253,33 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
 
     payload = np.frombuffer(b"".join(values.content), dtype=np.uint8)
     start = np.cumsum(values.length) - values.length
-    lengths = np.unique(values.length).tolist()
-    by_length = {m: np.flatnonzero(values.length == m) for m in lengths}
-    arrays = {m: payload[start[idx, None] + np.arange(m)] for m, idx in by_length.items()}
+    order = np.argsort(values.length, kind="stable")  # storage position -> value
+    lengths, firsts, sizes = np.unique(values.length[order], return_index=True,
+                                       return_counts=True)
+    lengths, firsts = lengths.tolist(), firsts.tolist()
+    arrays = [payload[start[order[lo : lo + size], None] + np.arange(m)]
+              for m, lo, size in zip(lengths, firsts, sizes.tolist())]
 
     d = np.zeros((n, n), dtype=np.float64)
     tasks = []
-    for li, m in enumerate(lengths):
-        idx_a = by_length[m]
-        for big in lengths[li:]:
-            idx_b = by_length[big]
+    for a, m in enumerate(lengths):
+        for b in range(a, len(lengths)):
+            big = lengths[b]
             offsets = big - m + 1
-            width = max(1, min(len(idx_b), _CHUNK_CELLS // offsets))
+            width = max(1, min(len(arrays[b]), _CHUNK_CELLS // offsets))
             height = max(1, _CHUNK_CELLS // (offsets * width))
-            for lo in range(0, len(idx_a), height):
+            for lo in range(0, len(arrays[a]), height):
                 first = lo if m == big else 0  # the lower triangle is the mirror
-                for left in range(first, len(idx_b), width):
-                    tasks.append((idx_a[lo : lo + height], idx_b[left : left + width],
-                                  arrays[m][lo : lo + height], arrays[big][left : left + width]))
+                for left in range(first, len(arrays[b]), width):
+                    tasks.append((firsts[a] + lo, firsts[b] + left,
+                                  arrays[a][lo : lo + height], arrays[b][left : left + width]))
 
     def fill(task) -> None:
-        rows_idx, cols_idx, rows, cols = task
+        r0, c0, rows, cols = task
         block = _canberra_block(rows, cols)
-        d[rows_idx[:, None], cols_idx] = block
-        d[cols_idx[:, None], rows_idx] = block.T  # the mirror cells
+        r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
+        d[r0:r1, c0:c1] = block
+        d[c0:c1, r0:r1] = block.T  # the mirror cells
 
     workers = min(threads, _cpus())
     if workers > 1:
@@ -265,14 +290,14 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
             fill(task)
 
     d.flags.writeable = False
-    return DissimilarityMatrix(values, d)
+    return DissimilarityMatrix(values, d, order)
 
 
 def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:
-    """Dump the matrix as CSV: header of value indices, then full rows."""
+    """Dump the matrix as CSV: header of value indices, then full rows, in value order."""
     with open(path, "w", encoding="ascii") as handle:
         handle.write(",".join(str(i) for i in range(matrix.n)))
         handle.write("\n")
-        for row in matrix.d:
-            handle.write(",".join(f"{x:.6g}" for x in row))
+        for p in matrix.pos:
+            handle.write(",".join(f"{x:.6g}" for x in matrix.d[p, matrix.pos]))
             handle.write("\n")

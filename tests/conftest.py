@@ -68,13 +68,13 @@ def make_matrix(distances, member_counts=None) -> DissimilarityMatrix:
 
     Synthetic values get distinct two-byte contents and the requested number
     of member segments (default 1 each), indices of a segmentation in
-    value order.
+    value order. The array is stored in value order.
     """
     d = np.asarray(distances, dtype=np.float64)
     contents = [bytes([i // 256, i % 256]) for i in range(d.shape[0])]
     d = d.copy()
     d.flags.writeable = False
-    return DissimilarityMatrix(values_of(contents, member_counts), d)
+    return DissimilarityMatrix(values_of(contents, member_counts), d, np.arange(len(d)))
 
 
 def segmentation_of(*rows) -> Segmentation:

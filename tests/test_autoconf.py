@@ -451,7 +451,8 @@ def test_retrim_epsilon_is_invariant_under_relabelling(data, case):
     new_index = np.argsort(perm)
     relabelled = DissimilarityMatrix(
         values_of([matrix.values.content[p] for p in perm], matrix.values.counts[perm]),
-        matrix.d[np.ix_(perm, perm)],
+        matrix.block(perm, perm),
+        np.arange(n),
     )
     moved = Clustering(
         [Cluster(sorted(int(new_index[m]) for m in c.members)) for c in clustering.clusters],

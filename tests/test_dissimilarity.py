@@ -23,9 +23,14 @@ from typeclust.dissimilarity import (
 from typeclust.errors import EmptyAnalysisError
 
 
+def dense(matrix) -> np.ndarray:
+    """The whole matrix in value order, read through ``block``."""
+    return matrix.block(range(matrix.n), range(matrix.n))
+
+
 def pair(u, v) -> float:
     """Dissimilarity of two byte sequences, from the matrix built over them."""
-    return build_matrix(values_of([bytes(u), bytes(v)])).d[0, 1]
+    return dense(build_matrix(values_of([bytes(u), bytes(v)])))[0, 1]
 
 
 class TestUniqueValues:
@@ -100,7 +105,7 @@ class TestCanberraEqual:
         for _ in range(300):
             m = int(rng.integers(1, 8))
             x, y, z = (bytes(rng.integers(0, 256, size=m).tolist()) for _ in range(3))
-            d = build_matrix(values_of([x, y, z])).d
+            d = dense(build_matrix(values_of([x, y, z])))
             assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
 
 
@@ -140,19 +145,19 @@ class TestCanberraDissimilarity:
 class TestBuildMatrix:
     def test_two_values(self):
         values = values_of([b"\x01\x02", b"\x03\x04"])
-        matrix = build_matrix(values)
+        d = dense(build_matrix(values))
         expected = canberra_reference(b"\x01\x02", b"\x03\x04")
-        assert matrix.d[0, 1] == matrix.d[1, 0] == expected
-        assert matrix.d[0, 0] == matrix.d[1, 1] == 0.0
+        assert d[0, 1] == d[1, 0] == expected
+        assert d[0, 0] == d[1, 1] == 0.0
 
     def test_three_values_match_entrywise_recomputation(self):
         contents = [b"\x01\x02", b"\x00\x10\x20", b"zz"]
         values = values_of(contents)
-        matrix = build_matrix(values)
+        d = dense(build_matrix(values))
         for i in range(3):
             for j in range(3):
                 expected = 0.0 if i == j else canberra_reference(contents[i], contents[j])
-                assert matrix.d[i, j] == expected
+                assert d[i, j] == expected
 
     def test_random_mixed_lengths_match_scalar_oracle(self, rng):
         contents = set()
@@ -161,11 +166,11 @@ class TestBuildMatrix:
             contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
         contents = sorted(contents)
         values = values_of(contents)
-        matrix = build_matrix(values)
+        d = dense(build_matrix(values))
         for i in range(len(values)):
             for j in range(len(values)):
                 expected = 0.0 if i == j else canberra_reference(contents[i], contents[j])
-                assert matrix.d[i, j] == pytest.approx(expected, abs=1e-12)
+                assert d[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_matrix_invariants_on_random_inputs(self, rng):
         random = set()
@@ -182,13 +187,13 @@ class TestBuildMatrix:
             if len(content) >= 2:
                 extreme.add(content)
         for contents in (random, extreme):
-            matrix = build_matrix(values_of(sorted(contents)))
-            assert np.array_equal(matrix.d, matrix.d.T)
-            assert np.all(np.diag(matrix.d) == 0.0)
-            assert np.all(matrix.d >= 0.0) and np.all(matrix.d <= 1.0)
-            off_diagonal = matrix.d[~np.eye(matrix.n, dtype=bool)]
+            d = dense(build_matrix(values_of(sorted(contents))))
+            assert np.array_equal(d, d.T)
+            assert np.all(np.diag(d) == 0.0)
+            assert np.all(d >= 0.0) and np.all(d <= 1.0)
+            off_diagonal = d[~np.eye(len(d), dtype=bool)]
             assert np.all(off_diagonal > 0.0)  # unique values never coincide
-        assert matrix.d.max() == 1.0  # all 0x00 against all 0xff
+        assert d.max() == 1.0  # all 0x00 against all 0xff
 
     def test_permutation_equivariance(self, rng):
         contents = [b"\x01\x02", b"\x03\x04\x05", b"qrstuv", b"\xff\x00"]
@@ -196,7 +201,7 @@ class TestBuildMatrix:
         matrix = build_matrix(values)
         perm = [2, 0, 3, 1]
         permuted = build_matrix(values_of([contents[p] for p in perm]))
-        assert np.array_equal(permuted.d, matrix.d[np.ix_(perm, perm)])
+        assert np.array_equal(dense(permuted), matrix.block(perm, perm))
 
     def test_parallel_build_bit_identical(self, rng):
         contents = set()
@@ -205,7 +210,7 @@ class TestBuildMatrix:
         values = values_of(sorted(contents))
         sequential = build_matrix(values, threads=1)
         parallel = build_matrix(values, threads=8)
-        assert np.array_equal(sequential.d, parallel.d)
+        assert np.array_equal(dense(sequential), dense(parallel))
 
     @pytest.mark.parametrize("cpus, threads, workers", [(2, 10_000, 2), (4, 3, 3), (1, 8, None)])
     def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, threads, workers):
@@ -231,7 +236,7 @@ class TestBuildMatrix:
         values = values_of([bytes([i, 255 - i, i]) for i in range(12)])
         matrix = build_matrix(values, threads=threads)
         assert started == ([] if workers is None else [workers])
-        assert np.array_equal(matrix.d, build_matrix(values).d)
+        assert np.array_equal(dense(matrix), dense(build_matrix(values)))
 
     def test_multi_chunk_groups_match_oracle_at_any_thread_count(self, rng, monkeypatch):
         # several values per length, so each length group spans many blocks;
@@ -246,9 +251,9 @@ class TestBuildMatrix:
                 contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
         contents = sorted(contents, key=lambda c: (c[0], len(c)))  # interleave lengths
         values = values_of(contents)
-        default = build_matrix(values).d
+        default = dense(build_matrix(values))
         monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 24)
-        builds = [build_matrix(values, threads=t).d for t in (1, 2, 8)]
+        builds = [dense(build_matrix(values, threads=t)) for t in (1, 2, 8)]
         reference = canberra_matrix_reference(contents)
         for d in builds:
             assert np.array_equal(d, builds[0])
@@ -263,7 +268,7 @@ class TestBuildMatrix:
     def test_zero_bytes_in_both_values_count_as_equal(self):
         contents = [b"\x00\x00\x05", b"\x00\x07\x05", b"\x00\x00\x00"]
         values = values_of(contents)
-        d = build_matrix(values).d
+        d = dense(build_matrix(values))
         for i, a in enumerate(contents):
             for j, b in enumerate(contents):
                 expected = 0.0 if i == j else canberra_reference(a, b)
@@ -326,6 +331,53 @@ class TestMatrixReaders:
         assert readers == []
 
 
+class TestStorageLayout:
+    """``build_matrix`` stores the values by length; every reader answers in value order."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_readers_match_the_value_order_oracle(self, rng, monkeypatch, tmp_path, threads):
+        contents = set()
+        for length in (2, 3, 4, 7, 9, 16, 33):
+            count = int(rng.integers(4, 10))
+            contents |= {bytes((rng.integers(0, 256, size=length)
+                                * (rng.random(length) < 0.7)).tolist()) for _ in range(count)}
+        contents = sorted(contents)
+        contents = [contents[i] for i in rng.permutation(len(contents))]  # lengths interleave
+        n = len(contents)
+        values = values_of(contents)
+        reference = canberra_matrix_reference(contents)
+        monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 24)  # each group spans many blocks
+        matrix = build_matrix(values, threads=threads)
+
+        assert np.array_equal(matrix.order, np.argsort(values.length, kind="stable"))
+        stored = values.length[matrix.order]
+        lengths = np.unique(stored)
+        assert lengths.size >= 6
+        for m in lengths:
+            rows = np.flatnonzero(stored == m)
+            assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
+            for big in lengths:
+                cols = np.flatnonzero(stored == big)
+                tile = matrix.d[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+                expected = reference[np.ix_(np.flatnonzero(values.length == m),
+                                            np.flatnonzero(values.length == big))]
+                assert np.array_equal(tile, expected)
+
+        assert np.array_equal(matrix.block(range(n), range(n)), reference)
+        off_diagonal = np.where(np.eye(n, dtype=bool), np.inf, reference)
+        assert np.array_equal(matrix.nearest(6), np.sort(off_diagonal, axis=1)[:, :6])
+        upper = np.sort(reference[np.triu_indices(n, 1)])
+        for eps in upper[[0, upper.size // 10, upper.size // 2, -1]]:  # ties at eps
+            heads, tails = matrix.within(eps)
+            expected = np.nonzero(np.triu(reference <= eps, 1))
+            assert np.array_equal(heads, expected[0]) and np.array_equal(tails, expected[1])
+
+        write_matrix_csv(matrix, tmp_path / "m.csv")
+        rows = [",".join(f"{x:.6g}" for x in row) for row in reference]
+        assert (tmp_path / "m.csv").read_text() == "\n".join(
+            [",".join(map(str, range(n))), *rows, ""])
+
+
 class TestKernelBits:
     """The byte-position kernel keeps the bits of the broadcast kernel."""
 
@@ -358,7 +410,7 @@ class TestKernelBits:
         contents = list(dict.fromkeys(contents))
         contents = [contents[i] for i in rng.permutation(len(contents))]
         values = values_of(contents)
-        d = build_matrix(values, threads=threads).d
+        d = dense(build_matrix(values, threads=threads))
         assert np.array_equal(d, canberra_matrix_reference(contents))
 
 
@@ -378,8 +430,8 @@ _value = st.one_of(
 def test_build_matrix_properties(contents, chunk):
     values = values_of(contents)
     with mock.patch.object(dissimilarity, "_CHUNK_CELLS", chunk):
-        d = build_matrix(values, threads=1).d
-        assert np.array_equal(build_matrix(values, threads=2).d, d)
+        d = dense(build_matrix(values, threads=1))
+        assert np.array_equal(dense(build_matrix(values, threads=2)), d)
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.all((d >= 0.0) & (d <= 1.0))

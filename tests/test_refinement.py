@@ -432,7 +432,7 @@ def test_split_fires_exactly_on_the_rule(counts):
     # split_pass reads only the counts, so the values carry no segments
     values = Values([bytes([i // 256, i % 256]) for i in range(n)], np.full(n, 2),
                     np.array(counts), np.empty(0, dtype=np.int64))
-    matrix = DissimilarityMatrix(values, np.zeros((n, n)))
+    matrix = DissimilarityMatrix(values, np.zeros((n, n)), np.arange(n))
     pivot = math.log(sum(counts))
     fires = percent_rank_reference(counts, pivot) > 95 and population_std_reference(counts) > pivot
     event(f"split: {fires}")
