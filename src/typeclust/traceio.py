@@ -125,8 +125,11 @@ def load_pcap(path: str | Path, flt: ProtocolFilter) -> RawTrace:
 def _transport_payload(packet: bytes, flt: ProtocolFilter) -> tuple[bytes | None, str | None]:
     """Unwrap Ethernet -> IPv4 -> UDP/TCP; returns (payload, skip reason or None).
 
-    ``"fragment"`` skips an IPv4 fragment, ``"short"`` a matching datagram
-    shorter than its IPv4 total length or UDP length.
+    ``"fragment"`` skips an IPv4 fragment of the filter's transport: a first
+    fragment only if one of its ports is the filter's (or it is too short to
+    hold them), a later one always, as its ports are unknown without
+    reassembly. ``"short"`` skips a matching datagram shorter than its IPv4
+    total length or UDP length.
     """
     if len(packet) < 34:  # eth(14) + minimal ip(20)
         return None, None
@@ -143,12 +146,17 @@ def _transport_payload(packet: bytes, flt: ProtocolFilter) -> tuple[bytes | None
         return None, None
     cut_short = total_len > len(ip)
     ip = ip[:total_len]  # trim Ethernet trailer padding
+    proto = ip[9]
+    if proto != (IPPROTO_UDP if flt.transport == "udp" else IPPROTO_TCP):
+        return None, None
+    segment = ip[ihl:]
     flags_frag = struct.unpack(">H", ip[6:8])[0]
     if flags_frag & 0x2000 or flags_frag & 0x1FFF:
+        first = not flags_frag & 0x1FFF
+        if first and len(segment) >= 4 and flt.port not in struct.unpack(">HH", segment[:4]):
+            return None, None
         return None, "fragment"
-    proto = ip[9]
-    segment = ip[ihl:]
-    if flt.transport == "udp" and proto == IPPROTO_UDP:
+    if flt.transport == "udp":
         if len(segment) < 8:
             return None, None
         sport, dport, udp_len = struct.unpack(">HHH", segment[:6])
@@ -156,7 +164,7 @@ def _transport_payload(packet: bytes, flt: ProtocolFilter) -> tuple[bytes | None
             if cut_short or udp_len > len(segment):
                 return None, "short"
             return segment[8:udp_len], None
-    elif flt.transport == "tcp" and proto == IPPROTO_TCP:
+    else:
         if len(segment) < 20:
             return None, None
         sport, dport = struct.unpack(">HH", segment[:4])

@@ -36,8 +36,11 @@ def build_pcap(
 
 
 def build_ethernet_packet(
-    transport: str, sport: int, dport: int, payload: bytes, fragmented: bool = False
+    transport: str, sport: int, dport: int, payload: bytes, fragmented: bool = False,
+    fragment_offset: int = 0,
 ) -> bytes:
+    """One Ethernet/IPv4 packet; ``fragmented`` sets more-fragments, and a
+    ``fragment_offset`` (in 8-byte units) makes it a later fragment."""
     if transport == "udp":
         seg = struct.pack(">HHHH", sport, dport, 8 + len(payload), 0) + payload
         proto = 17
@@ -47,7 +50,7 @@ def build_ethernet_packet(
     else:
         raise ValueError(transport)
     total = 20 + len(seg)
-    flags_frag = 0x2000 if fragmented else 0
+    flags_frag = (0x2000 if fragmented else 0) | fragment_offset
     ip = struct.pack(
         ">BBHHHBBHII", 0x45, 0, total, 1, flags_frag, 64, proto, 0, 0x0A000001, 0x0A000002
     ) + seg

@@ -113,6 +113,22 @@ class TestLoadPcap:
         assert trace.records == (b"whole",)
         assert trace.skipped_fragments == 1
 
+    @pytest.mark.parametrize("fragment, counted", [
+        (build_ethernet_packet("udp", 5, 9, b"frag", fragmented=True), 0),
+        (build_ethernet_packet("udp", 5, 123, b"frag", fragmented=True), 1),
+        # a later fragment's bytes hold no ports, whatever they look like
+        (build_ethernet_packet("udp", 5, 9, b"frag", fragment_offset=3), 1),
+        (build_ethernet_packet("tcp", 5, 123, b"frag", fragmented=True), 0),
+    ], ids=["udp-9-first", "udp-123-first", "udp-later", "tcp-123-first"])
+    def test_only_fragments_the_filter_could_match_are_counted(
+        self, tmp_path, fragment, counted
+    ):
+        pcap = tmp_path / "frag.pcap"
+        pcap.write_bytes(build_pcap([("rawdata", fragment), ("udp", 5, 123, b"whole")]))
+        trace = load_pcap(pcap, ProtocolFilter("udp", 123))
+        assert trace.records == (b"whole",)
+        assert trace.skipped_fragments == counted
+
     @pytest.mark.parametrize("flt", ["udp:123", "raw"])
     def test_records_cut_short_by_the_snaplen_are_skipped(self, tmp_path, caplog, flt):
         payload = bytes(range(48))
