@@ -166,6 +166,29 @@ class TestMergeConditions:
         assert abs(rho_i - rho_j) >= EPS_RHO_THRESHOLD
         assert not condition1(matrix, c_i, c_j, link)
 
+    def test_link_between_the_means_satisfies_condition1(self):
+        # a tight cluster A and a loose cluster B whose link lies above A's
+        # mean pairwise distance and below B's: the distance term takes the
+        # larger mean, so the merge rests on the link densities alone
+        n = 10
+        d = np.full((n, n), 0.6)  # cross distances
+        d[:4, :4] = 0.05
+        d[0, 1:4] = d[1:4, 0] = 0.02  # A's link member sits at its centre
+        d[4:, 4:] = 0.5
+        d[4, 5:7] = d[5:7, 4] = 0.024  # B's link member has two close neighbours
+        d[0, 4] = d[4, 0] = 0.1
+        np.fill_diagonal(d, 0.0)
+        matrix = make_matrix(d)
+        c_i, c_j = clusters_from([range(4), range(4, n)]).clusters
+        link = link_segments(matrix, c_i, c_j)
+        stats_i, stats_j = ensure_stats(matrix, c_i), ensure_stats(matrix, c_j)
+        assert (link.s_link_ij, link.s_link_ji, link.d_link) == (0, 4, 0.1)
+        assert stats_i.mean_pairwise < link.d_link < stats_j.mean_pairwise
+        assert condition1(matrix, c_i, c_j, link)
+        assert not condition2(matrix, c_i, c_j, link)
+        merged = merge_pass(matrix, clusters_from([range(4), range(4, n)]))
+        assert [c.members for c in merged.clusters] == [list(range(n))]
+
     def test_translated_blob_copies_satisfy_condition2(self):
         # two clusters with identical internal geometry and a tiny gap
         base = uniform_blob_matrix(6, low=0.30, high=0.34, seed=9)
