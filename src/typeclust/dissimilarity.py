@@ -239,13 +239,14 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     position. Each symmetric pair is computed once: a block of rows covers
     the columns of every longer value and, for its own length, the columns
     from its first row onward (so the diagonal, where Canberra(x, x) is
-    exactly 0), then writes the mirror cells too, each as one slice. The Canberra term of every byte pair comes from
-    the ``_TERMS`` table, and a block adds one plane of terms per byte
-    position in numpy's pairwise order, so each cell has the
-    bits of the broadcast ``.sum`` over its bytes. |a-b|/(a+b) is exactly
-    symmetric, so the result is exactly symmetric; blocks write disjoint
-    cells, so any thread count produces bit-identical results. ``threads``
-    workers fill the blocks, but never more than the process has CPUs.
+    exactly 0), then writes the mirror cells too, each as one slice. The
+    Canberra term of every byte pair comes from the ``_TERMS`` table, and a
+    block adds one plane of terms per byte position in numpy's pairwise
+    order, so each cell has the bits of the broadcast ``.sum`` over its
+    bytes. |a-b|/(a+b) is exactly symmetric, so the result is exactly
+    symmetric; blocks write disjoint cells, so any thread count produces
+    bit-identical results. ``threads`` workers fill the blocks, but never
+    more than the process has CPUs.
     """
     n = len(values)
     if n < 2:
@@ -256,23 +257,22 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     order = np.argsort(values.length, kind="stable")  # storage position -> value
     lengths, firsts, sizes = np.unique(values.length[order], return_index=True,
                                        return_counts=True)
-    lengths, firsts = lengths.tolist(), firsts.tolist()
-    arrays = [payload[start[order[lo : lo + size], None] + np.arange(m)]
-              for m, lo, size in zip(lengths, firsts, sizes.tolist())]
+    # per length, ascending: the length, its first storage position, its values' bytes
+    groups = [(m, r0, payload[start[order[r0 : r0 + size], None] + np.arange(m)])
+              for m, r0, size in zip(lengths.tolist(), firsts.tolist(), sizes.tolist())]
 
     d = np.zeros((n, n), dtype=np.float64)
     tasks = []
-    for a, m in enumerate(lengths):
-        for b in range(a, len(lengths)):
-            big = lengths[b]
+    for g, (m, r0, rows) in enumerate(groups):
+        for big, c0, cols in groups[g:]:
             offsets = big - m + 1
-            width = max(1, min(len(arrays[b]), _CHUNK_CELLS // offsets))
+            width = max(1, min(len(cols), _CHUNK_CELLS // offsets))
             height = max(1, _CHUNK_CELLS // (offsets * width))
-            for lo in range(0, len(arrays[a]), height):
+            for lo in range(0, len(rows), height):
                 first = lo if m == big else 0  # the lower triangle is the mirror
-                for left in range(first, len(arrays[b]), width):
-                    tasks.append((firsts[a] + lo, firsts[b] + left,
-                                  arrays[a][lo : lo + height], arrays[b][left : left + width]))
+                for left in range(first, len(cols), width):
+                    tasks.append((r0 + lo, c0 + left,
+                                  rows[lo : lo + height], cols[left : left + width]))
 
     def fill(task) -> None:
         r0, c0, rows, cols = task
