@@ -38,22 +38,16 @@ class Clustering:
 
 
 def cluster_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats:
-    """Pairwise mean, nearest-neighbor median (minmed) and extent of a cluster."""
+    """Pairwise mean, nearest-neighbor median (minmed) and extent of a cluster.
+
+    The matrix reads the cluster's pairs in pieces, with no m x m block, and
+    the mean keeps the bits of ``pairs.mean()`` of the gathered pairs.
+    """
     members = cluster.members
     if len(members) < 2:
         return ClusterStats(0.0, 0.0, 0.0)
-    sub = matrix.block(members, members)
-    # a boolean mask (1 byte a cell) selects the upper triangle in the same
-    # row-major order as np.triu_indices (two int64 arrays, 16 bytes a pair)
-    order = np.arange(len(members))
-    pairs = sub[order[:, None] < order]
-    np.fill_diagonal(sub, np.inf)
-    nearest = sub.min(axis=1)
-    return ClusterStats(
-        mean_pairwise=float(pairs.mean()),
-        minmed=float(np.median(nearest)),
-        d_max=float(pairs.max()),
-    )
+    mean_pairwise, nearest, d_max = matrix.pair_stats(members)
+    return ClusterStats(mean_pairwise, float(np.median(nearest)), d_max)
 
 
 def ensure_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats:
@@ -64,23 +58,25 @@ def ensure_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats:
 
 
 def _component_roots(heads: np.ndarray, tails: np.ndarray, n: int) -> np.ndarray:
-    """Per node of an undirected graph, the lowest node of its connected component.
+    """Per node of a graph with edges heads < tails, the lowest node of its component.
 
     Every round hooks the larger root of each edge that joins two trees onto
     the smaller one, then moves every node to its grandparent until each
     points at its root. A parent is never above its child, so every root
-    is the minimum of its tree.
+    is the minimum of its tree. Every node starts as its own root, so the
+    first round hooks each edge as it is, with heads below tails.
     """
-    parent = np.arange(n)
-    while True:
-        a, b = parent[heads], parent[tails]
-        joins = a != b
-        if not joins.any():
-            return parent
-        a, b = a[joins], b[joins]
-        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+    parent = np.arange(n, dtype=np.int32)
+    low, high = heads, tails
+    while low.size:
+        np.minimum.at(parent, high, low)
         while not np.array_equal(grand := parent[parent], parent):
             parent = grand
+        low, high = parent[heads], parent[tails]
+        joins = low != high
+        low, high = low[joins], high[joins]
+        low, high = np.minimum(low, high), np.maximum(low, high)
+    return parent
 
 
 def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clustering:
@@ -96,10 +92,10 @@ def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clu
     core = np.bincount(heads, minlength=n) + np.bincount(tails, minlength=n) >= min_samples - 1
     both = core[heads] & core[tails]
     roots = _component_roots(heads[both], tails[both], n)
-    labels = np.full(n, -1, dtype=np.int64)
+    labels = np.full(n, -1, dtype=np.int32)
     ids, labels[core] = np.unique(roots[core], return_inverse=True)
     # a border point joins the cluster of the lowest-index core within epsilon
-    reach = np.full(n, n)
+    reach = np.full(n, n, dtype=np.int32)
     for border, other in ((heads, tails), (tails, heads)):
         to_core = core[other] & ~core[border]
         np.minimum.at(reach, border[to_core], other[to_core])

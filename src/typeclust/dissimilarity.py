@@ -58,7 +58,8 @@ class DissimilarityMatrix:
     ``d`` holds them in storage order: its row and column p are value
     ``order[p]``, and value v is at ``pos[v]``. ``build_matrix`` stores the
     values by length, so the cells of each pair of lengths are one
-    contiguous tile. The readers below take and return value indices.
+    contiguous tile. The readers below take and return value indices, and
+    none holds a temporary larger than a few ``_CHUNK_CELLS`` pieces.
     """
 
     values: Values
@@ -66,6 +67,8 @@ class DissimilarityMatrix:
     order: np.ndarray
     pos: np.ndarray = field(init=False, repr=False, compare=False)
     _nearest: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # (eps, heads, tails, dist): the pairs of the widest within() scan so far
+    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.pos = np.empty_like(self.order)
@@ -79,24 +82,72 @@ class DissimilarityMatrix:
         """A new array of the dissimilarities of values ``rows`` against values ``cols``."""
         return self.d[np.ix_(self.pos[rows], self.pos[cols])]
 
-    def within(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """(heads, tails) of every pair i < j with d[i, j] <= eps, row-major.
+    def closest(self, rows, cols) -> tuple[int, int, float]:
+        """(a, b, dissimilarity) of the first row-major minimum of ``block(rows, cols)``.
 
-        The storage upper triangle is scanned by row chunks; each pair is
-        mapped to its values as the key i * n + j, and one sort of the keys
-        puts the pairs in row-major order.
+        The block is read in chunks of about ``_CHUNK_CELLS`` cells, whole
+        rows each; a later chunk takes over only with a strictly smaller
+        minimum, so ties keep the first, as ``np.argmin`` over the block does.
         """
-        n = self.n
-        rows = max(1, _CHUNK_CELLS // n)
-        keys = []
-        for lo in range(0, n, rows):
-            # local column c > local row r is the storage upper triangle
-            r, c = np.nonzero(np.triu(self.d[lo : lo + rows, lo:] <= eps, 1))
-            i, j = self.order[r + lo], self.order[c + lo]
-            keys.append(np.minimum(i, j) * n + np.maximum(i, j))
-        key = np.concatenate(keys)
-        key.sort()
-        return np.divmod(key, n)
+        rows, cols = self.pos[rows], self.pos[cols]
+        step = max(1, _CHUNK_CELLS // len(cols))
+        best = None
+        for lo in range(0, len(rows), step):
+            chunk = self.d[np.ix_(rows[lo : lo + step], cols)]
+            a, b = divmod(int(np.argmin(chunk)), len(cols))
+            if best is None or chunk[a, b] < best[2]:
+                best = (lo + a, b, float(chunk[a, b]))
+        return best
+
+    def pair_stats(self, members) -> tuple[float, np.ndarray, float]:
+        """Mean, per-member nearest dissimilarity and maximum over the pairs of ``members``.
+
+        ``members`` holds two values or more, and its pairs i < j are read
+        once, row-major, in pieces. numpy sums a run longer than 128 as the
+        sum of its two parts, split at a multiple of 8. A run no longer than
+        ``max(_CHUNK_CELLS, 128)`` is one piece, and a longer one splits where
+        numpy splits it, so every piece is a node of numpy's summation tree
+        and adding the pieces' sums up that tree gives the mean the bits of
+        ``pairs.mean()``. d is exactly symmetric, so a member's nearest
+        dissimilarity is the minimum over its row's and its column's
+        upper-triangle cells.
+        """
+        m = len(members)
+        total = m * (m - 1) // 2
+        where = self.pos[members]  # each member's storage position
+        cells = self.d.reshape(-1)
+        # pairs before row r: rows hold m - 1, m - 2, ..., 1, 0 pairs
+        before = np.concatenate(([0], np.cumsum(np.arange(m - 1, 0, -1))))
+        nearest = np.full(m, np.inf)
+        d_max = -np.inf
+
+        def piece(start: int, size: int) -> float:
+            nonlocal d_max
+            stop = start + size
+            r0 = int(np.searchsorted(before, start, side="right")) - 1
+            r1 = int(np.searchsorted(before, stop - 1, side="right"))
+            counts = np.minimum(before[r0 + 1 : r1 + 1], stop) - np.maximum(before[r0:r1], start)
+            # pair k of row r is column k - before[r] + r + 1
+            col = np.arange(start, stop)
+            col -= np.repeat(before[r0:r1] - np.arange(r0 + 1, r1 + 1), counts)
+            flat = where[col]
+            flat += np.repeat(where[r0:r1] * self.n, counts)
+            pairs = cells.take(flat)
+            del flat
+            np.minimum.at(nearest, col, pairs)
+            del col
+            np.minimum(nearest[r0:r1], np.minimum.reduceat(pairs, np.cumsum(counts) - counts),
+                       out=nearest[r0:r1])
+            d_max = max(d_max, float(pairs.max()))
+            return pairs.sum()
+
+        def node(start: int, size: int):
+            if size <= max(_CHUNK_CELLS, 128):
+                return piece(start, size)
+            half = size // 2 - (size // 2) % 8
+            return node(start, half) + node(start + half, size - half)
+
+        return float(node(0, total) / total), nearest, d_max
 
     def nearest(self, k: int) -> np.ndarray:
         """The k smallest off-diagonal dissimilarities of every value, ascending.
@@ -121,6 +172,53 @@ class DissimilarityMatrix:
             table.flags.writeable = False
             self._nearest = table
         return self._nearest[:, :k]
+
+    def within(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """(heads, tails) of every pair i < j with d[i, j] <= eps, row-major, as int32.
+
+        The pairs are found by one scan and kept with their dissimilarities,
+        so a later call at an eps no larger filters that list, which keeps
+        its order; only a larger eps scans again. At the kept eps itself the
+        kept, read-only arrays are returned.
+        """
+        if self._pairs is None or not eps <= self._pairs[0]:
+            self._pairs = (eps, *self._scan_pairs(eps))
+        kept, heads, tails, dist = self._pairs
+        if eps == kept:
+            return heads, tails
+        inside = dist <= eps
+        return heads[inside], tails[inside]
+
+    def _scan_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Heads, tails and dissimilarities of the pairs within eps, row-major.
+
+        The storage upper triangle is scanned by row chunks; each pair is
+        mapped to its values as the key i * n + j, and one sort of the keys
+        puts the pairs in row-major order. Their dissimilarities are then
+        read back a chunk of pairs at a time.
+        """
+        n = self.n
+        rows = max(1, _CHUNK_CELLS // n)
+        keys = []
+        for lo in range(0, n, rows):
+            # local column c > local row r is the storage upper triangle
+            r, c = np.nonzero(np.triu(self.d[lo : lo + rows, lo:] <= eps, 1))
+            i, j = self.order[r + lo], self.order[c + lo]
+            keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+        key = np.concatenate(keys)
+        del keys
+        key.sort()
+        heads = np.empty(key.size, dtype=np.int32)
+        tails = np.empty(key.size, dtype=np.int32)
+        dist = np.empty(key.size, dtype=np.float64)
+        cells = self.d.reshape(-1)
+        for lo in range(0, key.size, _CHUNK_CELLS):
+            i, j = np.divmod(key[lo : lo + _CHUNK_CELLS], n)
+            heads[lo : lo + i.size], tails[lo : lo + i.size] = i, j
+            dist[lo : lo + i.size] = cells.take(self.pos[i] * n + self.pos[j])
+        for array in (heads, tails, dist):
+            array.flags.writeable = False
+        return heads, tails, dist
 
 
 def unique_values(segments: Segmentation) -> Values:
@@ -298,6 +396,6 @@ def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="ascii") as handle:
         handle.write(",".join(str(i) for i in range(matrix.n)))
         handle.write("\n")
+        row = ",".join(["%.6g"] * matrix.n) + "\n"  # "%.6g" % x is f"{x:.6g}"
         for p in matrix.pos:
-            handle.write(",".join(f"{x:.6g}" for x in matrix.d[p, matrix.pos]))
-            handle.write("\n")
+            handle.write(row % tuple(matrix.d[p, matrix.pos].tolist()))

@@ -33,10 +33,12 @@ class LinkPair:
 
 
 def link_segments(matrix: DissimilarityMatrix, c_i: Cluster, c_j: Cluster) -> LinkPair:
-    """Closest cross-cluster pair; ties resolve to the lowest index pair."""
-    block = matrix.block(c_i.members, c_j.members)
-    a, b = divmod(int(np.argmin(block)), block.shape[1])  # first minimum in row-major order
-    return LinkPair(c_i.members[a], c_j.members[b], float(block[a, b]))
+    """Closest cross-cluster pair; ties resolve to the lowest index pair.
+
+    The matrix walks c_i in row chunks and keeps the first row-major minimum.
+    """
+    a, b, d_link = matrix.closest(c_i.members, c_j.members)
+    return LinkPair(c_i.members[a], c_j.members[b], d_link)
 
 
 def eps_density(

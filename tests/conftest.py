@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,17 @@ def two_blob_matrix(
     d = np.triu(d, k=1)
     d = d + d.T
     return d
+
+
+def traced_peak(call, *args):
+    """(result, peak bytes) of ``call(*args)``, counting only what it allocates."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def cluster_of(members) -> Cluster:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_matrix, symmetric_random, cluster_of
+from conftest import make_matrix, symmetric_random, cluster_of, traced_peak
 from oracles import cluster_stats_reference, naive_dbscan
-from typeclust.clustering import cluster_stats, dbscan
+from typeclust import dissimilarity
+from typeclust.clustering import ClusterStats, cluster_stats, dbscan
+from typeclust.dissimilarity import DissimilarityMatrix
 
 
 def partition_of(clustering):
@@ -115,6 +117,16 @@ class TestDbscan:
             [m for c in clustering.clusters for m in c.members] + clustering.noise
         )
         assert everything == list(range(25))
+
+    def test_pair_list_bounds_the_temporaries(self, rng):
+        d = symmetric_random(2000, rng, low=0.0, high=1.0)
+        matrix = make_matrix(d)
+        del d
+        clustering, peak = traced_peak(dbscan, matrix, 0.08, 8)
+        assert 150_000 < matrix.within(0.08)[0].size < 170_000
+        assert [len(c.members) for c in clustering.clusters] == [2000]
+        # two int32 indices and a float64 dissimilarity are 16 B a pair: 2.6 MB
+        assert peak < 8e6
 
 
 LEVELS = (0.1, 0.2, 0.3, 0.5, 0.9)  # few levels: ties, and distances exactly at epsilon
@@ -281,3 +293,34 @@ class TestClusterStats:
         matrix = make_matrix([[0.0, 0.4], [0.4, 0.0]])
         stats = cluster_stats(matrix, cluster_of([1]))
         assert (stats.mean_pairwise, stats.minmed, stats.d_max) == (0.0, 0.0, 0.0)
+
+    # 24 cuts below numpy's 128-element pairwise block, 130 just above it
+    @pytest.mark.parametrize("chunk", [24, 130, 1000, dissimilarity._CHUNK_CELLS])
+    def test_pieces_keep_the_bits_of_the_gathered_block(self, rng, monkeypatch, chunk):
+        # cells in [0.05, 0.95] with full mantissas, so most reorderings of
+        # the sum change its last bits; the storage order is shuffled too
+        monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", chunk)
+        for size in (2, 3, 8, 9, 16, 17, 40, 129, 257, 400):
+            n = size + 9
+            d = symmetric_random(n, rng)
+            order = rng.permutation(n)
+            matrix = DissimilarityMatrix(make_matrix(d).values, d[np.ix_(order, order)], order)
+            members = sorted(rng.choice(n, size=size, replace=False).tolist())
+            assert cluster_stats(matrix, cluster_of(members)) == cluster_stats_exact(d, members)
+
+    def test_large_cluster_reads_no_square_block(self, rng):
+        d = symmetric_random(1200, rng)
+        matrix = make_matrix(d)
+        members = sorted(rng.choice(1200, size=1000, replace=False).tolist())
+        stats, peak = traced_peak(cluster_stats, matrix, cluster_of(members))
+        assert stats == cluster_stats_exact(d, members)
+        assert peak < 4e6  # the 1,000 x 1,000 block alone is 8 MB
+
+
+def cluster_stats_exact(d, members) -> ClusterStats:
+    """The stats of the gathered block, in numpy's summation order."""
+    block = d[np.ix_(members, members)]
+    pairs = block[np.triu_indices(len(members), 1)]
+    np.fill_diagonal(block, np.inf)
+    return ClusterStats(float(pairs.mean()), float(np.median(block.min(axis=1))),
+                        float(pairs.max()))

@@ -294,7 +294,7 @@ class TestBuildMatrix:
 
 
 class TestMatrixReaders:
-    """``block``, ``nearest`` and ``within`` are the only readers of the dense array."""
+    """The matrix's own methods are the only readers of the dense array."""
 
     @pytest.mark.parametrize("n", [300, 700])  # both end on a partial row chunk
     def test_within_is_the_upper_triangle_at_or_below_eps(self, rng, n):
@@ -309,6 +309,21 @@ class TestMatrixReaders:
             assert np.array_equal(heads, expected[0]) and np.array_equal(tails, expected[1])
             sizes.append(heads.size)
         assert sizes[0] == 0 and sizes[-2] == sizes[-1] == n * (n - 1) // 2
+
+    def test_lower_eps_filters_the_kept_pairs_without_reading_cells(self, rng):
+        n = 300
+        d = np.round(symmetric_random(n, rng), 2)  # ties at every eps
+        matrix = make_matrix(d)
+        first = matrix.within(0.3)
+        matrix.d = np.full((n, n), np.nan)  # a cell read from here on is never within eps
+        for eps in (0.3, 0.2, 0.07):
+            heads, tails = matrix.within(eps)
+            expected = np.nonzero(np.triu(d <= eps, 1))
+            assert np.array_equal(heads, expected[0]) and np.array_equal(tails, expected[1])
+            assert heads.dtype == tails.dtype == np.int32
+        assert matrix.within(0.3)[0] is first[0]  # the kept list itself, read-only
+        assert not first[0].flags.writeable
+        assert matrix.within(0.4)[0].size == 0  # a larger eps scans the matrix again
 
     def test_block_is_a_writable_copy(self, rng):
         d = symmetric_random(6, rng)

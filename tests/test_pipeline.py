@@ -26,6 +26,7 @@ from fixtures import (
 )
 from oracles import pairwise_metrics
 from typeclust import autoconf as ac
+from typeclust import dissimilarity as dm
 from typeclust import pipeline as pl
 from typeclust.cli import main
 from typeclust.errors import AnalysisError
@@ -166,6 +167,26 @@ class TestRun:
         result = pl.run(analyze_config(trace, truth))
         assert max(measured.values()) == 1
         assert set(measured) >= {tuple(c.members) for c in result.clustering.clusters}
+
+    def test_retrimming_run_scans_for_pairs_once(self, tmp_path, monkeypatch):
+        scans, clustered = [], []
+        scan, dbscan = dm.DissimilarityMatrix._scan_pairs, pl.cl.dbscan
+
+        def counting_scan(matrix, eps):
+            scans.append(eps)
+            return scan(matrix, eps)
+
+        def recording_dbscan(matrix, epsilon, min_samples):
+            clustered.append(epsilon)
+            return dbscan(matrix, epsilon, min_samples)
+
+        monkeypatch.setattr(dm.DissimilarityMatrix, "_scan_pairs", counting_scan)
+        monkeypatch.setattr(pl.cl, "dbscan", recording_dbscan)
+        trace, truth = synthetic_protocol_fixture(tmp_path, count=100)
+        result = pl.run(analyze_config(trace, truth))
+        assert result.autoconfig.retrim_count == 3
+        assert len(clustered) == 4 and clustered == sorted(clustered, reverse=True)
+        assert scans == clustered[:1]
 
     def test_retrim_iteration_cap(self, tmp_path, monkeypatch):
         # a re-trim that keeps finding smaller knees stops after 3 iterations

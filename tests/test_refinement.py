@@ -10,8 +10,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_matrix, symmetric_random
+from conftest import make_matrix, symmetric_random, traced_peak
 from oracles import percent_rank_reference, population_std_reference, restart_scan_reference
+from typeclust import dissimilarity
 from typeclust.clustering import Cluster, Clustering, cluster_stats, ensure_stats
 from typeclust.dissimilarity import DissimilarityMatrix, Values
 from typeclust.refinement import (
@@ -75,6 +76,33 @@ class TestLinkSegments:
         clustering = clusters_from([[0, 1], [2, 3]])
         link = link_segments(matrix, clustering.clusters[0], clustering.clusters[1])
         assert (link.s_link_ij, link.s_link_ji) == (0, 2)
+
+    @pytest.mark.parametrize("ties", [
+        [(3, 15), (7, 12)],  # the later chunk's tie has the lower column
+        [(7, 12), (2, 19), (3, 11)],  # ties in three chunks, the first one in chunk 1
+        [(2, 18), (3, 11)],  # both in one chunk: the first row wins
+    ])
+    def test_tie_across_row_chunks_keeps_first_row_major_pair(self, rng, monkeypatch, ties):
+        monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 24)  # two rows of ten a chunk
+        d = symmetric_random(20, rng, low=0.5, high=0.9)
+        for a, b in ties:
+            d[a, b] = d[b, a] = 0.125
+        left, right = list(range(10)), list(range(10, 20))
+        link = link_segments(make_matrix(d), Cluster(left), Cluster(right))
+        block = d[np.ix_(left, right)]
+        a, b = divmod(int(np.argmin(block)), block.shape[1])
+        assert (link.s_link_ij, link.s_link_ji, link.d_link) == (left[a], right[b], 0.125)
+        assert (link.s_link_ij, link.s_link_ji) == min(ties)
+
+    def test_large_clusters_read_no_whole_block(self, rng):
+        d = symmetric_random(2000, rng)
+        matrix = make_matrix(d)
+        left, right = list(range(0, 2000, 2)), list(range(1, 2000, 2))
+        link, peak = traced_peak(link_segments, matrix, Cluster(left), Cluster(right))
+        block = d[np.ix_(left, right)]
+        a, b = divmod(int(np.argmin(block)), block.shape[1])
+        assert (link.s_link_ij, link.s_link_ji, link.d_link) == (left[a], right[b], block[a, b])
+        assert peak < 4e6  # the 1,000 x 1,000 block alone is 8 MB
 
 
 class TestEpsDensity:
