@@ -141,13 +141,7 @@ class DissimilarityMatrix:
             d_max = max(d_max, float(pairs.max()))
             return pairs.sum()
 
-        def node(start: int, size: int):
-            if size <= max(_CHUNK_CELLS, 128):
-                return piece(start, size)
-            half = size // 2 - (size // 2) % 8
-            return node(start, half) + node(start + half, size - half)
-
-        return float(node(0, total) / total), nearest, d_max
+        return float(_tree_sum(piece, 0, total) / total), nearest, d_max
 
     def nearest(self, k: int) -> np.ndarray:
         """The k smallest off-diagonal dissimilarities of every value, ascending.
@@ -291,6 +285,18 @@ def _pairwise_sum(term, n: int, start: int = 0) -> np.ndarray:
     total = _pairwise_sum(term, half, start)
     total += _pairwise_sum(term, n - half, start + half)
     return total
+
+
+def _tree_sum(piece, start: int, size: int):
+    """piece(start, size), or the sum of this over the two parts numpy splits the run into.
+
+    A run no longer than ``max(_CHUNK_CELLS, 128)`` is one piece; a longer
+    one splits in two at a multiple of 8, as numpy's pairwise sum does.
+    """
+    if size <= max(_CHUNK_CELLS, 128):
+        return piece(start, size)
+    half = size // 2 - (size // 2) % 8
+    return _tree_sum(piece, start, half) + _tree_sum(piece, start + half, size - half)
 
 
 def _canberra_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,6 +318,19 @@ class TestClusterStats:
         stats, peak = traced_peak(cluster_stats, matrix, cluster_of(members))
         assert stats == cluster_stats_exact(d, members)
         assert peak < 4e6  # the 1,000 x 1,000 block alone is 8 MB
+
+    def test_stats_leave_nothing_holding_the_matrix(self, rng):
+        # a reference cycle through the cells would keep the whole matrix
+        # alive until the cycle collector runs
+        matrix = make_matrix(symmetric_random(300, rng))
+        cells = weakref.ref(matrix.d)
+        gc.disable()
+        try:
+            cluster_stats(matrix, cluster_of(range(200)))
+            del matrix
+            assert cells() is None
+        finally:
+            gc.enable()
 
 
 def cluster_stats_exact(d, members) -> ClusterStats:
