@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -89,11 +90,10 @@ class DissimilarityMatrix:
         rows each; a later chunk takes over only with a strictly smaller
         minimum, so ties keep the first, as ``np.argmin`` over the block does.
         """
-        rows, cols = self.pos[rows], self.pos[cols]
         step = max(1, _CHUNK_CELLS // len(cols))
         best = None
         for lo in range(0, len(rows), step):
-            chunk = self.d[np.ix_(rows[lo : lo + step], cols)]
+            chunk = self.block(rows[lo : lo + step], cols)
             a, b = divmod(int(np.argmin(chunk)), len(cols))
             if best is None or chunk[a, b] < best[2]:
                 best = (lo + a, b, float(chunk[a, b]))
@@ -103,11 +103,9 @@ class DissimilarityMatrix:
         """Mean, per-member nearest dissimilarity and maximum over the pairs of ``members``.
 
         ``members`` holds two values or more, and its pairs i < j are read
-        once, row-major, in pieces. numpy sums a run longer than 128 as the
-        sum of its two parts, split at a multiple of 8. A run no longer than
-        ``max(_CHUNK_CELLS, 128)`` is one piece, and a longer one splits where
-        numpy splits it, so every piece is a node of numpy's summation tree
-        and adding the pieces' sums up that tree gives the mean the bits of
+        once, row-major, in pieces of at most ``max(_CHUNK_CELLS, 128)``
+        that ``_tree_sum`` cuts where numpy's pairwise sum splits the run, so
+        adding the pieces' sums up that tree gives the mean the bits of
         ``pairs.mean()``. d is exactly symmetric, so a member's nearest
         dissimilarity is the minimum over its row's and its column's
         upper-triangle cells.
@@ -141,7 +139,7 @@ class DissimilarityMatrix:
             d_max = max(d_max, float(pairs.max()))
             return pairs.sum()
 
-        return float(_tree_sum(piece, 0, total) / total), nearest, d_max
+        return float(_tree_sum(piece, 0, total, max(_CHUNK_CELLS, 128)) / total), nearest, d_max
 
     def nearest(self, k: int) -> np.ndarray:
         """The k smallest off-diagonal dissimilarities of every value, ascending.
@@ -250,53 +248,54 @@ def unique_values(segments: Segmentation) -> Values:
     )
 
 
-def _pairwise_sum(term, n: int, start: int = 0) -> np.ndarray:
-    """term(start) + ... + term(start + n - 1), added in numpy's pairwise order.
+def _tree_sum(piece, start: int, size: int, leaf: int):
+    """piece(start, size) for a run of at most ``leaf``; a longer run is the sum of its halves.
 
-    numpy sums a contiguous axis sequentially below 8 terms, in 8 running
-    partial sums up to 128 terms, and above that splits the run in two at a
-    multiple of 8. Adding whole arrays in that order gives every element the
-    bits ``.sum(axis=-1)`` gives it. ``term`` returns a new array each call.
+    The run splits as numpy's pairwise sum splits it, at a multiple of 8.
     """
-    if n < 8:
-        total = term(start)
-        for i in range(start + 1, start + n):
-            total += term(i)
-        return total
-    if n <= 128:
-        whole = start + n - n % 8
-
-        def lanes(first: int, count: int) -> np.ndarray:
-            # partial sums first..first+count-1, combined as a balanced tree
-            if count == 1:
-                partial = term(start + first)
-                for i in range(start + first + 8, whole, 8):
-                    partial += term(i)
-                return partial
-            total = lanes(first, count // 2)
-            total += lanes(first + count // 2, count // 2)
-            return total
-
-        total = lanes(0, 8)
-        for i in range(whole, start + n):
-            total += term(i)
-        return total
-    half = n // 2 - (n // 2) % 8
-    total = _pairwise_sum(term, half, start)
-    total += _pairwise_sum(term, n - half, start + half)
+    if size <= leaf:
+        return piece(start, size)
+    half = size // 2 - (size // 2) % 8
+    total = _tree_sum(piece, start, half, leaf)
+    total += _tree_sum(piece, start + half, size - half, leaf)
     return total
 
 
-def _tree_sum(piece, start: int, size: int):
-    """piece(start, size), or the sum of this over the two parts numpy splits the run into.
+def _lanes(term, first: int, stop: int, count: int) -> np.ndarray:
+    """Lanes first..first+count-1 as a balanced tree; lane l adds terms l, l+8, ... < stop."""
+    if count == 1:
+        total = term(first)
+        for i in range(first + 8, stop, 8):
+            total += term(i)
+        return total
+    total = _lanes(term, first, stop, count // 2)
+    total += _lanes(term, first + count // 2, stop, count // 2)
+    return total
 
-    A run no longer than ``max(_CHUNK_CELLS, 128)`` is one piece; a longer
-    one splits in two at a multiple of 8, as numpy's pairwise sum does.
+
+def _leaf_sum(term, start: int, n: int) -> np.ndarray:
+    """term(start) + ... + term(start + n - 1) for n <= 128, in numpy's order.
+
+    numpy adds fewer than 8 terms in sequence, and more in 8 lanes combined
+    as ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), then the last n % 8 in sequence.
     """
-    if size <= max(_CHUNK_CELLS, 128):
-        return piece(start, size)
-    half = size // 2 - (size // 2) % 8
-    return _tree_sum(piece, start, half) + _tree_sum(piece, start + half, size - half)
+    if n < 8:
+        total, rest = term(start), start + 1
+    else:
+        rest = start + n - n % 8
+        total = _lanes(term, start, rest, 8)
+    for i in range(rest, start + n):
+        total += term(i)
+    return total
+
+
+def _pairwise_sum(term, n: int, start: int = 0) -> np.ndarray:
+    """term(start) + ... + term(start + n - 1), added in numpy's pairwise order.
+
+    Every element then has the bits ``.sum(axis=-1)`` gives it. ``term``
+    returns a new array each call.
+    """
+    return _tree_sum(partial(_leaf_sum, term), start, n, 128)
 
 
 def _canberra_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -349,8 +348,8 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     order, so each cell has the bits of the broadcast ``.sum`` over its
     bytes. |a-b|/(a+b) is exactly symmetric, so the result is exactly
     symmetric; blocks write disjoint cells, so any thread count produces
-    bit-identical results. ``threads`` workers fill the blocks, but never
-    more than the process has CPUs.
+    bit-identical results. min(``threads``, CPUs) workers each fill one
+    share of the blocks, every workers-th: the calling thread and the pool's.
     """
     n = len(values)
     if n < 2:
@@ -378,20 +377,20 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
                     tasks.append((r0 + lo, c0 + left,
                                   rows[lo : lo + height], cols[left : left + width]))
 
-    def fill(task) -> None:
-        r0, c0, rows, cols = task
-        block = _canberra_block(rows, cols)
-        r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
-        d[r0:r1, c0:c1] = block
-        d[c0:c1, r0:r1] = block.T  # the mirror cells
+    def fill(share: int) -> None:
+        for r0, c0, rows, cols in tasks[share::workers]:
+            block = _canberra_block(rows, cols)
+            r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
+            d[r0:r1, c0:c1] = block
+            d[c0:c1, r0:r1] = block.T  # the mirror cells
 
     workers = min(threads, _cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, tasks))
-    else:
-        for task in tasks:
-            fill(task)
+    # the calling thread fills share 0, so one worker starts no thread: a pool
+    # thread allocates from its own malloc arena, 3 MB more peak RSS
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rest = pool.map(fill, range(1, workers))
+        fill(0)
+        list(rest)
 
     d.flags.writeable = False
     return DissimilarityMatrix(values, d, order)

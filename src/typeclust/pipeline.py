@@ -67,8 +67,6 @@ def _stage(name: str):
     start = time.perf_counter()
     try:
         yield
-    except PipelineStageError:
-        raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
     logger.info("stage %s done in %.3f s", name, time.perf_counter() - start)

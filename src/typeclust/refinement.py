@@ -46,8 +46,6 @@ def eps_density(
 ) -> float | None:
     """Median dissimilarity from s_l to cluster members within eps, or None."""
     others = [m for m in cluster.members if m != s_l]
-    if not others:
-        return None
     dists = matrix.block([s_l], others)[0]
     inside = dists[dists <= eps]
     if inside.size == 0:

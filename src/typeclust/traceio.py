@@ -7,6 +7,7 @@ raw link) and plain hex-lines text files with one message per line.
 from __future__ import annotations
 
 import logging
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,10 +42,12 @@ class ProtocolFilter:
         """Parse a CLI filter spec: ``udp:<port>``, ``tcp:<port>`` or ``raw``."""
         if text == "raw":
             return cls("raw")
-        transport, sep, port = text.partition(":")
-        if transport not in ("udp", "tcp") or not sep or not port.isdigit():
-            raise ValueError(f"invalid filter {text!r}; expected udp:<port>, tcp:<port> or raw")
-        return cls(transport, int(port))
+        # ASCII digits only: str.isdigit takes "³", which int() refuses
+        spec = re.fullmatch(r"(udp|tcp):0*(\d{1,5})", text, re.ASCII)
+        if spec is None or int(spec[2]) > 65535:
+            raise ValueError(f"invalid filter {text!r}; expected udp:<port> or tcp:<port>"
+                             " with a port from 0 to 65535, or raw")
+        return cls(spec[1], int(spec[2]))
 
     def __str__(self) -> str:
         return self.transport if self.port is None else f"{self.transport}:{self.port}"

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import gc
 import os
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -212,7 +214,37 @@ class TestBuildMatrix:
         parallel = build_matrix(values, threads=8)
         assert np.array_equal(dense(sequential), dense(parallel))
 
-    @pytest.mark.parametrize("cpus, threads, workers", [(2, 10_000, 2), (4, 3, 3), (1, 8, None)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_build_leaves_no_reference_cycle(self, rng, threads):
+        # 8-17 bytes take the pairwise-sum lanes; a cycle left by each block
+        # would hold its planes until the cycle collector ran
+        contents = set()
+        while len(contents) < 40:
+            contents.add(bytes(rng.integers(0, 256, size=int(rng.integers(8, 18))).tolist()))
+        values = values_of(sorted(contents))
+        gc.collect()
+        gc.disable()
+        try:
+            build_matrix(values, threads=threads)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_one_worker_builds_on_the_calling_thread(self, monkeypatch):
+        # a pool thread's temporaries come from its own malloc arena, which
+        # raised the peak RSS of a one-thread run
+        callers = set()
+        kernel = dissimilarity._canberra_block
+
+        def recording(rows, cols):
+            callers.add(threading.get_ident())
+            return kernel(rows, cols)
+
+        monkeypatch.setattr(dissimilarity, "_canberra_block", recording)
+        build_matrix(values_of([bytes([i, 255 - i, i]) for i in range(12)]), threads=1)
+        assert callers == {threading.get_ident()}
+
+    @pytest.mark.parametrize("cpus, threads, workers", [(2, 10_000, 2), (4, 3, 3), (1, 8, 1)])
     def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, threads, workers):
         started = []
 
@@ -235,7 +267,7 @@ class TestBuildMatrix:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         values = values_of([bytes([i, 255 - i, i]) for i in range(12)])
         matrix = build_matrix(values, threads=threads)
-        assert started == ([] if workers is None else [workers])
+        assert started == [workers]  # the pool is made at one worker too
         assert np.array_equal(dense(matrix), dense(build_matrix(values)))
 
     def test_multi_chunk_groups_match_oracle_at_any_thread_count(self, rng, monkeypatch):
@@ -254,6 +286,10 @@ class TestBuildMatrix:
         default = dense(build_matrix(values))
         monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 24)
         builds = [dense(build_matrix(values, threads=t)) for t in (1, 2, 8)]
+        # three CPUs: eight threads run three uneven shares of the blocks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        builds.append(dense(build_matrix(values, threads=8)))
         reference = canberra_matrix_reference(contents)
         for d in builds:
             assert np.array_equal(d, builds[0])

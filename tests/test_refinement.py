@@ -119,6 +119,8 @@ class TestEpsDensity:
         d = np.array([[0.0, 0.5], [0.5, 0.0]])
         matrix = make_matrix(d)
         assert eps_density(matrix, Cluster([0, 1]), 0, eps=0.1) is None
+        # a one-member cluster has no others: its (1, 0) block holds no cell
+        assert eps_density(matrix, Cluster([0]), 0, eps=1.0) is None
 
     def test_random_matches_direct_median(self, rng):
         for _ in range(50):

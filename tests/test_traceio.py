@@ -36,6 +36,13 @@ def test_filter_parse():
         ProtocolFilter.parse("icmp:1")
     with pytest.raises(ValueError):
         ProtocolFilter.parse("udp")
+    # a port is 0 to 65535 in ASCII decimal digits; "³" passes str.isdigit
+    for text in ("udp:³", "udp:65536", "tcp:99999", "udp:" + "0" * 5000 + "65536",
+                 "udp:" + "9" * 5000, "udp:+80", "tcp: 80"):
+        with pytest.raises(ValueError, match="invalid filter"):
+            ProtocolFilter.parse(text)
+    assert ProtocolFilter.parse("tcp:65535") == ProtocolFilter("tcp", 65535)
+    assert ProtocolFilter.parse("udp:" + "0" * 5000) == ProtocolFilter("udp", 0)
 
 
 class TestLoadPcap:
