@@ -42,10 +42,9 @@ def value_labels(values: Values, segments: Segmentation) -> list[str]:
     ``values`` index ``segments``; raises when any member segment carries no
     truth label.
     """
-    truth = np.full(len(segments), None) if segments.truth is None else segments.truth
     labels: list[str] = []
     for members in np.split(values.members, np.cumsum(values.counts)[:-1]):
-        types = truth[members].tolist()
+        types = segments.truth[members].tolist()
         if None in types:
             segment = members[types.index(None)]
             raise EvaluationUnavailableError(

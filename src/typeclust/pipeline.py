@@ -73,25 +73,20 @@ def _stage(name: str):
 
 
 def prepare_messages(config: PipelineConfig) -> tuple[tio.RawTrace, list[bytes]]:
-    """Load, de-duplicate, and truncate; the limit applies after dedup."""
+    """Load and de-duplicate the whole capture; ``build_segmentation`` applies the limit."""
     if config.format == "pcap":
         trace = tio.load_pcap(config.input, tio.ProtocolFilter.parse(config.filter))
     else:
         trace = tio.load_hexlines(config.input)
-    messages = tio.deduplicate(trace)
-    if config.limit is not None:
-        messages = messages[: config.limit]
-    return trace, messages
+    return trace, tio.deduplicate(trace)
 
 
-def build_segmentation(
-    config: PipelineConfig, trace: tio.RawTrace, messages: list[bytes]
-) -> sg.Segmentation:
-    """Import ``segments_path`` for the kept messages, or cut them heuristically."""
+def build_segmentation(config: PipelineConfig, messages: list[bytes]) -> sg.Segmentation:
+    """Import ``segments_path`` for the first ``limit`` messages, or cut those heuristically."""
     if config.segments_path is None:
-        return sg.segment_heuristic(messages)
+        return sg.segment_heuristic(messages[: config.limit])
     # the file may describe the whole capture, so it is resolved against all of it
-    return sg.import_segmentation(tio.deduplicate(trace), config.segments_path, config.limit)
+    return sg.import_segmentation(messages, config.segments_path, config.limit)
 
 
 def _load_values(
@@ -107,11 +102,11 @@ def _load_values(
     with _stage("load"):
         trace, messages = prepare_messages(config)
     with _stage("segment"):
-        segmentation = build_segmentation(config, trace, messages)
+        segmentation = build_segmentation(config, messages)
         analyzable = sg.filter_analyzable(segmentation)
         if truth_path is not None and (config.segments_path is None
                                        or str(config.segments_path) != str(truth_path)):
-            truth = sg.import_segmentation(tio.deduplicate(trace), truth_path, config.limit)
+            truth = sg.import_segmentation(messages, truth_path, config.limit)
             analyzable = ev.label_segments_by_overlap(analyzable, truth)
     with _stage("values"):
         values = dm.unique_values(analyzable) if len(analyzable) else []
@@ -123,7 +118,7 @@ def _load_values(
     inputs = {
         "records": len(trace.records),
         "skipped_fragments": trace.skipped_fragments,
-        "messages": len(messages),
+        "messages": len(messages[: config.limit]),
         "segmenter": segmentation.segmenter_name,
         "segments": len(segmentation),
         "excluded_one_byte_segments": len(segmentation) - len(analyzable),
@@ -157,9 +152,8 @@ def run(config: PipelineConfig) -> PipelineResult:
         for cluster in result.clusters:  # the report needs every cluster's stats
             cl.ensure_stats(matrix, cluster)
     with _stage("evaluate"):
-        metrics = None
-        if analyzable.truth is not None and None not in analyzable.truth.tolist():
-            metrics = ev.evaluate_clustering(analyzable, values, result)
+        metrics = (ev.evaluate_clustering(analyzable, values, result)
+                   if None not in analyzable.truth.tolist() else None)
     with _stage("report"):
         report = build_report(config, inputs, values, auto, result, metrics)
     return PipelineResult(report, analyzable, values, matrix, auto, result)
@@ -253,10 +247,11 @@ def evaluate_report(
     (``records`` to ``total_bytes``), its clusters plus noise
     listing every re-derived value exactly once, and each cluster's
     ``counts`` giving its values' occurrences. The first mismatch raises
-    AnalysisError, checked in this order: input counts; count-list lengths
-    and repeats, then unknown values and counts, both in listing order;
-    missing values. ``stats`` and ``epsilon`` would need the matrix, so
-    they are not checked.
+    AnalysisError, checked in this order: input counts; then in listing
+    order (clusters, then noise) each cluster's number of counts and, value
+    by value, an unknown value, a repeat or a differing count; last, the
+    re-derived values the report leaves out, in value order. ``stats`` and
+    ``epsilon`` would need the matrix, so they are not checked.
     """
     inputs, analyzable, values = _load_values(config, truth_path)
     with _stage("evaluate"):
@@ -266,7 +261,9 @@ def evaluate_report(
                     f"report metadata {key} is {report['metadata'].get(key)!r}, the re-derived "
                     f"run gives {value!r}; wrong trace or segmenter?"
                 )
-        listed = {}  # hex value -> (its cluster id, -1 for noise; its listed count)
+        index = {content.hex(): v for v, content in enumerate(values.content)}
+        counts_of = values.counts.tolist()
+        label = np.full(len(values), -2)  # per value: its cluster id, -1 for noise, -2 unlisted
         groups = [(cid, c["values"], c["counts"]) for cid, c in enumerate(report["clusters"])]
         groups.append((-1, report["noise"], [None] * len(report["noise"])))
         for cid, hex_values, counts in groups:
@@ -274,21 +271,20 @@ def evaluate_report(
                 raise AnalysisError(f"report cluster {cid} has {len(counts)} "
                                     f"counts for {len(hex_values)} values")
             for hex_value, count in zip(hex_values, counts):
-                if hex_value in listed:
+                v = index.get(hex_value)
+                if v is None:
+                    raise AnalysisError(f"report value {hex_value} does not occur in the "
+                                        "re-derived segmentation; wrong trace or segmenter?")
+                if label[v] != -2:
                     raise AnalysisError(f"report value {hex_value} is listed more than once")
-                listed[hex_value] = (cid, count)
-        count_of = dict(zip((content.hex() for content in values.content), values.counts.tolist()))
-        for hex_value, (cid, listed_count) in listed.items():
-            if hex_value not in count_of:
-                raise AnalysisError(f"report value {hex_value} does not occur in the re-derived "
-                                    "segmentation; wrong trace or segmenter?")
-            if cid >= 0 and listed_count != count_of[hex_value]:
-                raise AnalysisError(f"report cluster {cid} counts {hex_value} {listed_count} "
-                                    f"times, the re-derived run {count_of[hex_value]} times")
-        if len(listed) != len(values):
-            missing = next(hex_value for hex_value in count_of if hex_value not in listed)
+                if cid >= 0 and count != counts_of[v]:
+                    raise AnalysisError(f"report cluster {cid} counts {hex_value} {count} "
+                                        f"times, the re-derived run {counts_of[v]} times")
+                label[v] = cid
+        if (label == -2).any():
+            missing = values.content[np.argmax(label == -2)].hex()
             raise AnalysisError(f"re-derived value {missing} is not in the report")
-        label = np.array([listed[hex_value][0] for hex_value in count_of])
-        members = [np.flatnonzero(label == cid) for cid in range(-1, len(report["clusters"]))]
+        members = [np.flatnonzero(label == cid).tolist()
+                   for cid in range(-1, len(report["clusters"]))]
         clustering = cl.Clustering([cl.Cluster(m) for m in members[1:]], members[0])
         return ev.evaluate_clustering(analyzable, values, clustering)

@@ -112,7 +112,7 @@ def merge_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clusterin
         else:
             return Clustering(clusters, list(clustering.noise))
         clusters = [c for c in clusters if c not in (c_i, c_j)]
-        clusters.append(Cluster(sorted(c_i.members + c_j.members)))
+        clusters.append(Cluster(sorted([*c_i.members, *c_j.members])))
         clusters.sort(key=lambda c: c.members[0])
 
 

@@ -30,8 +30,8 @@ class Segmentation:
     ``data`` is the messages' payloads joined in list order, and ``start``
     is each segment's first byte in it; ``message`` (the message's index),
     ``offset`` and ``length`` place the segment in its message. ``truth``
-    holds each segment's true field type (a string, or None where the truth
-    names none), and is None when the segmenter knows no types.
+    holds each segment's true field type, a string, or None where no type
+    is known (everywhere, for the heuristic).
     """
 
     segmenter_name: str
@@ -40,7 +40,7 @@ class Segmentation:
     offset: np.ndarray
     length: np.ndarray
     start: np.ndarray
-    truth: np.ndarray | None = None
+    truth: np.ndarray
 
     def __len__(self) -> int:
         return len(self.start)
@@ -82,7 +82,8 @@ def segment_heuristic(messages: list[bytes]) -> Segmentation:
 
     start = np.flatnonzero((local == 0) | change & (run_of_two | turn))
     length = np.diff(start, append=payload.size)
-    return Segmentation(HEURISTIC_NAME, data, owner[start], local[start], length, start)
+    return Segmentation(HEURISTIC_NAME, data, owner[start], local[start], length, start,
+                        np.full(len(start), None))
 
 
 def _is_field(obj) -> bool:
@@ -199,5 +200,5 @@ def filter_analyzable(segmentation: Segmentation) -> Segmentation:
         offset=segmentation.offset[keep],
         length=segmentation.length[keep],
         start=segmentation.start[keep],
-        truth=None if segmentation.truth is None else segmentation.truth[keep],
+        truth=segmentation.truth[keep],
     )

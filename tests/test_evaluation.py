@@ -31,7 +31,7 @@ def tiled(sizes, tilings, labels=None) -> Segmentation:
     first = np.cumsum(sizes) - np.array(sizes)
     rows = [(m, o, n) for m, tiling in enumerate(tilings) for o, n in tiling]
     message, offset, length = (np.array(column, dtype=np.int64) for column in zip(*rows))
-    truth = None if labels is None else np.array(labels, dtype=object)
+    truth = np.array([None] * len(rows) if labels is None else labels, dtype=object)
     return Segmentation("test", bytes(sum(sizes)), message, offset, length,
                         first[message] + offset, truth)
 
@@ -74,6 +74,14 @@ class TestPositivesNegatives:
                 a * b for i, a in enumerate(sizes) for j, b in enumerate(sizes) if i != j
             )
             assert tn_fn == ordered_cross
+
+    def test_tn_is_no_pair_count_and_can_be_negative(self):
+        # TN+FN counts ordered cross-cluster pairs without noise, FN unordered
+        # same-type pairs with it, so their difference TN is -5 here
+        clustering = Clustering([Cluster([0, 1])], [2, 3])
+        tp, fp, fn, tn_fn = pair_counts(clustering, ["A"] * 4)
+        assert (tp, fp, fn, tn_fn) == (1, 0, 5, 0)
+        assert tn_fn - fn == -5
 
     def test_counts_are_python_ints(self):
         counts = pair_counts(clustering_of([[0, 1]], noise=[2]), ["A", "A", "B"])

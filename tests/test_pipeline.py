@@ -28,6 +28,7 @@ from oracles import pairwise_metrics
 from typeclust import autoconf as ac
 from typeclust import dissimilarity as dm
 from typeclust import pipeline as pl
+from typeclust import traceio as tio
 from typeclust.cli import main
 from typeclust.errors import AnalysisError
 from typeclust.report import read_report, sig6, to_json
@@ -81,7 +82,8 @@ class TestRun:
         path.write_text("\n".join(payloads) + "\n")
         config = pl.PipelineConfig(input=str(path), format="hex", limit=3)
         _, messages = pl.prepare_messages(config)
-        assert [m.hex() for m in messages] == ["aa01", "bb02", "cc03"]
+        data = pl.build_segmentation(config, messages).data
+        assert [data[i:i + 2].hex() for i in range(0, len(data), 2)] == ["aa01", "bb02", "cc03"]
 
     def test_empty_analysis_raises_stage_error(self, tmp_path):
         path = tmp_path / "tiny.hex"
@@ -413,6 +415,27 @@ class TestCli:
         assert code == 1
         assert f"report value {repeated} is listed more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "evaluate", "ecdf"])
+    def test_capture_is_deduplicated_once_per_command(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        trace, truth = two_type_fixture(tmp_path)
+        heuristic = ["--input", str(trace), "--format", "hex"]
+        imported = [*heuristic, "--segmenter", "import", "--segments", str(truth)]
+        report = tmp_path / "heuristic.json"
+        assert self.run_cli("analyze", *heuristic, "--out-json", str(report)) == 0
+        argv = {
+            "analyze": ["analyze", *imported],
+            "evaluate": ["evaluate", "--report", str(report), *heuristic, "--truth", str(truth)],
+            "ecdf": ["ecdf", *imported, "--out", str(tmp_path / "ecdf.csv")],
+        }[command]
+        calls = []
+        deduplicate = tio.deduplicate
+        monkeypatch.setattr(tio, "deduplicate",
+                            lambda trace: calls.append(trace) or deduplicate(trace))
+        assert self.run_cli(*argv) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
     @pytest.mark.parametrize("flt", ["bogus", "udp:123"])
     def test_hex_filter_exit_code(self, tmp_path, capsys, flt):
         trace, _ = two_type_fixture(tmp_path)
@@ -437,6 +460,8 @@ class TestCli:
         ("non-hex-noise", "report value zz does not occur"),
         ("dropped-noise", "is not in the report"),
         ("dropped-cluster-value", "is not in the report"),
+        # each value is checked whole before the next: unknown, repeat, then count
+        ("unknown-before-repeat", "report value zz does not occur"),
     ])
     def test_evaluate_rejects_a_report_whose_values_differ(self, tmp_path, capsys, forgery, message):
         doc, report_path, argv = self._analyzed(tmp_path, coverage_fixture)
@@ -445,6 +470,10 @@ class TestCli:
             doc["noise"] = ["zz", "deadbeef"]
         elif forgery == "dropped-noise":
             doc["noise"] = doc["noise"][1:]
+        elif forgery == "unknown-before-repeat":
+            doc["clusters"][0]["values"].append("zz")
+            doc["clusters"][0]["counts"].append(1)
+            doc["noise"].append(doc["clusters"][0]["values"][0])
         else:
             doc["clusters"][0]["values"].pop()
             doc["clusters"][0]["counts"].pop()

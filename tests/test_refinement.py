@@ -341,6 +341,15 @@ class TestMergePass:
         merged = merge_pass(matrix, clustering)
         assert merged.noise == [7, 8, 9]
 
+    @pytest.mark.parametrize("sequence", [list, np.array])
+    def test_merged_members_join_whatever_holds_them(self, sequence):
+        # equal densities merge by condition 2; array members must not add up
+        d = np.full((4, 4), 0.01)
+        np.fill_diagonal(d, 0.0)
+        clustering = Clustering([Cluster(sequence([0, 1])), Cluster(sequence([2, 3]))], [])
+        merged = merge_pass(make_matrix(d), clustering)
+        assert [list(c.members) for c in merged.clusters] == [[0, 1, 2, 3]]
+
 
 def fragmented_blobs(seed: int):
     """Blobs of different densities, each cut into several random clusters."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,11 +24,10 @@ from typeclust.segmentation import (
 
 def rows(seg: Segmentation) -> list[tuple]:
     """(message, offset, length, bytes, truth type) of every segment."""
-    truth = [None] * len(seg) if seg.truth is None else seg.truth.tolist()
     return [
         (m, o, n, seg.data[a : a + n], t)
         for m, o, n, a, t in zip(seg.message.tolist(), seg.offset.tolist(),
-                                 seg.length.tolist(), seg.start.tolist(), truth)
+                                 seg.length.tolist(), seg.start.tolist(), seg.truth.tolist())
     ]
 
 
@@ -248,6 +248,18 @@ class TestHeuristicSegmenter:
     def test_deterministic(self):
         messages = [b"\x00\x00abc\xff\xfe\x01", b"xy\x00\x00\x00z"]
         assert rows(segment_heuristic(messages)) == rows(segment_heuristic(messages))
+
+    def test_truth_is_none_for_every_segment(self):
+        seg = segment_heuristic([b"\x00\x00abc\xff\xfe\x01", b"xy\x00\x00\x00z"])
+        assert seg.truth.dtype == object and seg.truth.shape == (len(seg),)
+        assert seg.truth.tolist() == [None] * len(seg)
+        assert 1 in seg.length.tolist()  # so the filter drops some
+        kept = filter_analyzable(seg)
+        assert kept.truth.tolist() == [None] * len(kept)
+        # labelled by position, the kept truth is that of the kept segments
+        labelled = replace(seg, truth=np.array([f"s{i}" for i in range(len(seg))], dtype=object))
+        assert filter_analyzable(labelled).truth.tolist() == [
+            f"s{i}" for i, n in enumerate(seg.length.tolist()) if n >= 2]
 
 
 class TestFilterAnalyzable:
