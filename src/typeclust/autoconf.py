@@ -202,7 +202,7 @@ def retrim_epsilon(matrix: DissimilarityMatrix, previous: AutoConfig, clustering
     """
     sizes = [matrix.values.counts[cluster.members].sum() for cluster in clustering.clusters]
     total = sum(sizes)
-    if not sizes or total == 0 or max(sizes) <= RETRIM_SHARE * total:
+    if not sizes or max(sizes) <= RETRIM_SHARE * total:
         return previous
 
     samples = knn_dissimilarities(matrix, previous.chosen_k)

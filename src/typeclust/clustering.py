@@ -87,6 +87,8 @@ def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clu
     if not 1 <= min_samples <= n:
         raise ValueError(f"min_samples must be in [1, {n}], got {min_samples}")
 
+    # degrees, components and the border minima are set operations, so the
+    # order of the pairs, which within() leaves unset, does not reach the result
     heads, tails = matrix.within(epsilon)
     # the zero diagonal puts every point within epsilon of itself
     core = np.bincount(heads, minlength=n) + np.bincount(tails, minlength=n) >= min_samples - 1

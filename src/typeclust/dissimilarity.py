@@ -166,12 +166,11 @@ class DissimilarityMatrix:
         return self._nearest[:, :k]
 
     def within(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """(heads, tails) of every pair i < j with d[i, j] <= eps, row-major, as int32.
+        """(heads, tails) of every pair i < j with d[i, j] <= eps, in no set order, as int32.
 
-        The pairs are found by one scan and kept with their dissimilarities,
-        so a later call at an eps no larger filters that list, which keeps
-        its order; only a larger eps scans again. At the kept eps itself the
-        kept, read-only arrays are returned.
+        The pairs are found by one scan and kept with their dissimilarities, so
+        a later call at an eps no larger filters that list; only a larger eps
+        scans again. At the kept eps itself the kept, read-only arrays are returned.
         """
         if self._pairs is None or not eps <= self._pairs[0]:
             self._pairs = (eps, *self._scan_pairs(eps))
@@ -182,32 +181,23 @@ class DissimilarityMatrix:
         return heads[inside], tails[inside]
 
     def _scan_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Heads, tails and dissimilarities of the pairs within eps, row-major.
+        """Heads, tails and dissimilarities of the pairs within eps, in scan order.
 
-        The storage upper triangle is scanned by row chunks; each pair is
-        mapped to its values as the key i * n + j, and one sort of the keys
-        puts the pairs in row-major order. Their dissimilarities are then
-        read back a chunk of pairs at a time.
+        The storage upper triangle is scanned by row chunks, and each pair's
+        dissimilarity is taken from the chunk that found it.
         """
-        n = self.n
-        rows = max(1, _CHUNK_CELLS // n)
-        keys = []
-        for lo in range(0, n, rows):
-            # local column c > local row r is the storage upper triangle
-            r, c = np.nonzero(np.triu(self.d[lo : lo + rows, lo:] <= eps, 1))
+        rows = max(1, _CHUNK_CELLS // self.n)
+        heads, tails, dist = [], [], []
+        for lo in range(0, self.n, rows):
+            chunk = self.d[lo : lo + rows, lo:]
+            r, c = np.nonzero(np.triu(chunk <= eps, 1))  # the storage upper triangle
             i, j = self.order[r + lo], self.order[c + lo]
-            keys.append(np.minimum(i, j) * n + np.maximum(i, j))
-        key = np.concatenate(keys)
-        del keys
-        key.sort()
-        heads = np.empty(key.size, dtype=np.int32)
-        tails = np.empty(key.size, dtype=np.int32)
-        dist = np.empty(key.size, dtype=np.float64)
-        cells = self.d.reshape(-1)
-        for lo in range(0, key.size, _CHUNK_CELLS):
-            i, j = np.divmod(key[lo : lo + _CHUNK_CELLS], n)
-            heads[lo : lo + i.size], tails[lo : lo + i.size] = i, j
-            dist[lo : lo + i.size] = cells.take(self.pos[i] * n + self.pos[j])
+            heads.append(np.minimum(i, j).astype(np.int32))
+            tails.append(np.maximum(i, j).astype(np.int32))
+            dist.append(chunk[r, c])
+        heads = np.concatenate(heads)  # one by one: each list is freed before the next
+        tails = np.concatenate(tails)
+        dist = np.concatenate(dist)
         for array in (heads, tails, dist):
             array.flags.writeable = False
         return heads, tails, dist

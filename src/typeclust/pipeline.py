@@ -104,8 +104,9 @@ def _load_values(
     with _stage("segment"):
         segmentation = build_segmentation(config, messages)
         analyzable = sg.filter_analyzable(segmentation)
-        if truth_path is not None and (config.segments_path is None
-                                       or str(config.segments_path) != str(truth_path)):
+        # one file spelled two ways (./t.json, t.json) is still the imported file
+        imported = config.segments_path and Path(config.segments_path).resolve()
+        if truth_path is not None and imported != Path(truth_path).resolve():
             truth = sg.import_segmentation(messages, truth_path, config.limit)
             analyzable = ev.label_segments_by_overlap(analyzable, truth)
     with _stage("values"):

@@ -95,10 +95,11 @@ def import_segmentation(
 ) -> Segmentation:
     """Load a segmentation from its JSON interchange format.
 
-    Entries address messages either by ``payload`` (hex) or by ``index``;
-    each entry lists (length, type) fields whose lengths must sum to the
-    payload length. Only the first ``limit`` messages are segmented: an
-    entry for a later one is checked like any other, then left out.
+    Entries address messages by ``payload`` (hex), by ``index``, or by both
+    when the two name one message; each entry lists (length, type) fields
+    whose lengths must sum to the payload length. Only the first ``limit``
+    messages are segmented: an entry for a later one is checked like any
+    other, then left out.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -137,15 +138,20 @@ def import_segmentation(
             index = index_of.get(payload)
             if index is None:
                 raise MissingMessageError(f"no message with payload {key}")
-        elif "index" in entry:
-            index = entry["index"]
-            if not isinstance(index, int) or isinstance(index, bool):
+        if "index" in entry:
+            named = entry["index"]
+            if not isinstance(named, int) or isinstance(named, bool):
                 raise InconsistentGroundTruthError(
-                    f"{path}: messages[{position}] index must be an integer, got {index!r}"
+                    f"{path}: messages[{position}] index must be an integer, got {named!r}"
                 )
-            if not 0 <= index < len(messages):
-                raise MissingMessageError(f"no message with index {index!r}")
-        else:
+            if not 0 <= named < len(messages):
+                raise MissingMessageError(f"no message with index {named!r}")
+            if "payload" in entry and named != index:
+                raise InconsistentGroundTruthError(
+                    f"{path}: messages[{position}] payload is message {index}, index is {named}"
+                )
+            index = named
+        elif "payload" not in entry:
             raise MissingMessageError(f"entry {entry!r} has neither payload nor index")
         if index in covered:
             raise InconsistentGroundTruthError(

@@ -235,6 +235,19 @@ class TestDbscanProperties:
             for point in members:
                 assert core[point] or any(core[m] and d[point, m] <= epsilon for m in members)
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.one_of(bridged_cliques(), chains_and_stars()), seed=st.integers(0, 2**32 - 1))
+    def test_pair_order_does_not_reach_the_result(self, case, seed):
+        d, epsilon, min_samples = case
+        base = dbscan(make_matrix(d), epsilon, min_samples)
+        heads, tails = make_matrix(d).within(epsilon)
+        for order in (slice(None, None, -1), np.random.default_rng(seed).permutation(heads.size)):
+            matrix = make_matrix(d)
+            matrix.within = lambda eps, order=order: (heads[order], tails[order])
+            moved = dbscan(matrix, epsilon, min_samples)
+            assert [c.members for c in moved.clusters] == [c.members for c in base.clusters]
+            assert moved.noise == base.noise
+
     def test_border_reachable_from_three_clusters(self):
         # three 5-cliques of cores; 15 lies exactly at epsilon from cores
         # 14, 9 and 4, is no core itself, and must join the cluster of core 4

@@ -420,8 +420,12 @@ class TestStorageLayout:
         upper = np.sort(reference[np.triu_indices(n, 1)])
         for eps in upper[[0, upper.size // 10, upper.size // 2, -1]]:  # ties at eps
             heads, tails = matrix.within(eps)
+            # the pairs come in scan order, so compare them as a set of keys i * n + j
             expected = np.nonzero(np.triu(reference <= eps, 1))
-            assert np.array_equal(heads, expected[0]) and np.array_equal(tails, expected[1])
+            keys = np.sort(heads.astype(np.int64) * n + tails)
+            assert np.array_equal(keys, expected[0] * n + expected[1])  # row-major, so sorted
+            assert np.unique(keys).size == keys.size and np.all(heads < tails)
+            assert heads.dtype == tails.dtype == np.int32
 
         write_matrix_csv(matrix, tmp_path / "m.csv")
         rows = [",".join(f"{x:.6g}" for x in row) for row in reference]

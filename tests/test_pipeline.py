@@ -28,6 +28,7 @@ from oracles import pairwise_metrics
 from typeclust import autoconf as ac
 from typeclust import dissimilarity as dm
 from typeclust import pipeline as pl
+from typeclust import segmentation as sg
 from typeclust import traceio as tio
 from typeclust.cli import main
 from typeclust.errors import AnalysisError
@@ -434,6 +435,27 @@ class TestCli:
                             lambda trace: calls.append(trace) or deduplicate(trace))
         assert self.run_cli(*argv) == 0
         assert len(calls) == 1
+        capsys.readouterr()
+
+    def test_truth_spelled_two_ways_is_imported_once(self, tmp_path, capsys, monkeypatch):
+        trace, truth = two_type_fixture(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        inputs = ["--input", trace.name, "--format", "hex",
+                  "--segmenter", "import", "--segments", f"./{truth.name}"]
+        assert self.run_cli("analyze", *inputs, "--out-json", "report.json") == 0
+        calls = []
+        import_segmentation = sg.import_segmentation
+        monkeypatch.setattr(sg, "import_segmentation",
+                            lambda *args: calls.append(args) or import_segmentation(*args))
+        metrics = []
+        for spelling in (f"./{truth.name}", truth.name):
+            calls.clear()
+            out = f"metrics-{len(metrics)}.json"
+            assert self.run_cli("evaluate", "--report", "report.json", *inputs,
+                                "--truth", spelling, "--out-json", out) == 0
+            assert len(calls) == 1, spelling
+            metrics.append(Path(out).read_text())
+        assert metrics[0] == metrics[1]
         capsys.readouterr()
 
     @pytest.mark.parametrize("flt", ["bogus", "udp:123"])

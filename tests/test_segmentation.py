@@ -88,6 +88,18 @@ class TestImportSegmentation:
         with pytest.raises(MissingMessageError):
             import_segmentation(messages, path)
 
+    def test_payload_and_index_must_name_one_message(self, tmp_path):
+        messages = [bytes([i, 0xA0]) for i in range(20)]
+        fields = [{"len": 2, "type": "word"}]
+        path = self.write(tmp_path, {"messages": [
+            {"payload": messages[0].hex(), "index": 5, "fields": fields}]})
+        with pytest.raises(InconsistentGroundTruthError,
+                           match=r"messages\[0\] payload is message 0, index is 5"):
+            import_segmentation(messages, path)
+        path = self.write(tmp_path, {"messages": [
+            {"payload": messages[5].hex(), "index": 5, "fields": fields}]})
+        assert import_segmentation(messages, path).message.tolist() == [5]
+
     @pytest.mark.parametrize("entry", [3, "010203", None, ["index", 0]])
     def test_non_object_message_entry_rejected(self, tmp_path, entry):
         messages = [b"\x01\x02\x03"]
