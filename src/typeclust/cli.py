@@ -9,12 +9,14 @@ from pathlib import Path
 
 from . import pipeline as pl
 from .dissimilarity import write_matrix_csv
-from .errors import AnalysisError, EmptyAnalysisError, PipelineStageError
+from .errors import (AnalysisError, EmptyAnalysisError, InsufficientMemoryError,
+                     PipelineStageError)
 from .report import emit_report, read_report, render_table, to_json, writing
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EMPTY_ANALYSIS = 2
+EXIT_OUT_OF_MEMORY = 3
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
@@ -138,6 +140,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error in stage {err.stage}: {err.original}\n")
         if isinstance(err.original, EmptyAnalysisError):
             return EXIT_EMPTY_ANALYSIS
+        if isinstance(err.original, InsufficientMemoryError):
+            return EXIT_OUT_OF_MEMORY
         return EXIT_ERROR
     except (AnalysisError, OSError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")

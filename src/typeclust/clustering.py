@@ -57,25 +57,34 @@ def ensure_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats:
     return cluster.stats
 
 
-def _component_roots(heads: np.ndarray, tails: np.ndarray, n: int) -> np.ndarray:
-    """Per node of a graph with edges heads < tails, the lowest node of its component.
+def _component_roots(heads: np.ndarray, tails: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Per node, the lowest node of its component in the graph of the edges heads < tails
+    whose ends are both ``core``.
 
     Every round hooks the larger root of each edge that joins two trees onto
     the smaller one, then moves every node to its grandparent until each
     points at its root. A parent is never above its child, so every root
     is the minimum of its tree. Every node starts as its own root, so the
-    first round hooks each edge as it is, with heads below tails.
+    first round hooks each edge as it is, with heads below tails. An edge
+    becomes the pair of its ends' roots, and one whose ends share a root is
+    dropped, as it never joins two trees again.
     """
-    parent = np.arange(n, dtype=np.int32)
-    low, high = heads, tails
+    parent = np.arange(core.size, dtype=np.int32)
+    both = core[heads]
+    both &= core[tails]
+    low, high = heads[both], tails[both]
+    del both
     while low.size:
         np.minimum.at(parent, high, low)
         while not np.array_equal(grand := parent[parent], parent):
             parent = grand
-        low, high = parent[heads], parent[tails]
+        low = parent[low]
+        high = parent[high]
         joins = low != high
-        low, high = low[joins], high[joins]
-        low, high = np.minimum(low, high), np.maximum(low, high)
+        low = low[joins]
+        high = high[joins]
+        del joins
+        high, low = np.maximum(low, high), np.minimum(low, high, out=low)
     return parent
 
 
@@ -92,14 +101,14 @@ def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clu
     heads, tails = matrix.within(epsilon)
     # the zero diagonal puts every point within epsilon of itself
     core = np.bincount(heads, minlength=n) + np.bincount(tails, minlength=n) >= min_samples - 1
-    both = core[heads] & core[tails]
-    roots = _component_roots(heads[both], tails[both], n)
+    roots = _component_roots(heads, tails, core)
     labels = np.full(n, -1, dtype=np.int32)
     ids, labels[core] = np.unique(roots[core], return_inverse=True)
     # a border point joins the cluster of the lowest-index core within epsilon
-    reach = np.full(n, n, dtype=np.int32)
+    reach, outside = np.full(n, n, dtype=np.int32), ~core
     for border, other in ((heads, tails), (tails, heads)):
-        to_core = core[other] & ~core[border]
+        to_core = core[other]
+        to_core &= outside[border]
         np.minimum.at(reach, border[to_core], other[to_core])
     reached = reach < n
     labels[reached] = labels[reach[reached]]

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyAnalysisError
+from .memory import require_memory
 from .segmentation import Segmentation
 
 # cells per matrix block and per k-NN or epsilon-pair row chunk: at 64 K
@@ -54,34 +55,43 @@ class Values:
 
 @dataclass
 class DissimilarityMatrix:
-    """Symmetric pairwise dissimilarities over unique segment values.
+    """Symmetric pairwise dissimilarities over unique segment values, each pair stored once.
 
-    ``d`` holds them in storage order: its row and column p are value
-    ``order[p]``, and value v is at ``pos[v]``. ``build_matrix`` stores the
-    values by length, so the cells of each pair of lengths are one
-    contiguous tile. The readers below take and return value indices, and
-    none holds a temporary larger than a few ``_CHUNK_CELLS`` pieces.
+    Storage position p holds value ``order[p]``, and value v is at ``pos[v]``.
+    ``d`` is scipy's ``squareform`` layout, the cells (p, q), p < q, row-major,
+    plus a trailing 0.0 that the diagonal reads: storage row p is one run that
+    starts at p·n − p(p+1)/2, and (p, q) is ``d[_base[p] + q]``. The readers
+    take and return value indices, and none holds a temporary larger than a
+    few ``_CHUNK_CELLS`` pieces.
     """
 
     values: Values
     d: np.ndarray
     order: np.ndarray
     pos: np.ndarray = field(init=False, repr=False, compare=False)
+    _base: np.ndarray = field(init=False, repr=False, compare=False)
     _nearest: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     # (eps, heads, tails, dist): the pairs of the widest within() scan so far
     _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.pos = np.empty_like(self.order)
-        self.pos[self.order] = np.arange(len(self.order))
+        self.pos = np.argsort(self.order)
+        p = np.arange(len(self.order))
+        self._base = p * len(p) - p * (p + 1) // 2 - p - 1
 
     @property
     def n(self) -> int:
         return len(self.values)
 
+    def _cells(self, p, q) -> np.ndarray:
+        """A new array of the cells at storage positions p against q, broadcast."""
+        flat = self._base[np.minimum(p, q)] + np.maximum(p, q)
+        flat[p == q] = -1  # the diagonal reads the trailing 0.0
+        return self.d[flat]
+
     def block(self, rows, cols) -> np.ndarray:
         """A new array of the dissimilarities of values ``rows`` against values ``cols``."""
-        return self.d[np.ix_(self.pos[rows], self.pos[cols])]
+        return self._cells(self.pos[rows][:, None], self.pos[cols])
 
     def closest(self, rows, cols) -> tuple[int, int, float]:
         """(a, b, dissimilarity) of the first row-major minimum of ``block(rows, cols)``.
@@ -106,14 +116,12 @@ class DissimilarityMatrix:
         once, row-major, in pieces of at most ``max(_CHUNK_CELLS, 128)``
         that ``_tree_sum`` cuts where numpy's pairwise sum splits the run, so
         adding the pieces' sums up that tree gives the mean the bits of
-        ``pairs.mean()``. d is exactly symmetric, so a member's nearest
-        dissimilarity is the minimum over its row's and its column's
-        upper-triangle cells.
+        ``pairs.mean()``. A member's nearest dissimilarity is the minimum
+        over its row's and its column's pairs.
         """
         m = len(members)
         total = m * (m - 1) // 2
         where = self.pos[members]  # each member's storage position
-        cells = self.d.reshape(-1)
         # pairs before row r: rows hold m - 1, m - 2, ..., 1, 0 pairs
         before = np.concatenate(([0], np.cumsum(np.arange(m - 1, 0, -1))))
         nearest = np.full(m, np.inf)
@@ -128,10 +136,7 @@ class DissimilarityMatrix:
             # pair k of row r is column k - before[r] + r + 1
             col = np.arange(start, stop)
             col -= np.repeat(before[r0:r1] - np.arange(r0 + 1, r1 + 1), counts)
-            flat = where[col]
-            flat += np.repeat(where[r0:r1] * self.n, counts)
-            pairs = cells.take(flat)
-            del flat
+            pairs = self._cells(np.repeat(where[r0:r1], counts), where[col])
             np.minimum.at(nearest, col, pairs)
             del col
             np.minimum(nearest[r0:r1], np.minimum.reduceat(pairs, np.cumsum(counts) - counts),
@@ -144,9 +149,10 @@ class DissimilarityMatrix:
     def nearest(self, k: int) -> np.ndarray:
         """The k smallest off-diagonal dissimilarities of every value, ascending.
 
-        One partition per chunk of storage rows computes them; the table is
-        kept, so a request no wider than an earlier one is a read-only slice
-        of it.
+        One partition per chunk of storage rows computes them, each chunk
+        made of its rows' runs and one gather from the rows above; the table
+        is kept, so a request no wider than an earlier one is a read-only
+        slice of it.
         """
         n = self.n
         if not 1 <= k <= n - 1:
@@ -156,7 +162,11 @@ class DissimilarityMatrix:
             rows = max(1, _CHUNK_CELLS // n)
             for lo in range(0, n, rows):
                 hi = min(lo + rows, n)
-                chunk = self.d[lo:hi].copy()
+                chunk = np.empty((hi - lo, n), dtype=np.float64)
+                # cell (q, p) for every q < hi, right where q < p; the runs overwrite the rest
+                chunk[:, :hi] = self.d[self._base[:hi, None] + np.arange(lo, hi)].T
+                for p in range(lo, hi):
+                    chunk[p - lo, p + 1 :] = self.d[self._base[p] + p + 1 : self._base[p] + n]
                 chunk[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
                 chunk.partition(k - 1, axis=1)
                 table[lo:hi] = np.sort(chunk[:, :k], axis=1)
@@ -183,18 +193,22 @@ class DissimilarityMatrix:
     def _scan_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Heads, tails and dissimilarities of the pairs within eps, in scan order.
 
-        The storage upper triangle is scanned by row chunks, and each pair's
-        dissimilarity is taken from the chunk that found it.
+        Each chunk of whole storage rows is one slice of about ``_CHUNK_CELLS``
+        cells of the store, and gives the dissimilarities of the pairs it finds.
         """
-        rows = max(1, _CHUNK_CELLS // self.n)
-        heads, tails, dist = [], [], []
-        for lo in range(0, self.n, rows):
-            chunk = self.d[lo : lo + rows, lo:]
-            r, c = np.nonzero(np.triu(chunk <= eps, 1))  # the storage upper triangle
-            i, j = self.order[r + lo], self.order[c + lo]
+        start = self._base + np.arange(1, self.n + 1)  # each storage row's first cell
+        heads, tails, dist, lo = [], [], [], 0
+        while lo < self.n - 1:
+            hi = max(lo + 1, int(np.searchsorted(start, start[lo] + _CHUNK_CELLS, "right")) - 1)
+            cells = self.d[start[lo] : start[hi]]
+            k = np.flatnonzero(cells <= eps)
+            dist.append(cells[k])
+            k += start[lo]  # store indices, so pair k of row r is column k - _base[r]
+            row = np.repeat(np.arange(lo, hi), np.diff(np.searchsorted(k, start[lo : hi + 1])))
+            i, j = self.order[row], self.order[k - self._base[row]]
             heads.append(np.minimum(i, j).astype(np.int32))
             tails.append(np.maximum(i, j).astype(np.int32))
-            dist.append(chunk[r, c])
+            lo = hi
         heads = np.concatenate(heads)  # one by one: each list is freed before the next
         tails = np.concatenate(tails)
         dist = np.concatenate(dist)
@@ -324,22 +338,17 @@ def _cpus() -> int:
 
 
 def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
-    """Fill the full symmetric dissimilarity matrix over unique values.
+    """Fill the condensed dissimilarity matrix over unique values, each pair once.
 
-    The values are stored by length, ties in value order, so the cells of
-    each pair of lengths are one tile of the matrix. Each tile is
-    partitioned into blocks of about ``_CHUNK_CELLS`` cells per byte
-    position. Each symmetric pair is computed once: a block of rows covers
-    the columns of every longer value and, for its own length, the columns
-    from its first row onward (so the diagonal, where Canberra(x, x) is
-    exactly 0), then writes the mirror cells too, each as one slice. The
-    Canberra term of every byte pair comes from the ``_TERMS`` table, and a
-    block adds one plane of terms per byte position in numpy's pairwise
-    order, so each cell has the bits of the broadcast ``.sum`` over its
-    bytes. |a-b|/(a+b) is exactly symmetric, so the result is exactly
-    symmetric; blocks write disjoint cells, so any thread count produces
-    bit-identical results. min(``threads``, CPUs) workers each fill one
-    share of the blocks, every workers-th: the calling thread and the pool's.
+    The values are stored by length, ties in value order, so the cells of each
+    pair of lengths are one tile of the square. The tiles on and above the
+    diagonal are cut into blocks of about ``_CHUNK_CELLS`` cells per byte
+    position, each writing its cells above the diagonal once. A block adds
+    one plane of ``_TERMS`` per byte position in numpy's pairwise order, so
+    each cell has the bits of the broadcast ``.sum`` over its bytes, at any
+    thread count. min(``threads``, CPUs) workers each fill every workers-th
+    block: the calling thread and the pool's. The store and the workers'
+    block temporaries must fit in the memory available.
     """
     n = len(values)
     if n < 2:
@@ -354,7 +363,6 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     groups = [(m, r0, payload[start[order[r0 : r0 + size], None] + np.arange(m)])
               for m, r0, size in zip(lengths.tolist(), firsts.tolist(), sizes.tolist())]
 
-    d = np.zeros((n, n), dtype=np.float64)
     tasks = []
     for g, (m, r0, rows) in enumerate(groups):
         for big, c0, cols in groups[g:]:
@@ -362,19 +370,26 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
             width = max(1, min(len(cols), _CHUNK_CELLS // offsets))
             height = max(1, _CHUNK_CELLS // (offsets * width))
             for lo in range(0, len(rows), height):
-                first = lo if m == big else 0  # the lower triangle is the mirror
+                first = lo if m == big else 0  # below the diagonal is not stored
                 for left in range(first, len(cols), width):
                     tasks.append((r0 + lo, c0 + left,
                                   rows[lo : lo + height], cols[left : left + width]))
 
+    workers = min(threads, _cpus())
+    # a block holds its columns by byte position and about ten planes of terms
+    temporaries = max(cols.size + 10 * len(rows) * (cols.shape[1] - rows.shape[1] + 1) * len(cols)
+                      for *_, rows, cols in tasks)
+    require_memory(n, 8 * (n * (n - 1) // 2 + 1 + workers * temporaries))
+    matrix = DissimilarityMatrix(values, np.zeros(n * (n - 1) // 2 + 1), order)
+
     def fill(share: int) -> None:
         for r0, c0, rows, cols in tasks[share::workers]:
             block = _canberra_block(rows, cols)
-            r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
-            d[r0:r1, c0:c1] = block
-            d[c0:c1, r0:r1] = block.T  # the mirror cells
+            p = np.arange(r0, r0 + len(rows))[:, None]
+            q = np.arange(c0, c0 + len(cols))
+            upper = q > p  # a diagonal block's cells on and below it are not stored
+            matrix.d[(matrix._base[p] + q)[upper]] = block[upper]
 
-    workers = min(threads, _cpus())
     # the calling thread fills share 0, so one worker starts no thread: a pool
     # thread allocates from its own malloc arena, 3 MB more peak RSS
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -382,8 +397,8 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
         fill(0)
         list(rest)
 
-    d.flags.writeable = False
-    return DissimilarityMatrix(values, d, order)
+    matrix.d.flags.writeable = False
+    return matrix
 
 
 def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:
@@ -392,5 +407,5 @@ def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:
         handle.write(",".join(str(i) for i in range(matrix.n)))
         handle.write("\n")
         row = ",".join(["%.6g"] * matrix.n) + "\n"  # "%.6g" % x is f"{x:.6g}"
-        for p in matrix.pos:
-            handle.write(row % tuple(matrix.d[p, matrix.pos].tolist()))
+        for v in range(matrix.n):
+            handle.write(row % tuple(matrix.block([v], range(matrix.n))[0].tolist()))

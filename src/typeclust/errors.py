@@ -37,6 +37,14 @@ class EmptyAnalysisError(AnalysisError):
     """Too few analyzable segment values remain to run the analysis."""
 
 
+class InsufficientMemoryError(AnalysisError):
+    """The dissimilarity matrix of the values would not fit in the memory available."""
+
+    def __init__(self, values: int, needed: int, available: int):
+        super().__init__(f"{values} unique values need {needed / 2**20:.1f} MiB for the "
+                         f"dissimilarity matrix, {available / 2**20:.1f} MiB available")
+
+
 class NoKneeError(AnalysisError):
     """Knee detection found no confirmed knee in the curve."""
 

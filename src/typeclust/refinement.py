@@ -98,21 +98,41 @@ def merge_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clusterin
     deterministic. A verdict depends only on the pair's two clusters, so a
     rejected pair is remembered and not evaluated again. Unmerged clusters
     are passed on as they are, stats included.
+
+    Every link is kept in scan orientation: the cluster with the lower first
+    member gives the rows. The link of a merged cluster with another is the
+    smaller of its parts' links in the orientation the scan will use,
+    compared by (d_link, row value, column value), which is the first
+    row-major minimum over the merged rows or columns, as
+    :func:`link_segments` finds it. Only a part whose link is not kept in
+    that orientation is linked afresh, and a pair with neither part's link
+    kept is linked as a whole when the scan reaches it.
     """
     clusters = list(clustering.clusters)
     rejected: set[tuple[Cluster, Cluster]] = set()
+    links: dict[tuple[Cluster, Cluster], LinkPair] = {}
     while True:
         for c_i, c_j in combinations(clusters, 2):
             if (c_i, c_j) in rejected:
                 continue
-            link = link_segments(matrix, c_i, c_j)
+            link = links.get((c_i, c_j)) or link_segments(matrix, c_i, c_j)
+            links[c_i, c_j] = link
             if condition1(matrix, c_i, c_j, link) or condition2(matrix, c_i, c_j, link):
                 break
             rejected.add((c_i, c_j))
         else:
             return Clustering(clusters, list(clustering.noise))
+        merged = Cluster(sorted([*c_i.members, *c_j.members]))
         clusters = [c for c in clusters if c not in (c_i, c_j)]
-        clusters.append(Cluster(sorted([*c_i.members, *c_j.members])))
+        for c_k in clusters:
+            rows = merged.members[0] < c_k.members[0]
+            pairs = [(part, c_k) if rows else (c_k, part) for part in (c_i, c_j)]
+            kept = [links.get(pair) for pair in pairs]
+            if any(kept):  # with neither part's link kept, the scan links the pair afresh
+                parts = [link or link_segments(matrix, *pair) for link, pair in zip(kept, pairs)]
+                links[(merged, c_k) if rows else (c_k, merged)] = min(
+                    parts, key=lambda link: (link.d_link, link.s_link_ij, link.s_link_ji))
+        clusters.append(merged)
         clusters.sort(key=lambda c: c.members[0])
 
 

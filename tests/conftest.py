@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from typeclust.clustering import Cluster
 from typeclust.dissimilarity import DissimilarityMatrix, Values
@@ -67,6 +68,14 @@ def values_of(contents, counts=None) -> Values:
                   counts, np.arange(counts.sum()))
 
 
+def condensed(square) -> np.ndarray:
+    """The store of a square array: its upper triangle in scipy's ``squareform``
+    layout, then the 0.0 that the diagonal reads; read-only."""
+    d = np.append(squareform(np.asarray(square, dtype=np.float64), checks=False), 0.0)
+    d.flags.writeable = False
+    return d
+
+
 def make_matrix(distances, member_counts=None) -> DissimilarityMatrix:
     """Wrap a symmetric distance array in a DissimilarityMatrix.
 
@@ -74,11 +83,10 @@ def make_matrix(distances, member_counts=None) -> DissimilarityMatrix:
     of member segments (default 1 each), indices of a segmentation in
     value order. The array is stored in value order.
     """
-    d = np.asarray(distances, dtype=np.float64)
-    contents = [bytes([i // 256, i % 256]) for i in range(d.shape[0])]
-    d = d.copy()
-    d.flags.writeable = False
-    return DissimilarityMatrix(values_of(contents, member_counts), d, np.arange(len(d)))
+    n = len(distances)
+    contents = [bytes([i // 256, i % 256]) for i in range(n)]
+    return DissimilarityMatrix(values_of(contents, member_counts), condensed(distances),
+                               np.arange(n))
 
 
 def segmentation_of(*rows) -> Segmentation:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_matrix, symmetric_random, cluster_of, traced_peak
+from conftest import condensed, make_matrix, symmetric_random, cluster_of, traced_peak
 from oracles import cluster_stats_reference, naive_dbscan
 from typeclust import dissimilarity
 from typeclust.clustering import ClusterStats, cluster_stats, dbscan
@@ -130,6 +130,30 @@ class TestDbscan:
         assert [len(c.members) for c in clustering.clusters] == [2000]
         # two int32 indices and a float64 dissimilarity are 16 B a pair: 2.6 MB
         assert peak < 8e6
+
+    def test_components_keep_one_copy_of_the_core_edges(self):
+        # bridged cliques: 8 cliques of 150 cores, every pair of a clique an
+        # edge, and 40 border points that reach 3 cores each, in shuffled order
+        rng = np.random.default_rng(0)
+        cliques, size, borders = 8, 150, 40
+        cores = cliques * size
+        d = np.full((cores + borders, cores + borders), 0.9)
+        for start in range(0, cores, size):
+            d[start : start + size, start : start + size] = 0.1
+        for border in range(cores, cores + borders):
+            linked = rng.choice(cores, size=3, replace=False)
+            d[border, linked] = d[linked, border] = 0.2
+        np.fill_diagonal(d, 0.0)
+        order = rng.permutation(len(d))
+        matrix = make_matrix(d[np.ix_(order, order)])
+        pairs = matrix.within(0.2)[0].size  # the kept pair list is the matrix's
+        clustering, peak = traced_peak(dbscan, matrix, 0.2, 5)
+        assert len(clustering.clusters) == cliques and clustering.noise == []
+        assert sum(len(c.members) for c in clustering.clusters) == len(d)
+        # the core edges are two int32 ends, 8 B a pair, and a round gathers
+        # their roots one end at a time; holding the core masks, the filtered
+        # edges and both ends' roots at once took 18 B a pair
+        assert peak < 15 * pairs
 
 
 LEVELS = (0.1, 0.2, 0.3, 0.5, 0.9)  # few levels: ties, and distances exactly at epsilon
@@ -320,7 +344,8 @@ class TestClusterStats:
             n = size + 9
             d = symmetric_random(n, rng)
             order = rng.permutation(n)
-            matrix = DissimilarityMatrix(make_matrix(d).values, d[np.ix_(order, order)], order)
+            matrix = DissimilarityMatrix(make_matrix(d).values, condensed(d[np.ix_(order, order)]),
+                                         order)
             members = sorted(rng.choice(n, size=size, replace=False).tolist())
             assert cluster_stats(matrix, cluster_of(members)) == cluster_stats_exact(d, members)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import gc
 import os
+import tempfile
 import threading
 from pathlib import Path
 from unittest import mock
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import squareform
 
-from conftest import make_matrix, segmentation_of, symmetric_random, values_of
+from conftest import condensed, make_matrix, segmentation_of, symmetric_random, values_of
 from oracles import canberra_matrix_reference, canberra_reference, unique_values_reference
 from typeclust import dissimilarity
 from typeclust.dissimilarity import (
+    DissimilarityMatrix,
     build_matrix,
     unique_values,
     write_matrix_csv,
@@ -317,7 +320,7 @@ class TestBuildMatrix:
     def test_matrix_is_immutable(self):
         matrix = make_matrix([[0.0, 0.5], [0.5, 0.0]])
         with pytest.raises(ValueError):
-            matrix.d[0, 1] = 0.9
+            matrix.d[0] = 0.9  # the store's one cell, (0, 1)
 
     def test_csv_dump(self, tmp_path):
         matrix = make_matrix([[0.0, 0.25], [0.25, 0.0]])
@@ -330,7 +333,7 @@ class TestBuildMatrix:
 
 
 class TestMatrixReaders:
-    """The matrix's own methods are the only readers of the dense array."""
+    """The matrix's own methods are the only readers of its store."""
 
     @pytest.mark.parametrize("n", [300, 700])  # both end on a partial row chunk
     def test_within_is_the_upper_triangle_at_or_below_eps(self, rng, n):
@@ -351,7 +354,7 @@ class TestMatrixReaders:
         d = np.round(symmetric_random(n, rng), 2)  # ties at every eps
         matrix = make_matrix(d)
         first = matrix.within(0.3)
-        matrix.d = np.full((n, n), np.nan)  # a cell read from here on is never within eps
+        matrix.d = np.full_like(matrix.d, np.nan)  # a cell read from here on is never within eps
         for eps in (0.3, 0.2, 0.07):
             heads, tails = matrix.within(eps)
             expected = np.nonzero(np.triu(d <= eps, 1))
@@ -367,7 +370,7 @@ class TestMatrixReaders:
         block = matrix.block([4, 1], [0, 2, 5])
         assert np.array_equal(block, d[np.ix_([4, 1], [0, 2, 5])])
         block[:] = np.inf
-        assert np.array_equal(matrix.d, d)
+        assert np.array_equal(matrix.d, condensed(d))
 
     def test_no_other_module_reads_the_dense_array(self):
         package = Path(dissimilarity.__file__).parent
@@ -401,6 +404,7 @@ class TestStorageLayout:
         matrix = build_matrix(values, threads=threads)
 
         assert np.array_equal(matrix.order, np.argsort(values.length, kind="stable"))
+        square = squareform(matrix.d[:-1])  # the store in storage order, as a square
         stored = values.length[matrix.order]
         lengths = np.unique(stored)
         assert lengths.size >= 6
@@ -409,7 +413,7 @@ class TestStorageLayout:
             assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
             for big in lengths:
                 cols = np.flatnonzero(stored == big)
-                tile = matrix.d[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+                tile = square[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
                 expected = reference[np.ix_(np.flatnonzero(values.length == m),
                                             np.flatnonzero(values.length == big))]
                 assert np.array_equal(tile, expected)
@@ -495,3 +499,54 @@ def test_build_matrix_properties(contents, chunk):
         for j, b in enumerate(contents):
             if i != j:
                 assert d[i, j] == pytest.approx(canberra_reference(a, b), abs=1e-12)
+
+
+@st.composite
+def stored_squares(draw):
+    """(square in value order, storage order): n of 2 to 40, cells of a few tied
+    levels or any value in (0, 1], and the values stored in a shuffled order."""
+    n = draw(st.integers(2, 40), label="n")
+    cell = st.one_of(st.sampled_from([0.125, 0.25, 0.5]), st.floats(0.01, 1.0))
+    upper = draw(st.lists(cell, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    square = squareform(np.array(upper))
+    return square, np.array(draw(st.permutations(range(n)), label="order"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stored_squares(), chunk=st.sampled_from([24, dissimilarity._CHUNK_CELLS]),
+       data=st.data())
+def test_store_readers_match_the_square_oracle(case, chunk, data):
+    square, order = case
+    n = len(square)
+    matrix = DissimilarityMatrix(make_matrix(square).values,
+                                 condensed(square[np.ix_(order, order)]), order)
+    index = st.integers(0, n - 1)
+    rows = data.draw(st.lists(index, min_size=1, max_size=2 * n), label="rows")
+    cols = data.draw(st.lists(index, min_size=1, max_size=2 * n), label="cols")
+    members = sorted(data.draw(st.sets(index, min_size=2), label="members"))
+    k = data.draw(st.integers(1, n - 1), label="k")
+    eps = data.draw(st.sampled_from(squareform(square).tolist()), label="eps")
+    with mock.patch.object(dissimilarity, "_CHUNK_CELLS", chunk):
+        block = matrix.block(rows, cols)  # repeats and the diagonal included
+        assert np.array_equal(block, square[np.ix_(rows, cols)])
+        a, b = divmod(int(np.argmin(block)), len(cols))
+        assert matrix.closest(rows, cols) == (a, b, block[a, b])
+
+        among = square[np.ix_(members, members)]
+        pairs = among[np.triu_indices(len(members), 1)]
+        np.fill_diagonal(among, np.inf)
+        mean, nearest, d_max = matrix.pair_stats(members)
+        assert (mean, d_max) == (float(pairs.mean()), float(pairs.max()))
+        assert np.array_equal(nearest, among.min(axis=1))
+
+        off_diagonal = np.where(np.eye(n, dtype=bool), np.inf, square)
+        assert np.array_equal(matrix.nearest(k), np.sort(off_diagonal, axis=1)[:, :k])
+        heads, tails = matrix.within(eps)
+        expected = np.nonzero(np.triu(square <= eps, 1))
+        assert np.array_equal(np.sort(heads.astype(np.int64) * n + tails),
+                              expected[0] * n + expected[1])
+        with tempfile.TemporaryDirectory() as directory:
+            write_matrix_csv(matrix, Path(directory) / "m.csv")
+            written = (Path(directory) / "m.csv").read_text()
+    rows = [",".join(f"{x:.6g}" for x in row) for row in square]
+    assert written == "\n".join([",".join(map(str, range(n))), *rows, ""])

@@ -27,6 +27,7 @@ from fixtures import (
 from oracles import pairwise_metrics
 from typeclust import autoconf as ac
 from typeclust import dissimilarity as dm
+from typeclust import memory
 from typeclust import pipeline as pl
 from typeclust import segmentation as sg
 from typeclust import traceio as tio
@@ -334,6 +335,25 @@ class TestCli:
         code = self.run_cli("analyze", "--input", str(path), "--format", "hex")
         assert code == 2
         assert "values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "ecdf"])
+    def test_matrix_too_large_for_memory_exit_code(self, tmp_path, capsys, monkeypatch, command):
+        # the probe is patched; nothing is allocated to run out of memory
+        monkeypatch.setattr(memory, "available_memory", lambda: 1024)
+        trace, truth = two_type_fixture(tmp_path)
+        outputs = {"analyze": ["--out-json", "r.json", "--out-table", "t.txt",
+                               "--dump-matrix", "m.csv"], "ecdf": ["--out", "e.csv"]}[command]
+        code = self.run_cli(command, "--input", str(trace), "--format", "hex",
+                            "--segmenter", "import", "--segments", str(truth),
+                            *[str(tmp_path / a) if "." in a else a for a in outputs])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error in stage matrix: ")
+        assert re.fullmatch(r"error in stage matrix: \d+ unique values need \d+\.\d MiB for "
+                            r"the dissimilarity matrix, 0\.0 MiB available", lines[0])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([trace.name, truth.name])
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = self.run_cli("analyze", "--input", str(tmp_path / "nope.hex"), "--format", "hex")

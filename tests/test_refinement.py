@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_matrix, symmetric_random, traced_peak
+from conftest import condensed, make_matrix, symmetric_random, traced_peak
 from oracles import percent_rank_reference, population_std_reference, restart_scan_reference
 from typeclust import dissimilarity
 from typeclust.clustering import Cluster, Clustering, cluster_stats, ensure_stats
@@ -494,7 +494,7 @@ def test_split_fires_exactly_on_the_rule(counts):
     # split_pass reads only the counts, so the values carry no segments
     values = Values([bytes([i // 256, i % 256]) for i in range(n)], np.full(n, 2),
                     np.array(counts), np.empty(0, dtype=np.int64))
-    matrix = DissimilarityMatrix(values, np.zeros((n, n)), np.arange(n))
+    matrix = DissimilarityMatrix(values, condensed(np.zeros((n, n))), np.arange(n))
     pivot = math.log(sum(counts))
     fires = percent_rank_reference(counts, pivot) > 95 and population_std_reference(counts) > pivot
     event(f"split: {fires}")
@@ -516,3 +516,99 @@ def test_merge_terminates_and_decreases_cluster_count(rng):
     assert len(merged.clusters) <= len(clustering.clusters)
     everything = sorted(m for c in merged.clusters for m in c.members)
     assert everything == list(range(20))
+
+
+def tied_fragments(seed: int):
+    """Two blobs of tied cells cut into interleaved clusters.
+
+    Cells inside a blob take two levels, the lower one rarely, so a cluster
+    pair's closest pairs tie at places that do not follow member order, and
+    the blobs differ in density, so their fragments merge among themselves and
+    never across. Returns (d, member sets).
+    """
+    rng = np.random.default_rng(seed)
+    n = 48
+    blob = rng.permutation(n) % 2  # which blob each value is in
+    levels = np.where(blob[:, None] == 0, 0.01, 0.05)
+    d = np.where(blob[:, None] == blob, levels * np.where(rng.random((n, n)) < 0.15, 1, 2), 0.5)
+    d = np.triu(d, 1)
+    d = d + d.T
+    fragment = rng.integers(0, 4, size=n) + 4 * blob
+    return d, [np.flatnonzero(fragment == f).tolist() for f in range(8) if (fragment == f).any()]
+
+
+class TestLinkReuse:
+    @staticmethod
+    def spy(monkeypatch):
+        """Lists that the pass fills: the member lists of every fresh link, and
+        (rows, columns, link) of every link the merge conditions are given."""
+        from typeclust import refinement
+
+        linked, used = [], []
+        original_link, original_condition = refinement.link_segments, refinement.condition1
+
+        def linking(matrix, c_i, c_j):
+            linked.append((c_i.members, c_j.members))
+            return original_link(matrix, c_i, c_j)
+
+        def condition(matrix, c_i, c_j, link):
+            used.append((c_i.members, c_j.members, link))
+            return original_condition(matrix, c_i, c_j, link)
+
+        monkeypatch.setattr(refinement, "link_segments", linking)
+        monkeypatch.setattr(refinement, "condition1", condition)
+        return linked, used
+
+    @pytest.mark.parametrize("chunk", [24, dissimilarity._CHUNK_CELLS])  # 24: ties across chunks
+    def test_every_derived_link_is_a_fresh_closest(self, monkeypatch, chunk):
+        monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", chunk)
+        linked, used = self.spy(monkeypatch)
+        orientations, ties, merges = Counter(), Counter(), 0
+        for seed in range(6):
+            d, member_sets = tied_fragments(seed)
+            matrix = make_matrix(d)
+            linked.clear()
+            used.clear()
+            merged = merge_pass(matrix, clusters_from(member_sets))
+            assert [c.members for c in merged.clusters] == restart_scan_reference(
+                d.tolist(), member_sets)
+            merges += len(member_sets) - len(merged.clusters)
+            originals = {tuple(sorted(m)) for m in member_sets}
+            fresh = {(tuple(rows), tuple(cols)) for rows, cols in linked}
+            for rows, cols, link in used:
+                a, b, d_link = matrix.closest(rows, cols)
+                assert (link.s_link_ij, link.s_link_ji, link.d_link) == (rows[a], cols[b], d_link)
+                if (tuple(rows), tuple(cols)) not in fresh:  # derived from the parts' links
+                    orientations["rows"] += tuple(rows) not in originals
+                    orientations["cols"] += tuple(cols) not in originals
+                    ties["tied"] += int((d[np.ix_(rows, cols)] == d_link).sum() > 1)
+        assert merges >= 20
+        # derived links of a merged cluster giving the rows and giving the columns,
+        # most of them with tied closest pairs
+        assert orientations["rows"] >= 5 and orientations["cols"] >= 5, orientations
+        assert ties["tied"] >= 20, ties
+
+    def test_a_link_kept_only_the_other_way_is_linked_afresh(self, monkeypatch):
+        # x and y merge into M1; c_i then merges with M1, and M2's link with c_k
+        # needs M1 as the rows, while only (c_k, M1) is kept: its tied pairs,
+        # all at 0.9, give a different first row-major minimum each way round
+        c_i, c_k, x, y = [0, 4, 5], [1, 6, 7], [2, 8, 9], [3, 10, 11]
+        d = np.zeros((12, 12))
+        for members, cell in ((c_i, 0.1), (c_k, 0.02), (x, 0.3), (y, 0.3)):
+            d[np.ix_(members, members)] = cell
+        for left, right, cell in ((x, y, 0.1), (c_i, x + y, 0.35), (c_k, x + y, 0.9),
+                                  (c_i, c_k, 0.95)):
+            d[np.ix_(left, right)] = d[np.ix_(right, left)] = cell
+        np.fill_diagonal(d, 0.0)
+        linked, used = self.spy(monkeypatch)
+        matrix = make_matrix(d)
+        merged = merge_pass(matrix, clusters_from([c_i, c_k, x, y]))
+        expected = [sorted(c_i + x + y), c_k]
+        assert [c.members for c in merged.clusters] == expected
+        assert restart_scan_reference(d.tolist(), [c_i, c_k, x, y]) == expected
+        assert (sorted(x + y), c_k) in linked  # M1 as the rows, linked afresh
+        rows, cols, link = used[-1]
+        assert (rows, cols) == (sorted(c_i + x + y), c_k)
+        assert (link.s_link_ij, link.s_link_ji, link.d_link) == (2, 1, 0.9)
+        a, b, d_link = matrix.closest(rows, cols)
+        assert (rows[a], cols[b], d_link) == (2, 1, 0.9)
