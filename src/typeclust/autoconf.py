@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dissimilarity import DissimilarityMatrix
+from .dissimilarity import DissimilarityMatrix, _median
 from .errors import EmptyAnalysisError, NoKneeError
 
 logger = logging.getLogger(__name__)
@@ -184,7 +184,7 @@ def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
         knee = kneedle(chosen_curve)
         fallback = False
     except NoKneeError:
-        knee = float(np.median(knn_dissimilarities(matrix, 2)))
+        knee = _median(knn_dissimilarities(matrix, 2))
         fallback = True
         logger.warning("no knee confirmed for k=%d; falling back to median 2-NN %.6g", chosen_k, knee)
     return AutoConfig(chosen_k=chosen_k, epsilon=knee, min_samples=round_ln(matrix.n),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissimilarity import DissimilarityMatrix
+from .dissimilarity import DissimilarityMatrix, _median
 
 
 @dataclass
@@ -47,7 +47,7 @@ def cluster_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats
     if len(members) < 2:
         return ClusterStats(0.0, 0.0, 0.0)
     mean_pairwise, nearest, d_max = matrix.pair_stats(members)
-    return ClusterStats(mean_pairwise, float(np.median(nearest)), d_max)
+    return ClusterStats(mean_pairwise, _median(nearest), d_max)
 
 
 def ensure_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats:

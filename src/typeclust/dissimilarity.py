@@ -71,7 +71,7 @@ class DissimilarityMatrix:
     pos: np.ndarray = field(init=False, repr=False, compare=False)
     _base: np.ndarray = field(init=False, repr=False, compare=False)
     _nearest: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # (eps, heads, tails, dist): the pairs of the widest within() scan so far
+    # (eps, heads, tails): the pairs of the widest within() scan so far
     _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -178,31 +178,34 @@ class DissimilarityMatrix:
     def within(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """(heads, tails) of every pair i < j with d[i, j] <= eps, in no set order, as int32.
 
-        The pairs are found by one scan and kept with their dissimilarities, so
-        a later call at an eps no larger filters that list; only a larger eps
-        scans again. At the kept eps itself the kept, read-only arrays are returned.
+        The pairs are found by one scan and only their ends are kept, so a
+        later call at an eps no larger re-reads the kept pairs' cells, in
+        pieces of ``_CHUNK_CELLS`` pairs, and filters on them; only a larger
+        eps scans again. At the kept eps itself the kept, read-only arrays
+        are returned.
         """
         if self._pairs is None or not eps <= self._pairs[0]:
             self._pairs = (eps, *self._scan_pairs(eps))
-        kept, heads, tails, dist = self._pairs
+        kept, heads, tails = self._pairs
         if eps == kept:
             return heads, tails
-        inside = dist <= eps
+        inside = np.empty(heads.size, dtype=bool)
+        for lo in range(0, heads.size, _CHUNK_CELLS):
+            hi = lo + _CHUNK_CELLS
+            inside[lo:hi] = self._cells(self.pos[heads[lo:hi]], self.pos[tails[lo:hi]]) <= eps
         return heads[inside], tails[inside]
 
-    def _scan_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Heads, tails and dissimilarities of the pairs within eps, in scan order.
+    def _scan_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """Heads and tails of the pairs within eps, in scan order.
 
         Each chunk of whole storage rows is one slice of about ``_CHUNK_CELLS``
-        cells of the store, and gives the dissimilarities of the pairs it finds.
+        cells of the store.
         """
         start = self._base + np.arange(1, self.n + 1)  # each storage row's first cell
-        heads, tails, dist, lo = [], [], [], 0
+        heads, tails, lo = [], [], 0
         while lo < self.n - 1:
             hi = max(lo + 1, int(np.searchsorted(start, start[lo] + _CHUNK_CELLS, "right")) - 1)
-            cells = self.d[start[lo] : start[hi]]
-            k = np.flatnonzero(cells <= eps)
-            dist.append(cells[k])
+            k = np.flatnonzero(self.d[start[lo] : start[hi]] <= eps)
             k += start[lo]  # store indices, so pair k of row r is column k - _base[r]
             row = np.repeat(np.arange(lo, hi), np.diff(np.searchsorted(k, start[lo : hi + 1])))
             i, j = self.order[row], self.order[k - self._base[row]]
@@ -211,17 +214,16 @@ class DissimilarityMatrix:
             lo = hi
         heads = np.concatenate(heads)  # one by one: each list is freed before the next
         tails = np.concatenate(tails)
-        dist = np.concatenate(dist)
-        for array in (heads, tails, dist):
-            array.flags.writeable = False
-        return heads, tails, dist
+        heads.flags.writeable = tails.flags.writeable = False
+        return heads, tails
 
 
 def unique_values(segments: Segmentation) -> Values:
     """Fold duplicate segment byte sequences, keeping first-occurrence order.
 
     Segments are grouped by length, and each group's byte rows are folded by
-    one ``np.unique`` over them as opaque records.
+    one ``np.unique`` over them as opaque records. The lengths are listed
+    without a bare ``np.unique``, which imports ``numpy.ma``.
     """
     if not len(segments):
         raise EmptyAnalysisError("no analyzable segments")
@@ -229,7 +231,7 @@ def unique_values(segments: Segmentation) -> Values:
     group = np.empty(len(segments), dtype=np.int64)  # per segment: its value, by group
     contents: list[bytes] = []
     firsts = []
-    for length in np.unique(segments.length).tolist():
+    for length in np.flatnonzero(np.bincount(segments.length)).tolist():
         idx = np.flatnonzero(segments.length == length)
         rows = payload[segments.start[idx, None] + np.arange(length)]
         keys, first, inverse = np.unique(
@@ -250,6 +252,19 @@ def unique_values(segments: Segmentation) -> Values:
         np.bincount(value_of),
         np.argsort(value_of, kind="stable"),
     )
+
+
+def _median(samples: np.ndarray) -> float:
+    """``np.median`` of a non-empty float array free of NaN and -0.0, bit for bit.
+
+    It partitions at the middle index, or the two middle ones, as numpy does,
+    but skips numpy's NaN check, which imports ``numpy.ma``.
+    """
+    half = samples.size // 2
+    if samples.size % 2:
+        return float(np.partition(samples, half)[half])
+    low, high = np.partition(samples, (half - 1, half))[half - 1 : half + 1].tolist()
+    return (low + high) / 2
 
 
 def _tree_sum(piece, start: int, size: int, leaf: int):

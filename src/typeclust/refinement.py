@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .clustering import Cluster, Clustering, ensure_stats
-from .dissimilarity import DissimilarityMatrix
+from .dissimilarity import DissimilarityMatrix, _median
 
 EPS_RHO_THRESHOLD = 0.01  # condition 1: |rho_i - rho_j| must stay below this
 NEIGHBOR_DENSITY_THRESHOLD = 0.002  # condition 2: |minmed_i - minmed_j| must stay below this
@@ -50,7 +50,7 @@ def eps_density(
     inside = dists[dists <= eps]
     if inside.size == 0:
         return None
-    return float(np.median(inside))
+    return _median(inside)
 
 
 def condition1(

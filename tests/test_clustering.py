@@ -126,10 +126,12 @@ class TestDbscan:
         matrix = make_matrix(d)
         del d
         clustering, peak = traced_peak(dbscan, matrix, 0.08, 8)
-        assert 150_000 < matrix.within(0.08)[0].size < 170_000
+        pairs = matrix.within(0.08)[0].size
+        assert 150_000 < pairs < 170_000
         assert [len(c.members) for c in clustering.clusters] == [2000]
-        # two int32 indices and a float64 dissimilarity are 16 B a pair: 2.6 MB
-        assert peak < 8e6
+        # the kept list is two int32 ends, 8 B a pair: 1.3 MB
+        assert sum(kept.nbytes for kept in matrix._pairs[1:]) == 8 * pairs
+        assert peak < 4e6
 
     def test_components_keep_one_copy_of_the_core_edges(self):
         # bridged cliques: 8 cliques of 150 cores, every pair of a clique an

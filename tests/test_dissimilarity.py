@@ -21,6 +21,7 @@ from oracles import canberra_matrix_reference, canberra_reference, unique_values
 from typeclust import dissimilarity
 from typeclust.dissimilarity import (
     DissimilarityMatrix,
+    _median,
     build_matrix,
     unique_values,
     write_matrix_csv,
@@ -53,6 +54,15 @@ class TestUniqueValues:
     def test_empty_input_raises(self):
         with pytest.raises(EmptyAnalysisError):
             unique_values(segmentation_of())
+
+
+# sizes 1 to 200, odd and even, with heavy ties from four levels; like the
+# dissimilarities, the samples are never NaN or -0.0
+@given(st.integers(1, 200).flatmap(lambda size: st.lists(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=size, max_size=size)))
+def test_median_has_the_bits_of_np_median(samples):
+    samples = np.array(samples)
+    assert _median(samples).hex() == float(np.median(samples)).hex()
 
 
 # few byte values, so distinct values of one length sort unlike their first occurrence
@@ -349,20 +359,26 @@ class TestMatrixReaders:
             sizes.append(heads.size)
         assert sizes[0] == 0 and sizes[-2] == sizes[-1] == n * (n - 1) // 2
 
-    def test_lower_eps_filters_the_kept_pairs_without_reading_cells(self, rng):
+    def test_lower_eps_reads_only_the_kept_pairs(self, rng, monkeypatch):
         n = 300
         d = np.round(symmetric_random(n, rng), 2)  # ties at every eps
         matrix = make_matrix(d)
+        scans, scan = [], matrix._scan_pairs
+        monkeypatch.setattr(matrix, "_scan_pairs", lambda eps: scans.append(eps) or scan(eps))
         first = matrix.within(0.3)
-        matrix.d = np.full_like(matrix.d, np.nan)  # a cell read from here on is never within eps
+        # a cell outside the kept list read from here on is never within eps
+        matrix.d = np.where(matrix.d <= 0.3, matrix.d, np.nan)
         for eps in (0.3, 0.2, 0.07):
             heads, tails = matrix.within(eps)
             expected = np.nonzero(np.triu(d <= eps, 1))
             assert np.array_equal(heads, expected[0]) and np.array_equal(tails, expected[1])
             assert heads.dtype == tails.dtype == np.int32
+        assert scans == [0.3]
         assert matrix.within(0.3)[0] is first[0]  # the kept list itself, read-only
         assert not first[0].flags.writeable
-        assert matrix.within(0.4)[0].size == 0  # a larger eps scans the matrix again
+        wider = matrix.within(0.4)[0]  # a larger eps scans the store again
+        assert scans == [0.3, 0.4]
+        assert wider is not first[0] and np.array_equal(wider, first[0])
 
     def test_block_is_a_writable_copy(self, rng):
         d = symmetric_random(6, rng)
@@ -526,6 +542,7 @@ def test_store_readers_match_the_square_oracle(case, chunk, data):
     members = sorted(data.draw(st.sets(index, min_size=2), label="members"))
     k = data.draw(st.integers(1, n - 1), label="k")
     eps = data.draw(st.sampled_from(squareform(square).tolist()), label="eps")
+    wider = max(eps, data.draw(st.sampled_from(squareform(square).tolist()), label="wider"))
     with mock.patch.object(dissimilarity, "_CHUNK_CELLS", chunk):
         block = matrix.block(rows, cols)  # repeats and the diagonal included
         assert np.array_equal(block, square[np.ix_(rows, cols)])
@@ -541,10 +558,11 @@ def test_store_readers_match_the_square_oracle(case, chunk, data):
 
         off_diagonal = np.where(np.eye(n, dtype=bool), np.inf, square)
         assert np.array_equal(matrix.nearest(k), np.sort(off_diagonal, axis=1)[:, :k])
-        heads, tails = matrix.within(eps)
-        expected = np.nonzero(np.triu(square <= eps, 1))
-        assert np.array_equal(np.sort(heads.astype(np.int64) * n + tails),
-                              expected[0] * n + expected[1])
+        for at in (wider, eps):  # below the wider scan, eps re-reads the kept pairs
+            heads, tails = matrix.within(at)
+            expected = np.nonzero(np.triu(square <= at, 1))
+            assert np.array_equal(np.sort(heads.astype(np.int64) * n + tails),
+                                  expected[0] * n + expected[1])
         with tempfile.TemporaryDirectory() as directory:
             write_matrix_csv(matrix, Path(directory) / "m.csv")
             written = (Path(directory) / "m.csv").read_text()

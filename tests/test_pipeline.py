@@ -662,6 +662,29 @@ class TestCli:
         assert json.loads(report.read_text())["metadata"]["fallback"] is False
         assert len(curves.read_text().splitlines()) == 1 + 3 * 200  # k = 2, 3, 4
 
+    @pytest.mark.parametrize("fixture, segmenter", [
+        (lambda directory: synthetic_protocol_fixture(directory, count=60), "heuristic"),
+        (lambda directory: hadamard_fixture(directory, 16), "import"),  # the fallback epsilon
+    ], ids=["refined", "fallback"])
+    def test_cli_commands_leave_numpy_ma_unimported(self, tmp_path, fixture, segmenter):
+        trace, truth = fixture(tmp_path)
+        report = tmp_path / "report.json"
+        inputs = ["--input", str(trace), "--format", "hex", "--segmenter", segmenter,
+                  *(["--segments", str(truth)] if segmenter == "import" else [])]
+        probe = (
+            "import sys; from typeclust.cli import main\n"
+            f"assert main(['analyze', *{inputs!r}, '--out-json', {str(report)!r}]) == 0\n"
+            f"assert main(['evaluate', '--report', {str(report)!r}, *{inputs!r},"
+            f" '--truth', {str(truth)!r}]) == 0\n"
+            f"assert main(['ecdf', *{inputs!r}, '--out', {str(tmp_path / 'curves.csv')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "False"
+        fallback = json.loads(report.read_text())["metadata"]["fallback"]
+        assert fallback is (segmenter == "import")
+
     @pytest.mark.parametrize("verbose", [True, False], ids=["verbose", "quiet"])
     def test_verbose_logs_each_stage_with_its_time(self, tmp_path, verbose):
         # a child interpreter: pytest's root handlers make basicConfig a no-op in this one
