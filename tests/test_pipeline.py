@@ -662,11 +662,12 @@ class TestCli:
         assert json.loads(report.read_text())["metadata"]["fallback"] is False
         assert len(curves.read_text().splitlines()) == 1 + 3 * 200  # k = 2, 3, 4
 
-    @pytest.mark.parametrize("fixture, segmenter", [
-        (lambda directory: synthetic_protocol_fixture(directory, count=60), "heuristic"),
-        (lambda directory: hadamard_fixture(directory, 16), "import"),  # the fallback epsilon
+    # the medians of cluster_stats, of eps_density in the merge pass and of the 2-NN fallback
+    @pytest.mark.parametrize("fixture, segmenter, fallback", [
+        (lambda directory: synthetic_protocol_fixture(directory, count=60), "heuristic", False),
+        (lambda directory: hadamard_fixture(directory, 16), "import", True),
     ], ids=["refined", "fallback"])
-    def test_cli_commands_leave_numpy_ma_unimported(self, tmp_path, fixture, segmenter):
+    def test_cli_commands_leave_numpy_ma_unimported(self, tmp_path, fixture, segmenter, fallback):
         trace, truth = fixture(tmp_path)
         report = tmp_path / "report.json"
         inputs = ["--input", str(trace), "--format", "hex", "--segmenter", segmenter,
@@ -682,8 +683,7 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
                              text=True, check=True)
         assert out.stdout.splitlines()[-1] == "False"
-        fallback = json.loads(report.read_text())["metadata"]["fallback"]
-        assert fallback is (segmenter == "import")
+        assert json.loads(report.read_text())["metadata"]["fallback"] is fallback
 
     @pytest.mark.parametrize("verbose", [True, False], ids=["verbose", "quiet"])
     def test_verbose_logs_each_stage_with_its_time(self, tmp_path, verbose):
