@@ -62,7 +62,7 @@ class DissimilarityMatrix:
     plus a trailing 0.0 that the diagonal reads: storage row p is one run that
     starts at p·n − p(p+1)/2, and (p, q) is ``d[_base[p] + q]``. The readers
     take and return value indices, and none holds a temporary larger than a
-    few ``_CHUNK_CELLS`` pieces.
+    few ``_CHUNK_CELLS`` pieces. Only ``nearest`` keeps its result.
     """
 
     values: Values
@@ -71,8 +71,6 @@ class DissimilarityMatrix:
     pos: np.ndarray = field(init=False, repr=False, compare=False)
     _base: np.ndarray = field(init=False, repr=False, compare=False)
     _nearest: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # (eps, heads, tails): the pairs of the widest within() scan so far
-    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.pos = np.argsort(self.order)
@@ -178,28 +176,8 @@ class DissimilarityMatrix:
     def within(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """(heads, tails) of every pair i < j with d[i, j] <= eps, in no set order, as int32.
 
-        The pairs are found by one scan and only their ends are kept, so a
-        later call at an eps no larger re-reads the kept pairs' cells, in
-        pieces of ``_CHUNK_CELLS`` pairs, and filters on them; only a larger
-        eps scans again. At the kept eps itself the kept, read-only arrays
-        are returned.
-        """
-        if self._pairs is None or not eps <= self._pairs[0]:
-            self._pairs = (eps, *self._scan_pairs(eps))
-        kept, heads, tails = self._pairs
-        if eps == kept:
-            return heads, tails
-        inside = np.empty(heads.size, dtype=bool)
-        for lo in range(0, heads.size, _CHUNK_CELLS):
-            hi = lo + _CHUNK_CELLS
-            inside[lo:hi] = self._cells(self.pos[heads[lo:hi]], self.pos[tails[lo:hi]]) <= eps
-        return heads[inside], tails[inside]
-
-    def _scan_pairs(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """Heads and tails of the pairs within eps, in scan order.
-
-        Each chunk of whole storage rows is one slice of about ``_CHUNK_CELLS``
-        cells of the store.
+        Each call scans the store once, each chunk of whole storage rows one
+        slice of about ``_CHUNK_CELLS`` cells, and keeps nothing.
         """
         start = self._base + np.arange(1, self.n + 1)  # each storage row's first cell
         heads, tails, lo = [], [], 0
@@ -213,9 +191,7 @@ class DissimilarityMatrix:
             tails.append(np.maximum(i, j).astype(np.int32))
             lo = hi
         heads = np.concatenate(heads)  # one by one: each list is freed before the next
-        tails = np.concatenate(tails)
-        heads.flags.writeable = tails.flags.writeable = False
-        return heads, tails
+        return heads, np.concatenate(tails)
 
 
 def unique_values(segments: Segmentation) -> Values:

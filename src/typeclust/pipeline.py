@@ -245,21 +245,24 @@ def evaluate_report(
     segmenter was the import of that truth, by byte overlap otherwise), and
     the report's clusters are mapped back onto unique values by hex content.
     The report must match the re-derived run: its eight input counts
-    (``records`` to ``total_bytes``), its clusters plus noise
-    listing every re-derived value exactly once, and each cluster's
-    ``counts`` giving its values' occurrences. The first mismatch raises
-    AnalysisError, checked in this order: input counts; then in listing
-    order (clusters, then noise) each cluster's number of counts and, value
-    by value, an unknown value, a repeat or a differing count; last, the
-    re-derived values the report leaves out, in value order. ``stats`` and
-    ``epsilon`` would need the matrix, so they are not checked.
+    (``records`` to ``total_bytes``), each of the re-derived JSON type,
+    its clusters plus noise listing every re-derived value exactly once,
+    and each cluster's ``counts`` giving its values' occurrences. The
+    first mismatch raises AnalysisError, checked in this order: input
+    counts; then in listing order (clusters, then noise) each cluster's
+    number of counts and, value by value, an unknown value, a repeat or a
+    differing count; last, the re-derived values the report leaves out,
+    in value order. ``stats`` and ``epsilon`` would need the matrix, so
+    they are not checked.
     """
     inputs, analyzable, values = _load_values(config, truth_path)
     with _stage("evaluate"):
         for key, value in inputs.items():
-            if report["metadata"].get(key) != value:
+            given = report["metadata"].get(key)
+            # Python takes JSON false for 0 and 20.0 for 20; the types tell them apart
+            if (type(given), given) != (type(value), value):
                 raise AnalysisError(
-                    f"report metadata {key} is {report['metadata'].get(key)!r}, the re-derived "
+                    f"report metadata {key} is {given!r}, the re-derived "
                     f"run gives {value!r}; wrong trace or segmenter?"
                 )
         index = {content.hex(): v for v, content in enumerate(values.content)}

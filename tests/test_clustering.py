@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import condensed, make_matrix, symmetric_random, cluster_of, traced_peak
 from oracles import cluster_stats_reference, naive_dbscan
 from typeclust import dissimilarity
-from typeclust.clustering import ClusterStats, cluster_stats, dbscan
+from typeclust.clustering import ClusterStats, _component_roots, cluster_stats, dbscan
 from typeclust.dissimilarity import DissimilarityMatrix
 
 
@@ -126,11 +126,12 @@ class TestDbscan:
         matrix = make_matrix(d)
         del d
         clustering, peak = traced_peak(dbscan, matrix, 0.08, 8)
-        pairs = matrix.within(0.08)[0].size
+        heads, tails = matrix.within(0.08)
+        pairs = heads.size
         assert 150_000 < pairs < 170_000
         assert [len(c.members) for c in clustering.clusters] == [2000]
-        # the kept list is two int32 ends, 8 B a pair: 1.3 MB
-        assert sum(kept.nbytes for kept in matrix._pairs[1:]) == 8 * pairs
+        # the pair list is two int32 ends, 8 B a pair: 1.3 MB
+        assert heads.nbytes + tails.nbytes == 8 * pairs
         assert peak < 4e6
 
     def test_components_keep_one_copy_of_the_core_edges(self):
@@ -148,8 +149,12 @@ class TestDbscan:
         np.fill_diagonal(d, 0.0)
         order = rng.permutation(len(d))
         matrix = make_matrix(d[np.ix_(order, order)])
-        pairs = matrix.within(0.2)[0].size  # the kept pair list is the matrix's
-        clustering, peak = traced_peak(dbscan, matrix, 0.2, 5)
+        heads, tails = matrix.within(0.2)
+        pairs = heads.size
+        core = np.bincount(heads, minlength=len(d)) + np.bincount(tails, minlength=len(d)) >= 4
+        roots, peak = traced_peak(_component_roots, heads, tails, core)
+        assert np.unique(roots[core]).size == cliques
+        clustering = dbscan(matrix, 0.2, 5)
         assert len(clustering.clusters) == cliques and clustering.noise == []
         assert sum(len(c.members) for c in clustering.clusters) == len(d)
         # the core edges are two int32 ends, 8 B a pair, and a round gathers

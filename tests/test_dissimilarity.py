@@ -359,26 +359,20 @@ class TestMatrixReaders:
             sizes.append(heads.size)
         assert sizes[0] == 0 and sizes[-2] == sizes[-1] == n * (n - 1) // 2
 
-    def test_lower_eps_reads_only_the_kept_pairs(self, rng, monkeypatch):
+    def test_every_call_scans_the_store_anew(self, rng):
         n = 300
         d = np.round(symmetric_random(n, rng), 2)  # ties at every eps
         matrix = make_matrix(d)
-        scans, scan = [], matrix._scan_pairs
-        monkeypatch.setattr(matrix, "_scan_pairs", lambda eps: scans.append(eps) or scan(eps))
-        first = matrix.within(0.3)
-        # a cell outside the kept list read from here on is never within eps
-        matrix.d = np.where(matrix.d <= 0.3, matrix.d, np.nan)
-        for eps in (0.3, 0.2, 0.07):
+        lists = []
+        for eps in (0.3, 0.2, 0.07, 0.4, 0.3):  # falling, then rising, then repeated
             heads, tails = matrix.within(eps)
             expected = np.nonzero(np.triu(d <= eps, 1))
             assert np.array_equal(heads, expected[0]) and np.array_equal(tails, expected[1])
             assert heads.dtype == tails.dtype == np.int32
-        assert scans == [0.3]
-        assert matrix.within(0.3)[0] is first[0]  # the kept list itself, read-only
-        assert not first[0].flags.writeable
-        wider = matrix.within(0.4)[0]  # a larger eps scans the store again
-        assert scans == [0.3, 0.4]
-        assert wider is not first[0] and np.array_equal(wider, first[0])
+            lists.append((heads, tails))
+        # the matrix keeps no list, so one eps twice gives two distinct arrays
+        for first, again in zip(lists[0], lists[-1]):
+            assert not np.shares_memory(first, again)
 
     def test_block_is_a_writable_copy(self, rng):
         d = symmetric_random(6, rng)
@@ -558,7 +552,7 @@ def test_store_readers_match_the_square_oracle(case, chunk, data):
 
         off_diagonal = np.where(np.eye(n, dtype=bool), np.inf, square)
         assert np.array_equal(matrix.nearest(k), np.sort(off_diagonal, axis=1)[:, :k])
-        for at in (wider, eps):  # below the wider scan, eps re-reads the kept pairs
+        for at in (wider, eps):  # each call scans the store anew
             heads, tails = matrix.within(at)
             expected = np.nonzero(np.triu(square <= at, 1))
             assert np.array_equal(np.sort(heads.astype(np.int64) * n + tails),

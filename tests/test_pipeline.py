@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -172,25 +174,43 @@ class TestRun:
         assert max(measured.values()) == 1
         assert set(measured) >= {tuple(c.members) for c in result.clustering.clusters}
 
-    def test_retrimming_run_scans_for_pairs_once(self, tmp_path, monkeypatch):
+    def test_retrimming_run_scans_once_per_dbscan(self, tmp_path, monkeypatch):
         scans, clustered = [], []
-        scan, dbscan = dm.DissimilarityMatrix._scan_pairs, pl.cl.dbscan
+        within, dbscan = dm.DissimilarityMatrix.within, pl.cl.dbscan
 
-        def counting_scan(matrix, eps):
+        def counting_within(matrix, eps):
             scans.append(eps)
-            return scan(matrix, eps)
+            return within(matrix, eps)
 
         def recording_dbscan(matrix, epsilon, min_samples):
             clustered.append(epsilon)
             return dbscan(matrix, epsilon, min_samples)
 
-        monkeypatch.setattr(dm.DissimilarityMatrix, "_scan_pairs", counting_scan)
+        monkeypatch.setattr(dm.DissimilarityMatrix, "within", counting_within)
         monkeypatch.setattr(pl.cl, "dbscan", recording_dbscan)
         trace, truth = synthetic_protocol_fixture(tmp_path, count=100)
         result = pl.run(analyze_config(trace, truth))
         assert result.autoconfig.retrim_count == 3
         assert len(clustered) == 4 and clustered == sorted(clustered, reverse=True)
-        assert scans == clustered[:1]
+        assert scans == clustered
+
+    def test_no_pair_list_outlives_the_run(self, tmp_path, monkeypatch):
+        lists, within = [], dm.DissimilarityMatrix.within
+
+        def watched_within(matrix, eps):
+            pairs = within(matrix, eps)
+            lists.extend(weakref.ref(ends) for ends in pairs)
+            return pairs
+
+        monkeypatch.setattr(dm.DissimilarityMatrix, "within", watched_within)
+        trace, truth = synthetic_protocol_fixture(tmp_path, count=100)
+        gc.disable()  # each list must be freed when its last reference goes, not by the collector
+        try:
+            result = pl.run(analyze_config(trace, truth))
+            assert result.autoconfig.retrim_count == 3 and len(lists) == 8
+            assert [i for i, ends in enumerate(lists) if ends() is not None] == []
+        finally:
+            gc.enable()
 
     def test_retrim_iteration_cap(self, tmp_path, monkeypatch):
         # a re-trim that keeps finding smaller knees stops after 3 iterations
@@ -556,10 +576,14 @@ class TestCli:
         ("segments", 41),
         ("excluded_one_byte_segments", 1),
         ("total_bytes", 241),
+        # equal under ==, but not of the re-derived JSON type
+        ("skipped_fragments", False),
+        ("records", 20.0),
     ])
     def test_evaluate_rejects_a_report_whose_metadata_differs(self, tmp_path, capsys, key, forged):
         doc, report_path, argv = self._analyzed(tmp_path)
-        assert doc["metadata"][key] != forged
+        given = doc["metadata"][key]
+        assert (type(given), given) != (type(forged), forged)
         doc["metadata"][key] = forged
         report_path.write_text(json.dumps(doc))
         capsys.readouterr()
