@@ -140,7 +140,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error in stage {err.stage}: {err.original}\n")
         if isinstance(err.original, EmptyAnalysisError):
             return EXIT_EMPTY_ANALYSIS
-        if isinstance(err.original, InsufficientMemoryError):
+        # the guard's refusal, or an allocation that failed inside the stage
+        if isinstance(err.original, (InsufficientMemoryError, MemoryError)):
             return EXIT_OUT_OF_MEMORY
         return EXIT_ERROR
     except (AnalysisError, OSError, ValueError) as err:

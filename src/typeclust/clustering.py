@@ -1,7 +1,9 @@
 """DBSCAN over the precomputed dissimilarity matrix.
 
 Point i is a core point iff at least min_samples matrix entries of row i
-(the point itself included) are <= epsilon. Clusters are the connected
+(the point itself included) are <= epsilon, that is iff its
+(min_samples - 1)-th nearest dissimilarity, the OPTICS core distance
+(Ankerst et al., SIGMOD 1999), is <= epsilon. Clusters are the connected
 components of the graph of core points joined by closed epsilon-balls
 (Schubert et al., DBSCAN Revisited, Revisited, TODS 2017), with non-core
 points attached to the lowest-index core that reaches them; everything
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dissimilarity
 from .dissimilarity import DissimilarityMatrix, _median
 
 
@@ -57,59 +60,89 @@ def ensure_stats(matrix: DissimilarityMatrix, cluster: Cluster) -> ClusterStats:
     return cluster.stats
 
 
-def _component_roots(heads: np.ndarray, tails: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """Per node, the lowest node of its component in the graph of the edges heads < tails
-    whose ends are both ``core``.
+def _component_roots(parent: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Fold the edges heads-tails into ``parent``, where every node points at the
+    lowest node of its component, and return the folded parent array.
 
-    Every round hooks the larger root of each edge that joins two trees onto
-    the smaller one, then moves every node to its grandparent until each
-    points at its root. A parent is never above its child, so every root
-    is the minimum of its tree. Every node starts as its own root, so the
-    first round hooks each edge as it is, with heads below tails. An edge
-    becomes the pair of its ends' roots, and one whose ends share a root is
-    dropped, as it never joins two trees again.
+    Every round maps each edge to the roots of its ends and drops the edges
+    whose ends share a root, as they never join two trees again; then it
+    hooks the larger root of each other edge onto the smaller one and moves
+    every node to its grandparent until each points at its root. A parent
+    is never above its child, so every root is the minimum of its tree, and
+    the result takes the next batch of edges as ``parent`` took this one.
     """
-    parent = np.arange(core.size, dtype=np.int32)
-    both = core[heads]
-    both &= core[tails]
-    low, high = heads[both], tails[both]
-    del both
-    while low.size:
+    low, high = parent[heads], parent[tails]
+    while True:
+        joins = low != high
+        low = low[joins]
+        high = high[joins]
+        del joins
+        if not low.size:
+            return parent
+        high, low = np.maximum(low, high), np.minimum(low, high, out=low)
         np.minimum.at(parent, high, low)
         while not np.array_equal(grand := parent[parent], parent):
             parent = grand
         low = parent[low]
         high = parent[high]
-        joins = low != high
-        low = low[joins]
-        high = high[joins]
-        del joins
-        high, low = np.maximum(low, high), np.minimum(low, high, out=low)
-    return parent
+
+
+def _core_points(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> np.ndarray:
+    """Per value, whether at least min_samples - 1 other values lie within epsilon of it.
+
+    The zero diagonal counts the value itself toward min_samples. With
+    min_samples above 1 this reads the matrix's nearest-neighbour table,
+    which a pipeline run has already built at least round(ln n) wide.
+    """
+    if min_samples == 1:
+        return np.ones(matrix.n, dtype=bool)
+    return matrix.nearest(min_samples - 1)[:, -1] <= epsilon
 
 
 def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clustering:
-    """Cluster the matrix values with DBSCAN, reading only the pairs within epsilon."""
+    """Cluster the matrix values with DBSCAN, holding no list of the pairs within epsilon.
+
+    The core points come from the matrix's nearest-neighbour table
+    (``_core_points``), and ``matrix.within`` yields the pairs within epsilon
+    chunk by chunk. The core-core edges are folded into the components about
+    ``_CHUNK_CELLS`` at a time, and each chunk's border minima into ``reach``,
+    so every array held is of size n or chunk-sized.
+    """
     n = matrix.n
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 1 <= min_samples <= n:
         raise ValueError(f"min_samples must be in [1, {n}], got {min_samples}")
 
-    # degrees, components and the border minima are set operations, so the
-    # order of the pairs, which within() leaves unset, does not reach the result
-    heads, tails = matrix.within(epsilon)
-    # the zero diagonal puts every point within epsilon of itself
-    core = np.bincount(heads, minlength=n) + np.bincount(tails, minlength=n) >= min_samples - 1
-    roots = _component_roots(heads, tails, core)
+    core = _core_points(matrix, epsilon, min_samples)
+    outside = ~core
+    parent = np.arange(n, dtype=np.int32)
+    reach = np.full(n, n, dtype=np.int32)  # per border point, its lowest core within epsilon
+    # the components and the border minima are set operations, so neither the
+    # order of the pairs nor that of the chunks, which within() leaves unset,
+    # reaches the result; folding the edges in batches, not chunk by chunk,
+    # saves the rounds' passes over parent
+    low, high, held = [], [], 0  # the core-core edges not yet folded
+    for heads, tails in matrix.within(epsilon):
+        for border, other in ((heads, tails), (tails, heads)):
+            to_core = core[other]
+            to_core &= outside[border]
+            np.minimum.at(reach, border[to_core], other[to_core])
+        both = core[heads]
+        both &= core[tails]
+        if held and held + np.count_nonzero(both) > dissimilarity._CHUNK_CELLS:
+            edges = np.concatenate(low), np.concatenate(high)
+            low, high, held = [], [], 0  # dropped before the fold adds its own copies
+            parent = _component_roots(parent, *edges)
+            del edges
+        low.append(heads[both])
+        high.append(tails[both])
+        held += low[-1].size
+    if held:
+        parent = _component_roots(parent, np.concatenate(low), np.concatenate(high))
     labels = np.full(n, -1, dtype=np.int32)
-    ids, labels[core] = np.unique(roots[core], return_inverse=True)
+    ids, labels[core] = np.unique(parent[core], return_inverse=True)
     # a border point joins the cluster of the lowest-index core within epsilon
-    reach, outside = np.full(n, n, dtype=np.int32), ~core
-    for border, other in ((heads, tails), (tails, heads)):
-        to_core = core[other]
-        to_core &= outside[border]
-        np.minimum.at(reach, border[to_core], other[to_core])
     reached = reach < n
     labels[reached] = labels[reach[reached]]
 

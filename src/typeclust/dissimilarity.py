@@ -10,6 +10,7 @@ identical.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -83,7 +84,12 @@ class DissimilarityMatrix:
 
     def _cells(self, p, q) -> np.ndarray:
         """A new array of the cells at storage positions p against q, broadcast."""
-        flat = self._base[np.minimum(p, q)] + np.maximum(p, q)
+        low = np.minimum(p, q)
+        flat = self._base[low]
+        flat -= low  # _base[low] + max(p, q) is _base[low] - low + p + q
+        del low
+        flat += p
+        flat += q
         flat[p == q] = -1  # the diagonal reads the trailing 0.0
         return self.d[flat]
 
@@ -173,25 +179,31 @@ class DissimilarityMatrix:
             self._nearest = table
         return self._nearest[:, :k]
 
-    def within(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """(heads, tails) of every pair i < j with d[i, j] <= eps, in no set order, as int32.
+    def within(self, eps: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(heads, tails) of the pairs i < j with d[i, j] <= eps, as int32, one chunk at a time.
 
         Each call scans the store once, each chunk of whole storage rows one
-        slice of about ``_CHUNK_CELLS`` cells, and keeps nothing.
+        slice of about ``_CHUNK_CELLS`` cells, yields that chunk's pairs in
+        no set order, and keeps nothing: no list of all the pairs is held.
         """
+        order = self.order.astype(np.int32)
         start = self._base + np.arange(1, self.n + 1)  # each storage row's first cell
-        heads, tails, lo = [], [], 0
+        lo = 0
         while lo < self.n - 1:
             hi = max(lo + 1, int(np.searchsorted(start, start[lo] + _CHUNK_CELLS, "right")) - 1)
-            k = np.flatnonzero(self.d[start[lo] : start[hi]] <= eps)
-            k += start[lo]  # store indices, so pair k of row r is column k - _base[r]
-            row = np.repeat(np.arange(lo, hi), np.diff(np.searchsorted(k, start[lo : hi + 1])))
-            i, j = self.order[row], self.order[k - self._base[row]]
-            heads.append(np.minimum(i, j).astype(np.int32))
-            tails.append(np.maximum(i, j).astype(np.int32))
+            # int32 cell indices from the chunk's first cell, so pair k of row r
+            # is column k - (_base[r] - start[lo])
+            k = np.flatnonzero(self.d[start[lo] : start[hi]] <= eps).astype(np.int32)
+            counts = np.diff(np.searchsorted(k, start[lo : hi + 1] - start[lo]))
+            k -= np.repeat((self._base[lo:hi] - start[lo]).astype(np.int32), counts)
+            j = order[k]
+            del k
+            i = np.repeat(order[lo:hi], counts)
+            heads = np.minimum(i, j)
+            np.maximum(i, j, out=j)
+            del i  # the generator keeps its locals while the caller works on the chunk
+            yield heads, j
             lo = hi
-        heads = np.concatenate(heads)  # one by one: each list is freed before the next
-        return heads, np.concatenate(tails)
 
 
 def unique_values(segments: Segmentation) -> Values:

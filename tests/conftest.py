@@ -89,6 +89,12 @@ def make_matrix(distances, member_counts=None) -> DissimilarityMatrix:
                                np.arange(n))
 
 
+def pairs_within(matrix: DissimilarityMatrix, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, tails) of every pair ``matrix.within(eps)`` yields, its chunks joined in order."""
+    heads, tails = zip(*matrix.within(eps))
+    return np.concatenate(heads), np.concatenate(tails)
+
+
 def segmentation_of(*rows) -> Segmentation:
     """Segments from (message, offset, bytes, truth type) rows, whose bytes
     are laid end to end in the joined data."""

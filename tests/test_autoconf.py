@@ -14,6 +14,7 @@ from oracles import kneedle_reference
 from typeclust import autoconf
 from typeclust.autoconf import (
     KNEEDLE_SENSITIVITY,
+    RETRIM_SHARE,
     AutoConfig,
     Curve,
     ecdf,
@@ -369,6 +370,27 @@ class TestRetrim:
         matrix = make_matrix(d)
         clustering = dbscan(matrix, 0.1, 2)
         assert max(len(c.members) for c in clustering.clusters) == 10  # 50 % <= 60 %
+        assert retrim_epsilon(matrix, previous, clustering) is previous
+
+    def balanced_with_counts(self, counts):
+        """The balanced case's matrix and clustering, its first cluster's values
+        occurring ``counts`` times and the second's once each; and the largest
+        cluster's segment count and all clusters' total."""
+        d, previous, epsilon = balanced_case()
+        matrix = make_matrix(d, member_counts=counts + [1] * 10)
+        clustering = dbscan(matrix, epsilon, previous.min_samples)
+        sizes = [matrix.values.counts[c.members].sum() for c in clustering.clusters]
+        assert len(sizes) == 2
+        return matrix, previous, clustering, max(sizes), sum(sizes)
+
+    def test_largest_share_of_exactly_60_percent_does_not_retrim(self):
+        matrix, previous, clustering, largest, total = self.balanced_with_counts([2] * 5 + [1] * 5)
+        assert (largest, total) == (15, 25) and largest == RETRIM_SHARE * total  # exact in float
+        assert retrim_epsilon(matrix, previous, clustering) is previous
+
+    def test_largest_share_between_half_and_60_percent_does_not_retrim(self):
+        matrix, previous, clustering, largest, total = self.balanced_with_counts([2] * 3 + [1] * 7)
+        assert (largest, total) == (13, 23) and 0.5 * total < largest < 0.6 * total
         assert retrim_epsilon(matrix, previous, clustering) is previous
 
     def test_giant_cluster_triggers_smaller_epsilon(self):

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import condensed, make_matrix, symmetric_random, cluster_of, traced_peak
+from conftest import (condensed, make_matrix, pairs_within, symmetric_random, cluster_of,
+                      traced_peak)
 from oracles import cluster_stats_reference, naive_dbscan
 from typeclust import dissimilarity
-from typeclust.clustering import ClusterStats, _component_roots, cluster_stats, dbscan
+from typeclust.clustering import (ClusterStats, _component_roots, _core_points, cluster_stats,
+                                  dbscan)
 from typeclust.dissimilarity import DissimilarityMatrix
 
 
@@ -126,13 +129,23 @@ class TestDbscan:
         matrix = make_matrix(d)
         del d
         clustering, peak = traced_peak(dbscan, matrix, 0.08, 8)
-        heads, tails = matrix.within(0.08)
+        heads, tails = pairs_within(matrix, 0.08)
         pairs = heads.size
         assert 150_000 < pairs < 170_000
         assert [len(c.members) for c in clustering.clusters] == [2000]
-        # the pair list is two int32 ends, 8 B a pair: 1.3 MB
+        # the pairs are two int32 ends, 8 B a pair: 1.3 MB if they were all held at once
         assert heads.nbytes + tails.nbytes == 8 * pairs
         assert peak < 4e6
+
+    def test_every_pair_within_epsilon_holds_no_pair_list(self, rng):
+        # all 1,999,000 pairs lie within epsilon: their int32 ends alone would
+        # take 16 MB, where dbscan holds the scan's chunk, the edges not yet
+        # folded and the fold's copies, each of about _CHUNK_CELLS pairs
+        matrix = make_matrix(symmetric_random(2000, rng))
+        clustering, peak = traced_peak(dbscan, matrix, 1.0, 8)
+        assert [len(c.members) for c in clustering.clusters] == [2000]
+        assert sum(chunk.size for chunk, _ in matrix.within(1.0)) == 1_999_000
+        assert peak < 2.5e6
 
     def test_components_keep_one_copy_of_the_core_edges(self):
         # bridged cliques: 8 cliques of 150 cores, every pair of a clique an
@@ -149,11 +162,17 @@ class TestDbscan:
         np.fill_diagonal(d, 0.0)
         order = rng.permutation(len(d))
         matrix = make_matrix(d[np.ix_(order, order)])
-        heads, tails = matrix.within(0.2)
+        heads, tails = pairs_within(matrix, 0.2)
         pairs = heads.size
         core = np.bincount(heads, minlength=len(d)) + np.bincount(tails, minlength=len(d)) >= 4
-        roots, peak = traced_peak(_component_roots, heads, tails, core)
+        both = core[heads] & core[tails]
+        low, high = heads[both], tails[both]
+        parent = np.arange(len(d), dtype=np.int32)
+        roots, peak = traced_peak(_component_roots, parent, low, high)
         assert np.unique(roots[core]).size == cliques
+        assert np.array_equal(roots[roots], roots)  # every node points at its root
+        # folding the same edges again changes nothing
+        assert np.array_equal(_component_roots(roots.copy(), low, high), roots)
         clustering = dbscan(matrix, 0.2, 5)
         assert len(clustering.clusters) == cliques and clustering.noise == []
         assert sum(len(c.members) for c in clustering.clusters) == len(d)
@@ -270,14 +289,40 @@ class TestDbscanProperties:
     @given(case=st.one_of(bridged_cliques(), chains_and_stars()), seed=st.integers(0, 2**32 - 1))
     def test_pair_order_does_not_reach_the_result(self, case, seed):
         d, epsilon, min_samples = case
+        rng = np.random.default_rng(seed)
         base = dbscan(make_matrix(d), epsilon, min_samples)
-        heads, tails = make_matrix(d).within(epsilon)
-        for order in (slice(None, None, -1), np.random.default_rng(seed).permutation(heads.size)):
-            matrix = make_matrix(d)
-            matrix.within = lambda eps, order=order: (heads[order], tails[order])
-            moved = dbscan(matrix, epsilon, min_samples)
-            assert [c.members for c in moved.clusters] == [c.members for c in base.clusters]
-            assert moved.noise == base.noise
+        # 24-cell chunks, and edges folded 24 at a time: many chunks and many folds
+        with mock.patch.object(dissimilarity, "_CHUNK_CELLS", 24):
+            chunks = list(make_matrix(d).within(epsilon))
+            heads, tails = (np.concatenate(ends) for ends in zip(*chunks))
+            order = rng.permutation(heads.size)
+            cuts = np.sort(rng.integers(0, heads.size + 1, size=len(chunks) - 1))
+            fed = {
+                "reversed": [(h[::-1], t[::-1]) for h, t in reversed(chunks)],
+                "shuffled": list(zip(np.split(heads[order], cuts), np.split(tails[order], cuts))),
+            }
+            for name, pieces in fed.items():
+                matrix = make_matrix(d)
+                matrix.within = lambda eps, pieces=pieces: iter(pieces)
+                moved = dbscan(matrix, epsilon, min_samples)
+                assert [c.members for c in moved.clusters] == [c.members for c in base.clusters], name
+                assert moved.noise == base.noise, name
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tied_matrices(), data=st.data())
+    def test_core_points_are_the_degree_count(self, case, data):
+        d, epsilon, _ = case
+        n = len(d)
+        min_samples = data.draw(st.integers(1, n), label="min_samples")
+        order = np.array(data.draw(st.permutations(range(n)), label="order"))
+        matrix = DissimilarityMatrix(make_matrix(d).values, condensed(d[np.ix_(order, order)]),
+                                     order)
+        built = data.draw(st.integers(0, n - 1), label="table width built before, 0 for none")
+        if built:
+            matrix.nearest(built)
+        degree = np.count_nonzero(d <= epsilon, axis=1) - 1  # the zero diagonal is the point
+        core = _core_points(matrix, epsilon, min_samples)
+        assert np.array_equal(core, degree >= min_samples - 1)
 
     def test_border_reachable_from_three_clusters(self):
         # three 5-cliques of cores; 15 lies exactly at epsilon from cores

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import squareform
 
-from conftest import condensed, make_matrix, segmentation_of, symmetric_random, values_of
+from conftest import (condensed, make_matrix, pairs_within, segmentation_of, symmetric_random,
+                      values_of)
 from oracles import canberra_matrix_reference, canberra_reference, unique_values_reference
 from typeclust import dissimilarity
 from typeclust.dissimilarity import (
@@ -353,7 +354,13 @@ class TestMatrixReaders:
         off_diagonal = d[~np.eye(n, dtype=bool)]
         sizes = []
         for eps in (off_diagonal.min() / 2, 0.3, 0.5, 0.71, off_diagonal.max(), 1.0):
-            heads, tails = matrix.within(eps)
+            chunks = list(matrix.within(eps))
+            # one chunk of whole rows per slice of at most _CHUNK_CELLS cells
+            assert len(chunks) >= n * (n - 1) / 2 / dissimilarity._CHUNK_CELLS
+            for chunk_heads, chunk_tails in chunks:
+                assert chunk_heads.dtype == chunk_tails.dtype == np.int32
+                assert chunk_heads.size == chunk_tails.size <= dissimilarity._CHUNK_CELLS
+            heads, tails = (np.concatenate(ends) for ends in zip(*chunks))
             expected = np.nonzero(np.triu(d <= eps, 1))
             assert np.array_equal(heads, expected[0]) and np.array_equal(tails, expected[1])
             sizes.append(heads.size)
@@ -365,7 +372,7 @@ class TestMatrixReaders:
         matrix = make_matrix(d)
         lists = []
         for eps in (0.3, 0.2, 0.07, 0.4, 0.3):  # falling, then rising, then repeated
-            heads, tails = matrix.within(eps)
+            heads, tails = pairs_within(matrix, eps)
             expected = np.nonzero(np.triu(d <= eps, 1))
             assert np.array_equal(heads, expected[0]) and np.array_equal(tails, expected[1])
             assert heads.dtype == tails.dtype == np.int32
@@ -433,7 +440,7 @@ class TestStorageLayout:
         assert np.array_equal(matrix.nearest(6), np.sort(off_diagonal, axis=1)[:, :6])
         upper = np.sort(reference[np.triu_indices(n, 1)])
         for eps in upper[[0, upper.size // 10, upper.size // 2, -1]]:  # ties at eps
-            heads, tails = matrix.within(eps)
+            heads, tails = pairs_within(matrix, eps)
             # the pairs come in scan order, so compare them as a set of keys i * n + j
             expected = np.nonzero(np.triu(reference <= eps, 1))
             keys = np.sort(heads.astype(np.int64) * n + tails)
@@ -553,7 +560,7 @@ def test_store_readers_match_the_square_oracle(case, chunk, data):
         off_diagonal = np.where(np.eye(n, dtype=bool), np.inf, square)
         assert np.array_equal(matrix.nearest(k), np.sort(off_diagonal, axis=1)[:, :k])
         for at in (wider, eps):  # each call scans the store anew
-            heads, tails = matrix.within(at)
+            heads, tails = pairs_within(matrix, at)
             expected = np.nonzero(np.triu(square <= at, 1))
             assert np.array_equal(np.sort(heads.astype(np.int64) * n + tails),
                                   expected[0] * n + expected[1])

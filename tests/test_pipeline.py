@@ -195,20 +195,25 @@ class TestRun:
         assert scans == clustered
 
     def test_no_pair_list_outlives_the_run(self, tmp_path, monkeypatch):
-        lists, within = [], dm.DissimilarityMatrix.within
+        scans, chunks, within = [], [], dm.DissimilarityMatrix.within
 
         def watched_within(matrix, eps):
-            pairs = within(matrix, eps)
-            lists.extend(weakref.ref(ends) for ends in pairs)
-            return pairs
+            scans.append(eps)
+            for pairs in within(matrix, eps):
+                # when a chunk is read, no chunk but the one before it is alive
+                assert [i for i, ends in enumerate(chunks[:-2]) if ends() is not None] == []
+                chunks.extend(weakref.ref(ends) for ends in pairs)
+                yield pairs
 
         monkeypatch.setattr(dm.DissimilarityMatrix, "within", watched_within)
+        monkeypatch.setattr(dm, "_CHUNK_CELLS", 256)  # many chunks to each scan
         trace, truth = synthetic_protocol_fixture(tmp_path, count=100)
-        gc.disable()  # each list must be freed when its last reference goes, not by the collector
+        gc.disable()  # each chunk must be freed when its last reference goes, not by the collector
         try:
             result = pl.run(analyze_config(trace, truth))
-            assert result.autoconfig.retrim_count == 3 and len(lists) == 8
-            assert [i for i, ends in enumerate(lists) if ends() is not None] == []
+            assert result.autoconfig.retrim_count == 3 and len(scans) == 4
+            assert len(chunks) > 2 * 4 * 10
+            assert [i for i, ends in enumerate(chunks) if ends() is not None] == []
         finally:
             gc.enable()
 
@@ -374,6 +379,37 @@ class TestCli:
         assert re.fullmatch(r"error in stage matrix: \d+ unique values need \d+\.\d MiB for "
                             r"the dissimilarity matrix, 0\.0 MiB available", lines[0])
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([trace.name, truth.name])
+
+    @pytest.mark.parametrize("command, stage, target", [
+        ("analyze", "cluster", "typeclust.clustering._component_roots"),
+        ("evaluate", "evaluate", "typeclust.evaluation.evaluate_clustering"),
+        ("ecdf", "autoconf", "typeclust.autoconf.ecdf_rows"),
+    ])
+    def test_memory_error_in_a_stage_exit_code(self, tmp_path, capsys, monkeypatch, command,
+                                               stage, target):
+        trace, truth = two_type_fixture(tmp_path)
+        inputs = ["--input", str(trace), "--format", "hex", "--segmenter", "import",
+                  "--segments", str(truth)]
+        report = tmp_path / "report.json"
+        assert self.run_cli("analyze", *inputs, "--out-json", str(report)) == 0
+        capsys.readouterr()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        message = "Unable to allocate 8.00 PiB for an array with shape (2251799813685248,)"
+
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(target, out_of_memory)
+        argv = {"analyze": ["analyze", *inputs, "--out-json", str(tmp_path / "again.json")],
+                "evaluate": ["evaluate", "--report", str(report), *inputs, "--truth", str(truth),
+                             "--out-json", str(tmp_path / "metrics.json")],
+                "ecdf": ["ecdf", *inputs, "--out", str(tmp_path / "e.csv")]}[command]
+        code = self.run_cli(*argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error in stage {stage}: {message}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = self.run_cli("analyze", "--input", str(tmp_path / "nope.hex"), "--format", "hex")

@@ -250,6 +250,68 @@ class TestMergeConditions:
         # |0.02 - 0.03| = 0.01 > 0.002
         assert not condition2(matrix, c_i, c_j, link_segments(matrix, c_i, c_j))
 
+    def test_rho_difference_at_the_threshold_fails_condition1(self):
+        # link members 0 and 4; 0 lies at 0.0 from the rest of A, 4 at rho_j from
+        # the rest of B, and |0.0 - 0.01| is exactly EPS_RHO_THRESHOLD in float
+        def verdict(rho_j):
+            d = np.full((8, 8), 0.5)  # cross distances
+            d[:4, :4] = d[4:, 4:] = 0.1
+            d[0, 1:4] = d[1:4, 0] = 0.0
+            d[4, 5:] = d[5:, 4] = rho_j
+            d[0, 4] = d[4, 0] = 0.02
+            np.fill_diagonal(d, 0.0)
+            matrix = make_matrix(d)
+            c_i, c_j = clusters_from([range(4), range(4, 8)]).clusters
+            link = link_segments(matrix, c_i, c_j)
+            assert (link.s_link_ij, link.s_link_ji, link.d_link) == (0, 4, 0.02)
+            # the radius, half of A's d_max (0.1), holds both link members' neighbours
+            assert eps_density(matrix, c_i, 0, 0.05) == 0.0
+            assert eps_density(matrix, c_j, 4, 0.05) == rho_j
+            return condition1(matrix, c_i, c_j, link)
+
+        assert abs(0.0 - 0.01) == EPS_RHO_THRESHOLD
+        assert not verdict(0.01)
+        assert verdict(np.nextafter(0.01, 0.0))
+
+    def test_minmed_difference_at_the_threshold_fails_condition2(self):
+        # A's nearest dissimilarities are all 0.0, B's all minmed_j, and
+        # |0.0 - 0.002| is exactly NEIGHBOR_DENSITY_THRESHOLD in float
+        def verdict(minmed_j):
+            d = np.full((8, 8), 0.05)  # cross distances
+            d[:4, :4] = 0.1
+            d[0, 1] = d[1, 0] = d[2, 3] = d[3, 2] = 0.0
+            d[4:, 4:] = 0.01
+            d[4, 5] = d[5, 4] = d[6, 7] = d[7, 6] = minmed_j
+            np.fill_diagonal(d, 0.0)
+            matrix = make_matrix(d)
+            c_i, c_j = clusters_from([range(4), range(4, 8)]).clusters
+            stats_i, stats_j = ensure_stats(matrix, c_i), ensure_stats(matrix, c_j)
+            assert (stats_i.minmed, stats_j.minmed) == (0.0, minmed_j)
+            link = link_segments(matrix, c_i, c_j)
+            # the link is well inside the bound, so the minmed difference decides
+            assert link.d_link < (stats_j.minmed / stats_j.mean_pairwise) / 2
+            return condition2(matrix, c_i, c_j, link)
+
+        assert abs(0.0 - 0.002) == NEIGHBOR_DENSITY_THRESHOLD
+        assert not verdict(0.002)
+        assert verdict(np.nextafter(0.002, 0.0))
+
+    def test_equal_sizes_take_the_first_clusters_radius(self):
+        # A's d_max is 0.4, so its radius 0.2 holds both link members'
+        # neighbours at 0.03; B's d_max is 0.04, and its radius 0.02 holds none
+        d = np.full((8, 8), 0.9)  # cross distances
+        d[:4, :4] = 0.4
+        d[4:, 4:] = 0.04
+        d[0, 1:4] = d[1:4, 0] = d[4, 5:] = d[5:, 4] = 0.03
+        d[0, 4] = d[4, 0] = 0.1
+        np.fill_diagonal(d, 0.0)
+        matrix = make_matrix(d)
+        c_a, c_b = clusters_from([range(4), range(4, 8)]).clusters
+        assert len(c_a.members) == len(c_b.members)
+        assert (ensure_stats(matrix, c_a).d_max, ensure_stats(matrix, c_b).d_max) == (0.4, 0.04)
+        assert condition1(matrix, c_a, c_b, link_segments(matrix, c_a, c_b))
+        assert not condition1(matrix, c_b, c_a, link_segments(matrix, c_b, c_a))
+
     def test_conditions_match_direct_formula_oracle(self, rng):
         for _ in range(100):
             d = symmetric_random(12, rng, low=0.01, high=0.9)
