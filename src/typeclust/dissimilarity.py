@@ -63,7 +63,7 @@ class DissimilarityMatrix:
     plus a trailing 0.0 that the diagonal reads: storage row p is one run that
     starts at p·n − p(p+1)/2, and (p, q) is ``d[_base[p] + q]``. The readers
     take and return value indices, and none holds a temporary larger than a
-    few ``_CHUNK_CELLS`` pieces. Only ``nearest`` keeps its result.
+    few ``_CHUNK_CELLS`` pieces. Only ``nearest`` keeps a result: its first table.
     """
 
     values: Values
@@ -154,30 +154,32 @@ class DissimilarityMatrix:
         """The k smallest off-diagonal dissimilarities of every value, ascending.
 
         One partition per chunk of storage rows computes them, each chunk
-        made of its rows' runs and one gather from the rows above; the table
-        is kept, so a request no wider than an earlier one is a read-only
-        slice of it.
+        made of its rows' runs and one gather from the rows above. The first
+        table is kept, so a request no wider than it is a read-only slice of
+        it; a wider request gets a table of its own and leaves the kept one.
         """
         n = self.n
         if not 1 <= k <= n - 1:
             raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-        if self._nearest is None or self._nearest.shape[1] < k:
-            table = np.empty((n, k), dtype=np.float64)
-            rows = max(1, _CHUNK_CELLS // n)
-            for lo in range(0, n, rows):
-                hi = min(lo + rows, n)
-                chunk = np.empty((hi - lo, n), dtype=np.float64)
-                # cell (q, p) for every q < hi, right where q < p; the runs overwrite the rest
-                chunk[:, :hi] = self.d[self._base[:hi, None] + np.arange(lo, hi)].T
-                for p in range(lo, hi):
-                    chunk[p - lo, p + 1 :] = self.d[self._base[p] + p + 1 : self._base[p] + n]
-                chunk[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-                chunk.partition(k - 1, axis=1)
-                table[lo:hi] = np.sort(chunk[:, :k], axis=1)
-            table = table[self.pos]  # storage rows to value rows
-            table.flags.writeable = False
+        if self._nearest is not None and self._nearest.shape[1] >= k:
+            return self._nearest[:, :k]
+        table = np.empty((n, k), dtype=np.float64)
+        rows = max(1, _CHUNK_CELLS // n)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            chunk = np.empty((hi - lo, n), dtype=np.float64)
+            # cell (q, p) for every q < hi, right where q < p; the runs overwrite the rest
+            chunk[:, :hi] = self.d[self._base[:hi, None] + np.arange(lo, hi)].T
+            for p in range(lo, hi):
+                chunk[p - lo, p + 1 :] = self.d[self._base[p] + p + 1 : self._base[p] + n]
+            chunk[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            chunk.partition(k - 1, axis=1)
+            table[lo:hi] = np.sort(chunk[:, :k], axis=1)
+        table = table[self.pos]  # storage rows to value rows
+        table.flags.writeable = False
+        if self._nearest is None:
             self._nearest = table
-        return self._nearest[:, :k]
+        return table
 
     def within(self, eps: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(heads, tails) of the pairs i < j with d[i, j] <= eps, as int32, one chunk at a time.
@@ -327,10 +329,17 @@ def _canberra_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     if m == big:
         return best
     best = best.reshape(r, offsets, c).min(axis=1)
-    ratio = m / big
+    # (m * best + (big - m) * (1.0 - m / big * (1.0 - best))) / big, in place:
     # best is in [0, 1], so the rounded terms are at most m and big - m (rounding
     # is monotone) and the cell is in [0, 1]
-    return (m * best + (big - m) * (1.0 - ratio * (1.0 - best))) / big
+    penalty = 1.0 - best
+    penalty *= m / big
+    np.subtract(1.0, penalty, out=penalty)
+    penalty *= big - m
+    best *= m
+    best += penalty
+    best /= big
+    return best
 
 
 def _cpus() -> int:
@@ -388,10 +397,11 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     def fill(share: int) -> None:
         for r0, c0, rows, cols in tasks[share::workers]:
             block = _canberra_block(rows, cols)
-            p = np.arange(r0, r0 + len(rows))[:, None]
-            q = np.arange(c0, c0 + len(cols))
-            upper = q > p  # a diagonal block's cells on and below it are not stored
-            matrix.d[(matrix._base[p] + q)[upper]] = block[upper]
+            # block row a is one slice of storage row r0 + a's run; a diagonal
+            # block's cells on and below the diagonal are not stored
+            for a, base in enumerate(matrix._base[r0 : r0 + len(rows)].tolist()):
+                skip = max(0, r0 + a + 1 - c0)
+                matrix.d[base + c0 + skip : base + c0 + len(cols)] = block[a, skip:]
 
     # the calling thread fills share 0, so one worker starts no thread: a pool
     # thread allocates from its own malloc arena, 3 MB more peak RSS

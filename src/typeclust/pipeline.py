@@ -64,10 +64,14 @@ class PipelineResult:
 
 @contextmanager
 def _stage(name: str):
+    """Time a stage, and name it in the errors it raises about its input or resources.
+
+    Any other exception is a defect and passes through as it is.
+    """
     start = time.perf_counter()
     try:
         yield
-    except Exception as exc:
+    except (AnalysisError, OSError, MemoryError) as exc:
         raise PipelineStageError(name, exc) from exc
     logger.info("stage %s done in %.3f s", name, time.perf_counter() - start)
 

@@ -22,6 +22,10 @@ _TEXTURE = np.full(256, 2, dtype=np.int8)
 _TEXTURE[0x00] = 0
 _TEXTURE[0x20:0x7F] = 1
 
+# payload bytes per piece of the heuristic segmenter: its per-byte arrays
+# are bool, int8 and int16, so a piece's temporaries stay near 0.5 MB
+_PIECE_BYTES = 1 << 16
+
 
 @dataclass(eq=False)
 class Segmentation:
@@ -46,14 +50,39 @@ class Segmentation:
         return len(self.start)
 
 
-def _joined(messages: list[bytes]) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """Joined payloads, and per message its first byte in them and its size."""
+def _joined(messages: list[bytes]) -> tuple[bytes, np.ndarray]:
+    """Joined payloads, and per message its first byte in them."""
     sizes = np.array([len(m) for m in messages], dtype=np.int64)
-    return b"".join(messages), np.cumsum(sizes) - sizes, sizes
+    return b"".join(messages), np.cumsum(sizes) - sizes
+
+
+def _cuts(payload: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Segment starts in ``payload``, whose messages start at ``starts`` (one at 0)."""
+    size = payload.size
+    message_start = np.zeros(size, dtype=bool)
+    message_start[starts] = True
+    into = np.full(size, 3, dtype=np.int8)  # bytes into the message, capped at 3
+    into[2:][message_start[:-2]] = 2
+    into[1:][message_start[:-1]] = 1
+    into[message_start] = 0
+    texture = _TEXTURE[payload]
+
+    change = np.zeros(size, dtype=bool)
+    change[1:] = texture[1:] != texture[:-1]  # a message start is a cut anyway
+    run_of_two = np.zeros(size, dtype=bool)
+    run_of_two[:-1] = (texture[1:] == texture[:-1]) & (into[1:] >= 1)
+    delta = np.zeros(size, dtype=np.int16)  # Delta(i)
+    np.subtract(payload[1:], payload[:-1], dtype=np.int16, out=delta[1:])
+    np.abs(delta, out=delta)
+    rise = np.zeros(size, dtype=np.int16)  # Delta(i) - Delta(i-1)
+    np.subtract(delta[1:], delta[:-1], out=rise[1:])
+    turn = np.zeros(size, dtype=bool)
+    turn[1:] = (rise[1:] > 0) & (rise[:-1] <= 0) & (into[1:] >= 3)
+    return np.flatnonzero(message_start | change & (run_of_two | turn))
 
 
 def segment_heuristic(messages: list[bytes]) -> Segmentation:
-    """Deterministic built-in segmenter, one array pass over the whole trace.
+    """Deterministic built-in segmenter, array passes over pieces of whole messages.
 
     Two rules place a boundary before position i of a message:
       1. the texture class changes at i and the run of the new class starting
@@ -61,28 +90,27 @@ def segment_heuristic(messages: list[bytes]) -> Segmentation:
       2. the first difference of the byte-delta series Delta(i) =
          |payload[i] - payload[i-1]| turns from non-positive to positive at i
          and the texture class changes at i.
-    Message starts mask every comparison that would reach into a neighbour.
+    Message starts mask every comparison that would reach into a neighbour,
+    so the trace is cut in pieces of whole messages, about ``_PIECE_BYTES``
+    each or one longer message, and every per-byte array is piece-sized.
     """
-    data, first, sizes = _joined(messages)
+    data, first = _joined(messages)
     payload = np.frombuffer(data, dtype=np.uint8)
-    owner = np.repeat(np.arange(len(messages)), sizes)
-    local = np.arange(payload.size) - first[owner]  # position inside the message
-    texture = _TEXTURE[payload]
-
-    change = np.zeros(payload.size, dtype=bool)
-    change[1:] = texture[1:] != texture[:-1]  # a message start is a cut anyway
-    run_of_two = np.zeros(payload.size, dtype=bool)
-    run_of_two[:-1] = (texture[1:] == texture[:-1]) & (local[1:] >= 1)
-    delta = np.zeros(payload.size, dtype=np.int16)  # Delta(i)
-    delta[1:] = np.abs(np.diff(payload.astype(np.int16)))
-    rise = np.zeros(payload.size, dtype=np.int16)  # Delta(i) - Delta(i-1)
-    rise[1:] = np.diff(delta)
-    turn = np.zeros(payload.size, dtype=bool)
-    turn[1:] = (rise[1:] > 0) & (rise[:-1] <= 0) & (local[1:] >= 3)
-
-    start = np.flatnonzero((local == 0) | change & (run_of_two | turn))
+    edges = np.append(first, payload.size)  # message starts, and the end
+    pieces = []
+    lo = 0
+    while lo < payload.size:
+        hi = int(edges[np.searchsorted(edges, lo + _PIECE_BYTES, "right") - 1])
+        if hi == lo:  # a message longer than a piece is a piece of its own
+            hi = int(edges[np.searchsorted(edges, lo, "right")])
+        own = edges[np.searchsorted(edges, lo) : np.searchsorted(edges, hi)]
+        pieces.append(lo + _cuts(payload[lo:hi], own - lo))
+        lo = hi
+    start = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
+    del pieces  # before the outputs are made
+    message = np.searchsorted(first, start, "right") - 1  # an empty message owns no byte
     length = np.diff(start, append=payload.size)
-    return Segmentation(HEURISTIC_NAME, data, owner[start], local[start], length, start,
+    return Segmentation(HEURISTIC_NAME, data, message, start - first[message], length, start,
                         np.full(len(start), None))
 
 
@@ -119,6 +147,9 @@ def import_segmentation(
     field_offsets: list[int] = []
     field_lengths: list[int] = []
     field_types: list[str | None] = []
+    # one string per type name: a field's own JSON string would pin the
+    # parsed document's memory after it is dropped
+    types: dict[str | None, str | None] = {}
     covered: set[int] = set()
     for position, entry in enumerate(doc["messages"]):
         if not isinstance(entry, dict):
@@ -183,9 +214,9 @@ def import_segmentation(
             offset += length
         field_messages += [index] * len(lengths)
         field_lengths += lengths
-        field_types += [f.get("type") for f in fields]
+        field_types += [types.setdefault(t, t) for t in (f.get("type") for f in fields)]
 
-    data, first, _ = _joined(messages[:limit])
+    data, first = _joined(messages[:limit])
     owner = np.array(field_messages, dtype=np.int64)
     offsets = np.array(field_offsets, dtype=np.int64)
     start = first[owner] + offsets

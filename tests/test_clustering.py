@@ -324,6 +324,19 @@ class TestDbscanProperties:
         core = _core_points(matrix, epsilon, min_samples)
         assert np.array_equal(core, degree >= min_samples - 1)
 
+    def test_a_wider_core_test_leaves_the_kept_table(self, rng):
+        d = symmetric_random(400, rng)
+        matrix = make_matrix(d)
+        kept = matrix.nearest(6)  # the width a pipeline run builds, round(ln 400)
+        degree = np.count_nonzero(d <= 0.5, axis=1) - 1
+        for min_samples in (400, 200):  # 399 and 199 ranks, each wider than the table
+            core = _core_points(matrix, 0.5, min_samples)
+            assert np.array_equal(core, degree >= min_samples - 1)
+            # a table of 400 x 399 float64 would be twice the store
+            assert matrix._nearest is kept and kept.shape == (400, 6)
+        assert partition_of(dbscan(matrix, 0.5, 400)) == naive_dbscan(d, 0.5, 400)
+        assert matrix._nearest is kept
+
     def test_border_reachable_from_three_clusters(self):
         # three 5-cliques of cores; 15 lies exactly at epsilon from cores
         # 14, 9 and 4, is no core itself, and must join the cluster of core 4

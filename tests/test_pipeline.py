@@ -96,6 +96,18 @@ class TestRun:
             pl.run(pl.PipelineConfig(input=str(path), format="hex"))
         assert err.value.stage == "values"
 
+    @pytest.mark.parametrize("target", ["typeclust.segmentation.segment_heuristic",
+                                        "typeclust.clustering._component_roots"])
+    def test_a_defect_in_a_stage_is_not_wrapped(self, tmp_path, monkeypatch, target):
+        trace, _ = two_type_fixture(tmp_path)
+
+        def defect(*args):
+            raise KeyError("len")
+
+        monkeypatch.setattr(target, defect)
+        with pytest.raises(KeyError, match="len"):
+            pl.run(pl.PipelineConfig(input=str(trace), format="hex"))
+
     def test_coverage_byte_accounting(self, tmp_path):
         trace, truth = coverage_fixture(tmp_path)
         result = pl.run(analyze_config(trace, truth))

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import segmentation_of
+from conftest import segmentation_of, traced_peak
 from oracles import heuristic_boundaries_reference
+from typeclust import segmentation
 from typeclust.errors import AnalysisError, InconsistentGroundTruthError, MissingMessageError
 from typeclust.segmentation import (
     HEURISTIC_NAME,
@@ -185,6 +187,18 @@ class TestImportSegmentation:
         seg = import_segmentation(messages, path)
         assert seg.truth[0] is None
 
+    def test_one_string_per_type_name(self, tmp_path):
+        messages = [bytes([i, 0xA0, 0xB0, 0xC0, 0xD0]) for i in range(30)]
+        names = ["ipv4", "counter", None]
+        fields = [[{"len": 2, "type": names[i % 3]}, {"len": 3, "type": names[(i + 1) % 3]}]
+                  for i in range(30)]
+        path = self.write(tmp_path, {"messages": [
+            {"index": i, "fields": f} for i, f in enumerate(fields)]})
+        truth = import_segmentation(messages, path).truth.tolist()
+        assert sorted(map(str, set(truth))) == ["None", "counter", "ipv4"]
+        # the parsed document's strings are not kept, one per field
+        assert len({id(t) for t in truth}) == len(set(truth))
+
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | st.text(max_size=8),
@@ -261,6 +275,17 @@ class TestHeuristicSegmenter:
         messages = [b"\x00\x00abc\xff\xfe\x01", b"xy\x00\x00\x00z"]
         assert rows(segment_heuristic(messages)) == rows(segment_heuristic(messages))
 
+    def test_temporaries_are_piece_sized(self):
+        rng = np.random.default_rng(7)
+        messages = [rng.integers(0, 256, int(size), dtype=np.uint8).tobytes()
+                    for size in rng.integers(100, 500, size=3400)]
+        assert 1_000_000 < sum(map(len, messages)) < 1_100_000
+        seg, peak = traced_peak(segment_heuristic, messages)
+        outputs = len(seg.data) + sum(
+            a.nbytes for a in (seg.message, seg.offset, seg.length, seg.start, seg.truth))
+        # int64 arrays over every payload byte would take about 28 B a byte
+        assert peak - outputs < 2e6
+
     def test_truth_is_none_for_every_segment(self):
         seg = segment_heuristic([b"\x00\x00abc\xff\xfe\x01", b"xy\x00\x00\x00z"])
         assert seg.truth.dtype == object and seg.truth.shape == (len(seg),)
@@ -320,3 +345,24 @@ def test_array_segmenter_matches_reference_cuts(payloads):
     assert seg.data == b"".join(payloads)
     assert seg.start.tolist() == (np.cumsum(seg.length) - seg.length).tolist()
     assert seg.length.sum() == len(seg.data)
+
+
+# whole messages of every short size, empty ones included, and some longer
+# than the small pieces the segmenter is patched to cut
+_MESSAGES = st.lists(st.lists(_BYTE, max_size=3).map(bytes)
+                     | st.lists(_BYTE, min_size=4, max_size=40).map(bytes), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads=_MESSAGES, piece=st.integers(1, 32))
+def test_pieces_do_not_move_a_cut(payloads, piece):
+    with mock.patch.object(segmentation, "_PIECE_BYTES", piece):
+        seg = segment_heuristic(payloads)
+    for message_id, payload in enumerate(payloads):
+        own = seg.message == message_id
+        expected = [0] + heuristic_boundaries_reference(payload) if payload else []
+        assert seg.offset[own].tolist() == expected
+        assert (seg.start[own] - seg.offset[own] == sum(map(len, payloads[:message_id]))).all()
+    assert seg.start.tolist() == (np.cumsum(seg.length) - seg.length).tolist()
+    assert seg.length.sum() == len(seg.data) == sum(map(len, payloads))
+    assert [a.dtype for a in (seg.message, seg.offset, seg.length, seg.start)] == [np.int64] * 4
