@@ -283,7 +283,7 @@ class TestHeuristicSegmenter:
         seg, peak = traced_peak(segment_heuristic, messages)
         outputs = len(seg.data) + sum(
             a.nbytes for a in (seg.message, seg.offset, seg.length, seg.start, seg.truth))
-        # int64 arrays over every payload byte would take about 28 B a byte
+        # int64 arrays over every payload byte took about 24 B a byte
         assert peak - outputs < 2e6
 
     def test_truth_is_none_for_every_segment(self):
