@@ -60,17 +60,16 @@ def round_ln(n: int) -> int:
     return int(math.floor(math.log(n) + 0.5))
 
 
-def knn_dissimilarities(matrix: DissimilarityMatrix, k: int) -> np.ndarray:
-    """Per value, the k-th smallest dissimilarity to any other value.
+def nearest_table(matrix: DissimilarityMatrix) -> np.ndarray:
+    """The run's k-NN table, round(ln n) ranks wide: every rank its ECDFs and core test read."""
+    return matrix.nearest(round_ln(matrix.n))
 
-    Reads the matrix's nearest-neighbor table, which holds at least the
-    round(ln n) ranks the ECDFs use, so every rank a run needs comes from
-    one partition of the matrix.
-    """
-    n = matrix.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    return matrix.nearest(max(k, round_ln(n)))[:, k - 1].copy()  # round_ln(n) <= n - 1
+
+def knn_dissimilarities(nearest: np.ndarray, k: int) -> np.ndarray:
+    """Per value, the k-th smallest dissimilarity to any other value, from a k-NN table."""
+    if not 1 <= k <= nearest.shape[1]:
+        raise ValueError(f"k must be in [1, {nearest.shape[1]}], got {k}")
+    return nearest[:, k - 1].copy()
 
 
 def ecdf(samples) -> Curve:
@@ -153,29 +152,28 @@ def kneedle(curve: Curve) -> float:
     return float(xs[confirmed[-1]])
 
 
-def _curves(matrix: DissimilarityMatrix) -> list[tuple[int, Curve, Curve]]:
+def _curves(nearest: np.ndarray) -> list[tuple[int, Curve, Curve]]:
     """(k, ECDF, smoothed ECDF) of the k-NN dissimilarities, for k = 2 .. round(ln n)."""
-    n = matrix.n
+    n = len(nearest)
     if n < MIN_ANALYSIS_VALUES:
-        raise EmptyAnalysisError(
-            f"need at least {MIN_ANALYSIS_VALUES} unique segment values, got {n}"
-        )
+        raise EmptyAnalysisError(f"need at least {MIN_ANALYSIS_VALUES} unique segment "
+                                 f"values, got {n}")
     curves = []
     for k in range(2, round_ln(n) + 1):
-        curve = ecdf(knn_dissimilarities(matrix, k))
+        curve = ecdf(knn_dissimilarities(nearest, k))
         curves.append((k, curve, smooth_spline(curve)))
     return curves
 
 
-def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
+def select_epsilon(nearest: np.ndarray) -> AutoConfig:
     """Pick epsilon from the sharpest smoothed k-NN ECDF and min_samples = round(ln n).
 
     The rank k' maximizing the largest single-step increase of the smoothed
     curve is selected (ties toward smaller k); Kneedle runs on that curve.
     Without a confirmed knee, epsilon falls back to the median 2-NN
-    dissimilarity, flagged.
+    dissimilarity, flagged. ``nearest`` is the run's k-NN table.
     """
-    curves = _curves(matrix)
+    curves = _curves(nearest)
     sharpness = [float(np.max(np.diff(smoothed.ys))) for _, _, smoothed in curves]
     best = int(np.argmax(sharpness))  # first occurrence wins: smaller k on ties
     chosen_k, _, chosen_curve = curves[best]
@@ -184,28 +182,29 @@ def select_epsilon(matrix: DissimilarityMatrix) -> AutoConfig:
         knee = kneedle(chosen_curve)
         fallback = False
     except NoKneeError:
-        knee = _median(knn_dissimilarities(matrix, 2))
+        knee = _median(knn_dissimilarities(nearest, 2))
         fallback = True
         logger.warning("no knee confirmed for k=%d; falling back to median 2-NN %.6g", chosen_k, knee)
-    return AutoConfig(chosen_k=chosen_k, epsilon=knee, min_samples=round_ln(matrix.n),
+    return AutoConfig(chosen_k=chosen_k, epsilon=knee, min_samples=round_ln(len(nearest)),
                       fallback=fallback)
 
 
-def retrim_epsilon(matrix: DissimilarityMatrix, previous: AutoConfig, clustering) -> AutoConfig:
+def retrim_epsilon(matrix: DissimilarityMatrix, nearest: np.ndarray, previous: AutoConfig,
+                   clustering) -> AutoConfig:
     """Shrink epsilon when one giant cluster dominates the clustering.
 
     If the largest cluster holds more than 60 % of the non-noise segments
-    (instances, duplicates included), the k'-NN ECDF is rebuilt from the
-    dissimilarities below the previous epsilon and knee detection runs again.
-    Returns ``previous`` unchanged when the condition is not met, or a
-    flagged copy when the trimmed curve is unusable.
+    (instances, duplicates included), the k'-NN ECDF of the run's k-NN table
+    is rebuilt from its dissimilarities below the previous epsilon and knee
+    detection runs again. Returns ``previous`` unchanged when the condition
+    is not met, or a flagged copy when the trimmed curve is unusable.
     """
     sizes = [matrix.values.counts[cluster.members].sum() for cluster in clustering.clusters]
     total = sum(sizes)
     if not sizes or max(sizes) <= RETRIM_SHARE * total:
         return previous
 
-    samples = knn_dissimilarities(matrix, previous.chosen_k)
+    samples = knn_dissimilarities(nearest, previous.chosen_k)
     trimmed = samples[samples < previous.epsilon]
     try:
         if trimmed.size < MIN_ANALYSIS_VALUES:
@@ -218,10 +217,10 @@ def retrim_epsilon(matrix: DissimilarityMatrix, previous: AutoConfig, clustering
                    retrim_count=previous.retrim_count + 1)
 
 
-def ecdf_rows(matrix: DissimilarityMatrix) -> list[tuple[int, float, float, float]]:
+def ecdf_rows(nearest: np.ndarray) -> list[tuple[int, float, float, float]]:
     """(k, x, y_raw, y_smoothed) rows over the smoothed grid, for diagnostics."""
     rows: list[tuple[int, float, float, float]] = []
-    for k, curve, smoothed in _curves(matrix):
+    for k, curve, smoothed in _curves(nearest):
         raw = np.searchsorted(curve.xs, smoothed.xs, side="right") / curve.xs.size
         rows.extend(
             (k, float(x), float(yr), float(ys))

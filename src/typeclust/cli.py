@@ -88,8 +88,8 @@ def _config_from_args(args: argparse.Namespace) -> pl.PipelineConfig:
     )
 
 
-def _run_analyze(args: argparse.Namespace) -> int:
-    result = pl.run(_config_from_args(args))
+def _run_analyze(args: argparse.Namespace, config: pl.PipelineConfig) -> int:
+    result = pl.run(config)
     if args.dump_matrix:
         with writing("matrix CSV", args.dump_matrix):
             write_matrix_csv(result.matrix, args.dump_matrix)
@@ -98,8 +98,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_evaluate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _run_evaluate(args: argparse.Namespace, config: pl.PipelineConfig) -> int:
     metrics = pl.evaluate_report(read_report(args.report), config, args.truth)
     rounded = pl.round_metrics(metrics)
     if args.out_json:
@@ -112,8 +111,8 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_ecdf(args: argparse.Namespace) -> int:
-    n, rows = pl.run_ecdf(_config_from_args(args))
+def _run_ecdf(args: argparse.Namespace, config: pl.PipelineConfig) -> int:
+    n, rows = pl.run_ecdf(config)
     lines = [f"{k},{x:.6g},{y_raw:.6g},{y_smoothed:.6g}\n" for k, x, y_raw, y_smoothed in rows]
     with writing("ECDF CSV", args.out):
         Path(args.out).write_text("k,x,y_raw,y_smoothed\n" + "".join(lines), encoding="ascii")
@@ -135,7 +134,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     handlers = {"analyze": _run_analyze, "evaluate": _run_evaluate, "ecdf": _run_ecdf}
     try:
-        return handlers[args.command](args)
+        config = _config_from_args(args)
+    except ValueError as err:  # a flag the config rejects; a ValueError later is a defect
+        sys.stderr.write(f"error: {err}\n")
+        return EXIT_ERROR
+    try:
+        return handlers[args.command](args, config)
     except PipelineStageError as err:
         sys.stderr.write(f"error in stage {err.stage}: {err.original}\n")
         if isinstance(err.original, EmptyAnalysisError):
@@ -144,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(err.original, (InsufficientMemoryError, MemoryError)):
             return EXIT_OUT_OF_MEMORY
         return EXIT_ERROR
-    except (AnalysisError, OSError, ValueError) as err:
+    except (AnalysisError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_ERROR
 

@@ -87,34 +87,35 @@ def _component_roots(parent: np.ndarray, heads: np.ndarray, tails: np.ndarray) -
         high = parent[high]
 
 
-def _core_points(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> np.ndarray:
+def _core_points(nearest: np.ndarray, epsilon: float, min_samples: int) -> np.ndarray:
     """Per value, whether at least min_samples - 1 other values lie within epsilon of it.
 
-    The zero diagonal counts the value itself toward min_samples. With
-    min_samples above 1 this reads the matrix's nearest-neighbour table,
-    which a pipeline run has already built at least round(ln n) wide.
+    The zero diagonal counts the value itself toward min_samples; the other
+    values are read from rank min_samples - 1 of the k-NN table ``nearest``.
     """
     if min_samples == 1:
-        return np.ones(matrix.n, dtype=bool)
-    return matrix.nearest(min_samples - 1)[:, -1] <= epsilon
+        return np.ones(len(nearest), dtype=bool)
+    return nearest[:, min_samples - 2] <= epsilon
 
 
-def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clustering:
+def dbscan(matrix: DissimilarityMatrix, epsilon: float, min_samples: int,
+           nearest: np.ndarray) -> Clustering:
     """Cluster the matrix values with DBSCAN, holding no list of the pairs within epsilon.
 
-    The core points come from the matrix's nearest-neighbour table
-    (``_core_points``), and ``matrix.within`` yields the pairs within epsilon
-    chunk by chunk. The core-core edges are folded into the components about
-    ``_CHUNK_CELLS`` at a time, and each chunk's border minima into ``reach``,
-    so every array held is of size n or chunk-sized.
+    The core points come from the k-NN table ``nearest`` (``_core_points``),
+    and ``matrix.within`` yields the pairs within epsilon chunk by chunk. The
+    core-core edges are folded into the components about ``_CHUNK_CELLS`` at
+    a time, and each chunk's border minima into ``reach``, so every array
+    held is of size n or chunk-sized.
     """
     n = matrix.n
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 1 <= min_samples <= n:
-        raise ValueError(f"min_samples must be in [1, {n}], got {min_samples}")
+    if not 1 <= min_samples <= nearest.shape[1] + 1:  # a table holds at most n - 1 ranks
+        raise ValueError(f"min_samples must be in [1, {nearest.shape[1] + 1}] for a k-NN "
+                         f"table of {nearest.shape[1]} ranks, got {min_samples}")
 
-    core = _core_points(matrix, epsilon, min_samples)
+    core = _core_points(nearest, epsilon, min_samples)
     outside = ~core
     parent = np.arange(n, dtype=np.int32)
     reach = np.full(n, n, dtype=np.int32)  # per border point, its lowest core within epsilon

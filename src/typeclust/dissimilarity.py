@@ -17,6 +17,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyAnalysisError
 from .memory import require_memory
@@ -62,8 +63,8 @@ class DissimilarityMatrix:
     ``d`` is scipy's ``squareform`` layout, the cells (p, q), p < q, row-major,
     plus a trailing 0.0 that the diagonal reads: storage row p is one run that
     starts at p·n − p(p+1)/2, and (p, q) is ``d[_base[p] + q]``. The readers
-    take and return value indices, and none holds a temporary larger than a
-    few ``_CHUNK_CELLS`` pieces. Only ``nearest`` keeps a result: its first table.
+    take and return value indices, none holds a temporary larger than a few
+    ``_CHUNK_CELLS`` pieces, and none keeps its result.
     """
 
     values: Values
@@ -71,7 +72,6 @@ class DissimilarityMatrix:
     order: np.ndarray
     pos: np.ndarray = field(init=False, repr=False, compare=False)
     _base: np.ndarray = field(init=False, repr=False, compare=False)
-    _nearest: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.pos = np.argsort(self.order)
@@ -154,15 +154,12 @@ class DissimilarityMatrix:
         """The k smallest off-diagonal dissimilarities of every value, ascending.
 
         One partition per chunk of storage rows computes them, each chunk
-        made of its rows' runs and one gather from the rows above. The first
-        table is kept, so a request no wider than it is a read-only slice of
-        it; a wider request gets a table of its own and leaves the kept one.
+        made of its rows' runs and one gather from the rows above, into a new
+        read-only table; ``autoconf.nearest_table`` asks once per run.
         """
         n = self.n
         if not 1 <= k <= n - 1:
             raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-        if self._nearest is not None and self._nearest.shape[1] >= k:
-            return self._nearest[:, :k]
         table = np.empty((n, k), dtype=np.float64)
         rows = max(1, _CHUNK_CELLS // n)
         for lo in range(0, n, rows):
@@ -177,8 +174,6 @@ class DissimilarityMatrix:
             table[lo:hi] = np.sort(chunk[:, :k], axis=1)
         table = table[self.pos]  # storage rows to value rows
         table.flags.writeable = False
-        if self._nearest is None:
-            self._nearest = table
         return table
 
     def within(self, eps: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -223,7 +218,7 @@ def unique_values(segments: Segmentation) -> Values:
     firsts = []
     for length in np.flatnonzero(np.bincount(segments.length)).tolist():
         idx = np.flatnonzero(segments.length == length)
-        rows = payload[segments.start[idx, None] + np.arange(length)]
+        rows = sliding_window_view(payload, length)[segments.start[idx]]
         keys, first, inverse = np.unique(
             rows.view(np.dtype((np.void, length))).ravel(), return_index=True, return_inverse=True
         )
@@ -372,7 +367,7 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     lengths, firsts, sizes = np.unique(values.length[order], return_index=True,
                                        return_counts=True)
     # per length, ascending: the length, its first storage position, its values' bytes
-    groups = [(m, r0, payload[start[order[r0 : r0 + size], None] + np.arange(m)])
+    groups = [(m, r0, sliding_window_view(payload, m)[start[order[r0 : r0 + size]]])
               for m, r0, size in zip(lengths.tolist(), firsts.tolist(), sizes.tolist())]
 
     tasks = []

@@ -139,17 +139,18 @@ def run(config: PipelineConfig) -> PipelineResult:
     with _stage("matrix"):
         matrix = dm.build_matrix(values, threads=config.threads)
     with _stage("autoconf"):
-        auto = ac.select_epsilon(matrix)
+        nearest = ac.nearest_table(matrix)
+        auto = ac.select_epsilon(nearest)
     with _stage("cluster"):
-        result = cl.dbscan(matrix, auto.epsilon, auto.min_samples)
+        result = cl.dbscan(matrix, auto.epsilon, auto.min_samples, nearest)
         for _ in range(ac.MAX_RETRIMS):
-            updated = ac.retrim_epsilon(matrix, auto, result)
+            updated = ac.retrim_epsilon(matrix, nearest, auto, result)
             if updated is auto:
                 break
             auto = updated
             if updated.retrim_failed:
                 break
-            result = cl.dbscan(matrix, auto.epsilon, auto.min_samples)
+            result = cl.dbscan(matrix, auto.epsilon, auto.min_samples, nearest)
     with _stage("refine"):
         if config.refine:
             result = rf.merge_pass(matrix, result)
@@ -170,7 +171,7 @@ def run_ecdf(config: PipelineConfig) -> tuple[int, list[tuple[int, float, float,
     with _stage("matrix"):
         matrix = dm.build_matrix(values, threads=config.threads)
     with _stage("autoconf"):
-        rows = ac.ecdf_rows(matrix)
+        rows = ac.ecdf_rows(ac.nearest_table(matrix))
     return matrix.n, rows
 
 

@@ -72,8 +72,8 @@ def render_table(report: dict) -> str:
         p, r, f = (f"{metrics[key]:.2f}" for key in ("precision", "recall", "f_score"))
     else:
         p = r = f = "-"
-    row = (
-        str(meta.get("protocol", "?")),
+    row = (  # a file name's undecodable bytes are lone surrogates, which UTF-8 cannot encode
+        str(meta.get("protocol", "?")).encode(errors="surrogateescape").decode(errors="replace"),
         str(meta.get("messages", "?")),
         str(meta.get("unique_values", "?")),
         f"{meta['epsilon']:.6g}",

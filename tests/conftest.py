@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import squareform
 
-from typeclust.clustering import Cluster
+from typeclust.clustering import Cluster, Clustering, dbscan
 from typeclust.dissimilarity import DissimilarityMatrix, Values
 from typeclust.segmentation import Segmentation
 
@@ -87,6 +87,11 @@ def make_matrix(distances, member_counts=None) -> DissimilarityMatrix:
     contents = [bytes([i // 256, i % 256]) for i in range(n)]
     return DissimilarityMatrix(values_of(contents, member_counts), condensed(distances),
                                np.arange(n))
+
+
+def dbscan_of(matrix: DissimilarityMatrix, epsilon: float, min_samples: int) -> Clustering:
+    """``dbscan`` given a k-NN table just as wide as ``min_samples`` needs."""
+    return dbscan(matrix, epsilon, min_samples, matrix.nearest(max(1, min_samples - 1)))
 
 
 def pairs_within(matrix: DissimilarityMatrix, eps: float) -> tuple[np.ndarray, np.ndarray]:

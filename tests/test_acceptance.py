@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_matrix, symmetric_random, two_blob_matrix
+from conftest import dbscan_of, make_matrix, symmetric_random, two_blob_matrix
 from fixtures import coverage_fixture, synthetic_protocol_fixture, two_type_fixture
 from oracles import naive_dbscan, pairwise_metrics
 from typeclust import pipeline as pl
-from typeclust.autoconf import Curve, kneedle, select_epsilon
+from typeclust.autoconf import Curve, kneedle, nearest_table, select_epsilon
 from typeclust.cli import main as cli_main
 from typeclust.clustering import Cluster, Clustering, dbscan
 from typeclust.dissimilarity import build_matrix, unique_values
@@ -99,7 +99,7 @@ def test_criterion_2_dbscan_reference_equivalence():
                 (0.6, 4),
                 (0.85, min(8, n)),
             ):
-                result = dbscan(matrix, epsilon, min_samples)
+                result = dbscan_of(matrix, epsilon, min_samples)
                 mine = (
                     {frozenset(c.members) for c in result.clusters},
                     frozenset(result.noise),
@@ -114,7 +114,7 @@ def test_criterion_3_knee_detection():
         assert abs(knee - 0.5) <= 0.05
 
         matrix = make_matrix(two_blob_matrix())
-        config = select_epsilon(matrix)
+        config = select_epsilon(nearest_table(matrix))
         assert 0.05 < config.epsilon < 0.8
 
 
@@ -176,9 +176,10 @@ def test_criterion_6_real_trace_ntp():
         analyzable = filter_analyzable(segmentation)
         values = unique_values(analyzable)
         matrix = build_matrix(values)
-        config = select_epsilon(matrix)
+        nearest = nearest_table(matrix)
+        config = select_epsilon(nearest)
         assert abs(config.epsilon - 0.121) <= 0.03
-        clustering = dbscan(matrix, config.epsilon, config.min_samples)
+        clustering = dbscan(matrix, config.epsilon, config.min_samples, nearest)
         metrics = evaluate_clustering(analyzable, values, clustering)
         assert metrics.precision >= 0.98
         assert metrics.recall >= 0.90

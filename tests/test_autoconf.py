@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import condensed, make_matrix, two_blob_matrix, symmetric_random, values_of
+from conftest import (condensed, dbscan_of, make_matrix, two_blob_matrix, symmetric_random,
+                      values_of)
 from oracles import kneedle_reference
 from typeclust import autoconf
 from typeclust.autoconf import (
@@ -20,12 +21,13 @@ from typeclust.autoconf import (
     ecdf,
     kneedle,
     knn_dissimilarities,
+    nearest_table,
     retrim_epsilon,
     round_ln,
     select_epsilon,
     smooth_spline,
 )
-from typeclust.clustering import Cluster, Clustering, dbscan
+from typeclust.clustering import Cluster, Clustering
 from typeclust.dissimilarity import DissimilarityMatrix
 from typeclust.errors import EmptyAnalysisError, NoKneeError
 
@@ -41,13 +43,13 @@ class TestKnn:
     def test_three_point_example(self):
         # d(0,1)=0.1, d(0,2)=0.2, d(1,2)=0.3 -> per-point minima
         matrix = make_matrix([[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]])
-        assert knn_dissimilarities(matrix, 1).tolist() == [0.1, 0.1, 0.2]
+        assert knn_dissimilarities(matrix.nearest(1), 1).tolist() == [0.1, 0.1, 0.2]
 
     def test_k_max_is_row_maximum(self, rng):
         d = symmetric_random(8, rng)
         matrix = make_matrix(d)
         np.testing.assert_array_equal(
-            knn_dissimilarities(matrix, 7),
+            knn_dissimilarities(matrix.nearest(7), 7),
             np.max(d + np.eye(8) * -1, axis=1),
         )
 
@@ -56,7 +58,7 @@ class TestKnn:
         matrix = make_matrix(d)
         for k in range(1, 10):
             expected = [sorted(d[i][j] for j in range(10) if j != i)[k - 1] for i in range(10)]
-            assert knn_dissimilarities(matrix, k).tolist() == expected
+            assert knn_dissimilarities(matrix.nearest(k), k).tolist() == expected
 
     def test_every_rank_with_ties_matches_row_sort_oracle(self, rng):
         n = 11
@@ -64,11 +66,11 @@ class TestKnn:
         d = np.triu(d, 1)
         d = d + d.T
         oracle = [sorted(d[i][j] for j in range(n) if j != i) for i in range(n)]
-        for order in (range(1, n), range(n - 1, 0, -1)):
-            matrix = make_matrix(d)  # fresh table: narrow first, then wide first
-            for k in order:
-                expected = [row[k - 1] for row in oracle]
-                assert knn_dissimilarities(matrix, k).tolist() == expected
+        matrix = make_matrix(d)
+        for k in range(1, n):
+            expected = [row[k - 1] for row in oracle]
+            for width in (k, n - 1):  # a table just k ranks wide, and the whole rows
+                assert knn_dissimilarities(matrix.nearest(width), k).tolist() == expected
 
     def test_table_chunks_do_not_change_ranks(self, rng, monkeypatch):
         from typeclust import dissimilarity
@@ -78,21 +80,23 @@ class TestKnn:
         monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 20)
         assert np.array_equal(make_matrix(d).nearest(12), whole)
 
-    def test_select_epsilon_partitions_the_matrix_once(self, rng):
+    def test_nearest_table_holds_the_ranks_of_a_run(self):
         matrix = make_matrix(two_blob_matrix(sizes=(20, 20), isolated=10))
-        select_epsilon(matrix)
-        table = matrix.nearest(1).base
+        table = nearest_table(matrix)
         assert table.shape == (matrix.n, round_ln(matrix.n))
+        assert not table.flags.writeable  # every reader of a run shares it
         for k in range(1, round_ln(matrix.n) + 1):
-            knn_dissimilarities(matrix, k)
-            assert matrix.nearest(k).base is table
+            assert np.array_equal(knn_dissimilarities(table, k), matrix.nearest(k)[:, -1])
 
     def test_k_out_of_range(self):
         matrix = make_matrix([[0.0, 0.1], [0.1, 0.0]])
         with pytest.raises(ValueError):
-            knn_dissimilarities(matrix, 0)
+            knn_dissimilarities(matrix.nearest(1), 0)
         with pytest.raises(ValueError):
-            knn_dissimilarities(matrix, 2)
+            knn_dissimilarities(matrix.nearest(1), 2)
+        narrow = make_matrix(symmetric_random(8, np.random.default_rng(0))).nearest(3)
+        with pytest.raises(ValueError, match=r"k must be in \[1, 3\], got 4"):
+            knn_dissimilarities(narrow, 4)  # rank 4 exists, but not in this table
 
 
 class TestEcdf:
@@ -281,34 +285,34 @@ class TestSelectEpsilon:
     def test_minimum_size_enforced(self):
         matrix = make_matrix(np.zeros((4, 4)))
         with pytest.raises(EmptyAnalysisError):
-            select_epsilon(matrix)
+            select_epsilon(nearest_table(matrix))
 
     def test_n8_forces_k2(self, rng):
         d = symmetric_random(8, rng)
-        config = select_epsilon(make_matrix(d))
+        config = select_epsilon(nearest_table(make_matrix(d)))
         assert config.chosen_k == 2  # round(ln 8) = 2 leaves {2} as the only rank
         assert config.min_samples == 2
 
     def test_two_scale_matrix_epsilon_between_scales(self):
         matrix = make_matrix(two_blob_matrix())
-        config = select_epsilon(matrix)
+        config = select_epsilon(nearest_table(matrix))
         assert 0.05 < config.epsilon < 0.8
         assert not config.fallback
-        clustering = dbscan(matrix, config.epsilon, config.min_samples)
+        clustering = dbscan_of(matrix, config.epsilon, config.min_samples)
         assert sorted(len(c.members) for c in clustering.clusters) == [12, 12]
         assert len(clustering.noise) == 6
 
     def test_deterministic(self):
         matrix = make_matrix(two_blob_matrix())
-        first = select_epsilon(matrix)
-        second = select_epsilon(matrix)
+        first = select_epsilon(nearest_table(matrix))
+        second = select_epsilon(nearest_table(matrix))
         assert first == second
 
     def test_fallback_on_uniform_distances(self):
         # all pairwise dissimilarities equal: a flat ECDF, no knee
         d = np.full((10, 10), 0.4)
         np.fill_diagonal(d, 0.0)
-        config = select_epsilon(make_matrix(d))
+        config = select_epsilon(nearest_table(make_matrix(d)))
         assert config.fallback
         assert config.epsilon == pytest.approx(0.4)  # median 2-NN
 
@@ -317,14 +321,14 @@ class TestSelectEpsilon:
         # a flat step curve has no knee, also below Kneedle's 10-point minimum
         d = np.full((n, n), 0.5)
         np.fill_diagonal(d, 0.0)
-        config = select_epsilon(make_matrix(d))
+        config = select_epsilon(nearest_table(make_matrix(d)))
         assert config.fallback
         assert config.epsilon == 0.5
 
     def test_chosen_k_within_ln_bound(self, rng):
         for n in (8, 13, 25, 60):
             d = symmetric_random(n, rng)
-            config = select_epsilon(make_matrix(d))
+            config = select_epsilon(nearest_table(make_matrix(d)))
             assert 2 <= config.chosen_k <= round_ln(n)
             assert config.min_samples == round_ln(n)
 
@@ -368,9 +372,9 @@ class TestRetrim:
     def test_balanced_clustering_unchanged(self):
         d, previous, _ = balanced_case()
         matrix = make_matrix(d)
-        clustering = dbscan(matrix, 0.1, 2)
+        clustering = dbscan_of(matrix, 0.1, 2)
         assert max(len(c.members) for c in clustering.clusters) == 10  # 50 % <= 60 %
-        assert retrim_epsilon(matrix, previous, clustering) is previous
+        assert retrim_epsilon(matrix, nearest_table(matrix), previous, clustering) is previous
 
     def balanced_with_counts(self, counts):
         """The balanced case's matrix and clustering, its first cluster's values
@@ -378,7 +382,7 @@ class TestRetrim:
         cluster's segment count and all clusters' total."""
         d, previous, epsilon = balanced_case()
         matrix = make_matrix(d, member_counts=counts + [1] * 10)
-        clustering = dbscan(matrix, epsilon, previous.min_samples)
+        clustering = dbscan_of(matrix, epsilon, previous.min_samples)
         sizes = [matrix.values.counts[c.members].sum() for c in clustering.clusters]
         assert len(sizes) == 2
         return matrix, previous, clustering, max(sizes), sum(sizes)
@@ -386,29 +390,30 @@ class TestRetrim:
     def test_largest_share_of_exactly_60_percent_does_not_retrim(self):
         matrix, previous, clustering, largest, total = self.balanced_with_counts([2] * 5 + [1] * 5)
         assert (largest, total) == (15, 25) and largest == RETRIM_SHARE * total  # exact in float
-        assert retrim_epsilon(matrix, previous, clustering) is previous
+        assert retrim_epsilon(matrix, nearest_table(matrix), previous, clustering) is previous
 
     def test_largest_share_between_half_and_60_percent_does_not_retrim(self):
         matrix, previous, clustering, largest, total = self.balanced_with_counts([2] * 3 + [1] * 7)
         assert (largest, total) == (13, 23) and 0.5 * total < largest < 0.6 * total
-        assert retrim_epsilon(matrix, previous, clustering) is previous
+        assert retrim_epsilon(matrix, nearest_table(matrix), previous, clustering) is previous
 
     def test_giant_cluster_triggers_smaller_epsilon(self):
         matrix, previous = self._giant_cluster_fixture()
-        clustering = dbscan(matrix, previous.epsilon, previous.min_samples)
+        clustering = dbscan_of(matrix, previous.epsilon, previous.min_samples)
         assert [len(c.members) for c in clustering.clusters] == [28]  # 100 % in one cluster
-        updated = retrim_epsilon(matrix, previous, clustering)
+        updated = retrim_epsilon(matrix, nearest_table(matrix), previous, clustering)
         assert updated.retrimmed and updated.retrim_count == 1
         assert not updated.retrim_failed
         assert updated.epsilon < previous.epsilon
-        reclustered = dbscan(matrix, updated.epsilon, updated.min_samples)
+        reclustered = dbscan_of(matrix, updated.epsilon, updated.min_samples)
         assert max(len(c.members) for c in reclustered.clusters) < 28
 
     def test_tiny_trimmed_sample_keeps_epsilon_flagged(self):
         matrix, previous = self._giant_cluster_fixture()
-        clustering = dbscan(matrix, previous.epsilon, previous.min_samples)
+        clustering = dbscan_of(matrix, previous.epsilon, previous.min_samples)
         low = AutoConfig(chosen_k=2, epsilon=0.01, min_samples=previous.min_samples)
-        updated = retrim_epsilon(matrix, low, clustering)  # clustered at 0.5, trimmed below 0.01
+        # clustered at 0.5, trimmed below 0.01
+        updated = retrim_epsilon(matrix, nearest_table(matrix), low, clustering)
         assert updated.retrim_failed
         assert not updated.retrimmed
         assert updated.epsilon == low.epsilon
@@ -423,19 +428,19 @@ class TestRetrim:
         d = d + d.T
         matrix = make_matrix(d, member_counts=[50, 50, 50, 1, 1, 1, 1, 1])
         previous = AutoConfig(chosen_k=2, epsilon=0.05, min_samples=2)
-        clustering = dbscan(matrix, 0.05, 2)
+        clustering = dbscan_of(matrix, 0.05, 2)
         assert sorted(len(c.members) for c in clustering.clusters) == [3, 5]
         # 150 of 155 instances sit in the 3-value cluster -> retrim is attempted
-        updated = retrim_epsilon(matrix, previous, clustering)
+        updated = retrim_epsilon(matrix, nearest_table(matrix), previous, clustering)
         assert updated is not previous
 
     def test_degenerate_trimmed_curve_flags_failure(self, caplog):
         d, previous, _ = degenerate_case()
         matrix = make_matrix(d)
-        clustering = dbscan(matrix, 0.5, 2)
+        clustering = dbscan_of(matrix, 0.5, 2)
         assert [len(c.members) for c in clustering.clusters] == [10]
         with caplog.at_level(logging.WARNING, logger="typeclust.autoconf"):
-            updated = retrim_epsilon(matrix, previous, clustering)
+            updated = retrim_epsilon(matrix, nearest_table(matrix), previous, clustering)
         assert updated.retrim_failed
         assert updated.epsilon == previous.epsilon
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
@@ -466,8 +471,8 @@ def test_retrim_epsilon_is_invariant_under_relabelling(data, case):
         counts = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="members")
     perm = data.draw(st.permutations(range(n)), label="perm")  # new index i holds value perm[i]
     matrix = make_matrix(d, member_counts=counts)
-    clustering = dbscan(matrix, cluster_epsilon, previous.min_samples)
-    expected = retrim_epsilon(matrix, previous, clustering)
+    clustering = dbscan_of(matrix, cluster_epsilon, previous.min_samples)
+    expected = retrim_epsilon(matrix, nearest_table(matrix), previous, clustering)
     assert expected.retrim_failed == (case in ("tiny-trimmed-sample", "degenerate"))
 
     new_index = np.argsort(perm)
@@ -480,6 +485,6 @@ def test_retrim_epsilon_is_invariant_under_relabelling(data, case):
         [Cluster(sorted(int(new_index[m]) for m in c.members)) for c in clustering.clusters],
         sorted(int(new_index[m]) for m in clustering.noise),
     )
-    result = retrim_epsilon(relabelled, previous, moved)
+    result = retrim_epsilon(relabelled, nearest_table(relabelled), previous, moved)
     assert result == expected
     assert (result is previous) == (expected is previous)

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (condensed, make_matrix, pairs_within, symmetric_random, cluster_of,
-                      traced_peak)
+from conftest import (condensed, dbscan_of, make_matrix, pairs_within, symmetric_random,
+                      cluster_of, traced_peak)
 from oracles import cluster_stats_reference, naive_dbscan
 from typeclust import dissimilarity
+from typeclust.autoconf import nearest_table
 from typeclust.clustering import (ClusterStats, _component_roots, _core_points, cluster_stats,
                                   dbscan)
 from typeclust.dissimilarity import DissimilarityMatrix
@@ -29,26 +30,26 @@ class TestDbscan:
     def test_single_dense_cluster(self):
         d = np.full((5, 5), 0.01)
         np.fill_diagonal(d, 0.0)
-        clustering = dbscan(make_matrix(d), epsilon=0.1, min_samples=2)
+        clustering = dbscan_of(make_matrix(d), epsilon=0.1, min_samples=2)
         assert [c.members for c in clustering.clusters] == [[0, 1, 2, 3, 4]]
         assert clustering.noise == []
 
     def test_all_noise(self):
         d = np.full((5, 5), 0.9)
         np.fill_diagonal(d, 0.0)
-        clustering = dbscan(make_matrix(d), epsilon=0.1, min_samples=2)
+        clustering = dbscan_of(make_matrix(d), epsilon=0.1, min_samples=2)
         assert clustering.clusters == []
         assert clustering.noise == [0, 1, 2, 3, 4]
 
     def test_closed_ball_neighborhood(self):
         # distances exactly at epsilon count as neighbors
         d = np.array([[0.0, 0.1], [0.1, 0.0]])
-        clustering = dbscan(make_matrix(d), epsilon=0.1, min_samples=2)
+        clustering = dbscan_of(make_matrix(d), epsilon=0.1, min_samples=2)
         assert [c.members for c in clustering.clusters] == [[0, 1]]
 
     def test_min_samples_includes_the_point_itself(self):
         d = np.array([[0.0, 0.05], [0.05, 0.0]])
-        clustering = dbscan(make_matrix(d), epsilon=0.1, min_samples=2)
+        clustering = dbscan_of(make_matrix(d), epsilon=0.1, min_samples=2)
         assert len(clustering.clusters) == 1  # each point has itself + 1 neighbor
 
     def test_border_point_attaches_to_lowest_core(self):
@@ -59,7 +60,7 @@ class TestDbscan:
         d[3, 8] = d[8, 3] = 0.09
         d[5, 8] = d[8, 5] = 0.08
         np.fill_diagonal(d, 0.0)
-        clustering = dbscan(make_matrix(d), epsilon=0.1, min_samples=4)
+        clustering = dbscan_of(make_matrix(d), epsilon=0.1, min_samples=4)
         # core 3 < core 5, although 5 is the closer one
         assert [c.members for c in clustering.clusters] == [[0, 1, 2, 3, 8], [4, 5, 6, 7]]
 
@@ -69,7 +70,7 @@ class TestDbscan:
         for a, b in [(2, 3), (0, 5)]:
             d[a, b] = d[b, a] = 0.05
         np.fill_diagonal(d, 0.0)
-        clustering = dbscan(make_matrix(d), epsilon=0.1, min_samples=2)
+        clustering = dbscan_of(make_matrix(d), epsilon=0.1, min_samples=2)
         assert [c.members for c in clustering.clusters] == [[0, 5], [2, 3]]
 
     def test_border_point_below_its_cores_orders_its_cluster(self):
@@ -80,7 +81,7 @@ class TestDbscan:
             d[np.ix_(group, group)] = 0.05
         d[0, 4] = d[4, 0] = 0.05
         np.fill_diagonal(d, 0.0)
-        clustering = dbscan(make_matrix(d), epsilon=0.1, min_samples=3)
+        clustering = dbscan_of(make_matrix(d), epsilon=0.1, min_samples=3)
         assert [c.members for c in clustering.clusters] == [[0, 4, 5, 6], [1, 2, 3]]
 
     def test_matches_naive_reference(self, rng):
@@ -91,7 +92,7 @@ class TestDbscan:
             # min_samples 1 makes every point a core, min_samples n needs a full row
             for epsilon, min_samples in [(0.1, 2), (0.3, 3), (0.5, 4), (0.7, 2), (0.9, 5),
                                          (0.3, 1), (0.7, 1), (0.9, n), (1.0, n)]:
-                mine = partition_of(dbscan(matrix, epsilon, min_samples))
+                mine = partition_of(dbscan_of(matrix, epsilon, min_samples))
                 reference = naive_dbscan(d.tolist(), epsilon, min_samples)
                 assert mine == reference, (trial, epsilon, min_samples)
 
@@ -100,8 +101,8 @@ class TestDbscan:
         perm = rng.permutation(15)
         matrix = make_matrix(d)
         permuted = make_matrix(d[np.ix_(perm, perm)])
-        base_clusters, base_noise = partition_of(dbscan(matrix, 0.4, 3))
-        perm_clusters, perm_noise = partition_of(dbscan(permuted, 0.4, 3))
+        base_clusters, base_noise = partition_of(dbscan_of(matrix, 0.4, 3))
+        perm_clusters, perm_noise = partition_of(dbscan_of(permuted, 0.4, 3))
         # member j of the permuted matrix is original index perm[j]
         mapped = {frozenset(int(perm[m]) for m in c) for c in perm_clusters}
         assert mapped == {frozenset(int(x) for x in c) for c in base_clusters}
@@ -110,15 +111,15 @@ class TestDbscan:
     def test_parameter_validation(self):
         matrix = make_matrix([[0.0, 0.1], [0.1, 0.0]])
         with pytest.raises(ValueError):
-            dbscan(matrix, 0.0, 1)
+            dbscan(matrix, 0.0, 1, matrix.nearest(1))
         with pytest.raises(ValueError):
-            dbscan(matrix, 0.1, 0)
+            dbscan(matrix, 0.1, 0, matrix.nearest(1))
         with pytest.raises(ValueError):
-            dbscan(matrix, 0.1, 3)
+            dbscan(matrix, 0.1, 3, matrix.nearest(1))
 
     def test_partition_property(self, rng):
         d = symmetric_random(25, rng)
-        clustering = dbscan(make_matrix(d), 0.35, 3)
+        clustering = dbscan_of(make_matrix(d), 0.35, 3)
         everything = sorted(
             [m for c in clustering.clusters for m in c.members] + clustering.noise
         )
@@ -128,7 +129,7 @@ class TestDbscan:
         d = symmetric_random(2000, rng, low=0.0, high=1.0)
         matrix = make_matrix(d)
         del d
-        clustering, peak = traced_peak(dbscan, matrix, 0.08, 8)
+        clustering, peak = traced_peak(dbscan, matrix, 0.08, 8, matrix.nearest(7))
         heads, tails = pairs_within(matrix, 0.08)
         pairs = heads.size
         assert 150_000 < pairs < 170_000
@@ -142,7 +143,7 @@ class TestDbscan:
         # take 16 MB, where dbscan holds the scan's chunk, the edges not yet
         # folded and the fold's copies, each of about _CHUNK_CELLS pairs
         matrix = make_matrix(symmetric_random(2000, rng))
-        clustering, peak = traced_peak(dbscan, matrix, 1.0, 8)
+        clustering, peak = traced_peak(dbscan, matrix, 1.0, 8, matrix.nearest(7))
         assert [len(c.members) for c in clustering.clusters] == [2000]
         assert sum(chunk.size for chunk, _ in matrix.within(1.0)) == 1_999_000
         assert peak < 2.5e6
@@ -173,7 +174,7 @@ class TestDbscan:
         assert np.array_equal(roots[roots], roots)  # every node points at its root
         # folding the same edges again changes nothing
         assert np.array_equal(_component_roots(roots.copy(), low, high), roots)
-        clustering = dbscan(matrix, 0.2, 5)
+        clustering = dbscan_of(matrix, 0.2, 5)
         assert len(clustering.clusters) == cliques and clustering.noise == []
         assert sum(len(c.members) for c in clustering.clusters) == len(d)
         # the core edges are two int32 ends, 8 B a pair, and a round gathers
@@ -243,7 +244,7 @@ class TestDbscanProperties:
     @given(chains_and_stars())
     def test_matches_naive_reference_on_chains_and_stars(self, case):
         d, epsilon, min_samples = case
-        assert partition_of(dbscan(make_matrix(d), epsilon, min_samples)) == naive_dbscan(
+        assert partition_of(dbscan_of(make_matrix(d), epsilon, min_samples)) == naive_dbscan(
             d, epsilon, min_samples
         )
 
@@ -251,7 +252,7 @@ class TestDbscanProperties:
     @given(bridged_cliques())
     def test_matches_naive_reference_on_shared_borders(self, case):
         d, epsilon, min_samples = case
-        assert partition_of(dbscan(make_matrix(d), epsilon, min_samples)) == naive_dbscan(
+        assert partition_of(dbscan_of(make_matrix(d), epsilon, min_samples)) == naive_dbscan(
             d, epsilon, min_samples
         )
 
@@ -259,7 +260,7 @@ class TestDbscanProperties:
     @given(tied_matrices())
     def test_matches_naive_reference_on_tied_distances(self, case):
         d, epsilon, min_samples = case
-        assert partition_of(dbscan(make_matrix(d), epsilon, min_samples)) == naive_dbscan(
+        assert partition_of(dbscan_of(make_matrix(d), epsilon, min_samples)) == naive_dbscan(
             d, epsilon, min_samples
         )
 
@@ -269,8 +270,8 @@ class TestDbscanProperties:
         d, epsilon, min_samples = case
         perm = np.array(data.draw(st.permutations(range(len(d))), label="perm"))
         core = np.count_nonzero(d <= epsilon, axis=1) >= min_samples
-        base = dbscan(make_matrix(d), epsilon, min_samples)
-        moved = dbscan(make_matrix(d[np.ix_(perm, perm)]), epsilon, min_samples)
+        base = dbscan_of(make_matrix(d), epsilon, min_samples)
+        moved = dbscan_of(make_matrix(d[np.ix_(perm, perm)]), epsilon, min_samples)
         # member j of the permuted matrix is original index perm[j]
         back = [[int(perm[m]) for m in c.members] for c in moved.clusters]
         assert sorted(int(perm[m]) for m in moved.noise) == base.noise
@@ -290,7 +291,7 @@ class TestDbscanProperties:
     def test_pair_order_does_not_reach_the_result(self, case, seed):
         d, epsilon, min_samples = case
         rng = np.random.default_rng(seed)
-        base = dbscan(make_matrix(d), epsilon, min_samples)
+        base = dbscan_of(make_matrix(d), epsilon, min_samples)
         # 24-cell chunks, and edges folded 24 at a time: many chunks and many folds
         with mock.patch.object(dissimilarity, "_CHUNK_CELLS", 24):
             chunks = list(make_matrix(d).within(epsilon))
@@ -304,7 +305,7 @@ class TestDbscanProperties:
             for name, pieces in fed.items():
                 matrix = make_matrix(d)
                 matrix.within = lambda eps, pieces=pieces: iter(pieces)
-                moved = dbscan(matrix, epsilon, min_samples)
+                moved = dbscan_of(matrix, epsilon, min_samples)
                 assert [c.members for c in moved.clusters] == [c.members for c in base.clusters], name
                 assert moved.noise == base.noise, name
 
@@ -317,25 +318,25 @@ class TestDbscanProperties:
         order = np.array(data.draw(st.permutations(range(n)), label="order"))
         matrix = DissimilarityMatrix(make_matrix(d).values, condensed(d[np.ix_(order, order)]),
                                      order)
-        built = data.draw(st.integers(0, n - 1), label="table width built before, 0 for none")
-        if built:
-            matrix.nearest(built)
+        width = data.draw(st.integers(max(1, min_samples - 1), n - 1), label="table width")
         degree = np.count_nonzero(d <= epsilon, axis=1) - 1  # the zero diagonal is the point
-        core = _core_points(matrix, epsilon, min_samples)
+        core = _core_points(matrix.nearest(width), epsilon, min_samples)
         assert np.array_equal(core, degree >= min_samples - 1)
 
-    def test_a_wider_core_test_leaves_the_kept_table(self, rng):
+    def test_a_wide_core_test_needs_a_table_as_wide(self, rng):
         d = symmetric_random(400, rng)
         matrix = make_matrix(d)
-        kept = matrix.nearest(6)  # the width a pipeline run builds, round(ln 400)
         degree = np.count_nonzero(d <= 0.5, axis=1) - 1
-        for min_samples in (400, 200):  # 399 and 199 ranks, each wider than the table
-            core = _core_points(matrix, 0.5, min_samples)
+        for min_samples in (400, 200):  # 399 and 199 ranks, each wider than a run's table
+            core = _core_points(matrix.nearest(min_samples - 1), 0.5, min_samples)
             assert np.array_equal(core, degree >= min_samples - 1)
-            # a table of 400 x 399 float64 would be twice the store
-            assert matrix._nearest is kept and kept.shape == (400, 6)
-        assert partition_of(dbscan(matrix, 0.5, 400)) == naive_dbscan(d, 0.5, 400)
-        assert matrix._nearest is kept
+        assert partition_of(dbscan(matrix, 0.5, 400, matrix.nearest(399))) == naive_dbscan(
+            d, 0.5, 400)
+        # the run's table holds round(ln 400) = 6 ranks: enough for min_samples 7, not 8
+        assert partition_of(dbscan(matrix, 0.5, 7, nearest_table(matrix))) == naive_dbscan(
+            d, 0.5, 7)
+        with pytest.raises(ValueError, match=r"in \[1, 7\] for a k-NN table of 6 ranks, got 8"):
+            dbscan(matrix, 0.5, 8, nearest_table(matrix))
 
     def test_border_reachable_from_three_clusters(self):
         # three 5-cliques of cores; 15 lies exactly at epsilon from cores
@@ -346,7 +347,7 @@ class TestDbscanProperties:
         for core in (14, 9, 4):
             d[core, 15] = d[15, core] = 0.2
         np.fill_diagonal(d, 0.0)
-        clustering = dbscan(make_matrix(d), epsilon=0.2, min_samples=5)
+        clustering = dbscan_of(make_matrix(d), epsilon=0.2, min_samples=5)
         assert [c.members for c in clustering.clusters] == [
             [0, 1, 2, 3, 4, 15], list(range(5, 10)), list(range(10, 15))
         ]
@@ -355,7 +356,7 @@ class TestDbscanProperties:
     def test_stats_are_left_for_first_use(self):
         d = np.full((4, 4), 0.05)
         np.fill_diagonal(d, 0.0)
-        clustering = dbscan(make_matrix(d), epsilon=0.1, min_samples=2)
+        clustering = dbscan_of(make_matrix(d), epsilon=0.1, min_samples=2)
         assert [c.stats for c in clustering.clusters] == [None]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import gc
 import os
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import squareform
 
 from conftest import (condensed, make_matrix, pairs_within, segmentation_of, symmetric_random,
-                      values_of)
+                      traced_peak, values_of)
 from oracles import canberra_matrix_reference, canberra_reference, unique_values_reference
 from typeclust import dissimilarity
 from typeclust.dissimilarity import (
@@ -28,6 +29,11 @@ from typeclust.dissimilarity import (
     write_matrix_csv,
 )
 from typeclust.errors import EmptyAnalysisError
+from typeclust.segmentation import filter_analyzable, segment_heuristic
+from typeclust.traceio import deduplicate, load_hexlines
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
 
 
 def dense(matrix) -> np.ndarray:
@@ -55,6 +61,15 @@ class TestUniqueValues:
     def test_empty_input_raises(self):
         with pytest.raises(EmptyAnalysisError):
             unique_values(segmentation_of())
+
+    def test_byte_rows_take_no_index_per_byte(self, tmp_path):
+        # the DHCP bench capture of generator seed 8: gathering each length
+        # group's 324,200 bytes through an int64 index per byte peaked at 2.42 MiB
+        trace = gen.write_dhcp_hex(tmp_path, 8, 1200)
+        segments = filter_analyzable(segment_heuristic(deduplicate(load_hexlines(trace.path))))
+        values, peak = traced_peak(unique_values, segments)
+        assert (len(segments), int(segments.length.sum()), len(values)) == (20_101, 324_200, 3_280)
+        assert peak < 1.5 * 2**20  # 1.06 MiB through the window view
 
 
 # sizes 1 to 200, odd and even, with heavy ties from four levels; like the

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
+import io
 import gc
 import json
 import os
@@ -15,7 +17,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_pcap
@@ -27,6 +29,8 @@ from fixtures import (
     two_type_fixture,
 )
 from oracles import pairwise_metrics
+from test_segmentation import FUZZ_PAYLOADS, SEGMENTATION_DOCS
+from test_traceio import hexline_files, pcap_files
 from typeclust import autoconf as ac
 from typeclust import dissimilarity as dm
 from typeclust import memory
@@ -194,9 +198,9 @@ class TestRun:
             scans.append(eps)
             return within(matrix, eps)
 
-        def recording_dbscan(matrix, epsilon, min_samples):
+        def recording_dbscan(matrix, epsilon, min_samples, nearest):
             clustered.append(epsilon)
-            return dbscan(matrix, epsilon, min_samples)
+            return dbscan(matrix, epsilon, min_samples, nearest)
 
         monkeypatch.setattr(dm.DissimilarityMatrix, "within", counting_within)
         monkeypatch.setattr(pl.cl, "dbscan", recording_dbscan)
@@ -205,6 +209,22 @@ class TestRun:
         assert result.autoconfig.retrim_count == 3
         assert len(clustered) == 4 and clustered == sorted(clustered, reverse=True)
         assert scans == clustered
+
+    def test_one_knn_table_per_run(self, tmp_path, monkeypatch):
+        widths, nearest = [], dm.DissimilarityMatrix.nearest
+
+        def counting_nearest(matrix, k):
+            widths.append(k)
+            return nearest(matrix, k)
+
+        monkeypatch.setattr(dm.DissimilarityMatrix, "nearest", counting_nearest)
+        trace, truth = synthetic_protocol_fixture(tmp_path, count=100)
+        config = analyze_config(trace, truth)
+        result = pl.run(config)
+        assert result.autoconfig.retrim_count == 3  # four DBSCANs and three re-trims
+        assert widths == [ac.round_ln(result.matrix.n)]
+        n, _ = pl.run_ecdf(config)
+        assert n == result.matrix.n and widths == [ac.round_ln(n)] * 2
 
     def test_no_pair_list_outlives_the_run(self, tmp_path, monkeypatch):
         scans, chunks, within = [], [], dm.DissimilarityMatrix.within
@@ -233,7 +253,7 @@ class TestRun:
         # a re-trim that keeps finding smaller knees stops after 3 iterations
         calls = []
 
-        def always_retrim(matrix, previous, clustering):
+        def always_retrim(matrix, nearest, previous, clustering):
             calls.append(previous.epsilon)
             return dataclasses.replace(
                 previous,
@@ -253,12 +273,12 @@ class TestRun:
         clustered = []
         original_dbscan = pl.cl.dbscan
 
-        def recording_dbscan(matrix, epsilon, min_samples):
-            result = original_dbscan(matrix, epsilon, min_samples)
+        def recording_dbscan(matrix, epsilon, min_samples, nearest):
+            result = original_dbscan(matrix, epsilon, min_samples, nearest)
             clustered.append((epsilon, result))
             return result
 
-        def retrim_then_fail(matrix, previous, clustering):
+        def retrim_then_fail(matrix, nearest, previous, clustering):
             if previous.retrim_count == 0:
                 return dataclasses.replace(previous, epsilon=previous.epsilon * 0.5,
                                            retrim_count=1)
@@ -422,6 +442,37 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error in stage {stage}: {message}"]
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command, target", [
+        ("analyze", "typeclust.clustering._component_roots"),
+        ("evaluate", "typeclust.evaluation.evaluate_clustering"),
+        ("ecdf", "typeclust.autoconf.ecdf_rows"),
+    ])
+    def test_a_value_error_in_a_stage_is_a_defect(self, tmp_path, monkeypatch, command, target):
+        trace, truth = two_type_fixture(tmp_path)
+        inputs = ["--input", str(trace), "--format", "hex"]
+        report = tmp_path / "report.json"
+        assert self.run_cli("analyze", *inputs, "--out-json", str(report)) == 0
+
+        def defect(*args):
+            raise ValueError("internal defect")
+
+        monkeypatch.setattr(target, defect)
+        argv = {"analyze": ["analyze", *inputs],
+                "evaluate": ["evaluate", "--report", str(report), *inputs, "--truth", str(truth)],
+                "ecdf": ["ecdf", *inputs, "--out", str(tmp_path / "e.csv")]}[command]
+        with pytest.raises(ValueError, match="internal defect"):
+            self.run_cli(*argv)
+
+    def test_table_of_an_input_name_that_is_not_utf8(self, tmp_path, capsys):
+        trace, _ = two_type_fixture(tmp_path)
+        odd = tmp_path / os.fsdecode(b"\xff.hex")  # the byte decodes to a lone surrogate
+        odd.write_bytes(trace.read_bytes())
+        table = tmp_path / "table.txt"
+        assert self.run_cli("analyze", "--input", str(odd), "--format", "hex",
+                            "--out-table", str(table)) == 0
+        assert table.read_text(encoding="utf-8").splitlines()[1].startswith("\ufffd ")
+        assert capsys.readouterr().out == table.read_text(encoding="utf-8")
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = self.run_cli("analyze", "--input", str(tmp_path / "nope.hex"), "--format", "hex")
@@ -977,3 +1028,61 @@ def test_evaluate_rejects_exactly_the_forged_reports(coverage_report, data):
     assert (metrics.tp, metrics.fp, metrics.fn) == pairwise_metrics(members, doc["noise"], labels)
     clustered = sum(len(bytes.fromhex(v)) * true_count[v] for values in members for v in values)
     assert metrics.coverage == clustered / original["metadata"]["total_bytes"]
+
+
+# Well-formed traces carry the payloads the fuzzed segmentation documents
+# name, and random ones for the heuristic segmenter to cut.
+MESSAGES = st.integers(0, 40).flatmap(lambda size: st.lists(
+    st.sampled_from(FUZZ_PAYLOADS) | st.binary(min_size=1, max_size=16),
+    min_size=size, max_size=size))
+
+
+@st.composite
+def cli_inputs(draw) -> tuple[str, str, bytes, object]:
+    """(format, filter, trace file bytes, segmentation document) of one CLI run.
+
+    The trace is a loader fuzz input of ``test_traceio`` or drawn messages as
+    hex lines or UDP:123 datagrams; the document is a fuzzed one or a tiling
+    of the drawn messages, so that some runs reach every stage.
+    """
+    fmt, flt = draw(st.sampled_from([("hex", "raw"), ("pcap", "udp:123")]))
+    messages = list(dict.fromkeys(draw(MESSAGES)))
+    if draw(st.sampled_from(["fuzzed", "drawn", "drawn"])) == "fuzzed":
+        data = draw(hexline_files if fmt == "hex" else pcap_files())
+        flt = draw(st.sampled_from([flt, "raw", "tcp:53"])) if fmt == "pcap" else flt
+    elif fmt == "hex":
+        data = b"".join(m.hex().encode() + b"\n" for m in messages)
+    else:
+        data = build_pcap([("udp", 123, 123, m) for m in messages])
+    if draw(st.booleans()):
+        return fmt, flt, data, draw(SEGMENTATION_DOCS)
+    tilings = []
+    for m in messages:
+        cuts = sorted(draw(st.sets(st.integers(1, len(m) - 1), max_size=3))) if len(m) > 1 else []
+        bounds = [0, *cuts, len(m)]
+        tilings.append({"payload": m.hex(), "fields": [
+            {"len": b - a, "type": draw(st.sampled_from(["x", "y"]))}
+            for a, b in zip(bounds, bounds[1:])]})
+    return fmt, flt, data, {"messages": tilings}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=cli_inputs(), segmenter=st.sampled_from(["heuristic", "import"]),
+       limit=st.none() | st.integers(-1, 45))
+def test_cli_exits_with_a_code_and_no_traceback(tmp_path, case, segmenter, limit):
+    fmt, flt, data, doc = case
+    trace, truth, report = tmp_path / "trace", tmp_path / "truth.json", tmp_path / "report.json"
+    trace.write_bytes(data)
+    truth.write_text(json.dumps(doc))
+    report.unlink(missing_ok=True)
+    inputs = ["--input", str(trace), "--format", fmt, "--filter", flt, "--segmenter", segmenter,
+              *(["--segments", str(truth)] if segmenter == "import" else []),
+              *(["--limit", str(limit)] if limit is not None else [])]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        codes = [main(["analyze", *inputs, "--out-json", str(report)]),
+                 main(["evaluate", "--report", str(report), *inputs, "--truth", str(truth)]),
+                 main(["ecdf", *inputs, "--out", str(tmp_path / "ecdf.csv")])]
+    assert set(codes) <= {0, 1, 2, 3}
+    assert "Traceback" not in stderr.getvalue()

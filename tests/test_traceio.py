@@ -318,6 +318,14 @@ def pcap_files(draw) -> bytes:
     return bytes(out) + draw(st.binary(max_size=20))  # a truncated record, maybe
 
 
+# Hex-lines files: arbitrary bytes, or runs of hex digits, stray characters and line ends.
+hexline_files = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from([b"00", b"ff", b"a", b"#", b" ", b"\n", b"\r", b"\xff", b"zz"]),
+             max_size=30).map(b"".join),
+)
+
+
 class TestLoaderFuzzing:
     @FUZZ
     @given(data=st.one_of(st.binary(max_size=200), pcap_files()),
@@ -332,11 +340,7 @@ class TestLoaderFuzzing:
         assert trace.records and all(trace.records)
 
     @FUZZ
-    @given(data=st.one_of(
-        st.binary(max_size=200),
-        st.lists(st.sampled_from([b"00", b"ff", b"a", b"#", b" ", b"\n", b"\r", b"\xff", b"zz"]),
-                 max_size=30).map(b"".join),
-    ))
+    @given(data=hexline_files)
     def test_hexlines_loader_raises_only_analysis_errors(self, tmp_path, data):
         path = tmp_path / "fuzz.hex"
         path.write_bytes(data)
