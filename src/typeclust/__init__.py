@@ -6,6 +6,16 @@ values, auto-configures DBSCAN from k-NN ECDF knees, clusters, refines,
 and scores the result against ground-truth field types when available.
 """
 
+import os
+import sys
+
+# The one BLAS call, a least-squares fit on an m x 4 design in smooth_spline,
+# gains nothing from threads, and starting an OpenBLAS pool cost each process
+# 65-75 ms of CPU on a 2-vCPU host. The setting must precede numpy's first
+# import; a caller that set the variable, or imported numpy first, keeps its pool.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .autoconf import (
     AutoConfig,
     Curve,
@@ -32,6 +42,7 @@ from .errors import (
     InconsistentGroundTruthError,
     MissingMessageError,
     NoKneeError,
+    OutOfMemoryError,
     PcapFormatError,
     PipelineStageError,
     UnsupportedLinkTypeError,

@@ -10,7 +10,7 @@ from pathlib import Path
 from . import pipeline as pl
 from .dissimilarity import write_matrix_csv
 from .errors import (AnalysisError, EmptyAnalysisError, InsufficientMemoryError,
-                     PipelineStageError)
+                     OutOfMemoryError, PipelineStageError)
 from .report import emit_report, read_report, render_table, to_json, writing
 
 EXIT_OK = 0
@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(err.original, EmptyAnalysisError):
             return EXIT_EMPTY_ANALYSIS
         # the guard's refusal, or an allocation that failed inside the stage
-        if isinstance(err.original, (InsufficientMemoryError, MemoryError)):
+        if isinstance(err.original, (InsufficientMemoryError, OutOfMemoryError)):
             return EXIT_OUT_OF_MEMORY
         return EXIT_ERROR
     except (AnalysisError, OSError) as err:

@@ -383,7 +383,9 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
                                   rows[lo : lo + height], cols[left : left + width]))
 
     workers = min(threads, _cpus())
-    # a block holds its columns by byte position and about ten planes of terms
+    # a block holds its columns by byte position and about ten planes of terms;
+    # a rectangle store's index array, 8 B a cell, fits in that: with two
+    # offsets or more a block has at most _CHUNK_CELLS / 2 cells
     temporaries = max(cols.size + 10 * len(rows) * (cols.shape[1] - rows.shape[1] + 1) * len(cols)
                       for *_, rows, cols in tasks)
     require_memory(n, 8 * (n * (n - 1) // 2 + 1 + workers * temporaries))
@@ -392,9 +394,14 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     def fill(share: int) -> None:
         for r0, c0, rows, cols in tasks[share::workers]:
             block = _canberra_block(rows, cols)
+            bases = matrix._base[r0 : r0 + len(rows)]
+            if rows.shape[1] < cols.shape[1]:
+                # shorter rows lie wholly above the diagonal: one store of the rectangle
+                matrix.d[bases[:, None] + np.arange(c0, c0 + len(cols))] = block
+                continue
             # block row a is one slice of storage row r0 + a's run; a diagonal
             # block's cells on and below the diagonal are not stored
-            for a, base in enumerate(matrix._base[r0 : r0 + len(rows)].tolist()):
+            for a, base in enumerate(bases.tolist()):
                 skip = max(0, r0 + a + 1 - c0)
                 matrix.d[base + c0 + skip : base + c0 + len(cols)] = block[a, skip:]
 

@@ -45,6 +45,13 @@ class InsufficientMemoryError(AnalysisError):
                          f"dissimilarity matrix, {available / 2**20:.1f} MiB available")
 
 
+class OutOfMemoryError(AnalysisError):
+    """An allocation failed inside a pipeline stage."""
+
+    def __init__(self, original: MemoryError):
+        super().__init__(f"ran out of memory: {original}")
+
+
 class NoKneeError(AnalysisError):
     """Knee detection found no confirmed knee in the curve."""
 

@@ -19,7 +19,7 @@ from . import evaluation as ev
 from . import refinement as rf
 from . import segmentation as sg
 from . import traceio as tio
-from .errors import AnalysisError, EmptyAnalysisError, PipelineStageError
+from .errors import AnalysisError, EmptyAnalysisError, OutOfMemoryError, PipelineStageError
 from .report import sig6
 
 logger = logging.getLogger(__name__)
@@ -66,13 +66,16 @@ class PipelineResult:
 def _stage(name: str):
     """Time a stage, and name it in the errors it raises about its input or resources.
 
-    Any other exception is a defect and passes through as it is.
+    A failed allocation becomes an ``OutOfMemoryError``. Any other exception
+    is a defect and passes through as it is.
     """
     start = time.perf_counter()
     try:
         yield
-    except (AnalysisError, OSError, MemoryError) as exc:
+    except (AnalysisError, OSError) as exc:
         raise PipelineStageError(name, exc) from exc
+    except MemoryError as exc:
+        raise PipelineStageError(name, OutOfMemoryError(exc)) from exc
     logger.info("stage %s done in %.3f s", name, time.perf_counter() - start)
 
 

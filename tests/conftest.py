@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import os
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import squareform
 
+import typeclust
 from typeclust.clustering import Cluster, Clustering, dbscan
 from typeclust.dissimilarity import DissimilarityMatrix, Values
 from typeclust.segmentation import Segmentation
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this checkout's typeclust."""
+    src = Path(typeclust.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
 
 
 def build_pcap(

@@ -302,33 +302,40 @@ class TestBuildMatrix:
     def test_multi_chunk_groups_match_oracle_at_any_thread_count(self, rng, monkeypatch):
         # several values per length, so each length group spans many blocks;
         # lengths of 8 and more take the pairwise-sum lanes, and a 130-byte
-        # value gives more window offsets than a block has cells
-        contents = set()
-        while len(contents) < 36:
-            length = int(rng.integers(2, 6))
-            contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
-        for length, count in ((8, 4), (9, 4), (17, 3), (130, 2)):
-            while sum(len(c) == length for c in contents) < count:
+        # value gives more window offsets than a block has cells. The second
+        # input is DHCP's shape: tens of short values and single long ones,
+        # whose blocks against a short group are one column wide and as tall
+        # as the group, each stored as one rectangle
+        for short, longs in ((6, ((8, 4), (9, 4), (17, 3), (130, 2))),
+                             (7, ((17, 1), (18, 1), (20, 1), (202, 1)))):
+            contents = set()
+            while len(contents) < 36:
+                length = int(rng.integers(2, short))
                 contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
-        contents = sorted(contents, key=lambda c: (c[0], len(c)))  # interleave lengths
-        values = values_of(contents)
-        default = dense(build_matrix(values))
-        monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 24)
-        builds = [dense(build_matrix(values, threads=t)) for t in (1, 2, 8)]
-        # three CPUs: eight threads run three uneven shares of the blocks
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        builds.append(dense(build_matrix(values, threads=8)))
-        reference = canberra_matrix_reference(contents)
-        for d in builds:
-            assert np.array_equal(d, builds[0])
-            assert np.array_equal(d, default)
-            assert np.array_equal(d, d.T)
-            assert np.array_equal(d, reference)
-        for i, a in enumerate(contents):
-            for j, b in enumerate(contents):
-                expected = 0.0 if i == j else canberra_reference(a, b)
-                assert builds[0][i, j] == pytest.approx(expected, abs=1e-12)
+            for length, count in longs:
+                while sum(len(c) == length for c in contents) < count:
+                    contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
+            contents = sorted(contents, key=lambda c: (c[0], len(c)))  # interleave lengths
+            values = values_of(contents)
+            with monkeypatch.context() as patch:
+                default = dense(build_matrix(values))
+                builds = [default, dense(build_matrix(values, threads=2))]
+                patch.setattr(dissimilarity, "_CHUNK_CELLS", 24)
+                builds += [dense(build_matrix(values, threads=t)) for t in (1, 2, 8)]
+                # three CPUs: eight threads run three uneven shares of the blocks
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+                patch.setattr(os, "cpu_count", lambda: 3)
+                builds.append(dense(build_matrix(values, threads=8)))
+            reference = canberra_matrix_reference(contents)
+            for d in builds:
+                assert np.array_equal(d, builds[0])
+                assert np.array_equal(d, default)
+                assert np.array_equal(d, d.T)
+                assert np.array_equal(d, reference)
+            for i, a in enumerate(contents):
+                for j, b in enumerate(contents):
+                    expected = 0.0 if i == j else canberra_reference(a, b)
+                    assert builds[0][i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_bytes_in_both_values_count_as_equal(self):
         contents = [b"\x00\x00\x05", b"\x00\x07\x05", b"\x00\x00\x00"]

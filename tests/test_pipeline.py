@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_pcap
+from conftest import build_pcap, child_env
 from fixtures import (
     coverage_fixture,
     hadamard_fixture,
@@ -38,15 +38,8 @@ from typeclust import pipeline as pl
 from typeclust import segmentation as sg
 from typeclust import traceio as tio
 from typeclust.cli import main
-from typeclust.errors import AnalysisError
+from typeclust import AnalysisError, OutOfMemoryError, PipelineStageError
 from typeclust.report import read_report, sig6, to_json
-
-
-def child_env() -> dict[str, str]:
-    """The environment of a child interpreter that imports this checkout's typeclust."""
-    src = Path(pl.__file__).resolve().parents[1]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
 
 
 def analyze_config(trace, truth, **overrides):
@@ -440,8 +433,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"error in stage {stage}: {message}"]
+        assert captured.err.splitlines() == [
+            f"error in stage {stage}: ran out of memory: {message}"]
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_memory_error_in_a_stage_is_named(self, tmp_path, monkeypatch):
+        trace, truth = two_type_fixture(tmp_path)
+        failure = MemoryError("Unable to allocate 8.00 PiB")
+
+        def out_of_memory(*args):
+            raise failure
+
+        monkeypatch.setattr("typeclust.clustering._component_roots", out_of_memory)
+        with pytest.raises(PipelineStageError) as caught:
+            pl.run(analyze_config(trace, truth))
+        assert caught.value.stage == "cluster"
+        assert isinstance(caught.value.original, OutOfMemoryError)
+        assert isinstance(caught.value.original, AnalysisError)
+        assert str(caught.value.original) == "ran out of memory: Unable to allocate 8.00 PiB"
+        assert caught.value.__cause__ is failure
 
     @pytest.mark.parametrize("command, target", [
         ("analyze", "typeclust.clustering._component_roots"),
@@ -784,6 +794,28 @@ class TestCli:
         assert out.stdout.splitlines()[-1] == "[]"
         assert json.loads(report.read_text())["metadata"]["fallback"] is False
         assert len(curves.read_text().splitlines()) == 1 + 3 * 200  # k = 2, 3, 4
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_cli_import_starts_no_blas_thread(self):
+        env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+        probe = ("import os, typeclust.cli\n"
+                 "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split() == ["1", "1"]
+
+    @pytest.mark.parametrize("setting, first, expected", [
+        ("3", "", "3"),  # the caller's own setting
+        (None, "import numpy; ", None),  # numpy came first: the environment is left alone
+    ], ids=["set", "numpy-first"])
+    def test_the_callers_blas_threads_are_kept(self, setting, first, expected):
+        env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        probe = f"{first}import os, typeclust.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == str(expected)
 
     # the medians of cluster_stats, of eps_density in the merge pass and of the 2-NN fallback
     @pytest.mark.parametrize("fixture, segmenter, fallback", [

@@ -32,11 +32,13 @@ import io
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
@@ -92,46 +94,61 @@ def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def commands(name: str) -> tuple[dict[str, list[str]], dict[str, str]]:
+    """Writes capture ``name`` into the working directory and returns its commands.
+
+    The first map gives each command's argv by the output its last argument
+    names; the second, the other outputs a command writes, by the key they
+    are hashed under.
+    """
+    args, truth, outputs = CAPTURES[name](Path(name))
+    report, table = f"{name}/analyze-threads1.json", f"{name}/analyze-threads1.txt"
+    matrix, evaluate = f"{name}/matrix.csv", f"{name}/evaluate.json"
+    analyze = ["analyze", *args, "--threads", "1"]
+    also = {}
+    if "table" in outputs:
+        analyze += ["--out-table", table]
+        also[table] = table
+    if "matrix" in outputs:
+        analyze += ["--dump-matrix", matrix]
+        also[matrix] = matrix
+    argvs = {report: [*analyze, "--out-json", report]}
+    if "threads2" in outputs:
+        output = f"{name}/analyze-threads2.json"
+        argvs[output] = ["analyze", *args, "--threads", "2", "--out-json", output]
+    if "no-refine" in outputs:
+        output = f"{name}/no-refine.json"
+        argvs[output] = ["analyze", *args, "--no-refine", "--out-json", output]
+    if "ecdf" in outputs:
+        output = f"{name}/ecdf.csv"
+        argvs[output] = ["ecdf", *args, "--out", output]
+    if "evaluate" in outputs:
+        argvs[evaluate] = ["evaluate", "--report", report, *args, "--truth", str(truth),
+                           "--out-json", evaluate]
+    return argvs, also
+
+
 def digests() -> dict[str, str]:
     """SHA-256 of every output, by relative path; generates and runs in the working directory."""
     from typeclust import cli
 
-    def sha256(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
-
     found = {}
-    for name, write in CAPTURES.items():
-        args, truth, outputs = write(Path(name))
-        report, table = f"{name}/analyze-threads1.json", f"{name}/analyze-threads1.txt"
-        matrix, evaluate = f"{name}/matrix.csv", f"{name}/evaluate.json"
-        analyze = ["analyze", *args, "--threads", "1"]
-        if "table" in outputs:
-            analyze += ["--out-table", table]
-        if "matrix" in outputs:
-            analyze += ["--dump-matrix", matrix]
-        commands = {report: [*analyze, "--out-json"]}
-        if "threads2" in outputs:
-            commands[f"{name}/analyze-threads2.json"] = ["analyze", *args, "--threads", "2",
-                                                         "--out-json"]
-        if "no-refine" in outputs:
-            commands[f"{name}/no-refine.json"] = ["analyze", *args, "--no-refine", "--out-json"]
-        if "ecdf" in outputs:
-            commands[f"{name}/ecdf.csv"] = ["ecdf", *args, "--out"]
-        if "evaluate" in outputs:
-            commands[evaluate] = ["evaluate", "--report", report, *args, "--truth", str(truth),
-                                  "--out-json"]
-        for output, argv in commands.items():
+    for name in CAPTURES:
+        argvs, also = commands(name)
+        for output, argv in argvs.items():
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
-                code = cli.main([*argv, output])
+                code = cli.main(argv)
             if code != 0:
-                raise RuntimeError(f"typeclust {' '.join(argv)} {output} exited with code {code}")
+                raise RuntimeError(f"typeclust {' '.join(argv)} exited with code {code}")
             found[output] = sha256(Path(output).read_bytes())
-            if output == evaluate:
+            if argv[0] == "evaluate":
                 found[f"{name}/evaluate.stdout"] = sha256(stdout.getvalue().encode("utf-8"))
-        for key, path in (("table", table), ("matrix", matrix)):
-            if key in outputs:
-                found[path] = sha256(Path(path).read_bytes())
+        found.update((key, sha256(Path(path).read_bytes())) for key, path in also.items())
     return found
 
 
@@ -144,6 +161,25 @@ def test_outputs_match_the_manifest(tmp_path, monkeypatch):
     )
     monkeypatch.chdir(tmp_path)
     assert digests() == manifest["digests"]
+
+
+@pytest.mark.parametrize("name", ["ntp-import", "dhcp-heuristic"])
+def test_cli_processes_match_the_manifest(tmp_path, monkeypatch, name):
+    # pytest imported numpy before typeclust, so the in-process digests run on
+    # the caller's BLAS threads; a `python -m typeclust.cli` child takes one
+    from conftest import child_env  # imports typeclust, which --write finds only later
+
+    manifest = json.loads(MANIFEST.read_text(encoding="ascii"))
+    monkeypatch.chdir(tmp_path)
+    argvs, also = commands(name)
+    env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    found = {}
+    for output in (f"{name}/analyze-threads1.json", f"{name}/ecdf.csv"):
+        subprocess.run([sys.executable, "-m", "typeclust.cli", *argvs[output]], env=env,
+                       check=True, capture_output=True)
+        found[output] = sha256(Path(output).read_bytes())
+    found.update((key, sha256(Path(path).read_bytes())) for key, path in also.items())
+    assert found == {key: manifest["digests"][key] for key in found}
 
 
 if __name__ == "__main__":
