@@ -31,6 +31,7 @@ from fixtures import (
 from oracles import pairwise_metrics
 from test_segmentation import FUZZ_PAYLOADS, SEGMENTATION_DOCS
 from test_traceio import hexline_files, pcap_files
+from typeclust import AnalysisError, OutOfMemoryError, PipelineStageError
 from typeclust import autoconf as ac
 from typeclust import dissimilarity as dm
 from typeclust import memory
@@ -38,7 +39,6 @@ from typeclust import pipeline as pl
 from typeclust import segmentation as sg
 from typeclust import traceio as tio
 from typeclust.cli import main
-from typeclust import AnalysisError, OutOfMemoryError, PipelineStageError
 from typeclust.report import read_report, sig6, to_json
 
 

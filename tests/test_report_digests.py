@@ -98,24 +98,23 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def commands(name: str) -> tuple[dict[str, list[str]], dict[str, str]]:
+def commands(name: str) -> tuple[dict[str, list[str]], list[str]]:
     """Writes capture ``name`` into the working directory and returns its commands.
 
-    The first map gives each command's argv by the output its last argument
-    names; the second, the other outputs a command writes, by the key they
-    are hashed under.
+    The map gives each command's argv by the output its last argument names;
+    the list, the other outputs the first command writes.
     """
     args, truth, outputs = CAPTURES[name](Path(name))
     report, table = f"{name}/analyze-threads1.json", f"{name}/analyze-threads1.txt"
     matrix, evaluate = f"{name}/matrix.csv", f"{name}/evaluate.json"
     analyze = ["analyze", *args, "--threads", "1"]
-    also = {}
+    also = []
     if "table" in outputs:
         analyze += ["--out-table", table]
-        also[table] = table
+        also.append(table)
     if "matrix" in outputs:
         analyze += ["--dump-matrix", matrix]
-        also[matrix] = matrix
+        also.append(matrix)
     argvs = {report: [*analyze, "--out-json", report]}
     if "threads2" in outputs:
         output = f"{name}/analyze-threads2.json"
@@ -148,7 +147,7 @@ def digests() -> dict[str, str]:
             found[output] = sha256(Path(output).read_bytes())
             if argv[0] == "evaluate":
                 found[f"{name}/evaluate.stdout"] = sha256(stdout.getvalue().encode("utf-8"))
-        found.update((key, sha256(Path(path).read_bytes())) for key, path in also.items())
+        found.update((path, sha256(Path(path).read_bytes())) for path in also)
     return found
 
 
@@ -178,7 +177,7 @@ def test_cli_processes_match_the_manifest(tmp_path, monkeypatch, name):
         subprocess.run([sys.executable, "-m", "typeclust.cli", *argvs[output]], env=env,
                        check=True, capture_output=True)
         found[output] = sha256(Path(output).read_bytes())
-    found.update((key, sha256(Path(path).read_bytes())) for key, path in also.items())
+    found.update((path, sha256(Path(path).read_bytes())) for path in also)
     assert found == {key: manifest["digests"][key] for key in found}
 
 
