@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
 from . import pipeline as pl
-from .dissimilarity import write_matrix_csv
+from .dissimilarity import _CHUNK_CELLS, write_matrix_csv
 from .errors import (AnalysisError, EmptyAnalysisError, InsufficientMemoryError,
                      OutOfMemoryError, PipelineStageError)
 from .report import emit_report, read_report, render_table, to_json, writing
@@ -17,6 +18,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EMPTY_ANALYSIS = 2
 EXIT_OUT_OF_MEMORY = 3
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
+_MALLOC_ENVIRONMENT = ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
@@ -120,6 +127,34 @@ def _run_ecdf(args: argparse.Namespace, config: pl.PipelineConfig) -> int:
     return EXIT_OK
 
 
+def _fix_malloc_policy() -> None:
+    """Fix glibc's malloc thresholds and arena count, unless the environment chose them.
+
+    glibc raises its mmap threshold to the size of each mapped block it
+    frees and trims the heap above twice that, so which of a chunk loop's
+    temporaries return to the kernel, to be faulted in again on the next
+    chunk, depends on what the run freed before. Fixed at two chunks of
+    float64 (mapping) and eight (trimming), a chunk's temporaries stay in
+    the heap. Setting either threshold stops glibc adjusting both and leaves
+    the other at its low default, so both are set. One arena keeps a build worker's temporaries in the heap the
+    calling thread reuses. A libc without ``mallopt`` is left as it is.
+    """
+    if any(name in os.environ for name in _MALLOC_ENVIRONMENT) or (
+            "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return
+    import ctypes  # here, so importing the CLI does not load it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no process handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    chunk = 8 * _CHUNK_CELLS
+    for param, value in ((_M_ARENA_MAX, 1), (_M_MMAP_THRESHOLD, 2 * chunk),
+                         (_M_TRIM_THRESHOLD, 8 * chunk)):
+        mallopt(param, value)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -138,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:  # a flag the config rejects; a ValueError later is a defect
         sys.stderr.write(f"error: {err}\n")
         return EXIT_ERROR
+    _fix_malloc_policy()
     try:
         return handlers[args.command](args, config)
     except PipelineStageError as err:

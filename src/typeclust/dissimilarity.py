@@ -303,37 +303,105 @@ def _pairwise_sum(term, n: int, start: int = 0) -> np.ndarray:
 
 
 def _canberra_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Dissimilarities of byte rows (r, m) against byte rows (c, big), m <= big.
+    """Dissimilarities of byte rows (r, m) against byte rows (c, m).
 
-    Byte position i gives one plane of r x (offsets * c) terms, column
-    o * c + j pairing rows[:, i] with cols[j, o + i]; the m planes are summed
-    in numpy's pairwise order, so the window sums equal those of a
-    ``.sum(axis=-1)`` over the bytes, bit for bit.
+    Byte position i gives one plane of r x c terms, column j pairing
+    rows[:, i] with cols[j, i]; the m planes are summed in numpy's pairwise
+    order, so the sums equal those of a ``.sum(axis=-1)`` over the bytes,
+    bit for bit.
     """
-    r, m = rows.shape
-    c, big = cols.shape
-    offsets = big - m + 1
+    m = rows.shape[1]
     table = _TERMS.reshape(256, 256)
-    by_position = np.ascontiguousarray(cols.T, dtype=np.intp)  # (big, c)
-
-    def plane(i: int) -> np.ndarray:
-        return table[rows[:, i]].take(by_position[i : i + offsets].reshape(-1), axis=1)
-
-    best = _pairwise_sum(plane, m)
+    by_position = np.ascontiguousarray(cols.T, dtype=np.intp)  # (m, c)
+    best = _pairwise_sum(lambda i: table[rows[:, i]].take(by_position[i], axis=1), m)
     best /= m
-    if m == big:
-        return best
-    best = best.reshape(r, offsets, c).min(axis=1)
+    return best
+
+
+@dataclass(eq=False)
+class _Windows:
+    """The m-byte windows of the values longer than m, for their short rows' cells.
+
+    ``by_position`` (m, w) holds the windows the sums are computed over:
+    the distinct ones, which ``inverse`` maps every window to, or, where
+    folding them saves no work, all of them, and ``inverse`` is None. Every
+    window is listed length by length, ascending, each length offset-major:
+    ``spans`` gives each length's (length, first value, values) with the
+    value positions counted from the first longer value.
+    """
+
+    by_position: np.ndarray
+    inverse: np.ndarray | None
+    spans: list[tuple[int, int, int]]
+    big: np.ndarray  # per longer value: its length, as float64
+
+
+def _fold_pays(m: int, windows: int, distinct: int) -> bool:
+    """Whether a row's sums over the distinct windows, m·U terms and a gather of W,
+    cost less than its m·W terms over every window."""
+    return m * (windows - distinct) > windows
+
+
+def _windows(payload: np.ndarray, starts: np.ndarray, lengths: np.ndarray, m: int) -> _Windows:
+    """The windows of every value at ``starts`` of ``lengths`` > m, in storage order.
+
+    One ``np.unique`` over the windows as opaque records finds the distinct
+    ones, which the sums run over where ``_fold_pays``.
+    """
+    bigs, firsts, sizes = np.unique(lengths, return_index=True, return_counts=True)
+    spans = list(zip(bigs.tolist(), firsts.tolist(), sizes.tolist()))
+    # offset o of value j at index o * size + j of its length's windows
+    at = np.concatenate([(starts[c : c + size] + np.arange(big - m + 1)[:, None]).ravel()
+                         for big, c, size in spans])
+    windows = sliding_window_view(payload, m)[at]
+    del at
+    keys, inverse = np.unique(windows.view(np.dtype((np.void, m))).ravel(), return_inverse=True)
+    if _fold_pays(m, len(windows), len(keys)):
+        windows = keys.view(np.uint8).reshape(len(keys), m)
+    else:
+        inverse = None
+    del keys
+    return _Windows(np.ascontiguousarray(windows.T, dtype=np.intp), inverse, spans,
+                    lengths.astype(np.float64))
+
+
+def _slide(rows: np.ndarray, windows: _Windows) -> np.ndarray:
+    """Dissimilarities of byte rows (h, m) against the longer values, as (h, values).
+
+    The term table is symmetric, so its column x holds every byte's term
+    against x: one column gather and one row gather give byte position i's
+    plane of window-major terms, and the planes are summed in numpy's
+    pairwise order, as in ``_canberra_block``, so each window's sum has the
+    bits of the per-offset sum. A value's cell is the minimum over its
+    windows' mean terms, plus the linear length penalty.
+    """
+    m = rows.shape[1]
+    table = _TERMS.reshape(256, 256)
+    by_position = windows.by_position
+    sums = _pairwise_sum(lambda i: table.take(rows[:, i], axis=1).take(by_position[i], axis=0), m)
+    sums /= m
+    if windows.inverse is not None:
+        sums = sums.take(windows.inverse, axis=0)
+    best = np.empty((len(windows.big), len(rows)))
+    w = 0
+    for big, c, size in windows.spans:
+        offsets = big - m + 1
+        np.minimum.reduce(sums[w : w + offsets * size].reshape(offsets, size, -1), axis=0,
+                          out=best[c : c + size])
+        w += offsets * size
+    del sums
+    # each row's cells contiguous, so the per-value operands run along the rows
+    best = np.ascontiguousarray(best.T)
     # (m * best + (big - m) * (1.0 - m / big * (1.0 - best))) / big, in place:
     # best is in [0, 1], so the rounded terms are at most m and big - m (rounding
     # is monotone) and the cell is in [0, 1]
     penalty = 1.0 - best
-    penalty *= m / big
+    penalty *= m / windows.big
     np.subtract(1.0, penalty, out=penalty)
-    penalty *= big - m
+    penalty *= windows.big - m
     best *= m
     best += penalty
-    best /= big
+    best /= windows.big
     return best
 
 
@@ -347,66 +415,84 @@ def _cpus() -> int:
 def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     """Fill the condensed dissimilarity matrix over unique values, each pair once.
 
-    The values are stored by length, ties in value order, so the cells of each
-    pair of lengths are one tile of the square. The tiles on and above the
-    diagonal are cut into blocks of about ``_CHUNK_CELLS`` cells per byte
-    position, each writing its cells above the diagonal once. A block adds
-    one plane of ``_TERMS`` per byte position in numpy's pairwise order, so
-    each cell has the bits of the broadcast ``.sum`` over its bytes, at any
-    thread count. min(``threads``, CPUs) workers each fill every workers-th
-    block: the calling thread and the pool's. The store and the workers'
-    block temporaries must fit in the memory available.
+    The values are stored by length, ties in value order. The cells of each
+    pair of equal-length groups are one tile of the square, cut into blocks
+    of about ``_CHUNK_CELLS`` cells per byte position, each writing its
+    cells above the diagonal once. A shorter value's cells against every
+    longer value are one slice of its storage row's run: the rows of each
+    short length m are cut into chunks of about ``_CHUNK_CELLS`` row-window
+    pairs, each computing its rows' sums over the m-byte windows of the
+    longer values (``_windows``, which a worker prepares at the length's
+    first chunk it runs and drops at the next length's) and writing each row
+    once. Sums add one
+    plane of ``_TERMS`` per byte position in numpy's pairwise order, so each
+    cell has the bits of the broadcast ``.sum`` over its bytes, at any
+    thread count. min(``threads``, CPUs) workers each run every workers-th
+    block or chunk: the calling thread and the pool's. The store and the
+    workers' temporaries must fit in the memory available.
     """
     n = len(values)
     if n < 2:
         raise EmptyAnalysisError(f"need at least 2 unique segment values, got {n}")
 
     payload = np.frombuffer(b"".join(values.content), dtype=np.uint8)
-    start = np.cumsum(values.length) - values.length
     order = np.argsort(values.length, kind="stable")  # storage position -> value
-    lengths, firsts, sizes = np.unique(values.length[order], return_index=True,
-                                       return_counts=True)
-    # per length, ascending: the length, its first storage position, its values' bytes
-    groups = [(m, r0, sliding_window_view(payload, m)[start[order[r0 : r0 + size]]])
-              for m, r0, size in zip(lengths.tolist(), firsts.tolist(), sizes.tolist())]
+    length = values.length[order]
+    starts = (np.cumsum(values.length) - values.length)[order]  # of each storage position's bytes
+    lengths, firsts, sizes = np.unique(length, return_index=True, return_counts=True)
 
+    # (r0, c0, rows, cols): a block of equal lengths, or, with cols None, a
+    # chunk of rows against every longer value, from storage position c0 on
     tasks = []
-    for g, (m, r0, rows) in enumerate(groups):
-        for big, c0, cols in groups[g:]:
-            offsets = big - m + 1
-            width = max(1, min(len(cols), _CHUNK_CELLS // offsets))
-            height = max(1, _CHUNK_CELLS // (offsets * width))
-            for lo in range(0, len(rows), height):
-                first = lo if m == big else 0  # below the diagonal is not stored
-                for left in range(first, len(cols), width):
-                    tasks.append((r0 + lo, c0 + left,
-                                  rows[lo : lo + height], cols[left : left + width]))
+    temporaries = 0  # the most bytes a task holds
+    for m, r0, size in zip(lengths.tolist(), firsts.tolist(), sizes.tolist()):
+        rows = sliding_window_view(payload, m)[starts[r0 : r0 + size]]
+        # a block holds its columns by byte position and about ten planes of terms
+        width = min(size, _CHUNK_CELLS)
+        height = max(1, _CHUNK_CELLS // width)
+        for lo in range(0, size, height):
+            for left in range(lo, size, width):  # below the diagonal is not stored
+                tasks.append((r0 + lo, r0 + left, rows[lo : lo + height], rows[left : left + width]))
+        temporaries = max(temporaries, 8 * (m * width + 10 * min(height, size) * width))
+        first = r0 + size
+        if first == n:
+            continue
+        windows = int((length[first:] - m + 1).sum())
+        height = max(1, _CHUNK_CELLS // windows)
+        tasks += [(r0 + lo, first, rows[lo : lo + height], None) for lo in range(0, size, height)]
+        # the windows, their gather index, np.unique's sorted copy, order and
+        # inverse, the windows by byte position, and about ten planes of sums
+        # or gathered sums
+        temporaries = max(temporaries, windows * (10 * m + 32) + 80 * windows * height)
 
     workers = min(threads, _cpus())
-    # a block holds its columns by byte position and about ten planes of terms;
-    # a rectangle store's index array, 8 B a cell, fits in that: with two
-    # offsets or more a block has at most _CHUNK_CELLS / 2 cells
-    temporaries = max(cols.size + 10 * len(rows) * (cols.shape[1] - rows.shape[1] + 1) * len(cols)
-                      for *_, rows, cols in tasks)
-    require_memory(n, 8 * (n * (n - 1) // 2 + 1 + workers * temporaries))
+    require_memory(n, 8 * (n * (n - 1) // 2 + 1) + workers * temporaries)
     matrix = DissimilarityMatrix(values, np.zeros(n * (n - 1) // 2 + 1), order)
 
     def fill(share: int) -> None:
+        windows, windows_from = None, None  # this worker's windows, of the values from c0 on
         for r0, c0, rows, cols in tasks[share::workers]:
-            block = _canberra_block(rows, cols)
-            bases = matrix._base[r0 : r0 + len(rows)]
-            if rows.shape[1] < cols.shape[1]:
-                # shorter rows lie wholly above the diagonal: one store of the rectangle
-                matrix.d[bases[:, None] + np.arange(c0, c0 + len(cols))] = block
+            bases = matrix._base[r0 : r0 + len(rows)].tolist()
+            if cols is None:
+                # a length's windows are prepared when this worker reaches its
+                # first chunk, and the previous length's are dropped first; a
+                # short row's cells against every longer value are one slice of its run
+                if windows_from != c0:
+                    windows = None
+                    windows, windows_from = _windows(payload, starts[c0:], length[c0:],
+                                                     rows.shape[1]), c0
+                best = _slide(rows, windows)
+                for a, base in enumerate(bases):
+                    matrix.d[base + c0 : base + n] = best[a]
                 continue
+            block = _canberra_block(rows, cols)
             # block row a is one slice of storage row r0 + a's run; a diagonal
             # block's cells on and below the diagonal are not stored
-            for a, base in enumerate(bases.tolist()):
+            for a, base in enumerate(bases):
                 skip = max(0, r0 + a + 1 - c0)
                 matrix.d[base + c0 + skip : base + c0 + len(cols)] = block[a, skip:]
 
-    # the calling thread fills share 0, so one worker starts no thread: a pool
-    # thread allocates from its own malloc arena, 3 MB more peak RSS
+    # the calling thread fills share 0, so one worker starts no thread
     with ThreadPoolExecutor(max_workers=workers) as pool:
         rest = pool.map(fill, range(1, workers))
         fill(0)

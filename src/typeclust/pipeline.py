@@ -64,19 +64,34 @@ class PipelineResult:
 
 @contextmanager
 def _stage(name: str):
-    """Time a stage, and name it in the errors it raises about its input or resources.
+    """Time a stage, count its page faults, and name it in the errors it raises
+    about its input or resources.
 
     A failed allocation becomes an ``OutOfMemoryError``. Any other exception
     is a defect and passes through as it is.
     """
-    start = time.perf_counter()
+    start, faults = time.perf_counter(), _minor_faults()
     try:
         yield
     except (AnalysisError, OSError) as exc:
         raise PipelineStageError(name, exc) from exc
     except MemoryError as exc:
         raise PipelineStageError(name, OutOfMemoryError(exc)) from exc
-    logger.info("stage %s done in %.3f s", name, time.perf_counter() - start)
+    elapsed = time.perf_counter() - start
+    if faults is None:
+        logger.info("stage %s done in %.3f s", name, elapsed)
+    else:
+        logger.info("stage %s done in %.3f s, %d page faults", name, elapsed,
+                    _minor_faults() - faults)
+
+
+def _minor_faults() -> int | None:
+    """The process's minor page faults so far, or None without the ``resource`` module."""
+    try:
+        import resource  # here, so importing the CLI does not load it
+    except ImportError:  # not on Windows
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def prepare_messages(config: PipelineConfig) -> tuple[tio.RawTrace, list[bytes]]:

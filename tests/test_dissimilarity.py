@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import squareform
 
@@ -23,6 +23,7 @@ from oracles import canberra_matrix_reference, canberra_reference, unique_values
 from typeclust import dissimilarity
 from typeclust.dissimilarity import (
     DissimilarityMatrix,
+    _fold_pays,
     _median,
     build_matrix,
     unique_values,
@@ -304,17 +305,25 @@ class TestBuildMatrix:
         # lengths of 8 and more take the pairwise-sum lanes, and a 130-byte
         # value gives more window offsets than a block has cells. The second
         # input is DHCP's shape: tens of short values and single long ones,
-        # whose blocks against a short group are one column wide and as tall
-        # as the group, each stored as one rectangle
-        for short, longs in ((6, ((8, 4), (9, 4), (17, 3), (130, 2))),
-                             (7, ((17, 1), (18, 1), (20, 1), (202, 1)))):
+        # each short row's cells against them one slice of its run. The third
+        # and fourth draw their bytes from 2 and 4 symbols, so the windows of
+        # the longer values repeat and the sums run over the distinct ones;
+        # random bytes repeat too rarely for that to pay
+        for short, longs, symbols in ((6, ((8, 4), (9, 4), (17, 3), (130, 2)), None),
+                                      (7, ((17, 1), (18, 1), (20, 1), (202, 1)), None),
+                                      (6, ((8, 4), (9, 4), (17, 3), (130, 2)), [0, 200]),
+                                      (7, ((17, 1), (18, 1), (20, 1), (202, 1)), [0, 1, 9, 255])):
+            def draw(length):
+                if symbols is None:
+                    return bytes(rng.integers(0, 256, size=length).tolist())
+                return bytes(rng.choice(symbols, size=length).tolist())
+
             contents = set()
             while len(contents) < 36:
-                length = int(rng.integers(2, short))
-                contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
+                contents.add(draw(int(rng.integers(2, short))))
             for length, count in longs:
                 while sum(len(c) == length for c in contents) < count:
-                    contents.add(bytes(rng.integers(0, 256, size=length).tolist()))
+                    contents.add(draw(length))
             contents = sorted(contents, key=lambda c: (c[0], len(c)))  # interleave lengths
             values = values_of(contents)
             with monkeypatch.context() as patch:
@@ -326,12 +335,11 @@ class TestBuildMatrix:
                 patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
                 patch.setattr(os, "cpu_count", lambda: 3)
                 builds.append(dense(build_matrix(values, threads=8)))
-            reference = canberra_matrix_reference(contents)
+            reference = canberra_matrix_reference(contents).view(np.uint64)
             for d in builds:
-                assert np.array_equal(d, builds[0])
-                assert np.array_equal(d, default)
+                assert np.array_equal(d.view(np.uint64), default.view(np.uint64))
                 assert np.array_equal(d, d.T)
-                assert np.array_equal(d, reference)
+                assert np.array_equal(d.view(np.uint64), reference)
             for i, a in enumerate(contents):
                 for j, b in enumerate(contents):
                     expected = 0.0 if i == j else canberra_reference(a, b)
@@ -522,18 +530,45 @@ _value = st.one_of(
 )
 
 
+@st.composite
+def _contents(draw):
+    """Distinct values of the kinds above, or over an alphabet of 2 to 4 bytes, so
+    that the windows of the longer values repeat, or of random bytes."""
+    kind = draw(st.sampled_from(["mixed", "alphabet", "random"]), label="kind")
+    if kind == "mixed":
+        value = _value
+    else:
+        alphabet = (draw(st.sets(st.integers(0, 255), min_size=2, max_size=4), label="alphabet")
+                    if kind == "alphabet" else range(256))
+        value = st.lists(st.sampled_from(sorted(alphabet)), min_size=2, max_size=40).map(bytes)
+    return draw(st.lists(value, min_size=2, max_size=14, unique=True), label="contents")
+
+
 @settings(max_examples=80, deadline=None)
-@given(contents=st.lists(_value, min_size=2, max_size=14, unique=True),
-       chunk=st.sampled_from([24, dissimilarity._CHUNK_CELLS]))
+@given(contents=_contents(), chunk=st.sampled_from([24, dissimilarity._CHUNK_CELLS]))
 def test_build_matrix_properties(contents, chunk):
     values = values_of(contents)
-    with mock.patch.object(dissimilarity, "_CHUNK_CELLS", chunk):
-        d = dense(build_matrix(values, threads=1))
-        assert np.array_equal(dense(build_matrix(values, threads=2)), d)
+    reference = canberra_matrix_reference(contents)
+    taken = set()  # the sides of the fold rule that the builds took
+
+    def rule(m, windows, distinct):
+        folds = _fold_pays(m, windows, distinct)
+        taken.add(folds)
+        return folds
+
+    # the rule, then each side of it alone
+    for fold_pays in (rule, lambda *_: True, lambda *_: False):
+        with mock.patch.object(dissimilarity, "_CHUNK_CELLS", chunk), \
+                mock.patch.object(dissimilarity, "_fold_pays", fold_pays):
+            d = dense(build_matrix(values, threads=1))
+            assert np.array_equal(dense(build_matrix(values, threads=2)).view(np.uint64),
+                                  d.view(np.uint64))
+        assert np.array_equal(d.view(np.uint64), reference.view(np.uint64))
+    for folds in taken:  # hypothesis takes events from the test's own thread only
+        event("the rule folds the windows" if folds else "the rule takes every window")
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.all((d >= 0.0) & (d <= 1.0))
-    assert np.array_equal(d, canberra_matrix_reference(contents))
     for i, a in enumerate(contents):
         for j, b in enumerate(contents):
             if i != j:

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import values_of
+from conftest import traced_peak, values_of
 from typeclust import memory
 from typeclust.dissimilarity import build_matrix
 from typeclust.errors import AnalysisError, InsufficientMemoryError
@@ -100,3 +101,19 @@ class TestGuard:
         n = 300
         build_matrix(values_of([bytes([i // 256, i % 256, 7]) for i in range(n)]))
         assert asked and asked[-1] >= 8 * (n * (n - 1) // 2 + 1)
+
+    @pytest.mark.parametrize("symbols", [2, 256], ids=["distinct-windows", "every-window"])
+    def test_the_estimate_covers_the_window_temporaries(self, monkeypatch, symbols):
+        # the 2-byte windows of four 3,000-byte values, about 12 k, outweigh a
+        # store of 44 values: what the build allocates, the windows and their
+        # sums included, stays within the estimate
+        asked = []
+        monkeypatch.setattr("typeclust.dissimilarity.require_memory",
+                            lambda n, needed: asked.append(needed))
+        rng = np.random.default_rng(7)
+        contents = [bytes([i, 255 - i]) for i in range(40)]
+        contents += [bytes(rng.integers(0, symbols, size=3000).tolist()) for _ in range(4)]
+        _, peak = traced_peak(build_matrix, values_of(contents))
+        n = len(contents)
+        assert peak > 10 * 8 * (n * (n - 1) // 2 + 1)
+        assert asked and asked[-1] >= peak

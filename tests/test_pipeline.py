@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import ctypes
 import dataclasses
 import io
 import gc
 import json
+import logging
 import os
 import re
 import subprocess
 import sys
+import types
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -817,6 +820,60 @@ class TestCli:
                              text=True, check=True)
         assert out.stdout.strip() == str(expected)
 
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """A fake C library whose ``mallopt`` records its calls, in a clean environment."""
+        def mallopt(param, value):
+            fake.calls.append((param, value))
+            return 1
+
+        fake = types.SimpleNamespace(mallopt=mallopt, calls=[])
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: fake)
+        for name in ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+                     "GLIBC_TUNABLES"):
+            monkeypatch.delenv(name, raising=False)
+        return fake
+
+    def analyze(self, tmp_path):
+        trace, truth = two_type_fixture(tmp_path)
+        report = tmp_path / "report.json"
+        assert self.run_cli("analyze", "--input", str(trace), "--format", "hex", "--segmenter",
+                            "import", "--segments", str(truth), "--out-json", str(report)) == 0
+        return json.loads(report.read_text())
+
+    def test_the_cli_fixes_the_malloc_policy(self, tmp_path, libc):
+        self.analyze(tmp_path)
+        # one arena, mapping from two float64 chunks up and trimming above eight
+        assert libc.calls == [(-8, 1), (-3, 16 * dm._CHUNK_CELLS), (-1, 64 * dm._CHUNK_CELLS)]
+        assert 16 * dm._CHUNK_CELLS == 1 << 20
+
+    @pytest.mark.parametrize("name, value", [
+        ("MALLOC_ARENA_MAX", "4"),
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("GLIBC_TUNABLES", "glibc.rtld.nns=2:glibc.malloc.trim_threshold=131072"),
+    ])
+    def test_an_environment_that_sets_malloc_keeps_it(self, tmp_path, monkeypatch, libc,
+                                                       name, value):
+        monkeypatch.setenv(name, value)
+        self.analyze(tmp_path)
+        assert libc.calls == []
+
+    def test_tunables_of_other_namespaces_leave_the_policy_to_the_cli(self, tmp_path,
+                                                                       monkeypatch, libc):
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.nns=2")
+        self.analyze(tmp_path)
+        assert len(libc.calls) == 3
+
+    def test_a_libc_without_mallopt_still_runs_the_command(self, tmp_path, monkeypatch, libc):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert self.analyze(tmp_path)["metrics"]["precision"] == 1.0
+
+    def test_library_callers_keep_their_allocator(self, tmp_path, libc):
+        trace, truth = two_type_fixture(tmp_path)
+        pl.run(analyze_config(trace, truth))
+        assert libc.calls == []
+
     # the medians of cluster_stats, of eps_density in the merge pass and of the 2-NN fallback
     @pytest.mark.parametrize("fixture, segmenter, fallback", [
         (lambda directory: synthetic_protocol_fixture(directory, count=60), "heuristic", False),
@@ -850,9 +907,16 @@ class TestCli:
                              capture_output=True, text=True, check=True)
         stages = ["load", "segment", "values", "matrix", "autoconf", "cluster", "refine",
                   "evaluate", "report"]
-        logged = [re.sub(r"in \d+\.\d{3} s$", "in T s", line) for line in out.stderr.splitlines()]
-        assert logged == ([f"INFO typeclust.pipeline: stage {stage} done in T s"
+        logged = [re.sub(r"in \d+\.\d{3} s, \d+ page faults$", "in T s, F page faults", line)
+                  for line in out.stderr.splitlines()]
+        assert logged == ([f"INFO typeclust.pipeline: stage {stage} done in T s, F page faults"
                            for stage in stages] if verbose else [])
+
+    def test_without_resource_the_stage_line_has_no_fault_count(self, monkeypatch, caplog):
+        monkeypatch.setitem(sys.modules, "resource", None)  # import resource then fails
+        with caplog.at_level(logging.INFO, logger="typeclust.pipeline"), pl._stage("matrix"):
+            pass
+        assert re.fullmatch(r"stage matrix done in \d+\.\d{3} s", caplog.messages[-1])
 
     def test_dump_matrix(self, tmp_path):
         trace, truth = two_type_fixture(tmp_path)
