@@ -424,10 +424,9 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     pairs, each computing its rows' sums over the m-byte windows of the
     longer values (``_windows``, which a worker prepares at the length's
     first chunk it runs and drops at the next length's) and writing each row
-    once. Sums add one
-    plane of ``_TERMS`` per byte position in numpy's pairwise order, so each
-    cell has the bits of the broadcast ``.sum`` over its bytes, at any
-    thread count. min(``threads``, CPUs) workers each run every workers-th
+    once. Sums add one plane of ``_TERMS`` per byte position in numpy's
+    pairwise order, so each cell has the bits of the broadcast ``.sum`` over
+    its bytes, at any thread count. min(``threads``, CPUs) workers each run every workers-th
     block or chunk: the calling thread and the pool's. The store and the
     workers' temporaries must fit in the memory available.
     """
@@ -437,8 +436,8 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
 
     payload = np.frombuffer(b"".join(values.content), dtype=np.uint8)
     order = np.argsort(values.length, kind="stable")  # storage position -> value
-    length = values.length[order]
-    starts = (np.cumsum(values.length) - values.length)[order]  # of each storage position's bytes
+    length = values.length[order]  # per storage position, as are the starts of its bytes
+    starts = (np.cumsum(values.length) - values.length)[order]
     lengths, firsts, sizes = np.unique(length, return_index=True, return_counts=True)
 
     # (r0, c0, rows, cols): a block of equal lengths, or, with cols None, a
