@@ -173,7 +173,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:  # a flag the config rejects; a ValueError later is a defect
         sys.stderr.write(f"error: {err}\n")
         return EXIT_ERROR
-    _fix_malloc_policy()
     try:
         return handlers[args.command](args, config)
     except PipelineStageError as err:
@@ -189,5 +188,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
+def entry(argv: list[str] | None = None) -> int:
+    """The process entry point: ``main`` under the command line's malloc policy.
+
+    ``main`` itself leaves the allocator alone, so a caller that runs
+    commands in its own process keeps its policy.
+    """
+    _fix_malloc_policy()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

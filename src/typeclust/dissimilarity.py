@@ -320,33 +320,26 @@ def _canberra_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Windows:
-    """The m-byte windows of the values longer than m, for their short rows' cells.
+    """The distinct m-byte windows of the values longer than m, for their short rows' cells.
 
-    ``by_position`` (m, w) holds the windows the sums are computed over:
-    the distinct ones, which ``inverse`` maps every window to, or, where
-    folding them saves no work, all of them, and ``inverse`` is None. Every
-    window is listed length by length, ascending, each length offset-major:
-    ``spans`` gives each length's (length, first value, values) with the
-    value positions counted from the first longer value.
+    ``by_position`` (m, u) holds the distinct windows the sums are computed
+    over, and ``inverse`` maps every window to one of them. Every window is
+    listed length by length, ascending, each length offset-major: ``spans``
+    gives each length's (length, first value, values) with the value
+    positions counted from the first longer value.
     """
 
     by_position: np.ndarray
-    inverse: np.ndarray | None
+    inverse: np.ndarray
     spans: list[tuple[int, int, int]]
     big: np.ndarray  # per longer value: its length, as float64
-
-
-def _fold_pays(m: int, windows: int, distinct: int) -> bool:
-    """Whether a row's sums over the distinct windows, m·U terms and a gather of W,
-    cost less than its m·W terms over every window."""
-    return m * (windows - distinct) > windows
 
 
 def _windows(payload: np.ndarray, starts: np.ndarray, lengths: np.ndarray, m: int) -> _Windows:
     """The windows of every value at ``starts`` of ``lengths`` > m, in storage order.
 
     One ``np.unique`` over the windows as opaque records finds the distinct
-    ones, which the sums run over where ``_fold_pays``.
+    ones, which the sums run over.
     """
     bigs, firsts, sizes = np.unique(lengths, return_index=True, return_counts=True)
     spans = list(zip(bigs.tolist(), firsts.tolist(), sizes.tolist()))
@@ -356,12 +349,9 @@ def _windows(payload: np.ndarray, starts: np.ndarray, lengths: np.ndarray, m: in
     windows = sliding_window_view(payload, m)[at]
     del at
     keys, inverse = np.unique(windows.view(np.dtype((np.void, m))).ravel(), return_inverse=True)
-    if _fold_pays(m, len(windows), len(keys)):
-        windows = keys.view(np.uint8).reshape(len(keys), m)
-    else:
-        inverse = None
-    del keys
-    return _Windows(np.ascontiguousarray(windows.T, dtype=np.intp), inverse, spans,
+    del windows
+    distinct = keys.view(np.uint8).reshape(len(keys), m)
+    return _Windows(np.ascontiguousarray(distinct.T, dtype=np.intp), inverse, spans,
                     lengths.astype(np.float64))
 
 
@@ -380,8 +370,7 @@ def _slide(rows: np.ndarray, windows: _Windows) -> np.ndarray:
     by_position = windows.by_position
     sums = _pairwise_sum(lambda i: table.take(rows[:, i], axis=1).take(by_position[i], axis=0), m)
     sums /= m
-    if windows.inverse is not None:
-        sums = sums.take(windows.inverse, axis=0)
+    sums = sums.take(windows.inverse, axis=0)
     best = np.empty((len(windows.big), len(rows)))
     w = 0
     for big, c, size in windows.spans:
@@ -421,10 +410,10 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     cells above the diagonal once. A shorter value's cells against every
     longer value are one slice of its storage row's run: the rows of each
     short length m are cut into chunks of about ``_CHUNK_CELLS`` row-window
-    pairs, each computing its rows' sums over the m-byte windows of the
-    longer values (``_windows``, which a worker prepares at the length's
-    first chunk it runs and drops at the next length's) and writing each row
-    once. Sums add one plane of ``_TERMS`` per byte position in numpy's
+    pairs, each computing its rows' sums over the distinct m-byte windows
+    of the longer values (``_windows``, which a worker prepares at the
+    length's first chunk it runs and drops when it moves to another length)
+    and writing each row once. Sums add one plane of ``_TERMS`` per byte position in numpy's
     pairwise order, so each cell has the bits of the broadcast ``.sum`` over
     its bytes, at any thread count. min(``threads``, CPUs) workers each run every workers-th
     block or chunk: the calling thread and the pool's. The store and the
@@ -484,6 +473,7 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
                 for a, base in enumerate(bases):
                     matrix.d[base + c0 : base + n] = best[a]
                 continue
+            windows = windows_from = None  # a block of a longer length: they are done with
             block = _canberra_block(rows, cols)
             # block row a is one slice of storage row r0 + a's run; a diagonal
             # block's cells on and below the diagonal are not stored

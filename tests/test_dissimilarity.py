@@ -8,12 +8,13 @@ import os
 import sys
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import squareform
 
@@ -23,7 +24,6 @@ from oracles import canberra_matrix_reference, canberra_reference, unique_values
 from typeclust import dissimilarity
 from typeclust.dissimilarity import (
     DissimilarityMatrix,
-    _fold_pays,
     _median,
     build_matrix,
     unique_values,
@@ -260,6 +260,34 @@ class TestBuildMatrix:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_worker_drops_its_windows_before_a_longer_lengths_blocks(self, monkeypatch,
+                                                                       threads):
+        # a worker's windows of one length are not kept while it builds the
+        # equal-length blocks of a longer one: the guard counts either, not both
+        prepared, live_at_blocks = [], []
+        windows, kernel = dissimilarity._windows, dissimilarity._canberra_block
+
+        def preparing(*args):
+            made = windows(*args)
+            prepared.append((threading.get_ident(), weakref.ref(made)))
+            return made
+
+        def building(rows, cols):
+            worker = threading.get_ident()
+            live_at_blocks.append(sum(ref() is not None for who, ref in prepared if who == worker))
+            return kernel(rows, cols)
+
+        monkeypatch.setattr(dissimilarity, "_windows", preparing)
+        monkeypatch.setattr(dissimilarity, "_canberra_block", building)
+        monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 24)
+        contents = [bytes([i, 255 - i]) for i in range(6)]
+        contents += [bytes([i, 7, i, 9]) for i in range(12)] + [bytes(range(i, i + 9))
+                                                                for i in range(4)]
+        build_matrix(values_of(contents), threads=threads)
+        assert len(prepared) >= 2 and len(live_at_blocks) > 2
+        assert max(live_at_blocks) == 0
+
     def test_one_worker_builds_on_the_calling_thread(self, monkeypatch):
         # a pool thread's temporaries come from its own malloc arena, which
         # raised the peak RSS of a one-thread run
@@ -307,8 +335,7 @@ class TestBuildMatrix:
         # input is DHCP's shape: tens of short values and single long ones,
         # each short row's cells against them one slice of its run. The third
         # and fourth draw their bytes from 2 and 4 symbols, so the windows of
-        # the longer values repeat and the sums run over the distinct ones;
-        # random bytes repeat too rarely for that to pay
+        # the longer values repeat and many cells gather one distinct window's sum
         for short, longs, symbols in ((6, ((8, 4), (9, 4), (17, 3), (130, 2)), None),
                                       (7, ((17, 1), (18, 1), (20, 1), (202, 1)), None),
                                       (6, ((8, 4), (9, 4), (17, 3), (130, 2)), [0, 200]),
@@ -549,23 +576,11 @@ def _contents(draw):
 def test_build_matrix_properties(contents, chunk):
     values = values_of(contents)
     reference = canberra_matrix_reference(contents)
-    taken = set()  # the sides of the fold rule that the builds took
-
-    def rule(m, windows, distinct):
-        folds = _fold_pays(m, windows, distinct)
-        taken.add(folds)
-        return folds
-
-    # the rule, then each side of it alone
-    for fold_pays in (rule, lambda *_: True, lambda *_: False):
-        with mock.patch.object(dissimilarity, "_CHUNK_CELLS", chunk), \
-                mock.patch.object(dissimilarity, "_fold_pays", fold_pays):
-            d = dense(build_matrix(values, threads=1))
-            assert np.array_equal(dense(build_matrix(values, threads=2)).view(np.uint64),
-                                  d.view(np.uint64))
-        assert np.array_equal(d.view(np.uint64), reference.view(np.uint64))
-    for folds in taken:  # hypothesis takes events from the test's own thread only
-        event("the rule folds the windows" if folds else "the rule takes every window")
+    with mock.patch.object(dissimilarity, "_CHUNK_CELLS", chunk):
+        d = dense(build_matrix(values, threads=1))
+        assert np.array_equal(dense(build_matrix(values, threads=2)).view(np.uint64),
+                              d.view(np.uint64))
+    assert np.array_equal(d.view(np.uint64), reference.view(np.uint64))
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.all((d >= 0.0) & (d <= 1.0))

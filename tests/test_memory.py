@@ -102,17 +102,22 @@ class TestGuard:
         build_matrix(values_of([bytes([i // 256, i % 256, 7]) for i in range(n)]))
         assert asked and asked[-1] >= 8 * (n * (n - 1) // 2 + 1)
 
-    @pytest.mark.parametrize("symbols", [2, 256], ids=["distinct-windows", "every-window"])
+    @pytest.mark.parametrize("symbols", [2, 256], ids=["repeated-windows", "distinct-windows"])
     def test_the_estimate_covers_the_window_temporaries(self, monkeypatch, symbols):
-        # the 2-byte windows of four 3,000-byte values, about 12 k, outweigh a
-        # store of 44 values: what the build allocates, the windows and their
-        # sums included, stays within the estimate
+        # the 2-byte windows of four 3,000-byte values and of 150 24-byte
+        # values, about 15 k, outweigh a store of 194 values: what the build
+        # allocates, the windows and their sums included, stays within the
+        # estimate. The 24-byte values' blocks follow the 2-byte rows' chunks
         asked = []
         monkeypatch.setattr("typeclust.dissimilarity.require_memory",
                             lambda n, needed: asked.append(needed))
         rng = np.random.default_rng(7)
         contents = [bytes([i, 255 - i]) for i in range(40)]
         contents += [bytes(rng.integers(0, symbols, size=3000).tolist()) for _ in range(4)]
+        while len(contents) < 194:
+            value = bytes(rng.integers(0, symbols, size=24).tolist())
+            if value not in contents:
+                contents.append(value)
         _, peak = traced_peak(build_matrix, values_of(contents))
         n = len(contents)
         assert peak > 10 * 8 * (n * (n - 1) // 2 + 1)

@@ -41,7 +41,7 @@ from typeclust import memory
 from typeclust import pipeline as pl
 from typeclust import segmentation as sg
 from typeclust import traceio as tio
-from typeclust.cli import main
+from typeclust.cli import entry, main
 from typeclust.report import read_report, sig6, to_json
 
 
@@ -834,11 +834,11 @@ class TestCli:
             monkeypatch.delenv(name, raising=False)
         return fake
 
-    def analyze(self, tmp_path):
+    def analyze(self, tmp_path, command=entry):
         trace, truth = two_type_fixture(tmp_path)
         report = tmp_path / "report.json"
-        assert self.run_cli("analyze", "--input", str(trace), "--format", "hex", "--segmenter",
-                            "import", "--segments", str(truth), "--out-json", str(report)) == 0
+        assert command(["analyze", "--input", str(trace), "--format", "hex", "--segmenter",
+                        "import", "--segments", str(truth), "--out-json", str(report)]) == 0
         return json.loads(report.read_text())
 
     def test_the_cli_fixes_the_malloc_policy(self, tmp_path, libc):
@@ -865,8 +865,11 @@ class TestCli:
         assert self.analyze(tmp_path)["metrics"]["precision"] == 1.0
 
     def test_library_callers_keep_their_allocator(self, tmp_path, libc):
+        # pipeline.run, and main, which tests and the bench's traced passes call
+        # in their own process
         trace, truth = two_type_fixture(tmp_path)
         pl.run(analyze_config(trace, truth))
+        self.analyze(tmp_path, command=main)
         assert libc.calls == []
 
     # the medians of cluster_stats, of eps_density in the merge pass and of the 2-NN fallback
