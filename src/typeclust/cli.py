@@ -136,8 +136,9 @@ def _fix_malloc_policy() -> None:
     chunk, depends on what the run freed before. Fixed at two chunks of
     float64 (mapping) and eight (trimming), a chunk's temporaries stay in
     the heap. Setting either threshold stops glibc adjusting both and leaves
-    the other at its low default, so both are set. One arena keeps a build worker's temporaries in the heap the
-    calling thread reuses. A libc without ``mallopt`` is left as it is.
+    the other at its low default, so both are set. One arena keeps a build
+    worker's temporaries in the heap the calling thread reuses. A libc
+    without ``mallopt`` is left as it is.
     """
     if any(name in os.environ for name in _MALLOC_ENVIRONMENT) or (
             "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):

@@ -23,7 +23,8 @@ from .errors import EmptyAnalysisError
 from .memory import require_memory
 from .segmentation import Segmentation
 
-# cells per matrix block and per k-NN or epsilon-pair row chunk: at 64 K
+# cells per byte position of a build chunk (its rows times the columns they
+# are summed against) and per k-NN or epsilon-pair row chunk: at 64 K
 # float64 cells (0.5 MB) a byte-position plane stays in a core's L2 cache
 _CHUNK_CELLS = 1 << 16
 
@@ -302,96 +303,69 @@ def _pairwise_sum(term, n: int, start: int = 0) -> np.ndarray:
     return _tree_sum(partial(_leaf_sum, term), start, n, 128)
 
 
-def _canberra_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Dissimilarities of byte rows (r, m) against byte rows (c, m).
+def _windows(payload: np.ndarray, starts: np.ndarray, spans: list[tuple[int, int, int]],
+             m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct m-byte windows of the longer values, (u, m), and each window's index in them.
 
-    Byte position i gives one plane of r x c terms, column j pairing
-    rows[:, i] with cols[j, i]; the m planes are summed in numpy's pairwise
-    order, so the sums equal those of a ``.sum(axis=-1)`` over the bytes,
-    bit for bit.
+    ``spans`` gives each longer length's (length, first storage position,
+    values). Every window is listed length by length, each length's
+    offset-major: offset o of value j is at index o * values + j of its
+    length's. One ``np.unique`` over the windows as opaque records finds the
+    distinct ones, which the sums run over.
     """
-    m = rows.shape[1]
-    table = _TERMS.reshape(256, 256)
-    by_position = np.ascontiguousarray(cols.T, dtype=np.intp)  # (m, c)
-    best = _pairwise_sum(lambda i: table[rows[:, i]].take(by_position[i], axis=1), m)
-    best /= m
-    return best
-
-
-@dataclass(eq=False)
-class _Windows:
-    """The distinct m-byte windows of the values longer than m, for their short rows' cells.
-
-    ``by_position`` (m, u) holds the distinct windows the sums are computed
-    over, and ``inverse`` maps every window to one of them. Every window is
-    listed length by length, ascending, each length offset-major: ``spans``
-    gives each length's (length, first value, values) with the value
-    positions counted from the first longer value.
-    """
-
-    by_position: np.ndarray
-    inverse: np.ndarray
-    spans: list[tuple[int, int, int]]
-    big: np.ndarray  # per longer value: its length, as float64
-
-
-def _windows(payload: np.ndarray, starts: np.ndarray, lengths: np.ndarray, m: int) -> _Windows:
-    """The windows of every value at ``starts`` of ``lengths`` > m, in storage order.
-
-    One ``np.unique`` over the windows as opaque records finds the distinct
-    ones, which the sums run over.
-    """
-    bigs, firsts, sizes = np.unique(lengths, return_index=True, return_counts=True)
-    spans = list(zip(bigs.tolist(), firsts.tolist(), sizes.tolist()))
-    # offset o of value j at index o * size + j of its length's windows
     at = np.concatenate([(starts[c : c + size] + np.arange(big - m + 1)[:, None]).ravel()
                          for big, c, size in spans])
     windows = sliding_window_view(payload, m)[at]
     del at
     keys, inverse = np.unique(windows.view(np.dtype((np.void, m))).ravel(), return_inverse=True)
-    del windows
-    distinct = keys.view(np.uint8).reshape(len(keys), m)
-    return _Windows(np.ascontiguousarray(distinct.T, dtype=np.intp), inverse, spans,
-                    lengths.astype(np.float64))
+    return keys.view(np.uint8).reshape(len(keys), m), inverse
 
 
-def _slide(rows: np.ndarray, windows: _Windows) -> np.ndarray:
-    """Dissimilarities of byte rows (h, m) against the longer values, as (h, values).
+def _chunk(columns: np.ndarray, h: int, equal: int, inverse: np.ndarray,
+           spans: list[tuple[int, int, int]], big: np.ndarray) -> np.ndarray:
+    """Dissimilarities of h rows against the values stored from the first of them on, as (cells, h).
 
-    The term table is symmetric, so its column x holds every byte's term
-    against x: one column gather and one row gather give byte position i's
-    plane of window-major terms, and the planes are summed in numpy's
-    pairwise order, as in ``_canberra_block``, so each window's sum has the
-    bits of the per-offset sum. A value's cell is the minimum over its
-    windows' mean terms, plus the linear length penalty.
+    ``columns`` (m, equal + u) holds by byte position ``equal`` values of
+    length m, the h rows first, then the u distinct windows of the longer
+    values, which ``inverse`` maps every window of ``spans`` to; ``big`` is
+    each longer value's length, as float64. The term table is symmetric,
+    so its column x holds every byte's term against x: one column gather
+    and one row gather give byte position i's plane of column-major terms,
+    and the planes are summed in numpy's pairwise order, so each sum has the
+    bits of a ``.sum`` over its bytes. An equal-length cell is its mean
+    term; a longer value's is the minimum over its windows' mean terms,
+    plus the linear length penalty.
     """
-    m = rows.shape[1]
+    m = len(columns)
     table = _TERMS.reshape(256, 256)
-    by_position = windows.by_position
-    sums = _pairwise_sum(lambda i: table.take(rows[:, i], axis=1).take(by_position[i], axis=0), m)
-    sums /= m
-    sums = sums.take(windows.inverse, axis=0)
-    best = np.empty((len(windows.big), len(rows)))
-    w = 0
-    for big, c, size in windows.spans:
-        offsets = big - m + 1
-        np.minimum.reduce(sums[w : w + offsets * size].reshape(offsets, size, -1), axis=0,
+    sums = _pairwise_sum(lambda i: table.take(columns[i, :h], axis=1).take(columns[i], axis=0), m)
+    cells = np.empty((equal + len(big), h))
+    np.divide(sums[:equal], m, out=cells[:equal])
+    windows = sums[equal:]
+    windows /= m
+    windows = windows.take(inverse, axis=0)
+    del sums
+    best = cells[equal:]
+    w = c = 0
+    for length, _, size in spans:
+        offsets = length - m + 1
+        np.minimum.reduce(windows[w : w + offsets * size].reshape(offsets, size, h), axis=0,
                           out=best[c : c + size])
         w += offsets * size
-    del sums
-    # each row's cells contiguous, so the per-value operands run along the rows
-    best = np.ascontiguousarray(best.T)
+        c += size
+    del windows
     # (m * best + (big - m) * (1.0 - m / big * (1.0 - best))) / big, in place:
     # best is in [0, 1], so the rounded terms are at most m and big - m (rounding
     # is monotone) and the cell is in [0, 1]
+    big = big[:, None]
     penalty = 1.0 - best
-    penalty *= m / windows.big
+    penalty *= m / big
     np.subtract(1.0, penalty, out=penalty)
-    penalty *= windows.big - m
+    penalty *= big - m
     best *= m
     best += penalty
-    best /= windows.big
-    return best
+    best /= big
+    return cells
 
 
 def _cpus() -> int:
@@ -404,20 +378,22 @@ def _cpus() -> int:
 def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     """Fill the condensed dissimilarity matrix over unique values, each pair once.
 
-    The values are stored by length, ties in value order. The cells of each
-    pair of equal-length groups are one tile of the square, cut into blocks
-    of about ``_CHUNK_CELLS`` cells per byte position, each writing its
-    cells above the diagonal once. A shorter value's cells against every
-    longer value are one slice of its storage row's run: the rows of each
-    short length m are cut into chunks of about ``_CHUNK_CELLS`` row-window
-    pairs, each computing its rows' sums over the distinct m-byte windows
-    of the longer values (``_windows``, which a worker prepares at the
-    length's first chunk it runs and drops when it moves to another length)
-    and writing each row once. Sums add one plane of ``_TERMS`` per byte position in numpy's
-    pairwise order, so each cell has the bits of the broadcast ``.sum`` over
-    its bytes, at any thread count. min(``threads``, CPUs) workers each run every workers-th
-    block or chunk: the calling thread and the pool's. The store and the
-    workers' temporaries must fit in the memory available.
+    The values are stored by length, ties in value order, so storage row
+    p's run is its cells against the rest of its length group, then against
+    every longer value. The lengths are built in ascending order. For
+    length m, the calling thread folds the m-byte windows of every longer
+    value once (``_windows``) and lays the group's values and the distinct
+    windows out by byte position in one ``columns`` array. The group's rows
+    are cut into chunks of about ``_CHUNK_CELLS`` cells per byte position,
+    each computing its rows against every value from its first row on
+    (``_chunk``) and writing each row's run with one slice. Sums add one
+    plane of ``_TERMS`` per byte position in numpy's pairwise order, so each
+    cell has the bits of the broadcast ``.sum`` over its bytes, at any
+    thread count. min(``threads``, CPUs) workers each run every
+    workers-th chunk of a length, the calling thread the first share and
+    the pool's the others, and keep nothing from one chunk to the next. The
+    store, the largest length's columns and windows and each worker's
+    largest chunk must fit in the memory available.
     """
     n = len(values)
     if n < 2:
@@ -427,65 +403,54 @@ def build_matrix(values: Values, threads: int = 1) -> DissimilarityMatrix:
     order = np.argsort(values.length, kind="stable")  # storage position -> value
     length = values.length[order]  # per storage position, as are the starts of its bytes
     starts = (np.cumsum(values.length) - values.length)[order]
-    lengths, firsts, sizes = np.unique(length, return_index=True, return_counts=True)
+    lengths, firsts, sizes = (a.tolist() for a in np.unique(length, return_index=True,
+                                                             return_counts=True))
 
-    # (r0, c0, rows, cols): a block of equal lengths, or, with cols None, a
-    # chunk of rows against every longer value, from storage position c0 on
-    tasks = []
-    temporaries = 0  # the most bytes a task holds
-    for m, r0, size in zip(lengths.tolist(), firsts.tolist(), sizes.tolist()):
-        rows = sliding_window_view(payload, m)[starts[r0 : r0 + size]]
-        # a block holds its columns by byte position and about ten planes of terms
-        width = min(size, _CHUNK_CELLS)
-        height = max(1, _CHUNK_CELLS // width)
-        for lo in range(0, size, height):
-            for left in range(lo, size, width):  # below the diagonal is not stored
-                tasks.append((r0 + lo, r0 + left, rows[lo : lo + height], rows[left : left + width]))
-        temporaries = max(temporaries, 8 * (m * width + 10 * min(height, size) * width))
-        first = r0 + size
-        if first == n:
-            continue
-        windows = int((length[first:] - m + 1).sum())
-        height = max(1, _CHUNK_CELLS // windows)
-        tasks += [(r0 + lo, first, rows[lo : lo + height], None) for lo in range(0, size, height)]
-        # the windows, their gather index, np.unique's sorted copy, order and
-        # inverse, the windows by byte position, and about ten planes of sums
-        # or gathered sums
-        temporaries = max(temporaries, windows * (10 * m + 32) + 80 * windows * height)
+    groups = []  # per length: m, first storage position, values, the longer (length, first, values)
+    held = chunk = 0  # the most bytes a length's columns and windows hold, and a chunk's
+    for g, (m, r0, size) in enumerate(zip(lengths, firsts, sizes)):
+        spans = list(zip(lengths[g + 1 :], firsts[g + 1 :], sizes[g + 1 :]))
+        windows = sum((big - m + 1) * count for big, _, count in spans)
+        height = max(1, _CHUNK_CELLS // (size + windows))
+        groups.append((m, r0, size, spans, height))
+        # the group's bytes and columns, and the windows, their gather index,
+        # np.unique's sorted copy, order and inverse, and the distinct columns
+        held = max(held, 9 * m * size + windows * (10 * m + 32))
+        # about ten planes of terms, sums and cells
+        chunk = max(chunk, 80 * (size + windows) * min(height, size))
 
     workers = min(threads, _cpus())
-    require_memory(n, 8 * (n * (n - 1) // 2 + 1) + workers * temporaries)
+    require_memory(n, 8 * (n * (n - 1) // 2 + 1) + held + workers * chunk)
     matrix = DissimilarityMatrix(values, np.zeros(n * (n - 1) // 2 + 1), order)
+    runs = matrix._base + np.arange(1, n + 1)  # each storage row's first cell
 
     def fill(share: int) -> None:
-        windows, windows_from = None, None  # this worker's windows, of the values from c0 on
-        for r0, c0, rows, cols in tasks[share::workers]:
-            bases = matrix._base[r0 : r0 + len(rows)].tolist()
-            if cols is None:
-                # a length's windows are prepared when this worker reaches its
-                # first chunk, and the previous length's are dropped first; a
-                # short row's cells against every longer value are one slice of its run
-                if windows_from != c0:
-                    windows = None
-                    windows, windows_from = _windows(payload, starts[c0:], length[c0:],
-                                                     rows.shape[1]), c0
-                best = _slide(rows, windows)
-                for a, base in enumerate(bases):
-                    matrix.d[base + c0 : base + n] = best[a]
-                continue
-            windows = windows_from = None  # a block of a longer length: they are done with
-            block = _canberra_block(rows, cols)
-            # block row a is one slice of storage row r0 + a's run; a diagonal
-            # block's cells on and below the diagonal are not stored
-            for a, base in enumerate(bases):
-                skip = max(0, r0 + a + 1 - c0)
-                matrix.d[base + c0 + skip : base + c0 + len(cols)] = block[a, skip:]
+        # this length's chunks share, share + workers, ...; chunk row a is
+        # storage row r0 + lo + a, whose run is the chunk's cells against the
+        # values after it, so its cells on and below the diagonal are sliced off
+        for lo in range(share * height, size, workers * height):
+            h = min(height, size - lo)
+            cells = _chunk(columns[:, lo:], h, size - lo, inverse, spans, big)
+            for a, first in enumerate(runs[r0 + lo : r0 + lo + h].tolist()):
+                matrix.d[first : first + len(cells) - a - 1] = cells[a + 1 :, a]
 
     # the calling thread fills share 0, so one worker starts no thread
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rest = pool.map(fill, range(1, workers))
-        fill(0)
-        list(rest)
+        for m, r0, size, spans, height in groups:
+            end = r0 + size
+            if spans:
+                distinct, inverse = _windows(payload, starts, spans, m)
+            else:
+                distinct, inverse = np.empty((0, m), np.uint8), np.empty(0, np.intp)
+            columns = np.empty((m, size + len(distinct)), dtype=np.intp)
+            columns[:, :size] = sliding_window_view(payload, m)[starts[r0:end]].T
+            columns[:, size:] = distinct.T
+            del distinct
+            big = length[end:].astype(np.float64)
+            rest = pool.map(fill, range(1, workers))
+            fill(0)
+            list(rest)
+            del columns, inverse  # before the next length's windows are folded
 
     matrix.d.flags.writeable = False
     return matrix

@@ -260,47 +260,40 @@ class TestBuildMatrix:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_worker_drops_its_windows_before_a_longer_lengths_blocks(self, monkeypatch,
-                                                                       threads):
-        # a worker's windows of one length are not kept while it builds the
-        # equal-length blocks of a longer one: the guard counts either, not both
-        prepared, live_at_blocks = [], []
-        windows, kernel = dissimilarity._windows, dissimilarity._canberra_block
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_windows_are_folded_once_per_length(self, monkeypatch, threads):
+        # the calling thread folds each short length's windows once for every
+        # worker, and drops them before it folds the next length's: no chunk
+        # runs beside two lengths' windows, and the guard counts one length's
+        folded, live_at_chunks = [], []
+        windows, kernel = dissimilarity._windows, dissimilarity._chunk
 
-        def preparing(*args):
-            made = windows(*args)
-            prepared.append((threading.get_ident(), weakref.ref(made)))
+        def folding(payload, starts, spans, m):
+            made = windows(payload, starts, spans, m)
+            folded.append((m, threading.get_ident(), weakref.ref(made[1])))
             return made
 
-        def building(rows, cols):
-            worker = threading.get_ident()
-            live_at_blocks.append(sum(ref() is not None for who, ref in prepared if who == worker))
-            return kernel(rows, cols)
+        def computing(*args):
+            live_at_chunks.append(sum(ref() is not None for *_, ref in folded))
+            return kernel(*args)
 
-        monkeypatch.setattr(dissimilarity, "_windows", preparing)
-        monkeypatch.setattr(dissimilarity, "_canberra_block", building)
+        monkeypatch.setattr(dissimilarity, "_windows", folding)
+        monkeypatch.setattr(dissimilarity, "_chunk", computing)
         monkeypatch.setattr(dissimilarity, "_CHUNK_CELLS", 24)
+        monkeypatch.setattr(dissimilarity, "_cpus", lambda: 3)
         contents = [bytes([i, 255 - i]) for i in range(6)]
         contents += [bytes([i, 7, i, 9]) for i in range(12)] + [bytes(range(i, i + 9))
                                                                 for i in range(4)]
-        build_matrix(values_of(contents), threads=threads)
-        assert len(prepared) >= 2 and len(live_at_blocks) > 2
-        assert max(live_at_blocks) == 0
-
-    def test_one_worker_builds_on_the_calling_thread(self, monkeypatch):
-        # a pool thread's temporaries come from its own malloc arena, which
-        # raised the peak RSS of a one-thread run
-        callers = set()
-        kernel = dissimilarity._canberra_block
-
-        def recording(rows, cols):
-            callers.add(threading.get_ident())
-            return kernel(rows, cols)
-
-        monkeypatch.setattr(dissimilarity, "_canberra_block", recording)
-        build_matrix(values_of([bytes([i, 255 - i, i]) for i in range(12)]), threads=1)
-        assert callers == {threading.get_ident()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the workers' writes interleave finely
+        try:
+            matrix = build_matrix(values_of(contents), threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(m, who) for m, who, _ in folded] == [(2, threading.get_ident()),
+                                                      (4, threading.get_ident())]
+        assert len(live_at_chunks) > 2 * threads and max(live_at_chunks) == 1
+        assert np.array_equal(dense(matrix), canberra_matrix_reference(contents))
 
     @pytest.mark.parametrize("cpus, threads, workers", [(2, 10_000, 2), (4, 3, 3), (1, 8, 1)])
     def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, threads, workers):

@@ -78,8 +78,7 @@ class TestGuard:
     def test_a_matrix_that_does_not_fit_is_refused_before_it_is_built(self, monkeypatch):
         built = []
         monkeypatch.setattr(memory, "available_memory", lambda: 4096)
-        monkeypatch.setattr("typeclust.dissimilarity._canberra_block",
-                            lambda rows, cols: built.append(rows))
+        monkeypatch.setattr("typeclust.dissimilarity._chunk", lambda *args: built.append(args))
         values = values_of([bytes([i, 255 - i, i]) for i in range(40)])
         with pytest.raises(InsufficientMemoryError) as caught:
             build_matrix(values)
@@ -102,15 +101,19 @@ class TestGuard:
         build_matrix(values_of([bytes([i // 256, i % 256, 7]) for i in range(n)]))
         assert asked and asked[-1] >= 8 * (n * (n - 1) // 2 + 1)
 
-    @pytest.mark.parametrize("symbols", [2, 256], ids=["repeated-windows", "distinct-windows"])
-    def test_the_estimate_covers_the_window_temporaries(self, monkeypatch, symbols):
+    @pytest.mark.parametrize("symbols, threads", [(2, 1), (256, 1), (2, 2), (256, 2)],
+                             ids=["repeated-windows", "distinct-windows", "2-workers-repeated",
+                                  "2-workers-distinct"])
+    def test_the_estimate_covers_the_window_temporaries(self, monkeypatch, symbols, threads):
         # the 2-byte windows of four 3,000-byte values and of 150 24-byte
         # values, about 15 k, outweigh a store of 194 values: what the build
         # allocates, the windows and their sums included, stays within the
-        # estimate. The 24-byte values' blocks follow the 2-byte rows' chunks
+        # estimate, with two workers' chunks at once too. The 24-byte values'
+        # chunks follow the 2-byte rows'
         asked = []
         monkeypatch.setattr("typeclust.dissimilarity.require_memory",
                             lambda n, needed: asked.append(needed))
+        monkeypatch.setattr("typeclust.dissimilarity._cpus", lambda: 2)
         rng = np.random.default_rng(7)
         contents = [bytes([i, 255 - i]) for i in range(40)]
         contents += [bytes(rng.integers(0, symbols, size=3000).tolist()) for _ in range(4)]
@@ -118,7 +121,7 @@ class TestGuard:
             value = bytes(rng.integers(0, symbols, size=24).tolist())
             if value not in contents:
                 contents.append(value)
-        _, peak = traced_peak(build_matrix, values_of(contents))
+        _, peak = traced_peak(build_matrix, values_of(contents), threads)
         n = len(contents)
         assert peak > 10 * 8 * (n * (n - 1) // 2 + 1)
         assert asked and asked[-1] >= peak

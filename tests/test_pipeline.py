@@ -18,6 +18,7 @@ import types
 import weakref
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,7 +43,10 @@ from typeclust import pipeline as pl
 from typeclust import segmentation as sg
 from typeclust import traceio as tio
 from typeclust.cli import entry, main
-from typeclust.report import read_report, sig6, to_json
+from typeclust.report import read_report, render_table, sig6, to_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
 
 
 def analyze_config(trace, truth, **overrides):
@@ -1126,9 +1130,29 @@ def test_evaluate_rejects_exactly_the_forged_reports(coverage_report, data):
 
 # Well-formed traces carry the payloads the fuzzed segmentation documents
 # name, and random ones for the heuristic segmenter to cut.
-MESSAGES = st.integers(0, 40).flatmap(lambda size: st.lists(
-    st.sampled_from(FUZZ_PAYLOADS) | st.binary(min_size=1, max_size=16),
-    min_size=size, max_size=size))
+MESSAGE = st.sampled_from(FUZZ_PAYLOADS) | st.binary(min_size=1, max_size=16)
+MESSAGES = st.integers(0, 40).flatmap(lambda size: st.lists(MESSAGE, min_size=size,
+                                                             max_size=size))
+
+
+def trace_bytes(fmt: str, messages: list[bytes]) -> bytes:
+    """``messages`` as hex lines, or as UDP:123 datagrams of a pcap."""
+    if fmt == "hex":
+        return b"".join(m.hex().encode() + b"\n" for m in messages)
+    return build_pcap([("udp", 123, 123, m) for m in messages])
+
+
+@st.composite
+def tilings(draw, messages: list[bytes]) -> dict:
+    """A segmentation document that cuts each of ``messages`` into fields of types x and y."""
+    tiling = []
+    for m in messages:
+        cuts = sorted(draw(st.sets(st.integers(1, len(m) - 1), max_size=3))) if len(m) > 1 else []
+        bounds = [0, *cuts, len(m)]
+        tiling.append({"payload": m.hex(), "fields": [
+            {"len": b - a, "type": draw(st.sampled_from(["x", "y"]))}
+            for a, b in zip(bounds, bounds[1:])]})
+    return {"messages": tiling}
 
 
 @st.composite
@@ -1144,20 +1168,11 @@ def cli_inputs(draw) -> tuple[str, str, bytes, object]:
     if draw(st.sampled_from(["fuzzed", "drawn", "drawn"])) == "fuzzed":
         data = draw(hexline_files if fmt == "hex" else pcap_files())
         flt = draw(st.sampled_from([flt, "raw", "tcp:53"])) if fmt == "pcap" else flt
-    elif fmt == "hex":
-        data = b"".join(m.hex().encode() + b"\n" for m in messages)
     else:
-        data = build_pcap([("udp", 123, 123, m) for m in messages])
+        data = trace_bytes(fmt, messages)
     if draw(st.booleans()):
         return fmt, flt, data, draw(SEGMENTATION_DOCS)
-    tilings = []
-    for m in messages:
-        cuts = sorted(draw(st.sets(st.integers(1, len(m) - 1), max_size=3))) if len(m) > 1 else []
-        bounds = [0, *cuts, len(m)]
-        tilings.append({"payload": m.hex(), "fields": [
-            {"len": b - a, "type": draw(st.sampled_from(["x", "y"]))}
-            for a, b in zip(bounds, bounds[1:])]})
-    return fmt, flt, data, {"messages": tilings}
+    return fmt, flt, data, draw(tilings(messages))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None,
@@ -1180,3 +1195,91 @@ def test_cli_exits_with_a_code_and_no_traceback(tmp_path, case, segmenter, limit
                  main(["ecdf", *inputs, "--out", str(tmp_path / "ecdf.csv")])]
     assert set(codes) <= {0, 1, 2, 3}
     assert "Traceback" not in stderr.getvalue()
+
+
+# ---------------------------------------------------------------- tuning constants
+
+
+@st.composite
+def protocols(draw) -> tuple[str, str, bytes, dict]:
+    """(format, filter, trace file bytes, tiling) of 20 to 120 drawn messages.
+
+    Some messages vary one byte of a few drawn templates, so that values of
+    the longest lengths, which are stored last, fall in clusters too.
+    """
+    fmt, flt = draw(st.sampled_from([("hex", "raw"), ("pcap", "udp:123")]))
+    templates = draw(st.lists(MESSAGE, min_size=1, max_size=3))
+    variant = st.sampled_from(templates).flatmap(lambda t: st.tuples(
+        st.integers(0, len(t) - 1), st.integers(0, 255)).map(
+        lambda at: t[: at[0]] + bytes([at[1]]) + t[at[0] + 1 :]))
+    messages = list(dict.fromkeys(draw(st.lists(MESSAGE | variant, min_size=20, max_size=120))))
+    return fmt, flt, trace_bytes(fmt, messages), draw(tilings(messages))
+
+
+def outputs(config: pl.PipelineConfig) -> tuple[str, ...]:
+    """The report JSON, the table and the ECDF rows of ``config``, or the error it stops with.
+
+    The rows are those ``run_ecdf`` computes, taken from the run's matrix
+    rather than from a second build.
+    """
+    try:
+        result = pl.run(config)
+    except PipelineStageError as err:
+        return err.stage, repr(err.original)
+    rows = ac.ecdf_rows(ac.nearest_table(result.matrix))
+    return to_json(result.report), render_table(result.report), repr(rows)
+
+
+@contextlib.contextmanager
+def tuned(chunk: int, piece: int, cpus: int):
+    """Every tuning constant moved at once: the chunk cells, the segmenter's piece and the CPUs."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(dm, "_CHUNK_CELLS", chunk))
+        stack.enter_context(mock.patch.object(sg, "_PIECE_BYTES", piece))
+        stack.enter_context(mock.patch.object(dm, "_cpus", lambda: cpus))
+        yield
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=protocols(), segmenter=st.sampled_from(["heuristic", "import"]),
+       chunk=st.integers(24, 4096), piece=st.integers(1, 256), threads=st.integers(1, 3),
+       cpus=st.integers(1, 3))
+def test_no_tuning_constant_reaches_an_output(tmp_path, case, segmenter, chunk, piece, threads,
+                                              cpus):
+    # the chunk cells size the build's chunks, every reader's chunks and
+    # DBSCAN's fold batches, and the piece the heuristic's pieces; none of
+    # them, nor the worker count, may move a byte of what a run writes
+    fmt, flt, data, doc = case
+    trace, truth = tmp_path / "trace", tmp_path / "truth.json"
+    trace.write_bytes(data)
+    truth.write_text(json.dumps(doc))
+    config = pl.PipelineConfig(str(trace), fmt, flt,
+                               segments_path=str(truth) if segmenter == "import" else None)
+    default = outputs(config)
+    with tuned(chunk, piece, cpus):
+        assert outputs(dataclasses.replace(config, threads=threads)) == default
+
+
+@pytest.fixture(scope="module")
+def first_bench_captures(tmp_path_factory) -> dict:
+    """Each bench workload's first capture at bench seed 1: its config and default outputs."""
+    captures = {}
+    for name, generate, seed, messages, segmenter in (
+            ("ntp-import", gen.write_ntp_pcap, 3, 1000, "import"),
+            ("dhcp-heuristic", gen.write_dhcp_hex, 8, 1200, "heuristic")):
+        trace = generate(tmp_path_factory.mktemp(name), seed, messages)
+        config = pl.PipelineConfig(str(trace.path), trace.format, trace.filter, trace.limit,
+                                   str(trace.truth_path) if segmenter == "import" else None)
+        captures[name] = config, outputs(config)
+    return captures
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("workload", ["ntp-import", "dhcp-heuristic"])
+def test_no_tuning_constant_reaches_a_bench_output(first_bench_captures, workload, threads):
+    # chunks of 4,096 cells and pieces of 512 bytes: tiny chunks are for the
+    # drawn protocols, as at n = 3,000 they would make each scan yield 190,000
+    config, default = first_bench_captures[workload]
+    with tuned(4096, 512, 2):
+        assert outputs(dataclasses.replace(config, threads=threads)) == default
