@@ -295,6 +295,20 @@ class TestBuildMatrix:
         assert len(live_at_chunks) > 2 * threads and max(live_at_chunks) == 1
         assert np.array_equal(dense(matrix), canberra_matrix_reference(contents))
 
+    def test_one_worker_builds_on_the_calling_thread(self, monkeypatch):
+        # a pool thread's temporaries come from its own malloc arena, which
+        # raised the peak RSS of a one-thread run
+        callers = set()
+        kernel = dissimilarity._chunk
+
+        def recording(*args):
+            callers.add(threading.get_ident())
+            return kernel(*args)
+
+        monkeypatch.setattr(dissimilarity, "_chunk", recording)
+        build_matrix(values_of([bytes([i, 255 - i, i]) for i in range(12)]), threads=1)
+        assert callers == {threading.get_ident()}
+
     @pytest.mark.parametrize("cpus, threads, workers", [(2, 10_000, 2), (4, 3, 3), (1, 8, 1)])
     def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, threads, workers):
         started = []
