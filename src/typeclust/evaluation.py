@@ -9,7 +9,6 @@ segments.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,23 +36,25 @@ class Metrics:
 
 
 def value_labels(values: Values, segments: Segmentation) -> list[str]:
-    """True type per unique value: majority over members, ties to the earliest.
+    """True type per unique value: majority over members, ties to the one seen first.
 
     ``values`` index ``segments``; raises when any member segment carries no
     truth label.
     """
-    labels: list[str] = []
-    for members in np.split(values.members, np.cumsum(values.counts)[:-1]):
-        types = segments.truth[members].tolist()
-        if None in types:
-            segment = members[types.index(None)]
-            raise EvaluationUnavailableError(
-                f"segment at message {segments.message[segment]} offset "
-                f"{segments.offset[segment]} has no ground-truth type"
-            )
-        # most_common keeps first-seen order among equal counts
-        labels.append(Counter(types).most_common(1)[0][0])
-    return labels
+    types = segments.truth[values.members].tolist()
+    codes = {t: code for code, t in enumerate(dict.fromkeys(types))}
+    if None in codes:
+        segment = values.members[types.index(None)]
+        raise EvaluationUnavailableError(
+            f"segment at message {segments.message[segment]} offset "
+            f"{segments.offset[segment]} has no ground-truth type"
+        )
+    # sorted (value, type) keys: in each value's run, most members wins, then first seen
+    run = np.arange(len(values.counts)) * len(codes)
+    key = np.repeat(run, values.counts) + np.fromiter(map(codes.get, types), np.int64)
+    keys, first, count = np.unique(key, return_index=True, return_counts=True)
+    best = np.lexsort((first, -count, keys // len(codes)))[np.searchsorted(keys, run)]
+    return np.array(list(codes), dtype=object)[keys[best] % len(codes)].tolist()
 
 
 def label_segments_by_overlap(segments: Segmentation, truth: Segmentation) -> Segmentation:

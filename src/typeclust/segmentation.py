@@ -114,10 +114,6 @@ def segment_heuristic(messages: list[bytes]) -> Segmentation:
                         np.full(len(start), None))
 
 
-def _is_field(obj) -> bool:
-    return isinstance(obj, dict) and "len" in obj and isinstance(obj.get("type"), (str, type(None)))
-
-
 def import_segmentation(
     messages: list[bytes], path: str | Path, limit: int | None = None
 ) -> Segmentation:
@@ -143,13 +139,10 @@ def import_segmentation(
         raise InconsistentGroundTruthError(f"{path}: segmenter must be a string, got {name!r}")
     index_of = {payload: i for i, payload in enumerate(messages)}
 
-    field_messages: list[int] = []  # per field: its message's index
-    field_offsets: list[int] = []
+    entries: list[int] = []  # per kept entry: its message's index
+    counts: list[int] = []  # and its number of fields
     field_lengths: list[int] = []
     field_types: list[str | None] = []
-    # one string per type name: a field's own JSON string would pin the
-    # parsed document's memory after it is dropped
-    types: dict[str | None, str | None] = {}
     covered: set[int] = set()
     for position, entry in enumerate(doc["messages"]):
         if not isinstance(entry, dict):
@@ -190,13 +183,17 @@ def import_segmentation(
             )
 
         fields = entry.get("fields")
-        if not isinstance(fields, list) or not all(_is_field(f) for f in fields):
+        try:  # f["len"] fails on every JSON value but an object with a "len"
+            lengths = [f["len"] for f in fields]
+            types = [f.get("type") for f in fields]
+        except (TypeError, KeyError, AttributeError):
+            fields = None
+        if not isinstance(fields, list) or not set(map(type, types)) <= {str, type(None)}:
             raise InconsistentGroundTruthError(
                 f"message {index}: entry needs a 'fields' list of "
                 "{'len': int, 'type': str|null} objects"
             )
-        lengths = [f["len"] for f in fields]
-        if any(not isinstance(l, int) or isinstance(l, bool) or l < 1 for l in lengths):
+        if not set(map(type, lengths)) <= {int} or min(lengths, default=1) < 1:
             raise InconsistentGroundTruthError(
                 f"message {index}: field lengths must be positive integers, got {lengths}"
             )
@@ -208,24 +205,26 @@ def import_segmentation(
         covered.add(index)
         if limit is not None and index >= limit:
             continue
-        offset = 0
-        for length in lengths:
-            field_offsets.append(offset)
-            offset += length
-        field_messages += [index] * len(lengths)
+        entries.append(index)
+        counts.append(len(lengths))
         field_lengths += lengths
-        field_types += [types.setdefault(t, t) for t in (f.get("type") for f in fields)]
+        field_types += types
 
     data, first = _joined(messages[:limit])
-    owner = np.array(field_messages, dtype=np.int64)
-    offsets = np.array(field_offsets, dtype=np.int64)
+    owner = np.repeat(np.array(entries, dtype=np.int64), counts)
+    length = np.array(field_lengths, dtype=np.int64)
+    size = np.diff(first, append=len(data))[entries]
+    # an entry's fields tile its message: a field's offset is its place in the
+    # run of all fields, less the sizes of the entries' messages before it
+    offsets = np.cumsum(length) - length - np.repeat(np.cumsum(size) - size, counts)
     start = first[owner] + offsets
     order = np.argsort(start, kind="stable")  # entries may come in any message order
-    return Segmentation(
-        name, data, owner[order], offsets[order],
-        np.array(field_lengths, dtype=np.int64)[order], start[order],
-        np.array(field_types, dtype=object)[order],
-    )
+    # one string per type name: a field's own JSON string would pin the
+    # parsed document's memory after it is dropped
+    names = dict(zip(field_types, field_types))
+    truth = np.array(list(map(names.get, field_types)), dtype=object)
+    return Segmentation(name, data, owner[order], offsets[order], length[order], start[order],
+                        truth[order])
 
 
 def filter_analyzable(segmentation: Segmentation) -> Segmentation:

@@ -226,6 +226,109 @@ def overlap_label_reference(start: int, length: int, fields):
     return best
 
 
+def import_segmentation_reference(messages, path, limit=None):
+    """The ground-truth import, one field at a time.
+
+    Returns the segmenter name and the ``message``, ``offset``, ``length``,
+    ``start`` and ``truth`` lists in start order, or raises the error that
+    ``segmentation.import_segmentation`` raises for the document, with its
+    message.
+    """
+    import json
+
+    from typeclust.errors import InconsistentGroundTruthError, MissingMessageError
+
+    def is_field(obj):
+        return isinstance(obj, dict) and "len" in obj and isinstance(obj.get("type"), (str, type(None)))
+
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            doc = json.load(handle)
+        except (ValueError, RecursionError) as err:
+            raise InconsistentGroundTruthError(f"{path}: not a JSON document ({err})") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("messages"), list):
+        raise InconsistentGroundTruthError(f"{path}: expected an object with a 'messages' list")
+    name = doc.get("segmenter", "imported")
+    if not isinstance(name, str):
+        raise InconsistentGroundTruthError(f"{path}: segmenter must be a string, got {name!r}")
+    index_of = {payload: i for i, payload in enumerate(messages)}
+    kept = messages[:limit]
+    first = [sum(len(m) for m in kept[:i]) for i in range(len(kept))]
+
+    fields_out = []  # (start, message, offset, length, type)
+    covered = set()
+    for position, entry in enumerate(doc["messages"]):
+        if not isinstance(entry, dict):
+            raise InconsistentGroundTruthError(
+                f"{path}: messages[{position}] is {type(entry).__name__}, expected an object")
+        if "payload" in entry:
+            key = entry["payload"]
+            if not isinstance(key, str):
+                raise InconsistentGroundTruthError(
+                    f"{path}: messages[{position}] payload must be a hex string, got {key!r}")
+            try:
+                payload = bytes.fromhex(key)
+            except ValueError:
+                raise MissingMessageError(f"entry payload {key!r} is not valid hex") from None
+            index = index_of.get(payload)
+            if index is None:
+                raise MissingMessageError(f"no message with payload {key}")
+        if "index" in entry:
+            named = entry["index"]
+            if not isinstance(named, int) or isinstance(named, bool):
+                raise InconsistentGroundTruthError(
+                    f"{path}: messages[{position}] index must be an integer, got {named!r}")
+            if not 0 <= named < len(messages):
+                raise MissingMessageError(f"no message with index {named!r}")
+            if "payload" in entry and named != index:
+                raise InconsistentGroundTruthError(
+                    f"{path}: messages[{position}] payload is message {index}, index is {named}")
+            index = named
+        elif "payload" not in entry:
+            raise MissingMessageError(f"entry {entry!r} has neither payload nor index")
+        if index in covered:
+            raise InconsistentGroundTruthError(f"message {index} is described by more than one entry")
+        fields = entry.get("fields")
+        if not isinstance(fields, list) or not all(is_field(f) for f in fields):
+            raise InconsistentGroundTruthError(
+                f"message {index}: entry needs a 'fields' list of "
+                "{'len': int, 'type': str|null} objects")
+        lengths = [f["len"] for f in fields]
+        if any(not isinstance(l, int) or isinstance(l, bool) or l < 1 for l in lengths):
+            raise InconsistentGroundTruthError(
+                f"message {index}: field lengths must be positive integers, got {lengths}")
+        if sum(lengths) != len(messages[index]):
+            raise InconsistentGroundTruthError(
+                f"message {index}: field lengths sum to {sum(lengths)}, "
+                f"payload has {len(messages[index])} bytes")
+        covered.add(index)
+        if limit is not None and index >= limit:
+            continue
+        offset = 0
+        for field in fields:
+            fields_out.append((first[index] + offset, index, offset, field["len"], field.get("type")))
+            offset += field["len"]
+    fields_out.sort(key=lambda f: f[0])
+    columns = list(zip(*fields_out)) or [()] * 5
+    return name, dict(zip(("start", "message", "offset", "length", "truth"), map(list, columns)))
+
+
+def value_labels_reference(values, segments) -> list:
+    """Each value's most common member type, the first seen among equals.
+
+    ``Counter.most_common`` keeps insertion order among equal counts, and a
+    value's members are in trace order.
+    """
+    from collections import Counter
+
+    labels, at = [], 0
+    for count in values.counts.tolist():
+        members = values.members[at : at + count].tolist()
+        labels.append(Counter(segments.truth[m] for m in members).most_common(1)[0][0])
+        at += count
+    return labels
+
+
 def median_reference(xs) -> float:
     ordered = sorted(xs)
     mid = len(ordered) // 2

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import segmentation_of
-from oracles import overlap_label_reference, pairwise_metrics
+from oracles import overlap_label_reference, pairwise_metrics, value_labels_reference
 from typeclust.clustering import Cluster, Clustering
 from typeclust.dissimilarity import unique_values
 from typeclust.errors import EvaluationUnavailableError
@@ -160,6 +160,14 @@ class TestFBeta:
         assert f_beta(0.0, 0.5) == 0.0
 
 
+TYPE_NAMES = ["E", "D", "C", "B", "A"]  # first seen is often not the smallest name
+# one value's member types: 1 to 5 types in any counts, or each of 1 to 5
+# types the same number of times (ties of up to five, single members)
+MEMBER_TYPES = st.lists(st.sampled_from(TYPE_NAMES), min_size=1, max_size=8) | st.lists(
+    st.sampled_from(TYPE_NAMES), min_size=1, max_size=5, unique=True
+).flatmap(lambda types: st.integers(1, 3).flatmap(lambda times: st.permutations(types * times)))
+
+
 class TestValueLabels:
     def test_majority_wins(self):
         segs = segmentation_of((0, 0, b"xy", "A"), (1, 0, b"xy", "B"), (2, 0, b"xy", "B"))
@@ -168,6 +176,20 @@ class TestValueLabels:
     def test_tie_goes_to_earliest_member(self):
         segs = segmentation_of((0, 0, b"xy", "A"), (1, 0, b"xy", "B"))
         assert value_labels(unique_values(segs), segs) == ["A"]
+
+    def test_tie_goes_to_earliest_member_not_smallest_name(self):
+        segs = segmentation_of((0, 0, b"xy", "B"), (1, 0, b"xy", "A"), (2, 0, b"zw", "A"),
+                               (3, 0, b"xy", "A"), (4, 0, b"xy", "B"))
+        assert value_labels(unique_values(segs), segs) == ["B", "A"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(MEMBER_TYPES, min_size=1, max_size=6).flatmap(
+        lambda kinds: st.permutations([(v, t) for v, types in enumerate(kinds) for t in types])))
+    def test_matches_the_counter_reference(self, members):
+        """Members of up to six values, interleaved in trace order."""
+        segs = segmentation_of(*((i, 0, bytes([v, 0xEE]), t) for i, (v, t) in enumerate(members)))
+        values = unique_values(segs)
+        assert value_labels(values, segs) == value_labels_reference(values, segs)
 
     def test_missing_label_raises(self):
         segs = segmentation_of((0, 0, b"xy", None))

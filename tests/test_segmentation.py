@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import segmentation_of, traced_peak
-from oracles import heuristic_boundaries_reference
+from oracles import heuristic_boundaries_reference, import_segmentation_reference
 from typeclust import segmentation
 from typeclust.errors import AnalysisError, InconsistentGroundTruthError, MissingMessageError
 from typeclust.segmentation import (
@@ -214,22 +214,57 @@ ENTRY = JSON | st.fixed_dictionaries({}, optional={
     "index": JSON | st.integers(-1, 3),
     "fields": JSON | st.lists(FIELD, max_size=4),
 })
+
+
+def tiling(index: int):
+    """Entries for message ``index`` whose field lengths tile it, though a
+    field may be arbitrary JSON instead (one in four)."""
+    size = len(FUZZ_PAYLOADS[index])
+
+    def field(length):
+        tiles = st.fixed_dictionaries(
+            {"len": st.just(length)}, optional={"type": st.sampled_from(["a", "b", None])})
+        return st.one_of(tiles, tiles, tiles, FIELD)
+
+    def fields(cuts):
+        edges = [0, *sorted(cuts), size]
+        return st.tuples(*(field(end - begin) for begin, end in zip(edges, edges[1:])))
+
+    cuts = st.sets(st.integers(1, size - 1), max_size=3) if size > 1 else st.just(set())
+    return cuts.flatmap(fields).map(lambda f: {"index": index, "fields": list(f)})
+
+
 SEGMENTATION_DOCS = JSON | st.fixed_dictionaries(
-    {"messages": JSON | st.lists(ENTRY, max_size=4)}, optional={"segmenter": JSON})
+    {"messages": JSON | st.lists(ENTRY, max_size=4)}, optional={"segmenter": JSON}
+) | st.fixed_dictionaries(  # documents that reach the field checks, and some that import
+    {"messages": st.lists(st.sampled_from(range(len(FUZZ_PAYLOADS))), unique=True).flatmap(
+        lambda order: st.tuples(*map(tiling, order)).map(list))},
+    optional={"segmenter": st.text(max_size=4)})
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=SEGMENTATION_DOCS)
-def test_arbitrary_json_raises_only_analysis_errors(tmp_path, doc):
+@given(doc=SEGMENTATION_DOCS, limit=st.sampled_from([None, 0, 1, 2]))
+def test_arbitrary_json_raises_only_analysis_errors(tmp_path, doc, limit):
+    """Any document either fails as the reference fails, with its error
+    class and message, or imports the reference's segments."""
     path = tmp_path / "gt.json"
     path.write_text(json.dumps(doc))
     messages = FUZZ_PAYLOADS
     try:
-        seg = import_segmentation(messages, path)
-    except AnalysisError:
+        name, expected = import_segmentation_reference(messages, path, limit)
+    except AnalysisError as err:
+        with pytest.raises(AnalysisError) as raised:
+            import_segmentation(messages, path, limit)
+        assert (type(raised.value), str(raised.value)) == (type(err), str(err))
         return
-    assert isinstance(seg.segmenter_name, str)
+    seg = import_segmentation(messages, path, limit)
+    assert seg.segmenter_name == name
+    assert seg.data == b"".join(messages[:limit])
+    for column, values in expected.items():
+        array = getattr(seg, column)
+        assert array.tolist() == values, column
+        assert array.dtype == (object if column == "truth" else np.int64), column
     for message_id in set(seg.message.tolist()):
         own = sorted((r for r in rows(seg) if r[0] == message_id), key=lambda r: r[1])
         assert b"".join(r[3] for r in own) == messages[message_id]
