@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -190,12 +191,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry(argv: list[str] | None = None) -> int:
-    """The process entry point: ``main`` under the command line's malloc policy.
+    """The process entry point: ``main`` under the command line's process policy.
 
-    ``main`` itself leaves the allocator alone, so a caller that runs
-    commands in its own process keeps its policy.
+    Fixes the malloc policy, then freezes the collector's view of every
+    object the imports left alive: they move to the permanent generation,
+    so the command's collections, and the interpreter's at exit, walk only
+    what the command itself created. No import-time object is garbage, so
+    the freeze keeps nothing alive that a collection would free. ``main``
+    itself leaves the allocator and the collector alone, so a caller that
+    runs commands in its own process keeps its policy.
     """
     _fix_malloc_policy()
+    gc.freeze()
     return main(argv)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import struct
 import tracemalloc
@@ -168,3 +169,10 @@ def cluster_of(members) -> Cluster:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def unfrozen_heap():
+    """No test may leave the test process's heap frozen, as ``cli.entry`` freezes its own."""
+    yield
+    assert gc.get_freeze_count() == 0

@@ -826,13 +826,18 @@ class TestCli:
 
     @pytest.fixture
     def libc(self, monkeypatch):
-        """A fake C library whose ``mallopt`` records its calls, in a clean environment."""
+        """A fake C library whose ``mallopt`` records its calls, in a clean environment.
+
+        ``gc.freeze`` records into the same list, so that no ``entry`` run in
+        this process freezes the test process's own heap.
+        """
         def mallopt(param, value):
             fake.calls.append((param, value))
             return 1
 
         fake = types.SimpleNamespace(mallopt=mallopt, calls=[])
         monkeypatch.setattr(ctypes, "CDLL", lambda name: fake)
+        monkeypatch.setattr(gc, "freeze", lambda: fake.calls.append("freeze"))
         for name in ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
                      "GLIBC_TUNABLES"):
             monkeypatch.delenv(name, raising=False)
@@ -847,8 +852,10 @@ class TestCli:
 
     def test_the_cli_fixes_the_malloc_policy(self, tmp_path, libc):
         self.analyze(tmp_path)
-        # one arena, mapping from two float64 chunks up and trimming above eight
-        assert libc.calls == [(-8, 1), (-3, 16 * dm._CHUNK_CELLS), (-1, 64 * dm._CHUNK_CELLS)]
+        # one arena, mapping from two float64 chunks up and trimming above eight;
+        # then the import-time heap is frozen, once
+        assert libc.calls == [(-8, 1), (-3, 16 * dm._CHUNK_CELLS), (-1, 64 * dm._CHUNK_CELLS),
+                              "freeze"]
         assert 16 * dm._CHUNK_CELLS == 1 << 20
 
     @pytest.mark.parametrize("name, value, calls", [
@@ -862,19 +869,53 @@ class TestCli:
                                                        name, value, calls):
         monkeypatch.setenv(name, value)
         self.analyze(tmp_path)
-        assert len(libc.calls) == calls
+        # the freeze does not depend on the allocator's settings
+        assert len(libc.calls) == calls + 1 and libc.calls[-1] == "freeze"
 
     def test_a_libc_without_mallopt_still_runs_the_command(self, tmp_path, monkeypatch, libc):
         monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
         assert self.analyze(tmp_path)["metrics"]["precision"] == 1.0
+        assert libc.calls == ["freeze"]
 
     def test_library_callers_keep_their_allocator(self, tmp_path, libc):
         # pipeline.run, and main, which tests and the bench's traced passes call
-        # in their own process
+        # in their own process: no malloc policy, and the collector left alone
+        assert gc.get_freeze_count() == 0
         trace, truth = two_type_fixture(tmp_path)
         pl.run(analyze_config(trace, truth))
         self.analyze(tmp_path, command=main)
         assert libc.calls == []
+        assert gc.get_freeze_count() == 0
+
+    def test_the_entry_point_freezes_the_import_heap(self, tmp_path):
+        trace, truth = two_type_fixture(tmp_path)
+        inputs = ["--input", str(trace), "--format", "hex", "--segmenter", "import",
+                  "--segments", str(truth)]
+
+        def commands(out):
+            out.mkdir()
+            return [["analyze", *inputs, "--out-json", str(out / "report.json")],
+                    ["evaluate", "--report", str(out / "report.json"), *inputs,
+                     "--truth", str(truth), "--out-json", str(out / "metrics.json")]]
+
+        probe = (
+            "import gc, json\nfrom typeclust.cli import entry\n"
+            "runs = [(None, gc.get_freeze_count())]\n"
+            f"for argv in {commands(tmp_path / 'entry')!r}:\n"
+            "    runs.append((entry(argv), gc.get_freeze_count()))\n"
+            "print(json.dumps(runs))"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
+                             text=True, check=True)
+        (_, imported), (analyzed, after_analyze), (evaluated, after_evaluate) = json.loads(
+            out.stdout.splitlines()[-1])
+        assert imported == 0  # importing the CLI freezes nothing
+        assert analyzed == evaluated == 0
+        assert 0 < after_analyze <= after_evaluate
+        for argv in commands(tmp_path / "main"):
+            assert main(argv) == 0
+        for name in ("report.json", "metrics.json"):
+            assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
 
     # the medians of cluster_stats, of eps_density in the merge pass and of the 2-NN fallback
     @pytest.mark.parametrize("fixture, segmenter, fallback", [
