@@ -9,6 +9,13 @@ import os
 import sys
 from pathlib import Path
 
+# The one BLAS call, a least-squares fit on an m x 4 design in smooth_spline,
+# gains nothing from threads, and starting an OpenBLAS pool cost each process
+# 65-75 ms of CPU on a 2-vCPU host. The setting must precede numpy's first
+# import; a caller that set the variable, or imported numpy first, keeps its pool.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import pipeline as pl
 from .dissimilarity import _CHUNK_CELLS, write_matrix_csv
 from .errors import (AnalysisError, EmptyAnalysisError, InsufficientMemoryError,

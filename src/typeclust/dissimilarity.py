@@ -462,5 +462,6 @@ def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:
         handle.write(",".join(str(i) for i in range(matrix.n)))
         handle.write("\n")
         row = ",".join(["%.6g"] * matrix.n) + "\n"  # "%.6g" % x is f"{x:.6g}"
+        values = np.arange(matrix.n)
         for v in range(matrix.n):
-            handle.write(row % tuple(matrix.block([v], range(matrix.n))[0].tolist()))
+            handle.write(row % tuple(matrix.block([v], values)[0].tolist()))

@@ -35,7 +35,6 @@ from fixtures import (
 from oracles import pairwise_metrics
 from test_segmentation import FUZZ_PAYLOADS, SEGMENTATION_DOCS
 from test_traceio import hexline_files, pcap_files
-from typeclust import AnalysisError, OutOfMemoryError, PipelineStageError
 from typeclust import autoconf as ac
 from typeclust import dissimilarity as dm
 from typeclust import memory
@@ -43,6 +42,7 @@ from typeclust import pipeline as pl
 from typeclust import segmentation as sg
 from typeclust import traceio as tio
 from typeclust.cli import entry, main
+from typeclust.errors import AnalysisError, OutOfMemoryError, PipelineStageError
 from typeclust.report import read_report, render_table, sig6, to_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -824,6 +824,24 @@ class TestCli:
                              text=True, check=True)
         assert out.stdout.strip() == str(expected)
 
+    def test_the_package_root_loads_nothing(self):
+        env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+        probe = ("import os, sys, typeclust\n"
+                 "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+                 "      [name for name in vars(typeclust) if not name.startswith('__')])")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False None []"
+
+    def test_a_library_import_leaves_blas_threads_alone(self):
+        # the BLAS default is the command line's process policy, like the
+        # malloc policy and the freeze
+        env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+        probe = "import os, typeclust.pipeline; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "None"
+
     @pytest.fixture
     def libc(self, monkeypatch):
         """A fake C library whose ``mallopt`` records its calls, in a clean environment.
@@ -1045,6 +1063,33 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "precision=" in out and "coverage=" in out
+
+    def test_evaluate_rejects_truth_that_leaves_a_segment_unlabeled(self, tmp_path, capsys):
+        trace, truth = two_type_fixture(tmp_path)
+        report_path = tmp_path / "heuristic.json"
+        assert self.run_cli("analyze", "--input", str(trace), "--format", "hex",
+                            "--out-json", str(report_path)) == 0
+        doc = json.loads(truth.read_text())
+        doc["messages"][0]["fields"][1]["type"] = None  # message 0's text field
+        truth.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = self.run_cli("evaluate", "--report", str(report_path), "--input", str(trace),
+                            "--format", "hex", "--truth", str(truth))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error in stage segment: segment at message 0 offset 2 overlaps no labeled"
+            " ground-truth field\n")
+
+    def test_truth_payload_that_is_not_hex_exit_code(self, tmp_path, capsys):
+        trace, truth = two_type_fixture(tmp_path)
+        doc = json.loads(truth.read_text())
+        doc["messages"][0]["payload"] = "zz"
+        truth.write_text(json.dumps(doc))
+        code = self.run_cli("analyze", "--input", str(trace), "--format", "hex",
+                            "--segmenter", "import", "--segments", str(truth))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error in stage segment: entry payload 'zz' is not valid hex\n")
 
 
 @pytest.fixture(scope="module")

@@ -84,6 +84,15 @@ class TestImportSegmentation:
         with pytest.raises(MissingMessageError):
             import_segmentation(messages, path)
 
+    def test_payload_that_is_not_hex_is_missing_message(self, tmp_path):
+        messages = [b"\x01"]
+        path = self.write(
+            tmp_path, {"messages": [{"payload": "zz", "fields": [{"len": 1, "type": "x"}]}]}
+        )
+        for importer in (import_segmentation, import_segmentation_reference):
+            with pytest.raises(MissingMessageError, match=r"^entry payload 'zz' is not valid hex$"):
+                importer(messages, path)
+
     def test_unknown_index_is_missing_message(self, tmp_path):
         messages = [b"\x01"]
         path = self.write(tmp_path, {"messages": [{"index": 5, "fields": [{"len": 1, "type": "x"}]}]})

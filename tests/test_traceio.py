@@ -174,6 +174,27 @@ class TestLoadPcap:
             ("WARNING", f"{pcap}: skipped 1 packets shorter than their IPv4 or UDP length")
         ]
 
+    @pytest.mark.parametrize("transport, offset, fmt, value", [
+        ("udp", 12, ">H", 0x86DD),  # an IPv6 ethertype
+        ("udp", 14, ">B", 0x65),  # IPv4 header of version 6
+        ("udp", 14, ">B", 0x44),  # an IHL of 16 bytes
+        ("udp", 16, ">H", 19),  # a total length below the IHL
+        ("udp", 16, ">H", 20 + 7),  # a 7-byte UDP segment
+        ("tcp", 16, ">H", 20 + 19),  # a 19-byte TCP segment
+    ], ids=["ethertype", "version", "ihl", "total-length", "udp-segment", "tcp-segment"])
+    def test_packets_that_hold_no_datagram_are_skipped_silently(
+        self, tmp_path, caplog, transport, offset, fmt, value
+    ):
+        frame = bytearray(build_ethernet_packet(transport, 5, 123, b"skip"))
+        struct.pack_into(fmt, frame, offset, value)
+        pcap = tmp_path / "malformed.pcap"
+        pcap.write_bytes(build_pcap([("rawdata", bytes(frame)), (transport, 5, 123, b"whole")]))
+        with caplog.at_level(logging.WARNING, logger="typeclust.traceio"):
+            trace = load_pcap(pcap, ProtocolFilter(transport, 123))
+        assert trace.records == (b"whole",)
+        assert trace.skipped_fragments == 0
+        assert caplog.records == []
+
     def test_ethernet_padding_trimmed(self, tmp_path):
         # pad the frame past the IP total length, as a real NIC would
         packet = build_ethernet_packet("udp", 3, 123, b"ab") + b"\x00" * 18
