@@ -217,13 +217,7 @@ def retrim_epsilon(matrix: DissimilarityMatrix, nearest: np.ndarray, previous: A
                    retrim_count=previous.retrim_count + 1)
 
 
-def ecdf_rows(nearest: np.ndarray) -> list[tuple[int, float, float, float]]:
-    """(k, x, y_raw, y_smoothed) rows over the smoothed grid, for diagnostics."""
-    rows: list[tuple[int, float, float, float]] = []
-    for k, curve, smoothed in _curves(nearest):
-        raw = np.searchsorted(curve.xs, smoothed.xs, side="right") / curve.xs.size
-        rows.extend(
-            (k, float(x), float(yr), float(ys))
-            for x, yr, ys in zip(smoothed.xs, raw, smoothed.ys)
-        )
-    return rows
+def ecdf_rows(nearest: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Per k, (k, x, y_raw, y_smoothed): the smoothed grid and both ECDFs over it, as arrays."""
+    return [(k, smoothed.xs, np.searchsorted(curve.xs, smoothed.xs, side="right") / curve.xs.size,
+             smoothed.ys) for k, curve, smoothed in _curves(nearest)]

@@ -127,10 +127,12 @@ def _run_evaluate(args: argparse.Namespace, config: pl.PipelineConfig) -> int:
 
 
 def _run_ecdf(args: argparse.Namespace, config: pl.PipelineConfig) -> int:
-    n, rows = pl.run_ecdf(config)
-    lines = [f"{k},{x:.6g},{y_raw:.6g},{y_smoothed:.6g}\n" for k, x, y_raw, y_smoothed in rows]
-    with writing("ECDF CSV", args.out):
-        Path(args.out).write_text("k,x,y_raw,y_smoothed\n" + "".join(lines), encoding="ascii")
+    n, curves = pl.run_ecdf(config)
+    with writing("ECDF CSV", args.out), open(args.out, "w", encoding="ascii") as out:
+        out.write("k,x,y_raw,y_smoothed\n")
+        for k, *columns in curves:  # one curve's floats at a time
+            line = f"{k},%.6g,%.6g,%.6g\n"
+            out.writelines(line % row for row in zip(*(column.tolist() for column in columns)))
     sys.stdout.write(f"wrote ECDF diagnostics for n={n} values to {args.out}\n")
     return EXIT_OK
 

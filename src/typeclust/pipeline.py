@@ -183,14 +183,16 @@ def run(config: PipelineConfig) -> PipelineResult:
     return PipelineResult(report, analyzable, values, matrix, auto, result)
 
 
-def run_ecdf(config: PipelineConfig) -> tuple[int, list[tuple[int, float, float, float]]]:
-    """The number of values and their k-NN ECDF rows (k, x, y_raw, y_smoothed); writes no file."""
+def run_ecdf(
+    config: PipelineConfig,
+) -> tuple[int, list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]]:
+    """The number of values and per k its ECDF arrays (k, x, y_raw, y_smoothed); writes no file."""
     *_, values = _load_values(config)
     with _stage("matrix"):
         matrix = dm.build_matrix(values, threads=config.threads)
     with _stage("autoconf"):
-        rows = ac.ecdf_rows(ac.nearest_table(matrix))
-    return matrix.n, rows
+        curves = ac.ecdf_rows(ac.nearest_table(matrix))
+    return matrix.n, curves
 
 
 def round_metrics(metrics: ev.Metrics | None) -> dict | None:

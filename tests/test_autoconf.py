@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import logging
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +30,13 @@ from typeclust.autoconf import (
     smooth_spline,
 )
 from typeclust.clustering import Cluster, Clustering
-from typeclust.dissimilarity import DissimilarityMatrix
+from typeclust.dissimilarity import DissimilarityMatrix, build_matrix, unique_values
 from typeclust.errors import EmptyAnalysisError, NoKneeError
+from typeclust.segmentation import filter_analyzable, segment_heuristic
+from typeclust.traceio import deduplicate, load_hexlines
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402
 
 
 def test_round_ln_half_away_from_zero():
@@ -331,6 +338,50 @@ class TestSelectEpsilon:
             config = select_epsilon(nearest_table(make_matrix(d)))
             assert 2 <= config.chosen_k <= round_ln(n)
             assert config.min_samples == round_ln(n)
+
+
+def assert_ecdf_rows_match_their_definition(nearest: np.ndarray) -> None:
+    """Per k = 2 .. round(ln n): the smoothed grid, the raw ECDF counted at each
+    grid point, and the smoothed ys, bit for bit, as float64 arrays of one length."""
+    n = len(nearest)
+    curves = autoconf.ecdf_rows(nearest)
+    assert [k for k, *_ in curves] == list(range(2, round_ln(n) + 1))
+    for k, *columns in curves:
+        column = nearest[:, k - 1]
+        smoothed = smooth_spline(ecdf(column))
+        raw = np.array([np.count_nonzero(column <= x) / n for x in smoothed.xs])
+        for got, expected in zip(columns, (smoothed.xs, raw, smoothed.ys)):
+            assert got.dtype == np.float64 and got.shape == smoothed.xs.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def knn_tables(draw) -> np.ndarray:
+    """The k-NN table of a drawn matrix of 8 to 24 values, with tied and all-equal cells."""
+    n = draw(st.integers(8, 24))
+    cells = n * (n - 1) // 2
+    level = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    upper = draw(st.lists(level | st.floats(0.0, 1.0), min_size=cells, max_size=cells)
+                 | level.map(lambda value: [value] * cells))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = upper
+    return nearest_table(make_matrix(d + d.T))
+
+
+class TestEcdfRows:
+    @settings(max_examples=100, deadline=None)
+    @given(nearest=knn_tables())
+    def test_drawn_curves_match_their_definition(self, nearest):
+        assert_ecdf_rows_match_their_definition(nearest)
+
+    def test_bench_capture_curves_match_their_definition(self, tmp_path):
+        # the DHCP bench capture of generator seed 8: 3,280 values, so seven
+        # curves of 3,280 grid points each
+        trace = gen.write_dhcp_hex(tmp_path, 8, 1200)
+        segments = filter_analyzable(segment_heuristic(deduplicate(load_hexlines(trace.path))))
+        nearest = nearest_table(build_matrix(unique_values(segments)))
+        assert nearest.shape == (3_280, 8)
+        assert_ecdf_rows_match_their_definition(nearest)
 
 
 # Each case returns the matrix, the AutoConfig handed to the re-trim and the

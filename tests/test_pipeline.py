@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_pcap, child_env
+from conftest import build_pcap, child_env, traced_peak
 from fixtures import (
     coverage_fixture,
     hadamard_fixture,
@@ -782,7 +782,7 @@ class TestCli:
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
-        writers = {"emit_report", "write_matrix_csv", "open", "write_text", "write_ecdf_csv"}
+        writers = {"emit_report", "write_matrix_csv", "open", "write_text", "writelines", "savetxt"}
         assert sorted(referenced & writers) == []
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
@@ -1007,6 +1007,20 @@ class TestCli:
         ecdf_lines = out.read_text().splitlines()
         assert ecdf_lines[0] == "k,x,y_raw,y_smoothed"
         assert len(ecdf_lines) > 200
+        capsys.readouterr()
+
+    def test_ecdf_makes_no_object_per_row(self, tmp_path, monkeypatch, capsys):
+        # the DHCP bench capture of generator seed 8: seven curves of 3,280
+        # grid points, written from a matrix built untraced. A tuple of four
+        # objects and a line per row peaked at 5.98-6.13 MiB; a curve's floats
+        # at a time peak at 3.47 MiB, most of it the load and segment stages
+        trace = gen.write_dhcp_hex(tmp_path, 8, 1200)
+        matrix = dm.build_matrix(pl._load_values(pl.PipelineConfig(str(trace.path)))[2])
+        monkeypatch.setattr(dm, "build_matrix", lambda values, threads: matrix)
+        out = tmp_path / "curves.csv"
+        code, peak = traced_peak(main, ["ecdf", "--input", str(trace.path), "--out", str(out)])
+        assert (code, len(out.read_text().splitlines())) == (0, 1 + 7 * 3_280)
+        assert peak < 4.5 * 2**20
         capsys.readouterr()
 
     def test_evaluate_subcommand_reproduces_report_metrics(self, tmp_path, capsys):
@@ -1303,17 +1317,19 @@ def protocols(draw) -> tuple[str, str, bytes, dict]:
 
 
 def outputs(config: pl.PipelineConfig) -> tuple[str, ...]:
-    """The report JSON, the table and the ECDF rows of ``config``, or the error it stops with.
+    """The report JSON, the table and the ECDF curves of ``config``, or the error it stops with.
 
-    The rows are those ``run_ecdf`` computes, taken from the run's matrix
+    The curves are those ``run_ecdf`` computes, taken from the run's matrix
     rather than from a second build.
     """
     try:
         result = pl.run(config)
     except PipelineStageError as err:
         return err.stage, repr(err.original)
-    rows = ac.ecdf_rows(ac.nearest_table(result.matrix))
-    return to_json(result.report), render_table(result.report), repr(rows)
+    curves = ac.ecdf_rows(ac.nearest_table(result.matrix))
+    # every float of every column: numpy's repr elides an array past 1,000 entries
+    return (to_json(result.report), render_table(result.report),
+            repr([(k, *(column.tolist() for column in columns)) for k, *columns in curves]))
 
 
 @contextlib.contextmanager
