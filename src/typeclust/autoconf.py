@@ -50,10 +50,6 @@ class AutoConfig:
     retrim_failed: bool = False
     retrim_count: int = 0
 
-    @property
-    def retrimmed(self) -> bool:
-        return self.retrim_count > 0
-
 
 def round_ln(n: int) -> int:
     """round(ln n) with half-away-from-zero rounding."""
@@ -66,10 +62,10 @@ def nearest_table(matrix: DissimilarityMatrix) -> np.ndarray:
 
 
 def knn_dissimilarities(nearest: np.ndarray, k: int) -> np.ndarray:
-    """Per value, the k-th smallest dissimilarity to any other value, from a k-NN table."""
+    """The k-NN table's own read-only column k - 1: per value, its k-th smallest dissimilarity."""
     if not 1 <= k <= nearest.shape[1]:
         raise ValueError(f"k must be in [1, {nearest.shape[1]}], got {k}")
-    return nearest[:, k - 1].copy()
+    return nearest[:, k - 1]
 
 
 def ecdf(samples) -> Curve:

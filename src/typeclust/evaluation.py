@@ -138,11 +138,11 @@ def f_beta(precision: float, recall: float) -> float:
 
 
 def coverage(segments: Segmentation, values: Values, clustering: Clustering) -> float:
-    """Clustered bytes (all segment instances) over all trace bytes."""
+    """Clustered bytes (all segment instances) over all trace bytes, one integer sum per cluster."""
     if not segments.data:
         return 0.0
-    clustered = [member for cluster in clustering.clusters for member in cluster.members]
-    return int((values.length * values.counts)[clustered].sum()) / len(segments.data)
+    size = values.length * values.counts
+    return sum(int(size[c.members].sum()) for c in clustering.clusters) / len(segments.data)
 
 
 def evaluate_clustering(

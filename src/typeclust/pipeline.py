@@ -224,7 +224,7 @@ def build_report(
         "knee": sig6(auto.epsilon),  # epsilon is the knee
         "chosen_k": auto.chosen_k,
         "min_samples": auto.min_samples,
-        "retrimmed": auto.retrimmed,
+        "retrimmed": auto.retrim_count > 0,
         "retrim_count": auto.retrim_count,
         "retrim_failed": auto.retrim_failed,
         "fallback": auto.fallback,

@@ -45,8 +45,8 @@ def eps_density(
     matrix: DissimilarityMatrix, cluster: Cluster, s_l: int, eps: float
 ) -> float | None:
     """Median dissimilarity from s_l to cluster members within eps, or None."""
-    others = [m for m in cluster.members if m != s_l]
-    dists = matrix.block([s_l], others)[0]
+    members = np.asarray(cluster.members)
+    dists = matrix.block([s_l], members[members != s_l])[0]
     inside = dists[dists <= eps]
     if inside.size == 0:
         return None
@@ -121,7 +121,7 @@ def merge_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clusterin
                 break
             rejected.add((c_i, c_j))
         else:
-            return Clustering(clusters, list(clustering.noise))
+            return Clustering(clusters, clustering.noise)
         merged = Cluster(sorted([*c_i.members, *c_j.members]))
         clusters = [c for c in clusters if c not in (c_i, c_j)]
         for c_k in clusters:
@@ -160,4 +160,4 @@ def split_pass(matrix: DissimilarityMatrix, clustering: Clustering) -> Clusterin
         else:
             clusters.append(cluster)
     clusters.sort(key=lambda c: c.members[0])
-    return Clustering(clusters, list(clustering.noise))
+    return Clustering(clusters, clustering.noise)

@@ -206,14 +206,6 @@ def load_hexlines(path: str | Path) -> RawTrace:
     return RawTrace(tuple(records))
 
 
-def write_hexlines(payloads: list[bytes] | tuple[bytes, ...], path: str | Path) -> None:
-    """Serialize payloads to the hex-lines format, one message per line."""
-    with open(path, "w", encoding="ascii") as handle:
-        for payload in payloads:
-            handle.write(payload.hex())
-            handle.write("\n")
-
-
 def deduplicate(trace: RawTrace) -> list[bytes]:
     """The first occurrence of each distinct payload, in capture order.
 

@@ -6,6 +6,7 @@ import gc
 import os
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,16 @@ import typeclust
 from typeclust.clustering import Cluster, Clustering, dbscan
 from typeclust.dissimilarity import DissimilarityMatrix, Values
 from typeclust.segmentation import Segmentation
+
+# hypothesis's report hook imports this module when a property test fails, and
+# through libcst it raises a DeprecationWarning that -W error turns into an
+# INTERNALERROR ending the run; imported here first, it raises none there.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:  # no libcst
+    pass
 
 
 def child_env() -> dict[str, str]:

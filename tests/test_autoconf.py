@@ -93,7 +93,9 @@ class TestKnn:
         assert table.shape == (matrix.n, round_ln(matrix.n))
         assert not table.flags.writeable  # every reader of a run shares it
         for k in range(1, round_ln(matrix.n) + 1):
-            assert np.array_equal(knn_dissimilarities(table, k), matrix.nearest(k)[:, -1])
+            column = knn_dissimilarities(table, k)
+            assert np.array_equal(column, matrix.nearest(k)[:, -1])
+            assert np.shares_memory(column, table) and not column.flags.writeable
 
     def test_k_out_of_range(self):
         matrix = make_matrix([[0.0, 0.1], [0.1, 0.0]])
@@ -104,6 +106,9 @@ class TestKnn:
         narrow = make_matrix(symmetric_random(8, np.random.default_rng(0))).nearest(3)
         with pytest.raises(ValueError, match=r"k must be in \[1, 3\], got 4"):
             knn_dissimilarities(narrow, 4)  # rank 4 exists, but not in this table
+        for k in (0, matrix.n):  # a value has n - 1 others
+            with pytest.raises(ValueError, match=rf"k must be in \[1, 1\], got {k}"):
+                matrix.nearest(k)
 
 
 class TestEcdf:
@@ -122,6 +127,10 @@ class TestEcdf:
         curve = ecdf(samples)
         assert curve.ys[-1] == 1.0
         assert np.allclose(np.diff(curve.ys), 1 / 37)
+
+    def test_no_samples(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            ecdf([])
 
 
 @st.composite
@@ -453,7 +462,7 @@ class TestRetrim:
         clustering = dbscan_of(matrix, previous.epsilon, previous.min_samples)
         assert [len(c.members) for c in clustering.clusters] == [28]  # 100 % in one cluster
         updated = retrim_epsilon(matrix, nearest_table(matrix), previous, clustering)
-        assert updated.retrimmed and updated.retrim_count == 1
+        assert updated.retrim_count == 1
         assert not updated.retrim_failed
         assert updated.epsilon < previous.epsilon
         reclustered = dbscan_of(matrix, updated.epsilon, updated.min_samples)
@@ -466,7 +475,7 @@ class TestRetrim:
         # clustered at 0.5, trimmed below 0.01
         updated = retrim_epsilon(matrix, nearest_table(matrix), low, clustering)
         assert updated.retrim_failed
-        assert not updated.retrimmed
+        assert updated.retrim_count == 0
         assert updated.epsilon == low.epsilon
 
     def test_member_weighting_uses_segment_instances(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import segmentation_of
+from conftest import segmentation_of, values_of
 from oracles import overlap_label_reference, pairwise_metrics, value_labels_reference
 from typeclust.clustering import Cluster, Clustering
 from typeclust.dissimilarity import unique_values
@@ -238,6 +238,9 @@ class TestCoverage:
         segs = segmentation_of((0, 0, b"\x01\x02", "A"), (0, 2, b"\x03\x04", "B"))
         clustering = clustering_of([], noise=[0, 1])
         assert coverage(segs, unique_values(segs), clustering) == 0.0
+
+    def test_no_bytes_is_zero(self):
+        assert coverage(segmentation_of(), values_of([]), clustering_of([])) == 0.0
 
     def test_byte_accounting_with_exclusions_and_duplicates(self):
         # two messages of 6 bytes; a one-byte field per message is excluded,

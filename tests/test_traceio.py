@@ -24,7 +24,6 @@ from typeclust.traceio import (
     deduplicate,
     load_hexlines,
     load_pcap,
-    write_hexlines,
 )
 
 
@@ -261,7 +260,7 @@ class TestLoadHexlines:
         rnd = random.Random(42)
         payloads = [bytes([rnd.randrange(256) for _ in range(8)]) for _ in range(1000)]
         path = tmp_path / "big.hex"
-        write_hexlines(payloads, path)
+        path.write_text("".join(f"{p.hex()}\n" for p in payloads), encoding="ascii")
         trace = load_hexlines(path)
         assert len(trace.records) == 1000
         assert list(trace.records) == payloads
@@ -309,7 +308,7 @@ def test_pcap_to_hexlines_round_trip(tmp_path):
     pcap.write_bytes(build_pcap([("udp", 123, 123, p) for p in payloads]))
     trace = load_pcap(pcap, ProtocolFilter("udp", 123))
     hexfile = tmp_path / "rt.hex"
-    write_hexlines(trace.records, hexfile)
+    hexfile.write_text("".join(f"{p.hex()}\n" for p in trace.records), encoding="ascii")
     assert load_hexlines(hexfile).records == trace.records
 
 
